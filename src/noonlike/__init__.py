@@ -6,7 +6,7 @@ vacuum, evaluates the multi-phase estimation bound in closed form and via a
 matrix oracle, compares the standard probe families at matched photon
 budget, optimizes balanced against unbalanced weighting, and simulates a
 heralded linear-optical circuit that generates a two-mode probe of this
-class in truncated Fock space.
+class, exactly on its heralded photon budget.
 """
 
 from .errors import (

@@ -1,11 +1,19 @@
-"""Truncated-Fock-space simulator for the heralded state-generation circuit.
+"""Heralded state-generation circuit, evaluated on its photon budget only.
 
-A small number of optical modes carry a sparse amplitude map over
-occupation tuples with a global total-photon cutoff.  Beam splitters and
-photon-number phase shifters conserve total photon number, so a cutoff
-never leaks amplitude between retained sectors: amplitudes of sectors at or
-below the cutoff are exact, and the discarded tail only affects the
-recorded ``truncation_loss``.
+Every element is passive and conserves total photon number, so the whole
+circuit is one m x m mode matrix U plus a global phase: input creation
+operators map as a_j^dag -> sum_k U[k, j] a_k^dag, and the constant phase
+of each phase shifter only multiplies the whole state.  Heralding on
+``herald_count`` photons and keeping at most ``max_output_photons`` in the
+output modes reads only sectors with at most their sum (the photon budget,
+5 for the reference topology) photons in total, and those sectors are fed
+only by input terms with the same photon numbers.  The simulator therefore
+expands each input mode's Fock amplitudes up to the budget, applies the
+image of its creation operator under U to an amplitude vector over the
+sectors within the budget, and reads the heralded sectors off exactly.
+Nothing above the budget is built, so nothing is truncated: the config's
+``cutoff`` is still accepted, and must still be at least the budget, but it
+changes no result.
 
 Mode indexing is 0-based throughout the API; the circuit-config text format
 uses 1-based labels (the conventional numbering of the three-mode setup)
@@ -27,13 +35,12 @@ The resulting two-mode state is the antisymmetric superposition
 (|phi>|0> - |0>|phi>)/sqrt(2); the relative branch phase is reported and
 fitted by the verifier, since no passive relabeling can turn it into the
 symmetric one.
-
-Element application is a pure transformation producing a new state; sweeps
-can run data-parallel without shared mutable state.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -48,15 +55,16 @@ from .errors import (
     ModeOutOfRange,
     NoonlikeError,
     OrderingViolation,
-    TruncationInsufficient,
 )
 from .families import Family, FamilyTarget, SweepCurve, solve_param_for_nbar
 from .qcrb import Balanced, ProbeSpec, noon_qcrb, qcrb_closed_form
 from .states import (
+    Coherent,
     Fock,
     FockSuperposition,
     FockVector,
     SingleModeState,
+    SqueezedVacuum,
     fock_amplitudes,
     moments_from_amplitudes,
 )
@@ -69,8 +77,8 @@ __all__ = [
     "CircuitConfig",
     "HeraldedState",
     "ExperimentResult",
-    "inject",
-    "apply_element",
+    "mode_matrix",
+    "budget_amplitudes",
     "post_select",
     "run_experiment",
     "verify_noonlike_form",
@@ -88,12 +96,11 @@ _MASS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MultiModeFockState:
-    """Sparse amplitude map over occupation tuples with a total-photon cutoff."""
+    """Normalized sparse amplitude map over occupations of at most ``cutoff`` photons."""
 
     mode_count: int
     cutoff: int
     amps: dict[tuple[int, ...], complex]
-    truncation_loss: float = 0.0
 
     def __post_init__(self):
         for occ in self.amps:
@@ -101,7 +108,7 @@ class MultiModeFockState:
                 raise ValueError(f"occupation {occ} has wrong arity")
             if any(n < 0 for n in occ) or sum(occ) > self.cutoff:
                 raise ValueError(f"occupation {occ} violates the cutoff {self.cutoff}")
-        mass = self.norm_squared + self.truncation_loss
+        mass = self.norm_squared
         if not 1.0 - _MASS_TOL <= mass <= 1.0 + _MASS_TOL:
             raise ValueError(f"mass {mass} not within tolerance of 1")
 
@@ -167,7 +174,6 @@ class ExperimentResult:
     n_bar: float
     success_prob: float
     branch_phase: float
-    truncation_loss: float
 
 
 @dataclass(frozen=True)
@@ -197,113 +203,99 @@ class CircuitConfig:
             raise ValueError("cutoff below herald_count + max_output_photons")
 
 
-def _sqrt_fact_ratio(p: int, q: int, m: int, n: int) -> float:
-    # sqrt(p! q! / (m! n!)) via log-gamma, safe for large occupations
-    return math.exp(
-        0.5
-        * (
-            math.lgamma(p + 1.0)
-            + math.lgamma(q + 1.0)
-            - math.lgamma(m + 1.0)
-            - math.lgamma(n + 1.0)
-        )
-    )
+def mode_matrix(
+    elements: Iterable[CircuitElement], mode_count: int
+) -> tuple[np.ndarray, float]:
+    """Compose passive elements, in order, into a mode matrix and a global phase.
 
-
-def inject(
-    per_mode_states: Sequence[SingleModeState],
-    cutoff: int,
-    loss_tol: float = 1e-6,
-) -> MultiModeFockState:
-    """Tensor product of per-mode truncated expansions.
-
-    Keeps every occupation tuple whose total is at most ``cutoff`` and
-    records the discarded probability as ``truncation_loss``.  Raises
-    TruncationInsufficient when the loss exceeds ``loss_tol``; callers that
-    only consume low-photon sectors (heralded runs) may pass ``math.inf``
-    because number-conserving elements never mix sectors.
+    Column j is the image of input mode j's creation operator,
+    a_j^dag -> sum_k U[k, j] a_k^dag.  A phase shifter multiplies its mode's
+    row by exp(i per_photon_phase); its ``const_phase`` multiplies every
+    amplitude alike and is summed into the returned global phase.
     """
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    vectors = [
-        fock_amplitudes(s, n_max=cutoff, tail_tol=math.inf).amps for s in per_mode_states
-    ]
-    amps: dict[tuple[int, ...], complex] = {}
-
-    def extend(prefix: tuple[int, ...], amp: complex, budget: int, mode: int):
-        if mode == len(vectors):
-            amps[prefix] = amp
-            return
-        vec = vectors[mode]
-        for n in range(0, min(budget, len(vec) - 1) + 1):
-            a = vec[n]
-            if a == 0:
-                continue
-            extend(prefix + (n,), amp * a, budget - n, mode + 1)
-
-    extend((), 1.0 + 0.0j, cutoff, 0)
-    kept = float(sum(abs(a) ** 2 for a in amps.values()))
-    loss = max(0.0, 1.0 - kept)
-    if loss > loss_tol:
-        raise TruncationInsufficient(
-            f"truncation loss {loss:.3e} exceeds {loss_tol:.3e} at cutoff {cutoff}"
-        )
-    return MultiModeFockState(len(vectors), cutoff, amps, loss)
+    u = np.eye(mode_count, dtype=np.complex128)
+    phase = 0.0
+    for e in elements:
+        modes = (e.mode_a, e.mode_b) if isinstance(e, BeamSplitter) else (e.mode,)
+        if any(not 0 <= m < mode_count for m in modes):
+            raise ModeOutOfRange(f"element modes {modes} outside 0..{mode_count - 1}")
+        if isinstance(e, BeamSplitter):
+            tau = math.sqrt(e.transmissivity)
+            rho_a, rho_b = e.reflection_amplitudes()
+            row_a, row_b = u[e.mode_a].copy(), u[e.mode_b].copy()
+            u[e.mode_a] = tau * row_a + rho_b * row_b
+            u[e.mode_b] = rho_a * row_a + tau * row_b
+        else:
+            u[e.mode] *= complex(math.cos(e.per_photon_phase), math.sin(e.per_photon_phase))
+            phase += e.const_phase
+    return u, phase
 
 
-def _apply_beam_splitter(state: MultiModeFockState, e: BeamSplitter) -> MultiModeFockState:
-    a_idx, b_idx = e.mode_a, e.mode_b
-    tau = math.sqrt(e.transmissivity)
-    rho_a, rho_b = e.reflection_amplitudes()
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.amps.items():
-        m, n = occ[a_idx], occ[b_idx]
-        if m == 0 and n == 0:
-            out[occ] = out.get(occ, 0.0) + amp
-            continue
-        total = m + n
-        # (tau a + rho_a b)^m (rho_b a + tau b)^n expanded binomially
-        coeffs = np.zeros(total + 1, dtype=np.complex128)
-        for j in range(m + 1):
-            left = math.comb(m, j) * tau**j * rho_a ** (m - j)
-            for k in range(n + 1):
-                coeffs[j + k] += left * math.comb(n, k) * rho_b**k * tau ** (n - k)
-        base = list(occ)
-        for p in range(total + 1):
-            w = coeffs[p]
-            if w == 0:
-                continue
-            base[a_idx], base[b_idx] = p, total - p
-            key = tuple(base)
-            out[key] = out.get(key, 0.0) + amp * w * _sqrt_fact_ratio(
-                p, total - p, m, n
-            )
-    out = {occ: a for occ, a in out.items() if a != 0}
-    return MultiModeFockState(state.mode_count, state.cutoff, out, state.truncation_loss)
+@functools.cache
+def _creation_operators(mode_count: int, budget: int) -> tuple:
+    """Occupations of at most ``budget`` photons and the entries of a_k^dag on them.
 
-
-def _apply_phase_shifter(state: MultiModeFockState, e: PhaseShifter) -> MultiModeFockState:
-    out = {}
-    for occ, amp in state.amps.items():
-        phase = e.const_phase + occ[e.mode] * e.per_photon_phase
-        out[occ] = amp * complex(math.cos(phase), math.sin(phase))
-    return MultiModeFockState(state.mode_count, state.cutoff, out, state.truncation_loss)
-
-
-def apply_element(state: MultiModeFockState, e: CircuitElement) -> MultiModeFockState:
-    """Apply one circuit element, returning a new state."""
-    modes = (
-        (e.mode_a, e.mode_b) if isinstance(e, BeamSplitter) else (e.mode,)
+    Returns (occs, dst, src, mode, weight): a_mode[e]^dag maps occupation
+    src[e] to weight[e] times occupation dst[e], for every entry e that stays
+    within the budget.  The arrays are shared by every caller.
+    """
+    occs = tuple(
+        occ
+        for occ in itertools.product(range(budget + 1), repeat=mode_count)
+        if sum(occ) <= budget
     )
-    if any(not 0 <= m < state.mode_count for m in modes):
-        raise ModeOutOfRange(f"element modes {modes} outside 0..{state.mode_count - 1}")
-    if isinstance(e, BeamSplitter):
-        return _apply_beam_splitter(state, e)
-    return _apply_phase_shifter(state, e)
+    index = {occ: i for i, occ in enumerate(occs)}
+    entries = []
+    for k in range(mode_count):
+        for i, occ in enumerate(occs):
+            raised = occ[:k] + (occ[k] + 1,) + occ[k + 1 :]
+            if raised in index:
+                entries.append((index[raised], i, k, math.sqrt(occ[k] + 1)))
+    table = np.array(entries, dtype=np.float64).reshape(-1, 4).T
+    dst, src, mode = table[:3].astype(np.intp)
+    weight = table[3]
+    for arr in (dst, src, mode, weight):
+        arr.setflags(write=False)
+    return occs, dst, src, mode, weight
+
+
+def budget_amplitudes(
+    per_mode_states: Sequence[SingleModeState],
+    u: np.ndarray,
+    budget: int,
+    global_phase: float = 0.0,
+) -> dict[tuple[int, ...], complex]:
+    """Output amplitudes of every occupation with at most ``budget`` photons.
+
+    The output state is exp(i global_phase) prod_j f_j(b_j^dag) |0>, where
+    b_j^dag = sum_k U[k, j] a_k^dag is the image of input mode j and
+    f_j(x) = sum_n c_jn x^n / sqrt(n!) holds its Fock amplitudes c_jn.
+    Creation operators only add photons, so applying them on the sectors
+    within the budget, and dropping what leaves it, gives those sectors'
+    amplitudes exactly.  Zero amplitudes are left out.
+    """
+    m = len(per_mode_states)
+    if u.shape != (m, m):
+        raise ValueError(f"mode matrix shape {u.shape} does not match {m} input modes")
+    occs, dst, src, mode, weight = _creation_operators(m, budget)
+    size = len(occs)
+    vec = np.zeros(size, dtype=np.complex128)
+    vec[0] = complex(math.cos(global_phase), math.sin(global_phase))
+    for j, state in enumerate(per_mode_states):
+        c = fock_amplitudes(state, n_max=budget, tail_tol=math.inf).amps
+        coef = u[mode, j] * weight  # the entries of b_j^dag
+        acc = c[0] * vec
+        term = vec  # (b_j^dag)^n / sqrt(n!) applied to the modes done so far
+        for n in range(1, max(np.flatnonzero(c), default=0) + 1):
+            raised = coef * term[src] / math.sqrt(n)
+            term = np.bincount(dst, raised.real, size) + 1j * np.bincount(dst, raised.imag, size)
+            acc += c[n] * term
+        vec = acc
+    return {occ: amp for occ, amp in zip(occs, vec.tolist()) if amp != 0}
 
 
 def post_select(
-    state: MultiModeFockState,
+    amps: dict[tuple[int, ...], complex],
     herald_mode: int,
     herald_count: int,
     output_modes: Sequence[int],
@@ -311,20 +303,22 @@ def post_select(
 ) -> HeraldedState:
     """Condition on an exact herald count and an output photon budget.
 
-    Keeps amplitudes with exactly ``herald_count`` photons in the herald
-    mode and at most ``max_output_photons`` in the output modes combined,
-    renormalizes over the kept mass, and reports that mass as the success
-    probability (the injected state is never renormalized after truncation,
-    so this is an absolute probability).
+    ``amps`` maps occupations of the herald and output modes to amplitudes,
+    as ``budget_amplitudes`` returns them.  Keeps amplitudes with exactly
+    ``herald_count`` photons in the herald mode and at most
+    ``max_output_photons`` in the output modes combined, renormalizes over
+    the kept mass, and reports that mass as the success probability (the
+    amplitudes are those of the normalized circuit output, so this is an
+    absolute probability).
     """
     if herald_count < 0:
         raise ValueError("herald_count must be >= 0")
-    all_modes = set(range(state.mode_count))
+    all_modes = set(range(len(output_modes) + 1))
     if set(output_modes) | {herald_mode} != all_modes or herald_mode in output_modes:
         raise ValueError("herald mode plus output modes must partition the modes")
     kept: dict[tuple[int, ...], complex] = {}
     mass = 0.0
-    for occ, amp in state.amps.items():
+    for occ, amp in amps.items():
         if occ[herald_mode] != herald_count:
             continue
         if sum(occ[m] for m in output_modes) > max_output_photons:
@@ -340,7 +334,6 @@ def post_select(
         len(output_modes),
         max_output_photons,
         {occ: amp * scale for occ, amp in kept.items()},
-        0.0,
     )
     rule = (
         f"exactly {herald_count} photon(s) in mode {herald_mode}, "
@@ -436,28 +429,23 @@ def run_experiment(
 ) -> ExperimentResult:
     """Simulate the heralded source at squeeze factor ``r``.
 
-    The coherent amplitude is set by the pump condition.  The inject step
-    accepts any truncation loss: every element conserves total photon
-    number, so the amplitudes of the kept (<= herald + output budget)
-    sectors and the success probability are exact whenever the cutoff is at
-    least that budget; larger squeezed-state tails above the cutoff cannot
-    feed back into them.
+    The coherent amplitude is set by the pump condition.  Only the sectors
+    within the photon budget ``herald_count + max_output_photons`` are
+    evaluated, and exactly (see the module docstring), so the result does
+    not depend on ``cutoff``; a cutoff below the budget is still rejected.
     """
     cfg = config if config is not None else default_circuit_config()
     cut = cfg.cutoff if cutoff is None else cutoff
-    if cut < cfg.herald_count + cfg.max_output_photons:
+    budget = cfg.herald_count + cfg.max_output_photons
+    if cut < budget:
         raise ValueError("cutoff below the heralded photon budget")
-    from .states import Coherent, SqueezedVacuum  # local to avoid name clashes
-
     per_mode: list[SingleModeState] = [Fock(0)] * cfg.mode_count
     per_mode[cfg.coherent_mode] = Coherent(pump_amplitude(r))
     per_mode[cfg.squeezed_mode] = SqueezedVacuum(r)
-    state = inject(per_mode, cut, loss_tol=math.inf)
-    loss = state.truncation_loss
-    for element in cfg.elements:
-        state = apply_element(state, element)
+    u, phase = mode_matrix(cfg.elements, cfg.mode_count)
+    amps = budget_amplitudes(per_mode, u, budget, phase)
     heralded = post_select(
-        state, cfg.herald_mode, cfg.herald_count, cfg.output_modes, cfg.max_output_photons
+        amps, cfg.herald_mode, cfg.herald_count, cfg.output_modes, cfg.max_output_photons
     )
     phi, fidelity, beta = _noonlike_decomposition(heralded.state)
 
@@ -474,7 +462,6 @@ def run_experiment(
         n_bar=n_bar,
         success_prob=heralded.success_prob,
         branch_phase=beta,
-        truncation_loss=loss,
     )
 
 
@@ -565,7 +552,10 @@ def parse_circuit_config(text: str) -> CircuitConfig:
         outputs A,B,...
         max-output-photons N
 
-    Phases accept radians or 'pi' fractions like -pi/2.
+    Phases accept radians or 'pi' fractions like -pi/2.  ``cutoff`` must be
+    at least herald count + max-output-photons; it is kept for
+    compatibility and changes no result, since the simulator evaluates only
+    the heralded photon budget.
     """
     fields: dict[str, object] = {}
     elements: list[CircuitElement] = []
@@ -660,7 +650,11 @@ def load_circuit_config(path: str | Path) -> CircuitConfig:
     return parse_circuit_config(Path(path).read_text())
 
 
+@functools.cache
 def default_circuit_config() -> CircuitConfig:
-    """The shipped reference topology (see the module docstring)."""
+    """The shipped reference topology (see the module docstring).
+
+    Parsed on first use and shared afterwards; the config is frozen.
+    """
     text = resources.files("noonlike").joinpath("data/reference_circuit.cfg").read_text()
     return parse_circuit_config(text)

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from noonlike import (
     ModeOutOfRange,
     NoonlikeError,
     SqueezedVacuum,
-    TruncationInsufficient,
     fock_amplitudes,
 )
 from noonlike.circuit import (
@@ -18,12 +19,12 @@ from noonlike.circuit import (
     CircuitConfig,
     MultiModeFockState,
     PhaseShifter,
-    apply_element,
+    budget_amplitudes,
     default_circuit_config,
     experiment_qcrb_comparison,
     heralded_success_probability,
     heralded_target_amplitudes,
-    inject,
+    mode_matrix,
     parse_circuit_config,
     post_select,
     pump_amplitude,
@@ -31,124 +32,316 @@ from noonlike.circuit import (
     verify_noonlike_form,
     write_circuit_config,
 )
+from noonlike.cli import main
 
 
-def _mass(state: MultiModeFockState) -> float:
-    return state.norm_squared + state.truncation_loss
+def _output(elements, states, budget):
+    u, phase = mode_matrix(elements, len(states))
+    return budget_amplitudes(states, u, budget, phase)
 
 
 class TestInject:
+    """How the per-mode input states enter the budget evaluation."""
+
     def test_all_vacuum(self):
-        state = inject([Fock(0), Fock(0), Fock(0)], cutoff=5)
-        assert set(state.amps) == {(0, 0, 0)}
-        assert state.amps[(0, 0, 0)] == 1.0
-        assert state.truncation_loss == 0.0
+        amps = budget_amplitudes([Fock(0)] * 3, np.eye(3), 5)
+        assert amps == {(0, 0, 0): 1.0}
 
     def test_product_amplitudes(self):
-        alpha, r, cutoff = 0.9, 0.8, 12
-        state = inject(
-            [Coherent(alpha), SqueezedVacuum(r), Fock(0)], cutoff, loss_tol=math.inf
-        )
-        coh = fock_amplitudes(Coherent(alpha), n_max=cutoff, tail_tol=math.inf).amps
-        sv = fock_amplitudes(SqueezedVacuum(r), n_max=cutoff, tail_tol=math.inf).amps
-        for (j, k, l), amp in state.amps.items():
-            assert l == 0
-            assert amp == pytest.approx(coh[j] * sv[k], rel=1e-12)
+        alpha, r, budget = 0.9, 0.8, 5
+        amps = budget_amplitudes([Coherent(alpha), SqueezedVacuum(r), Fock(0)], np.eye(3), budget)
+        coh = fock_amplitudes(Coherent(alpha), n_max=budget, tail_tol=math.inf).amps
+        sv = fock_amplitudes(SqueezedVacuum(r), n_max=budget, tail_tol=math.inf).amps
+        expected = {
+            (j, k, 0): coh[j] * sv[k]
+            for j in range(budget + 1)
+            for k in range(budget + 1 - j)
+            if coh[j] * sv[k] != 0
+        }
+        assert set(amps) == set(expected)
+        for occ, amp in amps.items():
+            assert amp == pytest.approx(expected[occ], rel=1e-12)
 
-    def test_loss_decreases_with_cutoff(self):
-        losses = [
-            inject([Coherent(1.2), SqueezedVacuum(1.2)], c, loss_tol=math.inf).truncation_loss
-            for c in (4, 8, 16, 32)
-        ]
-        assert all(a > b for a, b in zip(losses, losses[1:]))
+    def test_zero_budget_keeps_the_vacuum(self):
+        amps = budget_amplitudes([Coherent(0.5), Fock(0)], np.eye(2), 0)
+        assert amps == {(0, 0): pytest.approx(math.exp(-0.125), rel=1e-15)}
 
-    def test_loss_tolerance_enforced(self):
-        with pytest.raises(TruncationInsufficient):
-            inject([SqueezedVacuum(2.0), Fock(0)], cutoff=6)
-
-    def test_mass_accounting(self):
-        state = inject([Coherent(1.0), SqueezedVacuum(1.0)], 14, loss_tol=math.inf)
-        assert _mass(state) == pytest.approx(1.0, abs=1e-12)
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            budget_amplitudes([Fock(0), Fock(0)], np.eye(3), 2)
 
 
 class TestElements:
     def test_vacuum_unchanged(self):
         # vacuum survives any element (a constant phase is global)
-        state = inject([Fock(0), Fock(0)], cutoff=4)
         for element in (BeamSplitter(0, 1), PhaseShifter(0, 1.0, 2.0)):
-            out = apply_element(state, element)
-            assert set(out.amps) == {(0, 0)}
-            assert abs(out.amplitude((0, 0))) == pytest.approx(1.0, abs=1e-14)
+            amps = _output([element], [Fock(0), Fock(0)], 4)
+            assert set(amps) == {(0, 0)}
+            assert abs(amps[(0, 0)]) == pytest.approx(1.0, abs=1e-14)
 
     def test_single_photon_symmetric_split(self):
-        state = inject([Fock(1), Fock(0)], cutoff=2)
-        out = apply_element(state, BeamSplitter(0, 1))
-        assert out.amplitude((1, 0)) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
-        assert out.amplitude((0, 1)) == pytest.approx(1j / math.sqrt(2), rel=1e-12)
+        u, phase = mode_matrix([BeamSplitter(0, 1)], 2)
+        assert phase == 0.0
+        assert u[:, 0] == pytest.approx([1 / math.sqrt(2), 1j / math.sqrt(2)], rel=1e-12)
+        amps = budget_amplitudes([Fock(1), Fock(0)], u, 2)
+        assert amps[(1, 0)] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+        assert amps[(0, 1)] == pytest.approx(1j / math.sqrt(2), rel=1e-12)
 
     def test_single_photon_real_split(self):
-        state = inject([Fock(1), Fock(0)], cutoff=2)
-        out = apply_element(state, BeamSplitter(0, 1, convention="real"))
-        assert out.amplitude((1, 0)) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
-        assert out.amplitude((0, 1)) == pytest.approx(-1 / math.sqrt(2), rel=1e-12)
+        u, _ = mode_matrix([BeamSplitter(0, 1, convention="real")], 2)
+        assert u[:, 0] == pytest.approx([1 / math.sqrt(2), -1 / math.sqrt(2)], rel=1e-12)
+        amps = budget_amplitudes([Fock(1), Fock(0)], u, 2)
+        assert amps[(1, 0)] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+        assert amps[(0, 1)] == pytest.approx(-1 / math.sqrt(2), rel=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
     def test_phase_shifter_number_dependence(self, n):
-        state = inject([Fock(n)], cutoff=6)
-        out = apply_element(state, PhaseShifter(0, math.pi, -math.pi / 2))
+        u, phase = mode_matrix([PhaseShifter(0, math.pi, -math.pi / 2)], 1)
+        assert phase == math.pi
+        amps = budget_amplitudes([Fock(n)], u, 6, phase)
         expected = -1.0 * (-1j) ** n
-        assert out.amplitude((n,)) == pytest.approx(expected, rel=1e-12)
+        assert amps == {(n,): pytest.approx(expected, rel=1e-12)}
 
     @pytest.mark.parametrize("convention", ["symmetric", "real"])
     def test_norm_preserved(self, convention):
-        state = inject([Coherent(0.8), SqueezedVacuum(0.9), Fock(1)], 10, loss_tol=math.inf)
-        for element in (
+        elements = [
             BeamSplitter(0, 1, convention=convention),
             PhaseShifter(1, 0.3, -1.1),
             BeamSplitter(1, 2, transmissivity=0.3, convention=convention),
-        ):
-            state = apply_element(state, element)
-            assert _mass(state) == pytest.approx(1.0, abs=1e-10)
+        ]
+        u, phase = mode_matrix(elements, 3)
+        assert phase == 0.3
+        assert np.abs(u @ u.conj().T - np.eye(3)).max() <= 1e-14
+        # number states within the budget keep their whole mass
+        amps = _output(elements, [Fock(1), Fock(2), Fock(1)], 4)
+        assert sum(abs(a) ** 2 for a in amps.values()) == pytest.approx(1.0, abs=1e-12)
+        assert all(sum(occ) == 4 for occ in amps)
 
     @pytest.mark.parametrize("convention", ["symmetric", "real"])
     def test_double_beam_splitter_is_mode_swap(self, convention):
-        state = inject([Coherent(0.7), SqueezedVacuum(0.6)], 10, loss_tol=math.inf)
         bs = BeamSplitter(0, 1, convention=convention)
-        swapped = apply_element(apply_element(state, bs), bs)
-
-        def occupation_marginals(s, mode):
-            out = np.zeros(s.cutoff + 1)
-            for occ, amp in s.amps.items():
-                out[occ[mode]] += abs(amp) ** 2
-            return out
-
-        for mode in (0, 1):
-            before = occupation_marginals(state, mode)
-            after = occupation_marginals(swapped, 1 - mode)
-            assert float(np.abs(before - after).max()) <= 1e-10
+        u, _ = mode_matrix([bs, bs], 2)
+        assert np.abs(np.abs(u) - np.array([[0.0, 1.0], [1.0, 0.0]])).max() <= 1e-15
+        amps = _output([bs, bs], [Fock(2), Fock(1)], 3)
+        assert abs(amps[(1, 2)]) == pytest.approx(1.0, abs=1e-14)
+        assert all(abs(a) <= 1e-14 for occ, a in amps.items() if occ != (1, 2))
 
     def test_mode_out_of_range(self):
-        state = inject([Fock(0), Fock(0)], cutoff=2)
         with pytest.raises(ModeOutOfRange):
-            apply_element(state, BeamSplitter(0, 2))
+            mode_matrix([BeamSplitter(0, 2)], 2)
+        with pytest.raises(ModeOutOfRange):
+            mode_matrix([PhaseShifter(-1)], 2)
+
+
+def _permanent(m: np.ndarray) -> complex:
+    """Ryser's formula."""
+    n = m.shape[0]
+    total = 0j
+    for size in range(1, n + 1):
+        for cols in itertools.combinations(range(n), size):
+            total += (-1) ** (n - size) * np.prod(m[:, cols].sum(axis=1))
+    return total if n else 1.0 + 0j
+
+
+def _element_matrix(element, mode_count):
+    """One element's mode matrix, from the conventions in the circuit module."""
+    e = np.eye(mode_count, dtype=complex)
+    if isinstance(element, PhaseShifter):
+        e[element.mode, element.mode] = np.exp(1j * element.per_photon_phase)
+        return e
+    a, b = element.mode_a, element.mode_b
+    tau, rho = math.sqrt(element.transmissivity), math.sqrt(1.0 - element.transmissivity)
+    from_a, from_b = (1j * rho, 1j * rho) if element.convention == "symmetric" else (-rho, rho)
+    e[a, a], e[b, a], e[a, b], e[b, b] = tau, from_a, from_b, tau
+    return e
+
+
+def _heralded_by_permanents(elements, states, herald_mode, herald_count, output_modes, max_out):
+    """Post-selected output amplitudes and success probability, sector by sector.
+
+    The amplitude of output occupation o is the sum over input occupations n
+    with the same photon number of prod_j c_j[n_j] perm(U[o, n]) /
+    sqrt(o! n!), where U[o, n] repeats row k o_k times and column j n_j times.
+    """
+    m = len(states)
+    u = np.eye(m, dtype=complex)
+    for element in elements:
+        u = _element_matrix(element, m) @ u
+    phase = np.exp(1j * sum(e.const_phase for e in elements if isinstance(e, PhaseShifter)))
+    budget = herald_count + max_out
+    coeffs = [fock_amplitudes(s, n_max=budget, tail_tol=math.inf).amps for s in states]
+    fact = [math.factorial(k) for k in range(budget + 1)]
+    kept = {}
+    for out in itertools.product(range(max_out + 1), repeat=len(output_modes)):
+        if sum(out) > max_out:
+            continue
+        occ = [0] * m
+        occ[herald_mode] = herald_count
+        for mode, k in zip(output_modes, out):
+            occ[mode] = k
+        total = sum(occ)
+        rows = [k for k in range(m) for _ in range(occ[k])]
+        amp = 0j
+        for inp in itertools.product(range(total + 1), repeat=m):
+            if sum(inp) != total:
+                continue
+            weight = np.prod([coeffs[j][inp[j]] for j in range(m)])
+            if weight == 0:
+                continue
+            cols = [j for j in range(m) for _ in range(inp[j])]
+            norm = math.sqrt(math.prod(fact[k] for k in occ) * math.prod(fact[k] for k in inp))
+            amp += weight * _permanent(u[np.ix_(rows, cols)]) / norm
+        kept[out] = phase * amp
+    prob = sum(abs(a) ** 2 for a in kept.values())
+    return {k: a / math.sqrt(prob) for k, a in kept.items()}, prob
+
+
+def _random_beam_splitter(rng, a, b):
+    return BeamSplitter(
+        int(a),
+        int(b),
+        transmissivity=float(rng.uniform(0.05, 0.95)),
+        convention=str(rng.choice(["symmetric", "real"])),
+    )
+
+
+def _random_case(seed):
+    """A random passive circuit on 2-4 modes; herald count ``seed % 3``."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    # a chain of splitters through every mode, then random elements
+    order = rng.permutation(m)
+    elements = [_random_beam_splitter(rng, a, b) for a, b in zip(order, order[1:])]
+    for _ in range(int(rng.integers(2, 6))):
+        if rng.random() < 0.5:
+            elements.append(_random_beam_splitter(rng, *rng.choice(m, size=2, replace=False)))
+        else:
+            elements.append(
+                PhaseShifter(
+                    int(rng.integers(m)),
+                    const_phase=float(rng.uniform(-math.pi, math.pi)),
+                    per_photon_phase=float(rng.uniform(-math.pi, math.pi)),
+                )
+            )
+    pool = [
+        Coherent(float(rng.uniform(0.3, 1.2))),
+        SqueezedVacuum(float(rng.uniform(0.3, 1.2))),
+        Fock(1),
+    ]
+    states = [pool[k] if k < len(pool) else Fock(0) for k in rng.permutation(max(m, 3))[:m]]
+    herald_mode = int(rng.integers(m))
+    output_modes = tuple(k for k in range(m) if k != herald_mode)
+    herald_count = seed % 3
+    max_out = int(rng.integers(1, 6 - herald_count))
+    return elements, states, herald_mode, herald_count, output_modes, max_out
+
+
+class TestPermanentOracle:
+    """The budget evaluator against sector-by-sector permanents on random circuits."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_passive_circuit(self, seed):
+        elements, states, herald_mode, herald_count, output_modes, max_out = _random_case(seed)
+        want, want_prob = _heralded_by_permanents(
+            elements, states, herald_mode, herald_count, output_modes, max_out
+        )
+        amps = _output(elements, states, herald_count + max_out)
+        got = post_select(amps, herald_mode, herald_count, output_modes, max_out)
+        assert got.success_prob == pytest.approx(want_prob, rel=1e-12)
+        for occ, amp in want.items():
+            assert abs(got.state.amplitude(occ) - amp) <= 1e-12
+        assert set(got.state.amps) <= set(want)
+
+    def test_cases_cover_the_space(self):
+        cases = [_random_case(seed) for seed in range(24)]
+        assert {len(c[1]) for c in cases} == {2, 3, 4}
+        assert {c[3] for c in cases} == {0, 1, 2}
+        conventions = {e.convention for c in cases for e in c[0] if isinstance(e, BeamSplitter)}
+        assert conventions == {"symmetric", "real"}
+
+    def test_mode_matrix_matches_element_matrices(self):
+        for seed in range(24):
+            elements, states, *_ = _random_case(seed)
+            m = len(states)
+            want = np.eye(m, dtype=complex)
+            for element in elements:
+                want = _element_matrix(element, m) @ want
+            u, _ = mode_matrix(elements, m)
+            assert np.abs(u - want).max() <= 1e-14
+            assert np.abs(u @ u.conj().T - np.eye(m)).max() <= 1e-13
+
+    def test_reference_circuit(self):
+        cfg = default_circuit_config()
+        states = [Coherent(pump_amplitude(1.2)), SqueezedVacuum(1.2), Fock(0)]
+        want, want_prob = _heralded_by_permanents(
+            cfg.elements, states, cfg.herald_mode, cfg.herald_count, cfg.output_modes,
+            cfg.max_output_photons,
+        )
+        assert want_prob == pytest.approx(heralded_success_probability(1.2), rel=1e-12)
+        res = run_experiment(1.2)
+        assert res.success_prob == pytest.approx(want_prob, rel=1e-12)
+        phi = [math.sqrt(2.0) * want.get((n, 0), 0.0) for n in range(5)]
+        assert np.abs(np.array(res.phi_amps) - phi).max() <= 1e-12
 
 
 class TestPostSelect:
     def test_single_branch_heralds_with_certainty(self):
-        state = inject([Fock(1), Fock(2)], cutoff=4)
-        heralded = post_select(state, 0, 1, [1], max_output_photons=4)
+        amps = budget_amplitudes([Fock(1), Fock(2)], np.eye(2), 4)
+        heralded = post_select(amps, 0, 1, [1], max_output_photons=4)
         assert heralded.success_prob == pytest.approx(1.0, abs=1e-12)
         assert heralded.state.amplitude((2,)) == pytest.approx(1.0)
 
     def test_empty_selection(self):
-        state = inject([Fock(0), Fock(2)], cutoff=4)
+        amps = budget_amplitudes([Fock(0), Fock(2)], np.eye(2), 4)
         with pytest.raises(EmptyPostSelection):
-            post_select(state, 0, 1, [1], max_output_photons=4)
+            post_select(amps, 0, 1, [1], max_output_photons=4)
+
+    def test_modes_must_partition(self):
+        amps = budget_amplitudes([Fock(0), Fock(2)], np.eye(2), 4)
+        with pytest.raises(ValueError):
+            post_select(amps, 0, 1, [0], max_output_photons=4)
 
     def test_reference_circuit_success_probability(self):
         res = run_experiment(1.0)
         assert 0.0 < res.success_prob < 1.0
         assert res.success_prob == pytest.approx(heralded_success_probability(1.0), rel=1e-12)
+
+
+class TestCutoff:
+    """The cutoff is validated and accepted but changes no result."""
+
+    def test_large_cutoff_identical(self):
+        assert run_experiment(1.3, cutoff=60) == run_experiment(1.3)
+
+    def test_config_cutoff_key_identical(self):
+        cfg = default_circuit_config()
+        for cutoff in (5, 40):
+            again = parse_circuit_config(write_circuit_config(replace(cfg, cutoff=cutoff)))
+            assert again.cutoff == cutoff
+            assert run_experiment(0.9, config=again) == run_experiment(0.9)
+
+    def test_below_budget_rejected(self):
+        with pytest.raises(ValueError):
+            run_experiment(1.0, cutoff=4)
+        with pytest.raises(ValueError):
+            replace(default_circuit_config(), cutoff=4)
+
+    def test_cli_below_budget_exit_code(self, capsys):
+        assert main(["experiment", "--r", "1", "--cutoff", "4"]) == 1
+        assert "cutoff below" in capsys.readouterr().err
+
+    def test_cli_cutoff_and_config_accepted(self, tmp_path, capsys):
+        path = tmp_path / "circuit.cfg"
+        path.write_text(write_circuit_config(replace(default_circuit_config(), cutoff=40)))
+        assert main(["experiment", "--r", "1"]) == 0
+        baseline = capsys.readouterr().out
+        assert main(["experiment", "--r", "1", "--cutoff", "60"]) == 0
+        assert capsys.readouterr().out == baseline
+        assert main(["experiment", "--r", "1", "--circuit", str(path)]) == 0
+        assert capsys.readouterr().out == baseline
+
+    def test_default_config_parsed_once(self):
+        assert default_circuit_config() is default_circuit_config()
 
 
 class TestReferenceCircuit:
