@@ -29,16 +29,12 @@ from .families import (
     Family,
     FamilyTarget,
     SweepCurve,
-    UnbalancedSpec,
     balanced_vs_unbalanced_sweep,
     compare_families_at_nbar,
     compare_sweeps_at_common_nbar,
     escs_ratio_bracket_check,
     escs_sweep_r_prime,
     solve_param_for_nbar,
-    unbalanced_b_boundary,
-    unbalanced_mean_photons,
-    unbalanced_optimal_b2,
 )
 from .qcrb import (
     Balanced,
@@ -47,7 +43,6 @@ from .qcrb import (
     ProbeSpec,
     QcrbReport,
     QfiMatrix,
-    balanced_b2,
     mean_total_photons,
     noon_bound_check,
     noon_qcrb,
@@ -55,6 +50,7 @@ from .qcrb import (
     qcrb_from_f,
     qcrb_trace_inverse,
     qfi_matrix,
+    resolve_weights,
 )
 from .states import (
     Coherent,

@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -53,6 +53,17 @@ __all__ = ["RunConfig", "parse_args", "emit_figure", "main"]
 
 _FIGURE_IDS = (2, 3, 4, 6)
 
+# Per-figure defaults; a value given by the caller overrides its default.
+# Figure 4 is the ``unbalanced`` command at d=5, and shares its defaults.
+_FIGURE_DEFAULTS = {
+    2: dict(n_min=0.5, n_max=20.0, steps=40, r_prime=1.0),
+    # starts at 0.75 rather than 0.5: below ~0.61 the squeezed-coherent
+    # family with squeeze factor 1.2 cannot reach the target n_bar
+    3: dict(n_min=0.75, n_max=20.0, steps=40),
+    4: dict(r_min=0.3, r_max=3.0, steps=60),
+    6: dict(r_min=1.0, r_max=2.0, steps=20),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -85,8 +96,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, help="displacement (ecs, escs)")
     p.add_argument("--r", type=float, help="squeeze factor (esvs)")
     p.add_argument("--r-prime", type=float, help="squeeze factor (escs)")
-    p.add_argument("--b2", type=float, help="fixed probing weight b^2 (unbalanced)")
-    p.add_argument("--optimized-b", action="store_true", help="optimize b^2")
+    weights = p.add_mutually_exclusive_group()
+    weights.add_argument("--b2", type=float, help="fixed probing weight b^2 (unbalanced)")
+    weights.add_argument("--optimized-b", action="store_true", help="optimize b^2")
     add_out(p)
 
     p = sub.add_parser("compare", help="four families at a common n_bar")
@@ -105,9 +117,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("unbalanced", help="balanced vs optimized-unbalanced sweep")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r-min", type=float, default=0.3)
-    p.add_argument("--r-max", type=float, default=3.0)
-    p.add_argument("--steps", type=int, default=60)
+    p.add_argument("--r-min", type=float)
+    p.add_argument("--r-max", type=float)
+    p.add_argument("--steps", type=int)
+    p.set_defaults(**_FIGURE_DEFAULTS[4])
     add_out(p)
 
     p = sub.add_parser("experiment", help="simulate the heralded source")
@@ -124,7 +137,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-min", type=float, default=None)
     p.add_argument("--r-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--r-prime", type=float, default=1.0)
+    p.add_argument("--r-prime", type=float, default=None)
     p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--circuit", type=Path, default=None)
     add_out(p)
@@ -214,21 +227,10 @@ def _cmd_qcrb(params: dict) -> tuple[list[str], list[list]]:
     weighting = Balanced()
     if params.get("b2") is not None:
         weighting = FixedB(params["b2"])
-    if params.get("optimized_b"):
+    elif params.get("optimized_b"):
         weighting = OptimizedB()
     report = qcrb_closed_form(ProbeSpec(params["d"], _state_for_qcrb(params), weighting))
-    report = QcrbReport(
-        qcrb=report.qcrb,
-        f=report.f,
-        R=report.R,
-        b2=report.b2,
-        n_tilde=report.n_tilde,
-        n_bar=report.n_bar,
-        family=params["family"],
-        parameter=None,
-        effective=report.effective,
-    )
-    return _REPORT_COLUMNS, [_report_row(report)]
+    return _REPORT_COLUMNS, [_report_row(replace(report, family=params["family"]))]
 
 
 def _cmd_compare(params: dict) -> tuple[list[str], list[list]]:
@@ -277,7 +279,7 @@ def _assert_rows_bounded(d: int, n_bar: float, values: Sequence[float]) -> None:
 
 def _figure_2(params: dict) -> tuple[list[str], list[list]]:
     d = params["d"]
-    grid = np.geomspace(params.get("n_min") or 0.5, params.get("n_max") or 20.0, params.get("steps") or 40)
+    grid = np.geomspace(params["n_min"], params["n_max"], params["steps"])
     rows = []
     for n_bar in grid:
         reports = compare_families_at_nbar(d, float(n_bar), params["r_prime"])
@@ -285,14 +287,12 @@ def _figure_2(params: dict) -> tuple[list[str], list[list]]:
             if not noon_bound_check(rep, d):
                 raise NoonlikeError(f"bound violated at n_bar={n_bar}")
         rows.append([float(n_bar)] + [r.qcrb for r in reports])
-    return ["n_bar", "noon", "ecs", "escs_r1", "esvs"], rows
+    return ["n_bar", "noon", "ecs", f"escs_r{params['r_prime']:g}", "esvs"], rows
 
 
 def _figure_3(params: dict) -> tuple[list[str], list[list]]:
-    # The grid starts at 0.75 rather than 0.5: below ~0.61 the squeezed-
-    # coherent family with squeeze factor 1.2 cannot reach the target n_bar.
     d = params["d"]
-    grid = np.geomspace(params.get("n_min") or 0.75, params.get("n_max") or 20.0, params.get("steps") or 40)
+    grid = np.geomspace(params["n_min"], params["n_max"], params["steps"])
     r_primes = (0.4, 0.8, 1.2)
     rows = []
     for n_bar in grid:
@@ -313,18 +313,8 @@ def _figure_3(params: dict) -> tuple[list[str], list[list]]:
     return ["n_bar", "ecs", "escs_r0.4", "escs_r0.8", "escs_r1.2", "esvs"], rows
 
 
-def _figure_4(params: dict) -> tuple[list[str], list[list]]:
-    local = dict(params)
-    local.setdefault("r_min", None)
-    local.setdefault("r_max", None)
-    local["r_min"] = local["r_min"] or 0.3
-    local["r_max"] = local["r_max"] or 3.0
-    local["steps"] = local.get("steps") or 60
-    return _cmd_unbalanced(local)
-
-
 def _figure_6(params: dict) -> tuple[list[str], list[list]]:
-    grid = np.linspace(params.get("r_min") or 1.0, params.get("r_max") or 2.0, params.get("steps") or 20)
+    grid = np.linspace(params["r_min"], params["r_max"], params["steps"])
     config = (
         load_circuit_config(params["circuit"]) if params.get("circuit") else default_circuit_config()
     )
@@ -340,14 +330,15 @@ def _figure_6(params: dict) -> tuple[list[str], list[list]]:
     return ["n_bar", "noon_effective", "ecs", "phi"], rows
 
 
-_FIGURES = {2: _figure_2, 3: _figure_3, 4: _figure_4, 6: _figure_6}
+_FIGURES = {2: _figure_2, 3: _figure_3, 4: _cmd_unbalanced, 6: _figure_6}
 
 
 def emit_figure(fig_id: int, params: dict, out: Path | None, fmt: str) -> None:
     """Compute one figure dataset and write it (or print to stdout)."""
     if fig_id not in _FIGURES:
         raise UsageError(f"figure id must be one of {_FIGURE_IDS}, got {fig_id}")
-    columns, rows = _FIGURES[fig_id](params)
+    given = {k: v for k, v in params.items() if v is not None}
+    columns, rows = _FIGURES[fig_id](_FIGURE_DEFAULTS[fig_id] | given)
     _write(columns, rows, out, fmt)
 
 
@@ -382,7 +373,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NoonlikeError, ValueError, OSError) as exc:
+    except (NoonlikeError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Parameter matching, four-family comparisons, and weight optimization.
+"""Parameter matching, four-family comparisons, and balanced vs unbalanced sweeps.
 
 Families are compared at a common mean total photon number of the balanced
 probe.  The NOON column uses the interpolated ("effective") photon number so
@@ -12,27 +12,21 @@ Grid sweeps are pure and deterministic; points are produced in grid order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BracketFailure,
-    ConstraintInfeasible,
-    OrderingViolation,
-    ZeroPhotonState,
-)
+from .errors import BracketFailure, OrderingViolation
 from .qcrb import (
     Balanced,
-    FixedB,
+    OptimizedB,
     ProbeSpec,
     QcrbReport,
-    _b_boundary,
-    _optimal_b2,
     mean_total_photons,
     qcrb_closed_form,
+    resolve_weights,
 )
 from .states import (
     Coherent,
@@ -46,17 +40,11 @@ from .states import (
 __all__ = [
     "Family",
     "FamilyTarget",
-    "UnbalancedSpec",
     "SweepCurve",
     "solve_param_for_nbar",
     "compare_families_at_nbar",
     "escs_sweep_r_prime",
     "escs_ratio_bracket_check",
-    "unbalanced_b_boundary",
-    "unbalanced_optimal_b2",
-    "unbalanced_mean_photons",
-    "unbalanced_spec",
-    "recover_reference_weight",
     "balanced_vs_unbalanced_sweep",
     "compare_sweeps_at_common_nbar",
 ]
@@ -87,23 +75,6 @@ class FamilyTarget:
         if self.family is Family.ESCS:
             if self.fixed_extras is None or self.fixed_extras < 0.0:
                 raise ValueError("ESCS targets need a nonnegative fixed squeeze factor")
-
-
-@dataclass(frozen=True)
-class UnbalancedSpec:
-    """Weights of the unbalanced probe and its normalization-ellipse data."""
-
-    d: int
-    state: SingleModeState
-    b2: float
-    c2: float
-    A: float
-    B: float
-    c_signed: float
-
-    def constraint_residual(self) -> float:
-        b = math.sqrt(self.b2)
-        return self.A * self.b2 + self.B * b * self.c_signed + self.c_signed**2 - 1.0
 
 
 @dataclass(frozen=True)
@@ -212,17 +183,7 @@ def _param_of(state: SingleModeState) -> float:
 
 def _labelled_report(family: Family, d: int, state: SingleModeState) -> QcrbReport:
     rep = qcrb_closed_form(ProbeSpec(d, state, Balanced()))
-    return QcrbReport(
-        qcrb=rep.qcrb,
-        f=rep.f,
-        R=rep.R,
-        b2=rep.b2,
-        n_tilde=rep.n_tilde,
-        n_bar=rep.n_bar,
-        family=family.value,
-        parameter=_param_of(state),
-        effective=rep.effective,
-    )
+    return replace(rep, family=family.value, parameter=_param_of(state))
 
 
 def compare_families_at_nbar(
@@ -301,75 +262,6 @@ def escs_ratio_bracket_check(alpha_p: float, r_p: float, r_matched: float) -> bo
     return 1.0 < ratio < 2.0 * math.cosh(r_matched) ** 2
 
 
-def unbalanced_b_boundary(d: int, vacuum_prob: float) -> float:
-    """Largest probing weight b^2 allowed by the normalization ellipse.
-
-    At the boundary the ellipse tangency forces the reference weight to
-    ``c = -B b / 2`` with ``B = 2 d vacuum_prob``.
-    """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if vacuum_prob < 0.0:
-        raise ValueError(f"vacuum_prob must be nonnegative, got {vacuum_prob}")
-    return _b_boundary(d, vacuum_prob)
-
-
-def unbalanced_optimal_b2(d: int, state: SingleModeState) -> float:
-    """Bound-minimizing b^2: R/(d + sqrt(d)) when feasible, else the boundary."""
-    m = moments(state)
-    if m.mean_n <= 0.0:
-        raise ZeroPhotonState(f"state has mean photon number {m.mean_n}")
-    return _optimal_b2(d, m.vacuum_prob, m.mean_n2 / m.mean_n**2)
-
-
-def _ellipse_coeffs(d: int, vacuum_prob: float) -> tuple[float, float]:
-    a_coef = d + d * (d - 1) * vacuum_prob
-    b_coef = 2.0 * d * vacuum_prob
-    return a_coef, b_coef
-
-
-def recover_reference_weight(d: int, vacuum_prob: float, b2: float) -> float:
-    """Signed reference weight c solving the normalization ellipse at given b.
-
-    The quadratic in c has two real roots for b below the boundary; the
-    algebraically larger root is returned.  That branch contains the
-    balanced point (c = b) and deforms continuously into the tangency value
-    ``-B b / 2`` at the boundary.
-    """
-    a_coef, b_coef = _ellipse_coeffs(d, vacuum_prob)
-    b = math.sqrt(b2)
-    disc = b_coef**2 * b2 - 4.0 * (a_coef * b2 - 1.0)
-    scale = b_coef**2 * b2 + 4.0 * abs(a_coef * b2 - 1.0) + 1.0
-    if disc < -1e-10 * scale:
-        raise ConstraintInfeasible(f"b2={b2} exceeds the ellipse boundary")
-    if disc <= 1e-12 * scale:  # tangency: the double root at the boundary
-        return -0.5 * b_coef * b
-    return 0.5 * (-b_coef * b + math.sqrt(disc))
-
-
-def unbalanced_spec(d: int, state: SingleModeState, b2: float) -> UnbalancedSpec:
-    """Full weight description of the unbalanced probe at probing weight b2."""
-    m = moments(state)
-    bo = _b_boundary(d, m.vacuum_prob)
-    if not 0.0 < b2 <= bo * (1.0 + 1e-12):
-        raise ConstraintInfeasible(f"b2={b2} outside (0, {bo}]")
-    a_coef, b_coef = _ellipse_coeffs(d, m.vacuum_prob)
-    c = recover_reference_weight(d, m.vacuum_prob, min(b2, bo))
-    return UnbalancedSpec(
-        d=d, state=state, b2=b2, c2=c * c, A=a_coef, B=b_coef, c_signed=c
-    )
-
-
-def unbalanced_mean_photons(d: int, state: SingleModeState, b2: float) -> float:
-    """Mean total photons (c^2 + d b^2) <n> of the unbalanced probe.
-
-    Cross terms between components vanish because the number operator
-    annihilates vacuum on both sides of every overlap.
-    """
-    spec = unbalanced_spec(d, state, b2)
-    return (spec.c2 + d * spec.b2) * moments(state).mean_n
-
-
 def balanced_vs_unbalanced_sweep(
     d: int, r_grid: Sequence[float]
 ) -> tuple[SweepCurve, SweepCurve]:
@@ -389,10 +281,10 @@ def balanced_vs_unbalanced_sweep(
         bal = qcrb_closed_form(ProbeSpec(d, state, Balanced()))
         bal_points.append((bal.n_bar, bal.qcrb, r))
 
-        b2_opt = unbalanced_optimal_b2(d, state)
-        unb = qcrb_closed_form(ProbeSpec(d, state, FixedB(b2_opt)))
-        n_bar_unb = unbalanced_mean_photons(d, state, b2_opt)
-        unb_points.append((n_bar_unb, unb.qcrb, r))
+        unb = qcrb_closed_form(ProbeSpec(d, state, OptimizedB()))
+        m = moments(state)
+        b2, c = resolve_weights(d, m, OptimizedB())
+        unb_points.append(((c * c + d * b2) * m.mean_n, unb.qcrb, r))
     return (
         SweepCurve(tuple(bal_points), label=f"balanced_esvs_d{d}"),
         SweepCurve(tuple(unb_points), label=f"unbalanced_esvs_d{d}"),

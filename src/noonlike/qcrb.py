@@ -36,8 +36,8 @@ __all__ = [
     "ProbeSpec",
     "QcrbReport",
     "QfiMatrix",
-    "balanced_b2",
     "mean_total_photons",
+    "resolve_weights",
     "qfi_matrix",
     "qcrb_trace_inverse",
     "qcrb_closed_form",
@@ -82,7 +82,7 @@ class ProbeSpec:
         object.__setattr__(self, "d", int(self.d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QcrbReport:
     """Bound value plus all intermediate quantities, for auditing.
 
@@ -120,41 +120,46 @@ class QfiMatrix:
         return self.entries.shape[0]
 
 
-def balanced_b2(d: int, vacuum_prob: float) -> float:
-    """Squared weight of each component of the balanced (d+1)-mode state."""
+def resolve_weights(d: int, m: Moments, weighting: Weighting) -> tuple[float, float]:
+    """Probing weight b^2 and signed reference weight c of the probe.
+
+    The probe c|psi,0..0> + b sum_j |0..psi_j..0> is normalized on the ellipse
+    ``A b^2 + B b c + c^2 = 1`` with ``A = d + d(d-1) p0``, ``B = 2 d p0`` and
+    ``p0`` the vacuum probability of the constituent.  ``Balanced`` is the
+    point c = b.  ``FixedB`` takes b^2 from the caller; ``OptimizedB`` takes
+    the bound-minimizing ``R/(d + sqrt d)``, capped at the largest b^2 on the
+    ellipse, ``1/(d (1 + d p0)(1 - p0))``.  For both, c is the larger root of
+    the ellipse in c: the branch through the balanced point, which ends in
+    the tangency root ``c = -B b/2`` on the boundary.
+    """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if not 0.0 <= vacuum_prob <= 1.0:
-        raise ValueError(f"vacuum_prob outside [0, 1]: {vacuum_prob}")
-    return 1.0 / ((d + 1) * (1.0 + d * vacuum_prob))
-
-
-def _b_boundary(d: int, vacuum_prob: float) -> float:
-    """Largest b^2 compatible with the unbalanced normalization ellipse."""
-    if vacuum_prob >= 1.0:
-        raise DegenerateOverlap("vacuum overlap of 1 leaves no photons to weight")
-    return 1.0 / (d * (1.0 + d * vacuum_prob) * (1.0 - vacuum_prob))
-
-
-def _optimal_b2(d: int, vacuum_prob: float, big_r: float) -> float:
-    """Bound-minimizing b^2: stationary point if feasible, else the boundary."""
-    return min(big_r / (d + math.sqrt(d)), _b_boundary(d, vacuum_prob))
-
-
-def _resolve_b2(d: int, m: Moments, weighting: Weighting) -> float:
+    p0 = m.vacuum_prob
     if isinstance(weighting, Balanced):
-        return balanced_b2(d, m.vacuum_prob)
+        b2 = 1.0 / ((d + 1) * (1.0 + d * p0))
+        return b2, math.sqrt(b2)
+    if p0 >= 1.0:
+        raise DegenerateOverlap("vacuum overlap of 1 leaves no photons to weight")
+    boundary = 1.0 / (d * (1.0 + d * p0) * (1.0 - p0))
     if isinstance(weighting, FixedB):
         b2 = float(weighting.b2)
-        bo = _b_boundary(d, m.vacuum_prob)
-        if not 0.0 < b2 <= bo * (1.0 + 1e-9):
-            raise ConstraintInfeasible(f"b2={b2} outside (0, {bo}]")
-        return b2
-    if isinstance(weighting, OptimizedB):
+        if not 0.0 < b2 <= boundary * (1.0 + 1e-9):
+            raise ConstraintInfeasible(f"b2={b2} outside (0, {boundary}]")
+    elif isinstance(weighting, OptimizedB):
         if m.mean_n <= 0.0:
             raise ZeroPhotonState("cannot optimize weights for a zero-photon state")
-        return _optimal_b2(d, m.vacuum_prob, m.mean_n2 / m.mean_n**2)
-    raise TypeError(f"not a Weighting: {weighting!r}")
+        b2 = min(m.mean_n2 / m.mean_n**2 / (d + math.sqrt(d)), boundary)
+    else:
+        raise TypeError(f"not a Weighting: {weighting!r}")
+    a_coef = d + d * (d - 1) * p0
+    b_coef = 2.0 * d * p0
+    on_ellipse = min(b2, boundary)
+    b = math.sqrt(on_ellipse)
+    disc = b_coef**2 * on_ellipse - 4.0 * (a_coef * on_ellipse - 1.0)
+    scale = b_coef**2 * on_ellipse + 4.0 * abs(a_coef * on_ellipse - 1.0) + 1.0
+    if disc <= 1e-12 * scale:  # tangency: the double root at the boundary
+        return b2, -0.5 * b_coef * b
+    return b2, 0.5 * (-b_coef * b + math.sqrt(disc))
 
 
 def mean_total_photons(d: int, state: SingleModeState) -> float:
@@ -170,7 +175,7 @@ def qfi_matrix(spec: ProbeSpec) -> QfiMatrix:
     m = moments(spec.state)
     if m.mean_n2 <= 0.0:
         raise ZeroPhotonState("vacuum constituent has no Fisher information")
-    b2 = _resolve_b2(spec.d, m, spec.weighting)
+    b2, _ = resolve_weights(spec.d, m, spec.weighting)
     a = 4.0 * b2 * m.mean_n2
     c = 4.0 * b2 * b2 * m.mean_n**2
     entries = a * np.eye(spec.d) - c * np.ones((spec.d, spec.d))
@@ -190,12 +195,20 @@ def qcrb_trace_inverse(matrix: QfiMatrix) -> float:
 
 
 def qcrb_closed_form(spec: ProbeSpec) -> QcrbReport:
-    """Closed-form lower bound d/(4<n^2>) (1/b^2 + 1/(R - b^2 d))."""
+    """Closed-form lower bound d/(4<n^2>) (1/b^2 + 1/(R - b^2 d)).
+
+    The Fisher matrix depends on the weights through b^2 alone, so the bound
+    does not depend on the reference weight c.  ``n_bar`` is the balanced
+    probe's mean total photon number ``<n>/(1 + d p0)`` for every weighting.
+    It is the probe's own mean only for ``Balanced``; the mean of an
+    unbalanced probe is ``(c^2 + d b^2)<n>`` with the weights of
+    ``resolve_weights``.
+    """
     m = moments(spec.state)
     if m.mean_n <= 0.0 or m.mean_n2 <= 0.0:
         raise ZeroPhotonState("vacuum constituent: bound undefined")
     d = spec.d
-    b2 = _resolve_b2(d, m, spec.weighting)
+    b2, _ = resolve_weights(d, m, spec.weighting)
     big_r = m.mean_n2 / m.mean_n**2
     denom = big_r - b2 * d
     if denom <= 0.0:
@@ -239,5 +252,10 @@ def noon_qcrb(d: int, n: float) -> float:
 
 
 def noon_bound_check(report: QcrbReport, d: int) -> bool:
-    """True iff the report respects the NOON-state upper bound on the QCRB."""
+    """True iff the report respects the NOON-state upper bound on the QCRB.
+
+    The ordering is proven for balanced probes only.  For an unbalanced
+    probe the check compares the bound with the NOON value at the report's
+    balanced ``n_bar``, which no theorem guarantees.
+    """
     return report.qcrb <= noon_qcrb(d, report.n_bar) + _BOUND_TOL

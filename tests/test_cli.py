@@ -40,6 +40,13 @@ class TestParseArgs:
         cfg = parse_args(["qcrb", "--family", "noon", "--d", "5", "--n", "2"])
         assert cfg.params["n"] == 2.0
 
+    def test_fixed_and_optimized_weights_exclusive(self, capsys):
+        argv = ["qcrb", "--family", "esvs", "--d", "5", "--r", "2", "--b2", "0.1", "--optimized-b"]
+        with pytest.raises(UsageError):
+            parse_args(argv)
+        assert main(argv) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_qcrb_noon_value(self, capsys):
@@ -89,6 +96,11 @@ class TestCommands:
         assert main(["compare", "--d", "1", "--n-bar", "0.5"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_overflow_exit_code(self, capsys):
+        assert main(["qcrb", "--family", "esvs", "--d", "5", "--r", "800"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["figure", "--id", "7"]) == 2
         assert "usage error" in capsys.readouterr().err
@@ -105,6 +117,13 @@ class TestFigures:
             n_bar, noon, ecs, escs, esvs = row
             assert noon > ecs > escs > esvs
             assert noon == pytest.approx(15.0 / n_bar**2, rel=1e-9)
+
+    def test_figure_2_label_follows_squeeze_factor(self, tmp_path):
+        target = tmp_path / "fig2.csv"
+        argv = ["figure", "--id", "2", "--steps", "3", "--n-min", "2", "--r-prime", "0.5"]
+        assert main(argv + ["--out", str(target)]) == 0
+        header, _ = _read_csv(target)
+        assert header == ["n_bar", "noon", "ecs", "escs_r0.5", "esvs"]
 
     def test_figure_3_columns(self, tmp_path):
         target = tmp_path / "fig3.csv"

@@ -13,6 +13,8 @@ from noonlike import (
     FixedB,
     Fock,
     ProbeSpec,
+    Moments,
+    OptimizedB,
     SqueezedCoherent,
     SqueezedVacuum,
     balanced_vs_unbalanced_sweep,
@@ -24,12 +26,10 @@ from noonlike import (
     moments,
     noon_qcrb,
     qcrb_closed_form,
+    resolve_weights,
     solve_param_for_nbar,
-    unbalanced_b_boundary,
-    unbalanced_mean_photons,
-    unbalanced_optimal_b2,
 )
-from noonlike.families import SweepCurve, unbalanced_spec
+from noonlike.families import SweepCurve
 
 FEASIBLE_GRID = [
     (d, nb)
@@ -172,30 +172,65 @@ class TestRatioBracket:
         assert escs_ratio_bracket_check(alpha_p, r_p, r_matched)
 
 
+def _boundary(d, vacuum_prob):
+    """Largest b^2 on the normalization ellipse, from its closed form."""
+    return 1.0 / (d * (1 + d * vacuum_prob) * (1 - vacuum_prob))
+
+
+def _optimal_b2(d, state):
+    return resolve_weights(d, moments(state), OptimizedB())[0]
+
+
 class TestUnbalancedWeights:
+    @staticmethod
+    def _capped_boundary(d, vacuum_prob):
+        # a large R puts the stationary point beyond the ellipse, so the
+        # optimized weight is capped at the boundary; a fixed weight just
+        # past it is rejected
+        m = Moments(1.0, 1e6, vacuum_prob)
+        b2, c = resolve_weights(d, m, OptimizedB())
+        assert resolve_weights(d, m, FixedB(b2)) == (b2, c)
+        with pytest.raises(ConstraintInfeasible):
+            resolve_weights(d, m, FixedB(b2 * (1 + 1e-8)))
+        return b2, c
+
     def test_boundary_no_overlap(self):
-        assert unbalanced_b_boundary(4, 0.0) == pytest.approx(0.25, abs=1e-15)
+        b2, c = self._capped_boundary(4, 0.0)
+        assert b2 == pytest.approx(0.25, abs=1e-15)
+        assert c == 0.0  # the tangency root -B b/2 with B = 0
 
     def test_boundary_example(self):
         # frozen from direct evaluation at v = 1/cosh(1)
-        assert unbalanced_b_boundary(5, 1 / math.cosh(1.0)) == pytest.approx(
-            0.1340172334084228, rel=1e-12
-        )
+        b2, _ = self._capped_boundary(5, 1 / math.cosh(1.0))
+        assert b2 == pytest.approx(0.1340172334084228, rel=1e-12)
 
     def test_tangency_satisfies_constraint(self):
-        v = 1 / math.cosh(1.0)
-        bo = unbalanced_b_boundary(5, v)
-        spec = unbalanced_spec(5, SqueezedVacuum(1.0), bo)
-        assert abs(spec.constraint_residual()) <= 1e-10
-        assert spec.c_signed == pytest.approx(-spec.B * math.sqrt(bo) / 2, rel=1e-9)
+        d, v = 5, 1 / math.cosh(1.0)
+        b2, c = resolve_weights(d, moments(SqueezedVacuum(1.0)), FixedB(_boundary(d, v)))
+        a_coef, b_coef = d + d * (d - 1) * v, 2 * d * v
+        b = math.sqrt(b2)
+        assert abs(a_coef * b2 + b_coef * b * c + c * c - 1.0) <= 1e-10
+        assert c == pytest.approx(-b_coef * b / 2, rel=1e-9)
+
+    @pytest.mark.parametrize("state", [SqueezedVacuum(1.0), Coherent(1.2), Fock(3)])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    def test_interior_weights_satisfy_constraint(self, state, frac):
+        # the larger root of the ellipse, on the branch through c = b
+        d = 5
+        m = moments(state)
+        v = m.vacuum_prob
+        b2, c = resolve_weights(d, m, FixedB(frac * _boundary(d, v)))
+        b = math.sqrt(b2)
+        assert abs((d + d * (d - 1) * v) * b2 + 2 * d * v * b * c + c * c - 1.0) <= 1e-12
+        assert c > -d * v * b
 
     def test_optimal_fock(self):
-        assert unbalanced_optimal_b2(4, Fock(3)) == pytest.approx(1.0 / 6.0, rel=1e-14)
+        assert _optimal_b2(4, Fock(3)) == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_optimal_esvs_hits_boundary(self):
         v = moments(SqueezedVacuum(1.0)).vacuum_prob
-        assert unbalanced_optimal_b2(5, SqueezedVacuum(1.0)) == pytest.approx(
-            unbalanced_b_boundary(5, v), rel=1e-14
+        assert _optimal_b2(5, SqueezedVacuum(1.0)) == pytest.approx(
+            _boundary(5, v), rel=1e-14
         )
 
     @pytest.mark.parametrize(
@@ -209,19 +244,20 @@ class TestUnbalancedWeights:
         ],
     )
     def test_matches_golden_section_oracle(self, d, state):
-        m = moments(state)
-        bo = unbalanced_b_boundary(d, m.vacuum_prob)
+        bo = _boundary(d, moments(state).vacuum_prob)
 
         def bound_at(b2):
             return qcrb_closed_form(ProbeSpec(d, state, FixedB(b2))).qcrb
 
         oracle = _golden_section_min(bound_at, 1e-6 * bo, bo)
-        assert unbalanced_optimal_b2(d, state) == pytest.approx(oracle, abs=1e-8)
+        assert _optimal_b2(d, state) == pytest.approx(oracle, abs=1e-8)
+        report = qcrb_closed_form(ProbeSpec(d, state, OptimizedB()))
+        assert report.qcrb <= bound_at(oracle) * (1 + 1e-12)
 
     def test_stationary_point_derivative_vanishes(self):
         d, state = 4, Fock(2)
-        b_star = unbalanced_optimal_b2(d, state)
-        assert b_star < unbalanced_b_boundary(d, 0.0)  # interior branch
+        b_star = _optimal_b2(d, state)
+        assert b_star < _boundary(d, 0.0)  # interior branch
         h = 1e-5
 
         def bound_at(b2):
@@ -229,6 +265,20 @@ class TestUnbalancedWeights:
 
         deriv = (bound_at(b_star + h) - bound_at(b_star - h)) / (2 * h)
         assert abs(deriv) <= 1e-6
+
+    def test_balanced_point_is_on_the_branch(self):
+        b2, c = resolve_weights(5, moments(SqueezedVacuum(1.0)), Balanced())
+        assert c == math.sqrt(b2)
+        b2_fixed, c_fixed = resolve_weights(5, moments(SqueezedVacuum(1.0)), FixedB(b2))
+        assert b2_fixed == b2
+        assert c_fixed == pytest.approx(c, rel=1e-12)
+
+
+def _probe_mean(d, state, weighting):
+    """Mean total photons (c^2 + d b^2)<n> of the probe with resolved weights."""
+    m = moments(state)
+    b2, c = resolve_weights(d, m, weighting)
+    return (c * c + d * b2) * m.mean_n
 
 
 class TestUnbalancedMeanPhotons:
@@ -238,28 +288,33 @@ class TestUnbalancedMeanPhotons:
         m = moments(state)
         b2_bal = 1.0 / ((d + 1) * (1 + d * m.vacuum_prob))
         expected = mean_total_photons(d, state)
-        assert unbalanced_mean_photons(d, state, b2_bal) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert _probe_mean(d, state, FixedB(b2_bal)) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("b2", [0.05, 0.1, 0.2])
     def test_fock_no_overlap(self, b2):
         # with zero vacuum overlap the ellipse gives c^2 = 1 - d b^2
         d, n = 4, 3
         expected = ((1 - d * b2) + d * b2) * n
-        assert unbalanced_mean_photons(d, Fock(n), b2) == pytest.approx(expected, rel=1e-12)
+        assert _probe_mean(d, Fock(n), FixedB(b2)) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("r", np.linspace(0.3, 3.0, 10))
     def test_boundary_weight_exceeds_two_photons(self, r):
         state = SqueezedVacuum(float(r))
-        bo = unbalanced_b_boundary(5, moments(state).vacuum_prob)
-        assert unbalanced_mean_photons(5, state, bo) > 2.0
+        bo = _boundary(5, moments(state).vacuum_prob)
+        assert _probe_mean(5, state, FixedB(bo)) > 2.0
 
     def test_infeasible_weight_rejected(self):
         state = SqueezedVacuum(1.0)
-        bo = unbalanced_b_boundary(5, moments(state).vacuum_prob)
+        bo = _boundary(5, moments(state).vacuum_prob)
         with pytest.raises(ConstraintInfeasible):
-            unbalanced_mean_photons(5, state, 1.5 * bo)
+            qcrb_closed_form(ProbeSpec(5, state, FixedB(1.5 * bo)))
+
+    def test_unbalanced_sweep_reports_true_photon_number(self):
+        # the regression: the unbalanced n_bar is (c^2 + d b^2)<n>, not the
+        # balanced <n>/(1 + d p0) of the same constituent
+        bal, unb = balanced_vs_unbalanced_sweep(5, [2.0])
+        assert bal.points[0][0] == pytest.approx(5.64794052228, rel=1e-11)
+        assert unb.points[0][0] == pytest.approx(10.4101362133664, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 from noonlike import (
+    Balanced,
     Coherent,
     DenominatorNonPositive,
     FixedB,
     Fock,
+    FockSuperposition,
     FOutOfRange,
+    Moments,
     NonPositivePhotonNumber,
+    OptimizedB,
     ProbeSpec,
     QfiMatrix,
     SingularMatrix,
     SqueezedCoherent,
     SqueezedVacuum,
     ZeroPhotonState,
-    balanced_b2,
+    fock_amplitudes,
     mean_total_photons,
     moments,
     noon_bound_check,
@@ -25,6 +29,7 @@ from noonlike import (
     qcrb_from_f,
     qcrb_trace_inverse,
     qfi_matrix,
+    resolve_weights,
 )
 
 STATE_GRID = [
@@ -42,16 +47,22 @@ STATE_GRID = [
 ]
 
 
+def _balanced_b2(d, vacuum_prob):
+    b2, c = resolve_weights(d, Moments(1.0, 1.0, vacuum_prob), Balanced())
+    assert c == math.sqrt(b2)
+    return b2
+
+
 class TestBalancedWeight:
     def test_two_mode_noon(self):
-        assert balanced_b2(1, 0.0) == 0.5
+        assert _balanced_b2(1, 0.0) == 0.5
 
     def test_six_mode_no_overlap(self):
-        assert balanced_b2(5, 0.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert _balanced_b2(5, 0.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_with_overlap(self):
         # frozen from direct evaluation
-        assert balanced_b2(5, math.exp(-1)) == pytest.approx(
+        assert _balanced_b2(5, math.exp(-1)) == pytest.approx(
             0.05869790472529191, rel=1e-14
         )
 
@@ -87,7 +98,7 @@ class TestQfiMatrix:
     def test_structure(self, state, d):
         m = qfi_matrix(ProbeSpec(d, state)).entries
         mom = moments(state)
-        b2 = balanced_b2(d, mom.vacuum_prob)
+        b2 = _balanced_b2(d, mom.vacuum_prob)
         a = 4 * b2 * mom.mean_n2
         c = 4 * b2 * b2 * mom.mean_n**2
         assert np.allclose(m, a * np.eye(d) - c * np.ones((d, d)), rtol=1e-13)
@@ -220,3 +231,95 @@ class TestNoonBound:
         rep = qcrb_closed_form(ProbeSpec(5, state))
         assert noon_bound_check(rep, 5)
         assert rep.qcrb < noon_qcrb(5, rep.n_bar) - 1e-6
+
+
+def _probe_tensor(d, state, b2, c):
+    """Explicit (d+1)-mode probe c|phi,0..0> + b sum_j |0..phi_j..0>.
+
+    Axis 0 is the reference mode; axes 1..d carry the phases.
+    """
+    phi = fock_amplitudes(state).amps
+    psi = np.zeros((len(phi),) * (d + 1), dtype=np.complex128)
+    for mode in range(d + 1):
+        index = [0] * (d + 1)
+        index[mode] = slice(None)
+        psi[tuple(index)] += (c if mode == 0 else math.sqrt(b2)) * phi
+    return psi
+
+
+ORACLE_STATES = [
+    SqueezedVacuum(0.7),
+    Coherent(1.1),
+    SqueezedCoherent(0.9, 0.4),
+    FockSuperposition((math.sqrt(0.2), math.sqrt(0.5), 0.0, math.sqrt(0.3))),
+    FockSuperposition((0.0, math.sqrt(0.6), -math.sqrt(0.4))),
+]
+
+
+def _ellipse_boundary(d, state):
+    v = moments(state).vacuum_prob
+    return 1.0 / (d * (1 + d * v) * (1 - v))
+
+
+class TestAmplitudeFisherOracle:
+    """Norm, photon number and Fisher matrix from explicit amplitudes.
+
+    The pure-state Fisher matrix is F_jk = 4 Re(<dj psi|dk psi> -
+    <dj psi|psi><psi|dk psi>) with dj psi = i n_j psi (Liu et al., J. Phys. A
+    53, 023001 (2020)).  Nothing here reuses the closed-form coefficients, so
+    a wrong weight or photon number in the report cannot cancel out.
+    """
+
+    @pytest.mark.parametrize(
+        "state", ORACLE_STATES, ids=["sv", "coherent", "sc", "superposition", "no_vacuum"]
+    )
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("weighting", ["balanced", "half", "optimized", "boundary"])
+    def test_report_matches_amplitudes(self, d, state, weighting):
+        weighting = {
+            "balanced": Balanced(),
+            "half": FixedB(0.5 * _ellipse_boundary(d, state)),
+            "optimized": OptimizedB(),
+            "boundary": FixedB(_ellipse_boundary(d, state)),
+        }[weighting]
+        spec = ProbeSpec(d, state, weighting)
+        report = qcrb_closed_form(spec)
+        b2, c = resolve_weights(d, moments(state), weighting)
+        assert b2 == report.b2
+
+        psi = _probe_tensor(d, state, b2, c)
+        prob = np.abs(psi) ** 2
+        counts = np.indices(psi.shape)
+        assert prob.sum() == pytest.approx(1.0, abs=1e-10)
+        mean = (counts.sum(axis=0) * prob).sum()
+        assert mean == pytest.approx((c * c + d * b2) * moments(state).mean_n, rel=1e-10)
+        if isinstance(weighting, Balanced):
+            assert mean == pytest.approx(report.n_bar, rel=1e-10)
+
+        grads = [1j * counts[j] * psi for j in range(1, d + 1)]
+        fisher = np.array(
+            [
+                [
+                    4.0 * (np.vdot(gj, gk) - np.vdot(gj, psi) * np.vdot(psi, gk)).real
+                    for gk in grads
+                ]
+                for gj in grads
+            ]
+        )
+        assert np.allclose(fisher, qfi_matrix(spec).entries, rtol=1e-10, atol=0.0)
+        assert np.trace(np.linalg.inv(fisher)) == pytest.approx(report.qcrb, rel=1e-10)
+
+
+class TestUnbalancedPhotonNumber:
+    def test_optimized_esvs_regression(self):
+        # the probe's own mean is (c^2 + d b^2)<n>; the report's n_bar stays
+        # the balanced <n>/(1 + d p0) of the same constituent
+        state = SqueezedVacuum(2.0)
+        m = moments(state)
+        b2, c = resolve_weights(5, m, OptimizedB())
+        mean = (c * c + 5 * b2) * m.mean_n
+        assert mean == pytest.approx(10.4101362133664, rel=1e-12)
+        assert f"{mean:.12g}" == "10.4101362134"
+        rep = qcrb_closed_form(ProbeSpec(5, state, OptimizedB()))
+        assert rep.n_bar == mean_total_photons(5, state)
+        assert f"{rep.n_bar:.12g}" == "5.64794052228"
