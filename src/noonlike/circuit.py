@@ -15,6 +15,13 @@ Nothing above the budget is built, so nothing is truncated: the config's
 ``cutoff`` is still accepted, and must still be at least the budget, but it
 changes no result.
 
+The state stays in numpy arrays from the circuit to the decomposition.
+``budget_amplitudes`` returns the sectors' occupation array and their
+amplitude vector; ``post_select`` keeps the heralded sectors with one
+boolean mask and returns a dense array indexed by the output modes'
+occupations; the decomposition reads the two branches of the two-mode state
+off its column 0 and row 0.
+
 Mode indexing is 0-based throughout the API; the circuit-config text format
 uses 1-based labels (the conventional numbering of the three-mode setup)
 and the parser converts.
@@ -70,12 +77,10 @@ from .states import (
 )
 
 __all__ = [
-    "MultiModeFockState",
     "BeamSplitter",
     "PhaseShifter",
     "CircuitElement",
     "CircuitConfig",
-    "HeraldedState",
     "ExperimentResult",
     "mode_matrix",
     "budget_amplitudes",
@@ -90,34 +95,6 @@ __all__ = [
     "heralded_target_amplitudes",
     "heralded_success_probability",
 ]
-
-_MASS_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class MultiModeFockState:
-    """Normalized sparse amplitude map over occupations of at most ``cutoff`` photons."""
-
-    mode_count: int
-    cutoff: int
-    amps: dict[tuple[int, ...], complex]
-
-    def __post_init__(self):
-        for occ in self.amps:
-            if len(occ) != self.mode_count:
-                raise ValueError(f"occupation {occ} has wrong arity")
-            if any(n < 0 for n in occ) or sum(occ) > self.cutoff:
-                raise ValueError(f"occupation {occ} violates the cutoff {self.cutoff}")
-        mass = self.norm_squared
-        if not 1.0 - _MASS_TOL <= mass <= 1.0 + _MASS_TOL:
-            raise ValueError(f"mass {mass} not within tolerance of 1")
-
-    @property
-    def norm_squared(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amps.values()))
-
-    def amplitude(self, occ: tuple[int, ...]) -> complex:
-        return self.amps.get(occ, 0.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -151,13 +128,6 @@ class PhaseShifter:
 
 
 CircuitElement = BeamSplitter | PhaseShifter
-
-
-@dataclass(frozen=True)
-class HeraldedState:
-    state: MultiModeFockState
-    success_prob: float
-    herald_rule: str
 
 
 @dataclass(frozen=True)
@@ -235,26 +205,28 @@ def mode_matrix(
 def _creation_operators(mode_count: int, budget: int) -> tuple:
     """Occupations of at most ``budget`` photons and the entries of a_k^dag on them.
 
-    Returns (occs, dst, src, mode, weight): a_mode[e]^dag maps occupation
-    src[e] to weight[e] times occupation dst[e], for every entry e that stays
-    within the budget.  The arrays are shared by every caller.
+    Returns (occs, dst, src, mode, weight): row i of the (sectors, modes)
+    array occs is the occupation of sector i, and a_mode[e]^dag maps sector
+    src[e] to weight[e] times sector dst[e], for every entry e that stays
+    within the budget.  The arrays are read-only and shared by every caller.
     """
-    occs = tuple(
+    sectors = [
         occ
         for occ in itertools.product(range(budget + 1), repeat=mode_count)
         if sum(occ) <= budget
-    )
-    index = {occ: i for i, occ in enumerate(occs)}
+    ]
+    index = {occ: i for i, occ in enumerate(sectors)}
     entries = []
     for k in range(mode_count):
-        for i, occ in enumerate(occs):
+        for i, occ in enumerate(sectors):
             raised = occ[:k] + (occ[k] + 1,) + occ[k + 1 :]
             if raised in index:
                 entries.append((index[raised], i, k, math.sqrt(occ[k] + 1)))
+    occs = np.array(sectors, dtype=np.intp)
     table = np.array(entries, dtype=np.float64).reshape(-1, 4).T
     dst, src, mode = table[:3].astype(np.intp)
     weight = table[3]
-    for arr in (dst, src, mode, weight):
+    for arr in (occs, dst, src, mode, weight):
         arr.setflags(write=False)
     return occs, dst, src, mode, weight
 
@@ -264,7 +236,7 @@ def budget_amplitudes(
     u: np.ndarray,
     budget: int,
     global_phase: float = 0.0,
-) -> dict[tuple[int, ...], complex]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Output amplitudes of every occupation with at most ``budget`` photons.
 
     The output state is exp(i global_phase) prod_j f_j(b_j^dag) |0>, where
@@ -272,7 +244,12 @@ def budget_amplitudes(
     f_j(x) = sum_n c_jn x^n / sqrt(n!) holds its Fock amplitudes c_jn.
     Creation operators only add photons, so applying them on the sectors
     within the budget, and dropping what leaves it, gives those sectors'
-    amplitudes exactly.  Zero amplitudes are left out.
+    amplitudes exactly.
+
+    Returns (occs, amps): amps[i] is the amplitude of the occupation in row
+    i of occs, a read-only (sectors, modes) int array shared by every call
+    with the same mode count and budget.  Every sector has a row, zero
+    amplitudes included.
     """
     m = len(per_mode_states)
     if u.shape != (m, m):
@@ -291,102 +268,93 @@ def budget_amplitudes(
             term = np.bincount(dst, raised.real, size) + 1j * np.bincount(dst, raised.imag, size)
             acc += c[n] * term
         vec = acc
-    return {occ: amp for occ, amp in zip(occs, vec.tolist()) if amp != 0}
+    return occs, vec
 
 
 def post_select(
-    amps: dict[tuple[int, ...], complex],
+    occs: np.ndarray,
+    amps: np.ndarray,
     herald_mode: int,
     herald_count: int,
     output_modes: Sequence[int],
     max_output_photons: int,
-) -> HeraldedState:
+) -> tuple[np.ndarray, float]:
     """Condition on an exact herald count and an output photon budget.
 
-    ``amps`` maps occupations of the herald and output modes to amplitudes,
-    as ``budget_amplitudes`` returns them.  Keeps amplitudes with exactly
+    ``occs`` and ``amps`` are the occupations and amplitudes that
+    ``budget_amplitudes`` returns; the herald mode and the output modes
+    must partition its modes.  Keeps the amplitudes with exactly
     ``herald_count`` photons in the herald mode and at most
-    ``max_output_photons`` in the output modes combined, renormalizes over
-    the kept mass, and reports that mass as the success probability (the
-    amplitudes are those of the normalized circuit output, so this is an
-    absolute probability).
+    ``max_output_photons`` in the output modes combined, and renormalizes
+    them over the kept mass.
+
+    Returns (state, success_prob).  state[n_1, ..., n_k] is the amplitude of
+    n_i photons in ``output_modes[i]``, with every axis of length
+    ``max_output_photons + 1``.  success_prob is the kept mass, an absolute
+    probability, since the amplitudes are those of the normalized circuit
+    output.
     """
     if herald_count < 0:
         raise ValueError("herald_count must be >= 0")
-    all_modes = set(range(len(output_modes) + 1))
-    if set(output_modes) | {herald_mode} != all_modes or herald_mode in output_modes:
-        raise ValueError("herald mode plus output modes must partition the modes")
-    kept: dict[tuple[int, ...], complex] = {}
-    mass = 0.0
-    for occ, amp in amps.items():
-        if occ[herald_mode] != herald_count:
-            continue
-        if sum(occ[m] for m in output_modes) > max_output_photons:
-            continue
-        kept[tuple(occ[m] for m in output_modes)] = amp
-        mass += abs(amp) ** 2
+    modes = list(output_modes)
+    if sorted(modes + [herald_mode]) != list(range(occs.shape[1])):
+        raise ValueError(
+            f"herald mode plus output modes must partition the {occs.shape[1]} modes"
+        )
+    out = occs[:, modes]
+    mask = (occs[:, herald_mode] == herald_count) & (out.sum(axis=1) <= max_output_photons)
+    kept = amps[mask]
+    mass = sum(abs(a) ** 2 for a in kept.tolist())
     if mass < 1e-15:
         raise EmptyPostSelection(
             f"herald {herald_count} photon(s) in mode {herald_mode} kept no mass"
         )
-    scale = 1.0 / math.sqrt(mass)
-    out = MultiModeFockState(
-        len(output_modes),
-        max_output_photons,
-        {occ: amp * scale for occ, amp in kept.items()},
-    )
-    rule = (
-        f"exactly {herald_count} photon(s) in mode {herald_mode}, "
-        f"at most {max_output_photons} photons in modes {tuple(output_modes)}"
-    )
-    return HeraldedState(out, mass, rule)
+    state = np.zeros((max_output_photons + 1,) * len(modes), dtype=np.complex128)
+    state[tuple(out[mask].T)] = kept * (1.0 / math.sqrt(mass))
+    return state, mass
 
 
-def _noonlike_decomposition(
-    two_mode: MultiModeFockState,
-) -> tuple[np.ndarray, float, float]:
+def _noonlike_decomposition(state: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Extract (phi, fidelity, branch_phase) from a two-mode state.
 
-    phi is read off the (n, 0) amplitudes (scaled by sqrt(2)); the branch
-    phase beta is fitted so that
-    (|phi>|0> + e^{i beta}|0>|phi>)/sqrt(2) best matches the state, and the
+    ``state[j, k]`` is the amplitude of j and k photons in the two modes, as
+    ``post_select`` returns it.  phi is read off column 0 (scaled by
+    sqrt(2)); the branch phase beta is fitted so that
+    (|phi>|0> + e^{i beta}|0>|phi>)/sqrt(2) best matches row 0, and the
     fidelity is the squared overlap with that reconstruction.
     """
-    if two_mode.mode_count != 2:
-        raise ValueError("decomposition requires a two-mode state")
-    n_top = two_mode.cutoff
-    phi = np.zeros(n_top + 1, dtype=np.complex128)
-    branch2 = np.zeros(n_top + 1, dtype=np.complex128)
-    phi[0] = math.sqrt(2.0) * two_mode.amplitude((0, 0))
-    for n in range(1, n_top + 1):
-        phi[n] = math.sqrt(2.0) * two_mode.amplitude((n, 0))
-        branch2[n] = math.sqrt(2.0) * two_mode.amplitude((0, n))
-    overlap = complex(np.sum(np.conj(phi[1:]) * branch2[1:]))
+    if state.ndim != 2 or state.shape[0] != state.shape[1]:
+        raise ValueError("decomposition requires a square two-mode amplitude array")
+    root2 = math.sqrt(2.0)
+    phi = root2 * state[:, 0]
+    overlap = complex(np.sum(np.conj(phi[1:]) * (root2 * state[0, 1:])))
     beta = math.atan2(overlap.imag, overlap.real) if abs(overlap) > 1e-300 else 0.0
 
-    recon: dict[tuple[int, int], complex] = {}
+    # (reconstruction, state) amplitude pairs at (n, 0) and (0, n) for n >= 1,
+    # then at the vacuum.  The products are scalar so that their rounding
+    # does not depend on the SIMD loop numpy picks for arrays, which may fuse
+    # a multiply and an add.
     phase = complex(math.cos(beta), math.sin(beta))
-    for n in range(1, n_top + 1):
-        if phi[n] != 0:
-            recon[(n, 0)] = phi[n] / math.sqrt(2.0)
-            recon[(0, n)] = phase * phi[n] / math.sqrt(2.0)
-    vac = two_mode.amplitude((0, 0))
-    if vac != 0:
-        recon[(0, 0)] = vac
+    pairs = []
+    for n in range(1, len(phi)):
+        pairs += [(phi[n] / root2, state[n, 0]), (phase * phi[n] / root2, state[0, n])]
+    vac = complex(state[0, 0])
+    pairs.append((vac, vac))
 
-    dot = sum(np.conj(recon[k]) * two_mode.amplitude(k) for k in recon)
-    norm_r = sum(abs(a) ** 2 for a in recon.values())
-    norm_s = two_mode.norm_squared
+    dot = sum(np.conj(a) * b for a, b in pairs)
+    norm_r = sum(abs(a) ** 2 for a, _ in pairs)
+    norm_s = sum(abs(a) ** 2 for a in state.ravel().tolist())
     fidelity = abs(dot) ** 2 / (norm_r * norm_s) if norm_r > 0 else 0.0
     return phi, float(fidelity), beta
 
 
-def verify_noonlike_form(two_mode: MultiModeFockState) -> tuple[np.ndarray, float]:
+def verify_noonlike_form(state: np.ndarray) -> tuple[np.ndarray, float]:
     """Candidate branch amplitudes and fidelity to the two-branch form.
 
+    ``state`` is a two-mode amplitude array as ``post_select`` returns it.
     Low fidelity is a returned value, never an error.
     """
-    phi, fidelity, _ = _noonlike_decomposition(two_mode)
+    phi, fidelity, _ = _noonlike_decomposition(state)
     return phi, fidelity
 
 
@@ -443,11 +411,11 @@ def run_experiment(
     per_mode[cfg.coherent_mode] = Coherent(pump_amplitude(r))
     per_mode[cfg.squeezed_mode] = SqueezedVacuum(r)
     u, phase = mode_matrix(cfg.elements, cfg.mode_count)
-    amps = budget_amplitudes(per_mode, u, budget, phase)
-    heralded = post_select(
-        amps, cfg.herald_mode, cfg.herald_count, cfg.output_modes, cfg.max_output_photons
+    occs, amps = budget_amplitudes(per_mode, u, budget, phase)
+    state, success_prob = post_select(
+        occs, amps, cfg.herald_mode, cfg.herald_count, cfg.output_modes, cfg.max_output_photons
     )
-    phi, fidelity, beta = _noonlike_decomposition(heralded.state)
+    phi, fidelity, beta = _noonlike_decomposition(state)
 
     norm = float(np.sum(np.abs(phi) ** 2))
     if abs(norm - 1.0) > 1e-10:
@@ -460,7 +428,7 @@ def run_experiment(
         phi_amps=tuple(phi),
         fidelity_to_noonlike=fidelity,
         n_bar=n_bar,
-        success_prob=heralded.success_prob,
+        success_prob=success_prob,
         branch_phase=beta,
     )
 
@@ -537,6 +505,54 @@ def _kv(parts: Iterable[str]) -> dict[str, str]:
     return out
 
 
+def _parse_line(
+    words: list[str], fields: dict[str, object], elements: list[CircuitElement]
+) -> None:
+    """Parse one config line into ``fields`` or ``elements``."""
+    head, *rest = words
+    if head == "modes":
+        fields["mode_count"] = int(rest[0])
+    elif head == "coherent-input":
+        fields["coherent_mode"] = int(rest[0]) - 1
+    elif head == "squeezed-input":
+        fields["squeezed_mode"] = int(rest[0]) - 1
+    elif head == "cutoff":
+        fields["cutoff"] = int(rest[0])
+    elif head == "max-output-photons":
+        fields["max_output_photons"] = int(rest[0])
+    elif head == "outputs":
+        fields["output_modes"] = tuple(int(tok) - 1 for tok in rest[0].split(","))
+    elif head == "herald":
+        kv = _kv(rest)
+        fields["herald_mode"] = int(kv["mode"]) - 1
+        fields["herald_count"] = int(kv["count"])
+    elif head == "element":
+        kind, params = rest[0], rest[1:]
+        kv = _kv(params)
+        if kind == "beamsplitter":
+            a, b = (int(tok) - 1 for tok in kv["modes"].split(","))
+            elements.append(
+                BeamSplitter(
+                    a,
+                    b,
+                    transmissivity=float(kv.get("transmissivity", 0.5)),
+                    convention=kv.get("convention", "symmetric"),
+                )
+            )
+        elif kind == "phaseshifter":
+            elements.append(
+                PhaseShifter(
+                    int(kv["mode"]) - 1,
+                    const_phase=_parse_phase(kv.get("const", "0")),
+                    per_photon_phase=_parse_phase(kv.get("per-photon", "0")),
+                )
+            )
+        else:
+            raise ValueError(f"unknown element kind {kind!r}")
+    else:
+        raise ValueError(f"unknown keyword {head!r}")
+
+
 def parse_circuit_config(text: str) -> CircuitConfig:
     """Parse the structured key-value circuit description.
 
@@ -563,48 +579,14 @@ def parse_circuit_config(text: str) -> CircuitConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, *rest = line.split()
-        if head == "modes":
-            fields["mode_count"] = int(rest[0])
-        elif head == "coherent-input":
-            fields["coherent_mode"] = int(rest[0]) - 1
-        elif head == "squeezed-input":
-            fields["squeezed_mode"] = int(rest[0]) - 1
-        elif head == "cutoff":
-            fields["cutoff"] = int(rest[0])
-        elif head == "max-output-photons":
-            fields["max_output_photons"] = int(rest[0])
-        elif head == "outputs":
-            fields["output_modes"] = tuple(int(tok) - 1 for tok in rest[0].split(","))
-        elif head == "herald":
-            kv = _kv(rest)
-            fields["herald_mode"] = int(kv["mode"]) - 1
-            fields["herald_count"] = int(kv["count"])
-        elif head == "element":
-            kind, *params = rest
-            kv = _kv(params)
-            if kind == "beamsplitter":
-                a, b = (int(tok) - 1 for tok in kv["modes"].split(","))
-                elements.append(
-                    BeamSplitter(
-                        a,
-                        b,
-                        transmissivity=float(kv.get("transmissivity", 0.5)),
-                        convention=kv.get("convention", "symmetric"),
-                    )
-                )
-            elif kind == "phaseshifter":
-                elements.append(
-                    PhaseShifter(
-                        int(kv["mode"]) - 1,
-                        const_phase=_parse_phase(kv.get("const", "0")),
-                        per_photon_phase=_parse_phase(kv.get("per-photon", "0")),
-                    )
-                )
-            else:
-                raise ValueError(f"unknown element kind {kind!r}")
-        else:
-            raise ValueError(f"unknown config line {raw!r}")
+        try:
+            _parse_line(line.split(), fields, elements)
+        except IndexError as exc:
+            raise ValueError(f"config line {line!r}: missing value") from exc
+        except KeyError as exc:
+            raise ValueError(f"config line {line!r}: missing key {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"config line {line!r}: {exc}") from exc
     missing = {
         "mode_count",
         "coherent_mode",

@@ -26,7 +26,7 @@ from .errors import (
     SingularMatrix,
     ZeroPhotonState,
 )
-from .states import Fock, Moments, SingleModeState, moments
+from .states import Moments, SingleModeState, moments
 
 __all__ = [
     "Balanced",
@@ -97,7 +97,6 @@ class QcrbReport:
     n_bar: float
     family: str = ""
     parameter: float | None = None
-    effective: bool = False
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,6 @@ def qcrb_closed_form(spec: ProbeSpec) -> QcrbReport:
         b2=b2,
         n_tilde=m.mean_n,
         n_bar=m.mean_n / (1.0 + d * m.vacuum_prob),
-        effective=isinstance(spec.state, Fock) and spec.state.is_effective,
     )
 
 

@@ -17,7 +17,6 @@ from noonlike import (
 from noonlike.circuit import (
     BeamSplitter,
     CircuitConfig,
-    MultiModeFockState,
     PhaseShifter,
     budget_amplitudes,
     default_circuit_config,
@@ -40,16 +39,23 @@ def _output(elements, states, budget):
     return budget_amplitudes(states, u, budget, phase)
 
 
+def _amp_dict(occs, amps):
+    """The nonzero amplitudes keyed by occupation tuple."""
+    return {tuple(occ): amp for occ, amp in zip(occs.tolist(), amps.tolist()) if amp != 0}
+
+
 class TestInject:
     """How the per-mode input states enter the budget evaluation."""
 
     def test_all_vacuum(self):
-        amps = budget_amplitudes([Fock(0)] * 3, np.eye(3), 5)
+        amps = _amp_dict(*budget_amplitudes([Fock(0)] * 3, np.eye(3), 5))
         assert amps == {(0, 0, 0): 1.0}
 
     def test_product_amplitudes(self):
         alpha, r, budget = 0.9, 0.8, 5
-        amps = budget_amplitudes([Coherent(alpha), SqueezedVacuum(r), Fock(0)], np.eye(3), budget)
+        amps = _amp_dict(
+            *budget_amplitudes([Coherent(alpha), SqueezedVacuum(r), Fock(0)], np.eye(3), budget)
+        )
         coh = fock_amplitudes(Coherent(alpha), n_max=budget, tail_tol=math.inf).amps
         sv = fock_amplitudes(SqueezedVacuum(r), n_max=budget, tail_tol=math.inf).amps
         expected = {
@@ -63,19 +69,26 @@ class TestInject:
             assert amp == pytest.approx(expected[occ], rel=1e-12)
 
     def test_zero_budget_keeps_the_vacuum(self):
-        amps = budget_amplitudes([Coherent(0.5), Fock(0)], np.eye(2), 0)
+        amps = _amp_dict(*budget_amplitudes([Coherent(0.5), Fock(0)], np.eye(2), 0))
         assert amps == {(0, 0): pytest.approx(math.exp(-0.125), rel=1e-15)}
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             budget_amplitudes([Fock(0), Fock(0)], np.eye(3), 2)
 
+    def test_occupations_shared_and_read_only(self):
+        occs, amps = budget_amplitudes([Coherent(0.5), Fock(0), Fock(0)], np.eye(3), 5)
+        assert occs.shape == (56, 3) and amps.shape == (56,)
+        assert occs.sum(axis=1).max() == 5 and len({tuple(o) for o in occs.tolist()}) == 56
+        assert not occs.flags.writeable
+        assert budget_amplitudes([Fock(1)] * 3, np.eye(3), 5)[0] is occs
+
 
 class TestElements:
     def test_vacuum_unchanged(self):
         # vacuum survives any element (a constant phase is global)
         for element in (BeamSplitter(0, 1), PhaseShifter(0, 1.0, 2.0)):
-            amps = _output([element], [Fock(0), Fock(0)], 4)
+            amps = _amp_dict(*_output([element], [Fock(0), Fock(0)], 4))
             assert set(amps) == {(0, 0)}
             assert abs(amps[(0, 0)]) == pytest.approx(1.0, abs=1e-14)
 
@@ -83,14 +96,14 @@ class TestElements:
         u, phase = mode_matrix([BeamSplitter(0, 1)], 2)
         assert phase == 0.0
         assert u[:, 0] == pytest.approx([1 / math.sqrt(2), 1j / math.sqrt(2)], rel=1e-12)
-        amps = budget_amplitudes([Fock(1), Fock(0)], u, 2)
+        amps = _amp_dict(*budget_amplitudes([Fock(1), Fock(0)], u, 2))
         assert amps[(1, 0)] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert amps[(0, 1)] == pytest.approx(1j / math.sqrt(2), rel=1e-12)
 
     def test_single_photon_real_split(self):
         u, _ = mode_matrix([BeamSplitter(0, 1, convention="real")], 2)
         assert u[:, 0] == pytest.approx([1 / math.sqrt(2), -1 / math.sqrt(2)], rel=1e-12)
-        amps = budget_amplitudes([Fock(1), Fock(0)], u, 2)
+        amps = _amp_dict(*budget_amplitudes([Fock(1), Fock(0)], u, 2))
         assert amps[(1, 0)] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert amps[(0, 1)] == pytest.approx(-1 / math.sqrt(2), rel=1e-12)
 
@@ -98,7 +111,7 @@ class TestElements:
     def test_phase_shifter_number_dependence(self, n):
         u, phase = mode_matrix([PhaseShifter(0, math.pi, -math.pi / 2)], 1)
         assert phase == math.pi
-        amps = budget_amplitudes([Fock(n)], u, 6, phase)
+        amps = _amp_dict(*budget_amplitudes([Fock(n)], u, 6, phase))
         expected = -1.0 * (-1j) ** n
         assert amps == {(n,): pytest.approx(expected, rel=1e-12)}
 
@@ -113,7 +126,7 @@ class TestElements:
         assert phase == 0.3
         assert np.abs(u @ u.conj().T - np.eye(3)).max() <= 1e-14
         # number states within the budget keep their whole mass
-        amps = _output(elements, [Fock(1), Fock(2), Fock(1)], 4)
+        amps = _amp_dict(*_output(elements, [Fock(1), Fock(2), Fock(1)], 4))
         assert sum(abs(a) ** 2 for a in amps.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(sum(occ) == 4 for occ in amps)
 
@@ -122,7 +135,7 @@ class TestElements:
         bs = BeamSplitter(0, 1, convention=convention)
         u, _ = mode_matrix([bs, bs], 2)
         assert np.abs(np.abs(u) - np.array([[0.0, 1.0], [1.0, 0.0]])).max() <= 1e-15
-        amps = _output([bs, bs], [Fock(2), Fock(1)], 3)
+        amps = _amp_dict(*_output([bs, bs], [Fock(2), Fock(1)], 3))
         assert abs(amps[(1, 2)]) == pytest.approx(1.0, abs=1e-14)
         assert all(abs(a) <= 1e-14 for occ, a in amps.items() if occ != (1, 2))
 
@@ -245,12 +258,12 @@ class TestPermanentOracle:
         want, want_prob = _heralded_by_permanents(
             elements, states, herald_mode, herald_count, output_modes, max_out
         )
-        amps = _output(elements, states, herald_count + max_out)
-        got = post_select(amps, herald_mode, herald_count, output_modes, max_out)
-        assert got.success_prob == pytest.approx(want_prob, rel=1e-12)
+        occs, amps = _output(elements, states, herald_count + max_out)
+        state, prob = post_select(occs, amps, herald_mode, herald_count, output_modes, max_out)
+        assert prob == pytest.approx(want_prob, rel=1e-12)
         for occ, amp in want.items():
-            assert abs(got.state.amplitude(occ) - amp) <= 1e-12
-        assert set(got.state.amps) <= set(want)
+            assert abs(state[occ] - amp) <= 1e-12
+        assert set(_amp_dict(np.argwhere(state), state[state != 0])) <= set(want)
 
     def test_cases_cover_the_space(self):
         cases = [_random_case(seed) for seed in range(24)]
@@ -286,20 +299,29 @@ class TestPermanentOracle:
 
 class TestPostSelect:
     def test_single_branch_heralds_with_certainty(self):
-        amps = budget_amplitudes([Fock(1), Fock(2)], np.eye(2), 4)
-        heralded = post_select(amps, 0, 1, [1], max_output_photons=4)
-        assert heralded.success_prob == pytest.approx(1.0, abs=1e-12)
-        assert heralded.state.amplitude((2,)) == pytest.approx(1.0)
+        occs, amps = budget_amplitudes([Fock(1), Fock(2)], np.eye(2), 4)
+        state, prob = post_select(occs, amps, 0, 1, [1], max_output_photons=4)
+        assert prob == pytest.approx(1.0, abs=1e-12)
+        assert state[(2,)] == pytest.approx(1.0)
 
     def test_empty_selection(self):
-        amps = budget_amplitudes([Fock(0), Fock(2)], np.eye(2), 4)
+        occs, amps = budget_amplitudes([Fock(0), Fock(2)], np.eye(2), 4)
         with pytest.raises(EmptyPostSelection):
-            post_select(amps, 0, 1, [1], max_output_photons=4)
+            post_select(occs, amps, 0, 1, [1], max_output_photons=4)
 
     def test_modes_must_partition(self):
-        amps = budget_amplitudes([Fock(0), Fock(2)], np.eye(2), 4)
+        occs, amps = budget_amplitudes([Fock(0), Fock(2)], np.eye(2), 4)
         with pytest.raises(ValueError):
-            post_select(amps, 0, 1, [0], max_output_photons=4)
+            post_select(occs, amps, 0, 1, [0], max_output_photons=4)
+
+    def test_partition_checked_against_amplitude_modes(self):
+        # amplitudes over three modes: herald 1 plus outputs [0] leaves mode
+        # 2 out, which must not be summed over silently
+        occs, amps = budget_amplitudes([Fock(1), Fock(1), Fock(1)], np.eye(3), 5)
+        with pytest.raises(ValueError):
+            post_select(occs, amps, 1, 1, [0], 4)
+        with pytest.raises(ValueError):
+            post_select(occs, amps, 1, 1, [0, 0, 2], 4)
 
     def test_reference_circuit_success_probability(self):
         res = run_experiment(1.0)
@@ -398,13 +420,13 @@ class TestReferenceCircuit:
 class TestVerifyNoonlikeForm:
     def _two_branch_state(self, amps, branch_phase=0.0):
         phase = complex(math.cos(branch_phase), math.sin(branch_phase))
-        data = {}
+        state = np.zeros((len(amps), len(amps)), dtype=complex)
         for n, c in enumerate(amps):
             if n == 0 or c == 0:
                 continue
-            data[(n, 0)] = c / math.sqrt(2)
-            data[(0, n)] = phase * c / math.sqrt(2)
-        return MultiModeFockState(2, len(amps) - 1, data)
+            state[n, 0] = c / math.sqrt(2)
+            state[0, n] = phase * c / math.sqrt(2)
+        return state
 
     def test_exact_state_has_unit_fidelity(self):
         amps = heralded_target_amplitudes(1.0)
@@ -422,15 +444,15 @@ class TestVerifyNoonlikeForm:
     def test_product_state_scores_below_one(self):
         phi = fock_amplitudes(Coherent(0.9), n_max=3, tail_tol=math.inf).amps
         phi = phi / math.sqrt(float(np.sum(np.abs(phi) ** 2)))
-        data = {
-            (j, k): phi[j] * phi[k]
-            for j in range(4)
-            for k in range(4)
-            if phi[j] * phi[k] != 0
-        }
-        state = MultiModeFockState(2, 6, data)
+        state = np.zeros((7, 7), dtype=complex)
+        state[:4, :4] = np.outer(phi, phi)
         _, fidelity = verify_noonlike_form(state)
         assert fidelity < 0.9
+
+    def test_requires_a_square_two_mode_array(self):
+        for shape in ((5,), (5, 4), (3, 3, 3)):
+            with pytest.raises(ValueError):
+                verify_noonlike_form(np.zeros(shape, dtype=complex))
 
     def test_circuit_output_regression(self):
         res = run_experiment(1.5)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from noonlike.circuit import default_circuit_config, write_circuit_config
 from noonlike.cli import main, parse_args
 from noonlike.errors import UsageError
 
@@ -100,6 +101,27 @@ class TestCommands:
         assert main(["qcrb", "--family", "esvs", "--d", "5", "--r", "800"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line, broken",
+        [
+            ("modes 3", "modes"),
+            ("herald mode=3 count=1", "herald count=1"),
+            (
+                "element phaseshifter mode=2 const=pi per-photon=-pi/2",
+                "element phaseshifter const=pi",
+            ),
+        ],
+    )
+    def test_incomplete_circuit_line_exit_code(self, tmp_path, capsys, line, broken):
+        text = write_circuit_config(default_circuit_config())
+        assert line in text
+        path = tmp_path / "circuit.cfg"
+        path.write_text(text.replace(line, broken, 1))
+        assert main(["experiment", "--r", "1", "--circuit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert repr(broken) in err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["figure", "--id", "7"]) == 2
