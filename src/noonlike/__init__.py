@@ -7,7 +7,12 @@ matrix oracle, compares the standard probe families at matched photon
 budget, optimizes balanced against unbalanced weighting, and simulates a
 heralded linear-optical circuit that generates a two-mode probe of this
 class, exactly on its heralded photon budget.
+
+The circuit simulator, ``noonlike.circuit``, and numpy load on first use, so
+the closed-form bounds start without either.
 """
+
+import importlib
 
 from .errors import (
     BracketFailure,
@@ -68,3 +73,10 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: ``noonlike.circuit`` works without importing it first
+    if name == "circuit":
+        return importlib.import_module(f"{__name__}.circuit")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

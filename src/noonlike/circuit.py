@@ -495,12 +495,23 @@ def _format_phase(value: float) -> str:
     return repr(value)
 
 
-def _kv(parts: Iterable[str]) -> dict[str, str]:
+def _value(rest: list[str]) -> str:
+    """The one value token of a line; IndexError when it is missing."""
+    if len(rest) > 1:
+        raise ValueError(f"unexpected tokens {rest[1:]}")
+    return rest[0]
+
+
+def _kv(parts: Iterable[str], keys: tuple[str, ...]) -> dict[str, str]:
     out = {}
     for part in parts:
         if "=" not in part:
             raise ValueError(f"expected key=value, got {part!r}")
         key, val = part.split("=", 1)
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
         out[key] = val
     return out
 
@@ -511,25 +522,25 @@ def _parse_line(
     """Parse one config line into ``fields`` or ``elements``."""
     head, *rest = words
     if head == "modes":
-        fields["mode_count"] = int(rest[0])
+        fields["mode_count"] = int(_value(rest))
     elif head == "coherent-input":
-        fields["coherent_mode"] = int(rest[0]) - 1
+        fields["coherent_mode"] = int(_value(rest)) - 1
     elif head == "squeezed-input":
-        fields["squeezed_mode"] = int(rest[0]) - 1
+        fields["squeezed_mode"] = int(_value(rest)) - 1
     elif head == "cutoff":
-        fields["cutoff"] = int(rest[0])
+        fields["cutoff"] = int(_value(rest))
     elif head == "max-output-photons":
-        fields["max_output_photons"] = int(rest[0])
+        fields["max_output_photons"] = int(_value(rest))
     elif head == "outputs":
-        fields["output_modes"] = tuple(int(tok) - 1 for tok in rest[0].split(","))
+        fields["output_modes"] = tuple(int(tok) - 1 for tok in _value(rest).split(","))
     elif head == "herald":
-        kv = _kv(rest)
+        kv = _kv(rest, ("mode", "count"))
         fields["herald_mode"] = int(kv["mode"]) - 1
         fields["herald_count"] = int(kv["count"])
     elif head == "element":
         kind, params = rest[0], rest[1:]
-        kv = _kv(params)
         if kind == "beamsplitter":
+            kv = _kv(params, ("modes", "transmissivity", "convention"))
             a, b = (int(tok) - 1 for tok in kv["modes"].split(","))
             elements.append(
                 BeamSplitter(
@@ -540,6 +551,7 @@ def _parse_line(
                 )
             )
         elif kind == "phaseshifter":
+            kv = _kv(params, ("mode", "const", "per-photon"))
             elements.append(
                 PhaseShifter(
                     int(kv["mode"]) - 1,
@@ -568,19 +580,26 @@ def parse_circuit_config(text: str) -> CircuitConfig:
         outputs A,B,...
         max-output-photons N
 
-    Phases accept radians or 'pi' fractions like -pi/2.  ``cutoff`` must be
-    at least herald count + max-output-photons; it is kept for
-    compatibility and changes no result, since the simulator evaluates only
-    the heralded photon budget.
+    Every line but ``element`` appears once and every key at most once per
+    line; a repeated line or key, a missing one, an unknown one or a stray
+    token is a ValueError that quotes the line.  Phases accept radians or
+    'pi' fractions like -pi/2.  ``cutoff`` must be at least herald count +
+    max-output-photons; it is kept for compatibility and changes no result,
+    since the simulator evaluates only the heralded photon budget.
     """
     fields: dict[str, object] = {}
     elements: list[CircuitElement] = []
+    seen: set[str] = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        words = line.split()
+        if words[0] in seen and words[0] != "element":
+            raise ValueError(f"config line {line!r}: repeated {words[0]!r} line")
+        seen.add(words[0])
         try:
-            _parse_line(line.split(), fields, elements)
+            _parse_line(words, fields, elements)
         except IndexError as exc:
             raise ValueError(f"config line {line!r}: missing value") from exc
         except KeyError as exc:

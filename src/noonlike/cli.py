@@ -11,7 +11,6 @@ NOONLIKE_OUTPUT_DIR is set.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -19,14 +18,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from .circuit import (
-    default_circuit_config,
-    experiment_qcrb_comparison,
-    load_circuit_config,
-    run_experiment,
-)
 from .errors import NoonlikeError, UsageError
 from .families import (
     Family,
@@ -69,6 +60,12 @@ _FIGURE_DEFAULTS = {
 class RunConfig:
     command: str
     params: dict
+
+
+_CUTOFF_HELP = (
+    "Fock cutoff; validated, but changes no result: the circuit is simulated "
+    "exactly on its heralded photon budget"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,7 +122,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="simulate the heralded source")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--cutoff", type=int, default=None)
+    p.add_argument("--cutoff", type=int, default=None, help=_CUTOFF_HELP)
     p.add_argument("--circuit", type=Path, default=None, help="circuit config path")
     add_out(p)
 
@@ -138,7 +135,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--r-prime", type=float, default=None)
-    p.add_argument("--cutoff", type=int, default=None)
+    p.add_argument("--cutoff", type=int, default=None, help=_CUTOFF_HELP)
     p.add_argument("--circuit", type=Path, default=None)
     add_out(p)
     return parser
@@ -173,6 +170,20 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num)``, bit for bit, without numpy."""
+    delta = stop - start
+    if num == 1:
+        return [0.0 * delta + start]
+    step = delta / (num - 1)
+    if step == 0.0:  # numpy's order when the step underflows
+        grid = [k / (num - 1) * delta + start for k in range(num)]
+    else:
+        grid = [k * step + start for k in range(num)]
+    grid[-1] = stop
+    return grid
 
 
 def _round12(value: float) -> float:
@@ -239,14 +250,14 @@ def _cmd_compare(params: dict) -> tuple[list[str], list[list]]:
 
 
 def _cmd_sweep_escs(params: dict) -> tuple[list[str], list[list]]:
-    grid = np.linspace(params["r_min"], params["r_max"], params["steps"])
-    curve = escs_sweep_r_prime(params["d"], params["n_bar"], [float(r) for r in grid])
+    grid = _linspace(params["r_min"], params["r_max"], params["steps"])
+    curve = escs_sweep_r_prime(params["d"], params["n_bar"], grid)
     return ["r_prime", "n_bar", "qcrb"], [[rp, nb, q] for nb, q, rp in curve.points]
 
 
 def _cmd_unbalanced(params: dict) -> tuple[list[str], list[list]]:
-    grid = np.linspace(params["r_min"], params["r_max"], params["steps"])
-    bal, unb = balanced_vs_unbalanced_sweep(params["d"], [float(r) for r in grid])
+    grid = _linspace(params["r_min"], params["r_max"], params["steps"])
+    bal, unb = balanced_vs_unbalanced_sweep(params["d"], grid)
     columns = ["r", "n_bar_balanced", "qcrb_balanced", "n_bar_unbalanced", "qcrb_unbalanced"]
     rows = []
     for (nb_b, q_b, r), (nb_u, q_u, _) in zip(bal.points, unb.points):
@@ -259,6 +270,8 @@ def _cmd_unbalanced(params: dict) -> tuple[list[str], list[list]]:
 
 
 def _cmd_experiment(params: dict) -> tuple[list[str], list[list]]:
+    from .circuit import default_circuit_config, load_circuit_config, run_experiment
+
     config = (
         load_circuit_config(params["circuit"]) if params.get("circuit") else default_circuit_config()
     )
@@ -278,6 +291,8 @@ def _assert_rows_bounded(d: int, n_bar: float, values: Sequence[float]) -> None:
 
 
 def _figure_2(params: dict) -> tuple[list[str], list[list]]:
+    import numpy as np  # a pure-Python geomspace is not bit-equal to numpy's
+
     d = params["d"]
     grid = np.geomspace(params["n_min"], params["n_max"], params["steps"])
     rows = []
@@ -291,6 +306,8 @@ def _figure_2(params: dict) -> tuple[list[str], list[list]]:
 
 
 def _figure_3(params: dict) -> tuple[list[str], list[list]]:
+    import numpy as np  # a pure-Python geomspace is not bit-equal to numpy's
+
     d = params["d"]
     grid = np.geomspace(params["n_min"], params["n_max"], params["steps"])
     r_primes = (0.4, 0.8, 1.2)
@@ -314,12 +331,14 @@ def _figure_3(params: dict) -> tuple[list[str], list[list]]:
 
 
 def _figure_6(params: dict) -> tuple[list[str], list[list]]:
-    grid = np.linspace(params["r_min"], params["r_max"], params["steps"])
+    from .circuit import default_circuit_config, experiment_qcrb_comparison, load_circuit_config
+
+    grid = _linspace(params["r_min"], params["r_max"], params["steps"])
     config = (
         load_circuit_config(params["circuit"]) if params.get("circuit") else default_circuit_config()
     )
     noon_curve, ecs_curve, phi_curve = experiment_qcrb_comparison(
-        [float(r) for r in grid], config=config, cutoff=params.get("cutoff")
+        grid, config=config, cutoff=params.get("cutoff")
     )
     rows = [
         [nb, qn, qe, qp]

@@ -11,12 +11,11 @@ Grid sweeps are pure and deterministic; points are produced in grid order.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import BracketFailure, OrderingViolation
 from .qcrb import (
@@ -36,6 +35,9 @@ from .states import (
     SqueezedVacuum,
     moments,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Family",
@@ -91,10 +93,14 @@ class SweepCurve:
 
     @property
     def n_bars(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([p[0] for p in self.points])
 
     @property
     def qcrbs(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([p[1] for p in self.points])
 
 
@@ -291,6 +297,30 @@ def balanced_vs_unbalanced_sweep(
     )
 
 
+def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
+    """``np.interp(x, xp, fp)`` for one point, bit for bit, without numpy.
+
+    ``xp`` must be non-decreasing.  Follows numpy's C kernel: x outside the
+    grid takes the edge value, x exactly on ``xp[j]`` (the last such j)
+    takes ``fp[j]``, and an interpolant that comes out NaN from the left end
+    of its interval is retried from the right end.
+    """
+    if math.isnan(x):
+        return x
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    value = slope * (x - xp[j]) + fp[j]
+    if math.isnan(value):
+        value = slope * (x - xp[j + 1]) + fp[j + 1]
+        if math.isnan(value) and fp[j] == fp[j + 1]:
+            value = fp[j]
+    return value
+
+
 def compare_sweeps_at_common_nbar(
     balanced: SweepCurve, unbalanced: SweepCurve
 ) -> tuple[list[tuple[float, float, float]], float | None]:
@@ -303,15 +333,16 @@ def compare_sweeps_at_common_nbar(
     The comparison grid is the unbalanced curve's own n_bar values restricted
     to the overlap, with the balanced curve linearly interpolated in n_bar.
     """
-    bal_n, bal_q = balanced.n_bars, balanced.qcrbs
-    lo = max(bal_n[0], unbalanced.n_bars[0])
-    hi = min(bal_n[-1], unbalanced.n_bars[-1])
+    bal_n = [p[0] for p in balanced.points]
+    bal_q = [p[1] for p in balanced.points]
+    lo = max(bal_n[0], unbalanced.points[0][0])
+    hi = min(bal_n[-1], unbalanced.points[-1][0])
     points = []
     crossover = None
     for n_bar, q_unb, _ in unbalanced.points:
         if not lo <= n_bar <= hi:
             continue
-        q_bal = float(np.interp(n_bar, bal_n, bal_q))
+        q_bal = _interp(n_bar, bal_n, bal_q)
         points.append((n_bar, q_bal, q_unb))
         if crossover is None and q_bal > q_unb * (1.0 + 1e-9):
             crossover = n_bar

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConstraintInfeasible,
@@ -27,6 +26,9 @@ from .errors import (
     ZeroPhotonState,
 )
 from .states import Moments, SingleModeState, moments
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Balanced",
@@ -106,6 +108,8 @@ class QfiMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.asarray(self.entries, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must be a square matrix")
@@ -171,6 +175,8 @@ def mean_total_photons(d: int, state: SingleModeState) -> float:
 
 def qfi_matrix(spec: ProbeSpec) -> QfiMatrix:
     """Fisher matrix 4 b^2 <n^2> I - 4 b^4 <n>^2 O for the d phases."""
+    import numpy as np
+
     m = moments(spec.state)
     if m.mean_n2 <= 0.0:
         raise ZeroPhotonState("vacuum constituent has no Fisher information")
@@ -187,6 +193,8 @@ def qcrb_trace_inverse(matrix: QfiMatrix) -> float:
     Deliberately generic (LAPACK LU with pivoting, no use of the rank-one
     structure) so it can serve as an independent oracle for the closed form.
     """
+    import numpy as np
+
     m = matrix.entries
     if np.linalg.cond(m) > _COND_LIMIT:
         raise SingularMatrix(f"condition number exceeds {_COND_LIMIT:.0e}")

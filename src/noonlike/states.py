@@ -2,7 +2,8 @@
 
 Each state is described both analytically (closed-form moments of the photon
 number operator) and numerically (truncated Fock expansions), so the two
-routes can check each other.
+routes can check each other.  Only the numeric route needs numpy, and it
+imports it when first called, so the analytic route starts without it.
 
 Conventions
 -----------
@@ -26,10 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import TruncationInsufficient, ZeroPhotonState
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Fock",
@@ -155,6 +158,8 @@ class FockVector:
     tail_mass: float
 
     def __post_init__(self):
+        import numpy as np
+
         amps = np.asarray(self.amps, dtype=np.complex128)
         if amps.ndim != 1 or len(amps) != self.n_max + 1:
             raise ValueError("amps must be a 1-D array of length n_max + 1")
@@ -195,6 +200,8 @@ def moments(state: SingleModeState) -> Moments:
 
 
 def _coherent_amps(alpha: float, n_max: int) -> np.ndarray:
+    import numpy as np
+
     # log-space accumulation keeps n ~ hundreds finite past the 170! overflow
     out = np.zeros(n_max + 1, dtype=np.complex128)
     if alpha == 0.0:
@@ -211,6 +218,8 @@ def _coherent_amps(alpha: float, n_max: int) -> np.ndarray:
 
 
 def _squeezed_vacuum_amps(r: float, n_max: int) -> np.ndarray:
+    import numpy as np
+
     out = np.zeros(n_max + 1, dtype=np.complex128)
     if r == 0.0:
         out[0] = 1.0
@@ -233,6 +242,8 @@ def _squeezed_coherent_amps(alpha: float, r: float, n_max: int) -> np.ndarray:
     # Stable two-term recurrence from the transformed annihilation relation
     #   (a cosh r - a^dag sinh r) |psi> = alpha e^{-r} |psi>
     # valid for the displacement-after-squeeze ordering documented above.
+    import numpy as np
+
     out = np.zeros(n_max + 1, dtype=np.complex128)
     ch = math.cosh(r)
     sh = math.sinh(r)
@@ -248,6 +259,8 @@ def _squeezed_coherent_amps(alpha: float, r: float, n_max: int) -> np.ndarray:
 
 
 def _build_amps(state: SingleModeState, n_max: int) -> np.ndarray:
+    import numpy as np
+
     if isinstance(state, Fock):
         if state.is_effective:
             raise ValueError("effective (non-integer) Fock states have no expansion")
@@ -290,6 +303,8 @@ def fock_amplitudes(
     ``n_max`` is honored as-is and raises TruncationInsufficient when the
     tail exceeds ``tail_tol``; pass ``tail_tol=math.inf`` to accept any tail.
     """
+    import numpy as np
+
     if n_max is not None:
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -315,6 +330,8 @@ def fock_amplitudes(
 
 def moments_from_amplitudes(v: FockVector) -> Moments:
     """Numeric moment oracle: direct sums over a truncated expansion."""
+    import numpy as np
+
     p = np.abs(v.amps) ** 2
     total = float(np.sum(p))
     if total <= 0.0:

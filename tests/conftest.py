@@ -1,0 +1,48 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import noonlike
+
+SRC = Path(noonlike.__file__).resolve().parent.parent
+
+_CLI_CHILD = """
+import contextlib, io, json, sys
+import noonlike.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = noonlike.cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports noonlike from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env.pop("NOONLIKE_OUTPUT_DIR", None)  # would send figure output to files
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run Python source in a fresh interpreter; returns the CompletedProcess."""
+    return _run_fresh
+
+
+@pytest.fixture(scope="session")
+def cli_in_fresh_interpreter():
+    """Run ``noonlike.cli.main(argv)`` in a fresh interpreter: (exit code, modules loaded)."""
+
+    def run(argv: list[str]) -> tuple[int, set[str]]:
+        proc = _run_fresh(_CLI_CHILD, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        return result["code"], set(result["modules"])
+
+    return run

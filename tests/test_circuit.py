@@ -575,6 +575,37 @@ class TestConfigFormat:
         with pytest.raises(ValueError):
             parse_circuit_config("modes 3\nwibble 7\n")
 
+    @pytest.mark.parametrize(
+        "line, broken",
+        [
+            ("modes 3", "modes 3 junk"),
+            ("outputs 1,2", "outputs 1,2 3"),
+            ("cutoff 14", "cutoff 14 15"),
+            (
+                "element beamsplitter modes=2,3 transmissivity=0.5 convention=real",
+                "element beamsplitter modes=2,3 transmissivity=0.5 convention=real wibble=1",
+            ),
+            (
+                "element beamsplitter modes=2,3 transmissivity=0.5 convention=real",
+                "element beamsplitter modes=2,3 transmissivity=0.5 convention=real modes=1,2",
+            ),
+            (
+                "element phaseshifter mode=2 const=pi per-photon=-pi/2",
+                "element phaseshifter mode=2 const=pi per-photon=-pi/2 per-photon=pi",
+            ),
+            ("herald mode=3 count=1", "herald mode=3 count=1 wibble=2"),
+            ("herald mode=3 count=1", "herald mode=3 count=1 count=2"),
+            ("modes 3", "modes 3\nmodes 4"),
+            ("herald mode=3 count=1", "herald mode=3 count=1\nherald mode=3 count=2"),
+        ],
+    )
+    def test_stray_or_repeated_token_rejected(self, line, broken):
+        text = write_circuit_config(default_circuit_config())
+        assert line in text
+        with pytest.raises(ValueError, match="config line") as info:
+            parse_circuit_config(text.replace(line, broken, 1))
+        assert repr(broken.split("\n")[-1]) in str(info.value)
+
     def test_phase_tokens(self):
         text = write_circuit_config(default_circuit_config())
         assert "per-photon=-pi/2" in text

@@ -111,6 +111,13 @@ class TestCommands:
                 "element phaseshifter mode=2 const=pi per-photon=-pi/2",
                 "element phaseshifter const=pi",
             ),
+            ("modes 3", "modes 3 junk"),
+            ("outputs 1,2", "outputs 1,2 3"),
+            (
+                "element beamsplitter modes=2,3 transmissivity=0.5 convention=real",
+                "element beamsplitter modes=2,3 transmissivity=0.5 convention=real wibble=1",
+            ),
+            ("herald mode=3 count=1", "herald mode=3 count=1 count=2"),
         ],
     )
     def test_incomplete_circuit_line_exit_code(self, tmp_path, capsys, line, broken):

@@ -13,6 +13,7 @@ from noonlike.families import Family, FamilyTarget, solve_param_for_nbar
 
 MAX_SECTORS = 56
 MAX_NBAR_EVALS = 51
+QCRB_MODULES = {"noonlike.errors", "noonlike.states", "noonlike.qcrb", "noonlike.families", "noonlike.cli"}
 
 
 def test_reference_circuit_sectors():
@@ -39,3 +40,9 @@ def test_solve_nbar_evaluations(monkeypatch, family, extras, d, n_bar):
     monkeypatch.setattr(families, "mean_total_photons", counted)
     solve_param_for_nbar(FamilyTarget(family, d, n_bar, extras))
     assert 0 < calls <= MAX_NBAR_EVALS
+
+
+def test_qcrb_command_modules(cli_in_fresh_interpreter):
+    code, modules = cli_in_fresh_interpreter(["qcrb", "--family", "esvs", "--d", "5", "--r", "2"])
+    assert code == 0
+    assert {m for m in modules if m.startswith("noonlike.")} <= QCRB_MODULES
