@@ -22,6 +22,7 @@ from .errors import (
     EmptyPostSelection,
     FOutOfRange,
     ModeOutOfRange,
+    NonFiniteResult,
     NonPositivePhotonNumber,
     NoonlikeError,
     OrderingViolation,

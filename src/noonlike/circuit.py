@@ -484,17 +484,6 @@ def _parse_phase(token: str) -> float:
     return float(token)
 
 
-def _format_phase(value: float) -> str:
-    for label, ref in (("pi", math.pi), ("pi/2", math.pi / 2), ("pi/4", math.pi / 4)):
-        if abs(value - ref) < 1e-15:
-            return label
-        if abs(value + ref) < 1e-15:
-            return "-" + label
-    if value == 0.0:
-        return "0"
-    return repr(value)
-
-
 def _value(rest: list[str]) -> str:
     """The one value token of a line; IndexError when it is missing."""
     if len(rest) > 1:
@@ -619,32 +608,6 @@ def parse_circuit_config(text: str) -> CircuitConfig:
     if missing:
         raise ValueError(f"config missing fields: {sorted(missing)}")
     return CircuitConfig(elements=tuple(elements), **fields)  # type: ignore[arg-type]
-
-
-def write_circuit_config(cfg: CircuitConfig) -> str:
-    """Serialize a config back to the text format (1-based labels)."""
-    lines = [
-        f"modes {cfg.mode_count}",
-        f"coherent-input {cfg.coherent_mode + 1}",
-        f"squeezed-input {cfg.squeezed_mode + 1}",
-        f"cutoff {cfg.cutoff}",
-    ]
-    for e in cfg.elements:
-        if isinstance(e, BeamSplitter):
-            lines.append(
-                f"element beamsplitter modes={e.mode_a + 1},{e.mode_b + 1} "
-                f"transmissivity={e.transmissivity!r} convention={e.convention}"
-            )
-        else:
-            lines.append(
-                f"element phaseshifter mode={e.mode + 1} "
-                f"const={_format_phase(e.const_phase)} "
-                f"per-photon={_format_phase(e.per_photon_phase)}"
-            )
-    lines.append(f"herald mode={cfg.herald_mode + 1} count={cfg.herald_count}")
-    lines.append("outputs " + ",".join(str(m + 1) for m in cfg.output_modes))
-    lines.append(f"max-output-photons {cfg.max_output_photons}")
-    return "\n".join(lines) + "\n"
 
 
 def load_circuit_config(path: str | Path) -> CircuitConfig:

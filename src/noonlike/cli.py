@@ -2,7 +2,8 @@
 
 Identical invocations produce byte-identical output files: no timestamps,
 fixed column orders, and every value formatted to 12 significant digits.
-Exit codes: 0 success, 1 computation error, 2 usage error.
+Exit codes: 0 success, 1 computation error, 2 usage error.  An option that
+the chosen family or figure does not use is a usage error.
 
 The default output directory is the current directory unless
 NOONLIKE_OUTPUT_DIR is set.
@@ -14,17 +15,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from .errors import NoonlikeError, UsageError
 from .families import (
+    PARAMETERS,
     Family,
     FamilyTarget,
     balanced_vs_unbalanced_sweep,
     compare_families_at_nbar,
     compare_sweeps_at_common_nbar,
+    constituent,
     escs_sweep_r_prime,
     solve_param_for_nbar,
 )
@@ -34,33 +37,24 @@ from .qcrb import (
     OptimizedB,
     ProbeSpec,
     QcrbReport,
-    noon_bound_check,
     noon_qcrb,
     qcrb_closed_form,
 )
-from .states import Coherent, Fock, SqueezedCoherent, SqueezedVacuum
 
-__all__ = ["RunConfig", "parse_args", "emit_figure", "main"]
+__all__ = ["parse_args", "main"]
 
-_FIGURE_IDS = (2, 3, 4, 6)
-
-# Per-figure defaults; a value given by the caller overrides its default.
-# Figure 4 is the ``unbalanced`` command at d=5, and shares its defaults.
+# Per-figure defaults; a value given by the caller overrides its default,
+# and a figure takes only the options named here (figure 6 also takes
+# --circuit and --cutoff).  Figure 4 is the ``unbalanced`` command at d=5,
+# and shares its defaults.
 _FIGURE_DEFAULTS = {
-    2: dict(n_min=0.5, n_max=20.0, steps=40, r_prime=1.0),
+    2: dict(d=5, n_min=0.5, n_max=20.0, steps=40, r_prime=1.0),
     # starts at 0.75 rather than 0.5: below ~0.61 the squeezed-coherent
     # family with squeeze factor 1.2 cannot reach the target n_bar
-    3: dict(n_min=0.75, n_max=20.0, steps=40),
-    4: dict(r_min=0.3, r_max=3.0, steps=60),
+    3: dict(d=5, n_min=0.75, n_max=20.0, steps=40),
+    4: dict(d=5, r_min=0.3, r_max=3.0, steps=60),
     6: dict(r_min=1.0, r_max=2.0, steps=20),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params: dict
-
 
 _CUTOFF_HELP = (
     "Fock cutoff; validated, but changes no result: the circuit is simulated "
@@ -77,14 +71,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="noonlike", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common_out = dict(
-        out=dict(type=Path, default=None, help="output file (default: stdout)"),
-        format=dict(choices=("csv", "json"), default="csv"),
-    )
-
     def add_out(p):
-        p.add_argument("--out", **common_out["out"])
-        p.add_argument("--format", **common_out["format"])
+        p.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("qcrb", help="bound for one probe")
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
@@ -127,8 +116,8 @@ def _build_parser() -> _Parser:
     add_out(p)
 
     p = sub.add_parser("figure", help="emit a comparison dataset")
-    p.add_argument("--id", type=int, required=True, choices=_FIGURE_IDS)
-    p.add_argument("--d", type=int, default=5)
+    p.add_argument("--id", type=int, required=True, choices=tuple(_FIGURE_DEFAULTS))
+    p.add_argument("--d", type=int, default=None)
     p.add_argument("--n-min", type=float, default=None)
     p.add_argument("--n-max", type=float, default=None)
     p.add_argument("--r-min", type=float, default=None)
@@ -141,27 +130,44 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _positive(params: dict, keys: Sequence[str]) -> None:
     for key in keys:
         value = params.get(key)
         if value is not None and value <= 0:
-            raise UsageError(f"--{key.replace('_', '-')} must be positive, got {value}")
+            raise UsageError(f"{_flag(key)} must be positive, got {value}")
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
-    """Validated run configuration; raises UsageError on bad input."""
+def _reject_unused(params: dict, offered: set[str], accepted, chooser: str) -> None:
+    """UsageError naming each given option in ``offered`` but not ``accepted``."""
+    unused = [_flag(k) for k in sorted(offered.difference(accepted)) if params[k] is not None]
+    if unused:
+        raise UsageError(f"{chooser} does not take {', '.join(unused)}")
+
+
+def parse_args(argv: Sequence[str]) -> tuple[str, dict]:
+    """Validated (command, params); raises UsageError on bad input."""
     ns = _build_parser().parse_args(list(argv))
     params = {k: v for k, v in vars(ns).items() if k != "command"}
     _positive(params, ["n", "n_bar", "r", "r_prime", "b2", "n_min", "n_max", "steps", "cutoff"])
     if params.get("d") is not None and params["d"] < 1:
         raise UsageError(f"--d must be >= 1, got {params['d']}")
     if ns.command == "qcrb":
-        needed = {"noon": "n", "ecs": "alpha", "escs": "alpha", "esvs": "r"}[ns.family]
-        if params.get(needed) is None:
-            raise UsageError(f"--family {ns.family} requires --{needed}")
-        if ns.family == "escs" and params.get("r_prime") is None:
-            raise UsageError("--family escs requires --r-prime")
-    return RunConfig(ns.command, params)
+        family = Family(ns.family)
+        needed = [PARAMETERS[family]] + (["r_prime"] if family is Family.ESCS else [])
+        for key in needed:
+            if params[key] is None:
+                raise UsageError(f"--family {ns.family} requires {_flag(key)}")
+        offered = set(PARAMETERS.values()) | {"r_prime"}
+        _reject_unused(params, offered, needed, f"--family {ns.family}")
+    elif ns.command == "figure":
+        accepted = _FIGURE_DEFAULTS[ns.id].keys() | ({"circuit", "cutoff"} if ns.id == 6 else set())
+        offered = params.keys() - {"id", "out", "format"}
+        _reject_unused(params, offered, accepted, f"figure --id {ns.id}")
+    return ns.command, params
 
 
 def _fmt(value) -> str:
@@ -207,31 +213,11 @@ def _write(columns: list[str], rows: list[list], out: Path | None, fmt: str) -> 
         out.write_text(payload)
 
 
-def _report_row(report: QcrbReport) -> list:
-    return [
-        report.family or "",
-        report.qcrb,
-        report.f,
-        report.R,
-        report.b2,
-        report.n_tilde,
-        report.n_bar,
-        report.parameter,
-    ]
-
-
 _REPORT_COLUMNS = ["family", "qcrb", "f", "R", "b2", "n_tilde", "n_bar", "parameter"]
 
 
-def _state_for_qcrb(params: dict):
-    family = params["family"]
-    if family == "noon":
-        return Fock(params["n"])
-    if family == "ecs":
-        return Coherent(params["alpha"])
-    if family == "escs":
-        return SqueezedCoherent(params["alpha"], params["r_prime"])
-    return SqueezedVacuum(params["r"])
+def _report_row(report: QcrbReport) -> list:
+    return [getattr(report, column) for column in _REPORT_COLUMNS]
 
 
 def _cmd_qcrb(params: dict) -> tuple[list[str], list[list]]:
@@ -240,8 +226,10 @@ def _cmd_qcrb(params: dict) -> tuple[list[str], list[list]]:
         weighting = FixedB(params["b2"])
     elif params.get("optimized_b"):
         weighting = OptimizedB()
-    report = qcrb_closed_form(ProbeSpec(params["d"], _state_for_qcrb(params), weighting))
-    return _REPORT_COLUMNS, [_report_row(replace(report, family=params["family"]))]
+    family = Family(params["family"])
+    state = constituent(family, params["r_prime"])(params[PARAMETERS[family]])
+    report = qcrb_closed_form(ProbeSpec(params["d"], state, weighting))
+    return _REPORT_COLUMNS, [_report_row(replace(report, family=family.value))]
 
 
 def _cmd_compare(params: dict) -> tuple[list[str], list[list]]:
@@ -297,11 +285,10 @@ def _figure_2(params: dict) -> tuple[list[str], list[list]]:
     grid = np.geomspace(params["n_min"], params["n_max"], params["steps"])
     rows = []
     for n_bar in grid:
-        reports = compare_families_at_nbar(d, float(n_bar), params["r_prime"])
-        for rep in reports:
-            if not noon_bound_check(rep, d):
-                raise NoonlikeError(f"bound violated at n_bar={n_bar}")
-        rows.append([float(n_bar)] + [r.qcrb for r in reports])
+        nb = float(n_bar)
+        qcrbs = [r.qcrb for r in compare_families_at_nbar(d, nb, params["r_prime"])]
+        _assert_rows_bounded(d, nb, qcrbs)
+        rows.append([nb] + qcrbs)
     return ["n_bar", "noon", "ecs", f"escs_r{params['r_prime']:g}", "esvs"], rows
 
 
@@ -352,13 +339,19 @@ def _figure_6(params: dict) -> tuple[list[str], list[list]]:
 _FIGURES = {2: _figure_2, 3: _figure_3, 4: _cmd_unbalanced, 6: _figure_6}
 
 
-def emit_figure(fig_id: int, params: dict, out: Path | None, fmt: str) -> None:
-    """Compute one figure dataset and write it (or print to stdout)."""
-    if fig_id not in _FIGURES:
-        raise UsageError(f"figure id must be one of {_FIGURE_IDS}, got {fig_id}")
+def _cmd_figure(params: dict) -> tuple[list[str], list[list]]:
     given = {k: v for k, v in params.items() if v is not None}
-    columns, rows = _FIGURES[fig_id](_FIGURE_DEFAULTS[fig_id] | given)
-    _write(columns, rows, out, fmt)
+    return _FIGURES[params["id"]](_FIGURE_DEFAULTS[params["id"]] | given)
+
+
+_COMMANDS = {
+    "qcrb": _cmd_qcrb,
+    "compare": _cmd_compare,
+    "sweep-escs": _cmd_sweep_escs,
+    "unbalanced": _cmd_unbalanced,
+    "experiment": _cmd_experiment,
+    "figure": _cmd_figure,
+}
 
 
 def _default_out(params: dict, command: str) -> Path | None:
@@ -373,21 +366,9 @@ def _default_out(params: dict, command: str) -> Path | None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
-        out = _default_out(cfg.params, cfg.command)
-        fmt = cfg.params["format"]
-        if cfg.command == "figure":
-            emit_figure(cfg.params["id"], cfg.params, out, fmt)
-            return 0
-        handler = {
-            "qcrb": _cmd_qcrb,
-            "compare": _cmd_compare,
-            "sweep-escs": _cmd_sweep_escs,
-            "unbalanced": _cmd_unbalanced,
-            "experiment": _cmd_experiment,
-        }[cfg.command]
-        columns, rows = handler(cfg.params)
-        _write(columns, rows, out, fmt)
+        command, params = parse_args(sys.argv[1:] if argv is None else argv)
+        columns, rows = _COMMANDS[command](params)
+        _write(columns, rows, _default_out(params, command), params["format"])
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -57,5 +57,9 @@ class ModeOutOfRange(NoonlikeError):
     """A circuit element referenced a mode outside the state."""
 
 
+class NonFiniteResult(NoonlikeError):
+    """A reported value came out infinite or NaN."""
+
+
 class UsageError(NoonlikeError):
     """Invalid command-line invocation."""

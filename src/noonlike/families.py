@@ -1,10 +1,12 @@
 """Parameter matching, four-family comparisons, and balanced vs unbalanced sweeps.
 
-Families are compared at a common mean total photon number of the balanced
-probe.  The NOON column uses the interpolated ("effective") photon number so
-that all four curves share an x-axis; the other three families are matched
-by bisection on their single free parameter, which maps monotonically to
-the mean photon number.
+Each family is one constituent state with one free parameter: ``PARAMETERS``
+names it and ``constituent`` builds the state from it.  Families are
+compared at a common mean total photon number of the balanced probe.  The
+NOON column uses the interpolated ("effective") photon number so that all
+four curves share an x-axis; the other three families are matched by
+bisection on their free parameter, which maps monotonically to the mean
+photon number.
 
 Grid sweeps are pure and deterministic; points are produced in grid order.
 """
@@ -41,6 +43,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Family",
+    "PARAMETERS",
+    "constituent",
     "FamilyTarget",
     "SweepCurve",
     "solve_param_for_nbar",
@@ -60,6 +64,23 @@ class Family(str, Enum):
     ECS = "ecs"
     ESCS = "escs"
     ESVS = "esvs"
+
+
+# The free parameter of each family's constituent: the constructor argument,
+# the state attribute and the ``qcrb`` command's flag.
+PARAMETERS = {Family.NOON: "n", Family.ECS: "alpha", Family.ESCS: "alpha", Family.ESVS: "r"}
+
+
+def constituent(
+    family: Family, r_prime: float | None = None
+) -> Callable[[float], SingleModeState]:
+    """Constructor of the family's constituent from its free parameter.
+
+    ESCS squeezes by the fixed factor ``r_prime``; the other families ignore it.
+    """
+    if family is Family.ESCS:
+        return lambda alpha: SqueezedCoherent(alpha, r_prime)
+    return {Family.NOON: Fock, Family.ECS: Coherent, Family.ESVS: SqueezedVacuum}[family]
 
 
 @dataclass(frozen=True)
@@ -104,16 +125,6 @@ class SweepCurve:
         return np.array([p[1] for p in self.points])
 
 
-def _builder(family: Family, r_prime: float | None) -> Callable[[float], SingleModeState]:
-    if family is Family.ECS:
-        return Coherent
-    if family is Family.ESVS:
-        return SqueezedVacuum
-    if family is Family.ESCS:
-        return lambda p: SqueezedCoherent(p, r_prime)
-    raise ValueError(f"no bisection parameter for family {family}")
-
-
 def _bisect_increasing(fn: Callable[[float], float], target: float, guess: float) -> float:
     """Root of fn(p) = target for a map verified increasing on the bracket."""
     lo, f_lo = 0.0, fn(0.0) - target
@@ -156,9 +167,9 @@ def solve_param_for_nbar(target: FamilyTarget) -> SingleModeState:
     the value at parameter 0 (possible for ESCS with a fixed squeeze factor)
     raises BracketFailure.
     """
+    build = constituent(target.family, target.fixed_extras)
     if target.family is Family.NOON:
-        return Fock(target.n_bar_target)
-    build = _builder(target.family, target.fixed_extras)
+        return build(target.n_bar_target)
     d = target.d
 
     def nbar_of(p: float) -> float:
@@ -175,21 +186,9 @@ def solve_param_for_nbar(target: FamilyTarget) -> SingleModeState:
     return state
 
 
-def _param_of(state: SingleModeState) -> float:
-    if isinstance(state, Fock):
-        return state.n
-    if isinstance(state, Coherent):
-        return state.alpha
-    if isinstance(state, SqueezedVacuum):
-        return state.r
-    if isinstance(state, SqueezedCoherent):
-        return state.alpha
-    raise TypeError(f"no scalar parameter for {state!r}")
-
-
 def _labelled_report(family: Family, d: int, state: SingleModeState) -> QcrbReport:
     rep = qcrb_closed_form(ProbeSpec(d, state, Balanced()))
-    return replace(rep, family=family.value, parameter=_param_of(state))
+    return replace(rep, family=family.value, parameter=getattr(state, PARAMETERS[family]))
 
 
 def compare_families_at_nbar(
@@ -215,7 +214,7 @@ def compare_families_at_nbar(
                 )
             ),
         )
-        for fam in (Family.NOON, Family.ECS, Family.ESCS, Family.ESVS)
+        for fam in Family
     ]
     qcrbs = [r.qcrb for r in reports]
     n_tildes = [r.n_tilde for r in reports]

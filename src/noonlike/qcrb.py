@@ -21,6 +21,7 @@ from .errors import (
     DegenerateOverlap,
     DenominatorNonPositive,
     FOutOfRange,
+    NonFiniteResult,
     NonPositivePhotonNumber,
     SingularMatrix,
     ZeroPhotonState,
@@ -50,6 +51,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _BOUND_TOL = 1e-12
+_REPORTED = ("qcrb", "f", "R", "b2", "n_tilde", "n_bar")  # the numeric QcrbReport fields
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,8 @@ def qcrb_closed_form(spec: ProbeSpec) -> QcrbReport:
     probe's mean total photon number ``<n>/(1 + d p0)`` for every weighting.
     It is the probe's own mean only for ``Balanced``; the mean of an
     unbalanced probe is ``(c^2 + d b^2)<n>`` with the weights of
-    ``resolve_weights``.
+    ``resolve_weights``.  A field that comes out infinite or NaN raises
+    NonFiniteResult naming it.
     """
     m = moments(spec.state)
     if m.mean_n <= 0.0 or m.mean_n2 <= 0.0:
@@ -222,15 +225,19 @@ def qcrb_closed_form(spec: ProbeSpec) -> QcrbReport:
         raise DenominatorNonPositive(
             f"R - b^2 d = {denom} <= 0; valid inputs cannot reach this"
         )
-    value = d / (4.0 * m.mean_n2) * (1.0 / b2 + 1.0 / denom)
-    return QcrbReport(
-        qcrb=value,
+    report = QcrbReport(
+        qcrb=d / (4.0 * m.mean_n2) * (1.0 / b2 + 1.0 / denom),
         f=m.mean_n / m.mean_n2,
         R=big_r,
         b2=b2,
         n_tilde=m.mean_n,
         n_bar=m.mean_n / (1.0 + d * m.vacuum_prob),
     )
+    for name in _REPORTED:
+        value = getattr(report, name)
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"{name} = {value} is not finite")
+    return report
 
 
 def qcrb_from_f(d: int, n_bar: float, f: float) -> float:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,9 @@ def cli_in_fresh_interpreter():
         return result["code"], set(result["modules"])
 
     return run
+
+
+@pytest.fixture(scope="session")
+def reference_config_text():
+    """Text of the shipped reference circuit config, to edit a line of."""
+    return resources.files("noonlike").joinpath("data/reference_circuit.cfg").read_text()

@@ -29,7 +29,6 @@ from noonlike.circuit import (
     pump_amplitude,
     run_experiment,
     verify_noonlike_form,
-    write_circuit_config,
 )
 from noonlike.cli import main
 
@@ -335,10 +334,11 @@ class TestCutoff:
     def test_large_cutoff_identical(self):
         assert run_experiment(1.3, cutoff=60) == run_experiment(1.3)
 
-    def test_config_cutoff_key_identical(self):
-        cfg = default_circuit_config()
+    def test_config_cutoff_key_identical(self, reference_config_text):
         for cutoff in (5, 40):
-            again = parse_circuit_config(write_circuit_config(replace(cfg, cutoff=cutoff)))
+            again = parse_circuit_config(
+                reference_config_text.replace("cutoff 14", f"cutoff {cutoff}")
+            )
             assert again.cutoff == cutoff
             assert run_experiment(0.9, config=again) == run_experiment(0.9)
 
@@ -352,9 +352,9 @@ class TestCutoff:
         assert main(["experiment", "--r", "1", "--cutoff", "4"]) == 1
         assert "cutoff below" in capsys.readouterr().err
 
-    def test_cli_cutoff_and_config_accepted(self, tmp_path, capsys):
+    def test_cli_cutoff_and_config_accepted(self, tmp_path, capsys, reference_config_text):
         path = tmp_path / "circuit.cfg"
-        path.write_text(write_circuit_config(replace(default_circuit_config(), cutoff=40)))
+        path.write_text(reference_config_text.replace("cutoff 14", "cutoff 40"))
         assert main(["experiment", "--r", "1"]) == 0
         baseline = capsys.readouterr().out
         assert main(["experiment", "--r", "1", "--cutoff", "60"]) == 0
@@ -554,11 +554,6 @@ class TestQcrbComparison:
 
 
 class TestConfigFormat:
-    def test_roundtrip(self):
-        cfg = default_circuit_config()
-        again = parse_circuit_config(write_circuit_config(cfg))
-        assert again == cfg
-
     def test_default_matches_shipped_wiring(self):
         cfg = default_circuit_config()
         assert cfg.mode_count == 3
@@ -566,6 +561,9 @@ class TestConfigFormat:
         first = cfg.elements[0]
         assert isinstance(first, BeamSplitter)
         assert (first.mode_a, first.mode_b) == (1, 2)
+        shifter = cfg.elements[1]  # "const=pi per-photon=-pi/2": both pi-fraction forms
+        assert isinstance(shifter, PhaseShifter)
+        assert (shifter.const_phase, shifter.per_photon_phase) == (math.pi, -math.pi / 2)
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
@@ -599,16 +597,12 @@ class TestConfigFormat:
             ("herald mode=3 count=1", "herald mode=3 count=1\nherald mode=3 count=2"),
         ],
     )
-    def test_stray_or_repeated_token_rejected(self, line, broken):
-        text = write_circuit_config(default_circuit_config())
+    def test_stray_or_repeated_token_rejected(self, reference_config_text, line, broken):
+        text = reference_config_text
         assert line in text
         with pytest.raises(ValueError, match="config line") as info:
             parse_circuit_config(text.replace(line, broken, 1))
         assert repr(broken.split("\n")[-1]) in str(info.value)
-
-    def test_phase_tokens(self):
-        text = write_circuit_config(default_circuit_config())
-        assert "per-photon=-pi/2" in text
 
     def test_pump_condition(self):
         assert pump_amplitude(1.0) ** 2 == pytest.approx(1.5 * math.tanh(1.0), rel=1e-14)

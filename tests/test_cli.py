@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from noonlike.circuit import default_circuit_config, write_circuit_config
 from noonlike.cli import main, parse_args
 from noonlike.errors import UsageError
+from noonlike.families import PARAMETERS, Family
 
 
 def _read_csv(path):
@@ -16,10 +16,10 @@ def _read_csv(path):
 
 class TestParseArgs:
     def test_compare_valid(self):
-        cfg = parse_args(["compare", "--d", "5", "--n-bar", "4", "--r-prime", "1"])
-        assert cfg.command == "compare"
-        assert cfg.params["d"] == 5
-        assert cfg.params["n_bar"] == 4.0
+        command, params = parse_args(["compare", "--d", "5", "--n-bar", "4", "--r-prime", "1"])
+        assert command == "compare"
+        assert params["d"] == 5
+        assert params["n_bar"] == 4.0
 
     def test_figure_id_rejected(self):
         with pytest.raises(UsageError):
@@ -30,16 +30,18 @@ class TestParseArgs:
             parse_args(["compare", "--d", "5", "--n-bar", "4", "--frobnicate", "1"])
 
     def test_missing_family_parameter(self):
-        with pytest.raises(UsageError):
-            parse_args(["qcrb", "--family", "noon", "--d", "5"])
+        for family in Family:
+            flag = "--" + PARAMETERS[family].replace("_", "-")
+            with pytest.raises(UsageError, match=f"requires {flag}$"):
+                parse_args(["qcrb", "--family", family.value, "--d", "5", "--r-prime", "1"])
 
     def test_negative_value_rejected(self):
         with pytest.raises(UsageError):
             parse_args(["compare", "--d", "5", "--n-bar", "-2"])
 
     def test_qcrb_valid(self):
-        cfg = parse_args(["qcrb", "--family", "noon", "--d", "5", "--n", "2"])
-        assert cfg.params["n"] == 2.0
+        _, params = parse_args(["qcrb", "--family", "noon", "--d", "5", "--n", "2"])
+        assert params["n"] == 2.0
 
     def test_fixed_and_optimized_weights_exclusive(self, capsys):
         argv = ["qcrb", "--family", "esvs", "--d", "5", "--r", "2", "--b2", "0.1", "--optimized-b"]
@@ -47,6 +49,23 @@ class TestParseArgs:
             parse_args(argv)
         assert main(argv) == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, unused",
+        [
+            (["figure", "--id", "4", "--n-min", "3", "--r-prime", "9"], ["--n-min", "--r-prime"]),
+            (["figure", "--id", "6", "--d", "7"], ["--d"]),
+            (["figure", "--id", "2", "--cutoff", "3", "--circuit", "/nonexistent"],
+             ["--circuit", "--cutoff"]),
+            (["qcrb", "--family", "noon", "--d", "5", "--n", "2", "--alpha", "3"], ["--alpha"]),
+            (["qcrb", "--family", "esvs", "--d", "5", "--r", "2", "--r-prime", "1"], ["--r-prime"]),
+        ],
+        ids=["figure-4", "figure-6", "figure-2", "qcrb-noon", "qcrb-esvs"],
+    )
+    def test_unused_option_rejected(self, capsys, argv, unused):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.rstrip().endswith(", ".join(unused))
 
 
 class TestCommands:
@@ -120,8 +139,10 @@ class TestCommands:
             ("herald mode=3 count=1", "herald mode=3 count=1 count=2"),
         ],
     )
-    def test_incomplete_circuit_line_exit_code(self, tmp_path, capsys, line, broken):
-        text = write_circuit_config(default_circuit_config())
+    def test_incomplete_circuit_line_exit_code(
+        self, tmp_path, capsys, reference_config_text, line, broken
+    ):
+        text = reference_config_text
         assert line in text
         path = tmp_path / "circuit.cfg"
         path.write_text(text.replace(line, broken, 1))
@@ -129,6 +150,13 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert repr(broken) in err
+
+    def test_non_finite_result_exit_code(self, capsys):
+        # 1/b2 overflows: the bound would print as inf
+        assert main(["qcrb", "--family", "esvs", "--d", "5", "--r", "2", "--b2", "1e-320"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: qcrb = inf is not finite\n"
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["figure", "--id", "7"]) == 2

@@ -29,7 +29,7 @@ from noonlike import (
     resolve_weights,
     solve_param_for_nbar,
 )
-from noonlike.families import SweepCurve
+from noonlike.families import PARAMETERS, SweepCurve, constituent
 
 FEASIBLE_GRID = [
     (d, nb)
@@ -55,6 +55,13 @@ def _golden_section_min(fn, lo, hi, tol=1e-12):
             d = a + inv_phi * (b - a)
             fd = fn(d)
     return 0.5 * (a + b)
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("p", [0.3, 2.0])
+    def test_constituent_carries_its_parameter(self, family, p):
+        assert getattr(constituent(family, 0.7)(p), PARAMETERS[family]) == p
 
 
 class TestSolve:

@@ -12,6 +12,7 @@ from noonlike import (
     FockSuperposition,
     FOutOfRange,
     Moments,
+    NonFiniteResult,
     NonPositivePhotonNumber,
     OptimizedB,
     ProbeSpec,
@@ -149,6 +150,11 @@ class TestClosedForm:
         # at the ellipse boundary of a number state the denominator hits zero
         with pytest.raises(DenominatorNonPositive):
             qcrb_closed_form(ProbeSpec(2, Fock(1), FixedB(0.5)))
+
+    def test_non_finite_field_rejected(self):
+        # a subnormal weight overflows 1/b^2, so the bound itself is infinite
+        with pytest.raises(NonFiniteResult, match="^qcrb = inf is not finite$"):
+            qcrb_closed_form(ProbeSpec(5, SqueezedVacuum(2.0), FixedB(1e-320)))
 
     @pytest.mark.parametrize("state", STATE_GRID)
     @pytest.mark.parametrize("d", [1, 2, 5])
