@@ -12,10 +12,9 @@ NOONLIKE_OUTPUT_DIR is set.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -134,6 +133,12 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def _finite(params: dict) -> None:
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{_flag(key)} must be finite, got {value}")
+
+
 def _positive(params: dict, keys: Sequence[str]) -> None:
     for key in keys:
         value = params.get(key)
@@ -152,6 +157,7 @@ def parse_args(argv: Sequence[str]) -> tuple[str, dict]:
     """Validated (command, params); raises UsageError on bad input."""
     ns = _build_parser().parse_args(list(argv))
     params = {k: v for k, v in vars(ns).items() if k != "command"}
+    _finite(params)
     _positive(params, ["n", "n_bar", "r", "r_prime", "b2", "n_min", "n_max", "steps", "cutoff"])
     if params.get("d") is not None and params["d"] < 1:
         raise UsageError(f"--d must be >= 1, got {params['d']}")
@@ -201,6 +207,8 @@ def _write(columns: list[str], rows: list[list], out: Path | None, fmt: str) -> 
         text_rows = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
         payload = "\n".join(text_rows) + "\n"
     else:
+        import json  # only JSON output needs it
+
         records = [
             {c: (_round12(v) if isinstance(v, float) else v) for c, v in zip(columns, row)}
             for row in rows
@@ -228,8 +236,9 @@ def _cmd_qcrb(params: dict) -> tuple[list[str], list[list]]:
         weighting = OptimizedB()
     family = Family(params["family"])
     state = constituent(family, params["r_prime"])(params[PARAMETERS[family]])
-    report = qcrb_closed_form(ProbeSpec(params["d"], state, weighting))
-    return _REPORT_COLUMNS, [_report_row(replace(report, family=family.value))]
+    rep = qcrb_closed_form(ProbeSpec(params["d"], state, weighting))
+    labelled = QcrbReport(rep.qcrb, rep.f, rep.R, rep.b2, rep.n_tilde, rep.n_bar, family.value)
+    return _REPORT_COLUMNS, [_report_row(labelled)]
 
 
 def _cmd_compare(params: dict) -> tuple[list[str], list[list]]:

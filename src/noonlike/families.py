@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -35,6 +34,7 @@ from .states import (
     SingleModeState,
     SqueezedCoherent,
     SqueezedVacuum,
+    _Frozen,
     moments,
 )
 
@@ -83,34 +83,40 @@ def constituent(
     return {Family.NOON: Fock, Family.ECS: Coherent, Family.ESVS: SqueezedVacuum}[family]
 
 
-@dataclass(frozen=True)
-class FamilyTarget:
-    family: Family
-    d: int
-    n_bar_target: float
-    fixed_extras: float | None = None  # squeeze factor of the ESCS constituent
+class FamilyTarget(_Frozen):
+    __slots__ = ("family", "d", "n_bar_target", "fixed_extras")
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.n_bar_target <= 0.0:
-            raise ValueError(f"n_bar_target must be positive, got {self.n_bar_target}")
-        if self.family is Family.ESCS:
-            if self.fixed_extras is None or self.fixed_extras < 0.0:
+    def __init__(
+        self,
+        family: Family,
+        d: int,
+        n_bar_target: float,
+        fixed_extras: float | None = None,  # squeeze factor of the ESCS constituent
+    ):
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
+        if n_bar_target <= 0.0:
+            raise ValueError(f"n_bar_target must be positive, got {n_bar_target}")
+        if family is Family.ESCS:
+            if fixed_extras is None or fixed_extras < 0.0:
                 raise ValueError("ESCS targets need a nonnegative fixed squeeze factor")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n_bar_target", n_bar_target)
+        object.__setattr__(self, "fixed_extras", fixed_extras)
 
 
-@dataclass(frozen=True)
-class SweepCurve:
+class SweepCurve(_Frozen):
     """Ordered (n_bar, qcrb, parameter) triples; n_bar never decreases."""
 
-    points: tuple[tuple[float, float, float], ...]
-    label: str
+    __slots__ = ("points", "label")
 
-    def __post_init__(self):
-        nbars = [p[0] for p in self.points]
+    def __init__(self, points: tuple[tuple[float, float, float], ...], label: str):
+        nbars = [p[0] for p in points]
         if any(b < a - 1e-12 for a, b in zip(nbars, nbars[1:])):
-            raise ValueError(f"n_bar must be non-decreasing along curve {self.label!r}")
+            raise ValueError(f"n_bar must be non-decreasing along curve {label!r}")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "label", label)
 
     @property
     def n_bars(self) -> np.ndarray:
@@ -188,7 +194,10 @@ def solve_param_for_nbar(target: FamilyTarget) -> SingleModeState:
 
 def _labelled_report(family: Family, d: int, state: SingleModeState) -> QcrbReport:
     rep = qcrb_closed_form(ProbeSpec(d, state, Balanced()))
-    return replace(rep, family=family.value, parameter=getattr(state, PARAMETERS[family]))
+    parameter = getattr(state, PARAMETERS[family])
+    return QcrbReport(
+        rep.qcrb, rep.f, rep.R, rep.b2, rep.n_tilde, rep.n_bar, family.value, parameter
+    )
 
 
 def compare_families_at_nbar(

@@ -8,12 +8,15 @@ this family the Fisher matrix is phase independent and has the structure
 independent dense-inversion route; both are exposed.
 
 Pure functions over immutable inputs throughout; thread-safe by construction.
+The weightings, ``ProbeSpec``, ``QcrbReport`` and ``QfiMatrix`` are
+``__slots__`` classes on the frozen-value base of ``noonlike.states``: equal
+when of one class with equal fields, hashable, and raising AttributeError on
+assignment.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -26,7 +29,7 @@ from .errors import (
     SingularMatrix,
     ZeroPhotonState,
 )
-from .states import Moments, SingleModeState, moments
+from .states import Moments, SingleModeState, _Frozen, moments
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,71 +57,85 @@ _BOUND_TOL = 1e-12
 _REPORTED = ("qcrb", "f", "R", "b2", "n_tilde", "n_bar")  # the numeric QcrbReport fields
 
 
-@dataclass(frozen=True)
-class Balanced:
+class Balanced(_Frozen):
     """Reference mode carries the same weight as each probing mode."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class FixedB:
+
+class FixedB(_Frozen):
     """Probing-mode weight b^2 fixed by the caller (unbalanced state)."""
 
-    b2: float
+    __slots__ = ("b2",)
+
+    def __init__(self, b2: float):
+        object.__setattr__(self, "b2", b2)
 
 
-@dataclass(frozen=True)
-class OptimizedB:
+class OptimizedB(_Frozen):
     """Probing-mode weight minimizing the bound subject to normalization."""
+
+    __slots__ = ()
 
 
 Weighting = Balanced | FixedB | OptimizedB
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
-    d: int
-    state: SingleModeState
-    weighting: Weighting = Balanced()
+class ProbeSpec(_Frozen):
+    __slots__ = ("d", "state", "weighting")
 
-    def __post_init__(self):
-        if int(self.d) != self.d or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
+    def __init__(self, d: int, state: SingleModeState, weighting: Weighting = Balanced()):
+        if int(d) != d or d < 1:
+            raise ValueError(f"d must be a positive integer, got {d}")
+        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "weighting", weighting)
 
 
-@dataclass(frozen=True, slots=True)
-class QcrbReport:
+class QcrbReport(_Frozen):
     """Bound value plus all intermediate quantities, for auditing.
 
     qcrb is in radians^2 (lower bound on the summed phase variance).
     """
 
-    qcrb: float
-    f: float
-    R: float
-    b2: float
-    n_tilde: float
-    n_bar: float
-    family: str = ""
-    parameter: float | None = None
+    __slots__ = ("qcrb", "f", "R", "b2", "n_tilde", "n_bar", "family", "parameter")
+
+    def __init__(
+        self,
+        qcrb: float,
+        f: float,
+        R: float,
+        b2: float,
+        n_tilde: float,
+        n_bar: float,
+        family: str = "",
+        parameter: float | None = None,
+    ):
+        object.__setattr__(self, "qcrb", qcrb)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "n_tilde", n_tilde)
+        object.__setattr__(self, "n_bar", n_bar)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "parameter", parameter)
 
 
-@dataclass(frozen=True)
-class QfiMatrix:
+class QfiMatrix(_Frozen):
     """Dense d x d Fisher matrix of the form a I - c O."""
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: np.ndarray):
         import numpy as np
 
-        m = np.asarray(self.entries, dtype=np.float64)
+        m = np.asarray(entries, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must be a square matrix")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(m))))):
             raise ValueError("entries must be symmetric")
-        object.__setattr__(self, "entries", m)
         m.setflags(write=False)
+        object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:

@@ -20,13 +20,18 @@ Conventions
   matters for the sign pattern of the amplitudes, not for any moment.
 
 All values are immutable after construction and all functions are pure, so
-everything here is safe to share across threads.
+everything here is safe to share across threads.  The value classes here, in
+``qcrb`` and in ``families`` share one small base, ``_Frozen``: each lists
+its fields in ``__slots__`` and sets them once in ``__init__``; the base
+gives equality within one class, a hash over the fields, the
+``Name(field=value)`` repr, copy and pickle through the constructor, and
+raises AttributeError on any assignment or deletion.  Plain ``__slots__``
+classes keep the import of these modules free of generated code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import TruncationInsufficient, ZeroPhotonState
@@ -61,8 +66,41 @@ def _require_real(name: str, value) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class Fock:
+class _Frozen:
+    """Immutable value whose fields are the names in ``__slots__``.
+
+    A subclass sets each field once in its ``__init__`` with
+    ``object.__setattr__``, the only way past ``__setattr__`` here.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Fock(_Frozen):
     """Number state |n>.
 
     ``n`` is an integer for a physical state; non-integer values are accepted
@@ -70,10 +108,10 @@ class Fock:
     moments but have no Fock expansion).
     """
 
-    n: float
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        n = _require_real("n", self.n)
+    def __init__(self, n: float):
+        n = _require_real("n", n)
         if n < 0:
             raise ValueError(f"photon count must be nonnegative, got {n}")
         object.__setattr__(self, "n", n)
@@ -83,40 +121,35 @@ class Fock:
         return not float(self.n).is_integer()
 
 
-@dataclass(frozen=True)
-class Coherent:
-    alpha: float
+class Coherent(_Frozen):
+    __slots__ = ("alpha",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _require_real("alpha", self.alpha))
-
-
-@dataclass(frozen=True)
-class SqueezedVacuum:
-    r: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", _require_real("r", self.r))
+    def __init__(self, alpha: float):
+        object.__setattr__(self, "alpha", _require_real("alpha", alpha))
 
 
-@dataclass(frozen=True)
-class SqueezedCoherent:
-    alpha: float
-    r: float
+class SqueezedVacuum(_Frozen):
+    __slots__ = ("r",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _require_real("alpha", self.alpha))
-        object.__setattr__(self, "r", _require_real("r", self.r))
+    def __init__(self, r: float):
+        object.__setattr__(self, "r", _require_real("r", r))
 
 
-@dataclass(frozen=True)
-class FockSuperposition:
+class SqueezedCoherent(_Frozen):
+    __slots__ = ("alpha", "r")
+
+    def __init__(self, alpha: float, r: float):
+        object.__setattr__(self, "alpha", _require_real("alpha", alpha))
+        object.__setattr__(self, "r", _require_real("r", r))
+
+
+class FockSuperposition(_Frozen):
     """Explicit finite superposition sum_n amps[n] |n>, normalized to 1."""
 
-    amps: tuple[complex, ...]
+    __slots__ = ("amps",)
 
-    def __post_init__(self):
-        amps = tuple(complex(a) for a in self.amps)
+    def __init__(self, amps: tuple[complex, ...]):
+        amps = tuple(complex(a) for a in amps)
         if not amps:
             raise ValueError("amplitude list must be non-empty")
         norm_sq = sum(abs(a) ** 2 for a in amps)
@@ -128,48 +161,45 @@ class FockSuperposition:
 SingleModeState = Fock | Coherent | SqueezedVacuum | SqueezedCoherent | FockSuperposition
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(_Frozen):
     """First two photon-number moments plus the vacuum overlap probability."""
 
-    mean_n: float
-    mean_n2: float
-    vacuum_prob: float
+    __slots__ = ("mean_n", "mean_n2", "vacuum_prob")
 
-    def __post_init__(self):
-        if self.mean_n < 0:
-            raise ValueError(f"mean_n must be nonnegative, got {self.mean_n}")
-        if self.mean_n2 < self.mean_n**2 - 1e-9 * max(1.0, self.mean_n2):
+    def __init__(self, mean_n: float, mean_n2: float, vacuum_prob: float):
+        if mean_n < 0:
+            raise ValueError(f"mean_n must be nonnegative, got {mean_n}")
+        if mean_n2 < mean_n**2 - 1e-9 * max(1.0, mean_n2):
             raise ValueError("mean_n2 < mean_n^2 violates variance nonnegativity")
-        if not -1e-12 <= self.vacuum_prob <= 1 + 1e-12:
-            raise ValueError(f"vacuum_prob outside [0, 1]: {self.vacuum_prob}")
+        if not -1e-12 <= vacuum_prob <= 1 + 1e-12:
+            raise ValueError(f"vacuum_prob outside [0, 1]: {vacuum_prob}")
+        object.__setattr__(self, "mean_n", mean_n)
+        object.__setattr__(self, "mean_n2", mean_n2)
+        object.__setattr__(self, "vacuum_prob", vacuum_prob)
 
     @property
     def variance(self) -> float:
         return self.mean_n2 - self.mean_n**2
 
 
-@dataclass(frozen=True)
-class FockVector:
+class FockVector(_Frozen):
     """Truncated Fock expansion |0>..|n_max> with the discarded tail mass."""
 
-    amps: np.ndarray
-    n_max: int
-    tail_mass: float
+    __slots__ = ("amps", "n_max", "tail_mass")
 
-    def __post_init__(self):
+    def __init__(self, amps: np.ndarray, n_max: int, tail_mass: float):
         import numpy as np
 
-        amps = np.asarray(self.amps, dtype=np.complex128)
-        if amps.ndim != 1 or len(amps) != self.n_max + 1:
+        amps = np.asarray(amps, dtype=np.complex128)
+        if amps.ndim != 1 or len(amps) != n_max + 1:
             raise ValueError("amps must be a 1-D array of length n_max + 1")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not (1.0 - self.tail_mass - 1e-9) <= norm_sq <= 1.0 + 1e-9:
-            raise ValueError(
-                f"norm {norm_sq} inconsistent with tail_mass {self.tail_mass}"
-            )
-        object.__setattr__(self, "amps", amps)
+        if not (1.0 - tail_mass - 1e-9) <= norm_sq <= 1.0 + 1e-9:
+            raise ValueError(f"norm {norm_sq} inconsistent with tail_mass {tail_mass}")
         amps.setflags(write=False)
+        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "tail_mass", tail_mass)
 
 
 def moments(state: SingleModeState) -> Moments:

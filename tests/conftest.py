@@ -11,12 +11,16 @@ import noonlike
 
 SRC = Path(noonlike.__file__).resolve().parent.parent
 
+# The child lists sys.modules before it imports json itself, so that a
+# command that loads json shows it and one that does not leaves it out.
 _CLI_CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import noonlike.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = noonlike.cli.main(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+    code = noonlike.cli.main(sys.argv[1:])
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"code": code, "modules": modules}))
 """
 
 
@@ -38,13 +42,20 @@ def fresh_python():
 
 @pytest.fixture(scope="session")
 def cli_in_fresh_interpreter():
-    """Run ``noonlike.cli.main(argv)`` in a fresh interpreter: (exit code, modules loaded)."""
+    """Run ``noonlike.cli.main(argv)`` in a fresh interpreter: (exit code, modules loaded).
 
-    def run(argv: list[str]) -> tuple[int, set[str]]:
-        proc = _run_fresh(_CLI_CHILD, json.dumps(argv))
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout)
-        return result["code"], set(result["modules"])
+    Each distinct argv runs once per test run; later calls reuse its result.
+    """
+    results: dict[tuple[str, ...], tuple[int, frozenset[str]]] = {}
+
+    def run(argv: list[str]) -> tuple[int, frozenset[str]]:
+        key = tuple(argv)
+        if key not in results:
+            proc = _run_fresh(_CLI_CHILD, *argv)
+            assert proc.returncode == 0, proc.stderr
+            result = json.loads(proc.stdout)
+            results[key] = result["code"], frozenset(result["modules"])
+        return results[key]
 
     return run
 

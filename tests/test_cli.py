@@ -39,6 +39,33 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["compare", "--d", "5", "--n-bar", "-2"])
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            pytest.param(argv, flag, value, id=" ".join(argv))
+            for argv, flag, value in [
+                (["experiment", "--r", "nan"], "--r", "nan"),
+                (["figure", "--id", "6", "--r-min", "nan", "--steps", "2"], "--r-min", "nan"),
+                (["figure", "--id", "2", "--n-min", "nan"], "--n-min", "nan"),
+                (["compare", "--d", "5", "--n-bar", "inf"], "--n-bar", "inf"),
+                (["sweep-escs", "--d", "5", "--n-bar", "4", "--r-min", "nan"], "--r-min", "nan"),
+                (["unbalanced", "--d", "1", "--r-max", "inf"], "--r-max", "inf"),
+                (["qcrb", "--family", "noon", "--d", "5", "--n", "1e400"], "--n", "inf"),
+                (["qcrb", "--family", "escs", "--d", "5", "--alpha", "1", "--r-prime", "nan"],
+                 "--r-prime", "nan"),
+                (["qcrb", "--family", "ecs", "--d", "5", "--alpha=-inf"], "--alpha", "-inf"),
+                (["qcrb", "--family", "esvs", "--d", "5", "--r", "2", "--b2=-inf"], "--b2", "-inf"),
+            ]
+        ],
+    )
+    def test_non_finite_value_rejected(self, capsys, argv, flag, value):
+        with pytest.raises(UsageError):
+            parse_args(argv)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {flag} must be finite, got {value}\n"
+
     def test_qcrb_valid(self):
         _, params = parse_args(["qcrb", "--family", "noon", "--d", "5", "--n", "2"])
         assert params["n"] == 2.0

@@ -2,8 +2,10 @@
 
 Every value of ``qcrb``, ``compare``, ``sweep-escs``, ``unbalanced`` and
 ``figure --id 4`` comes from scalar math, so their processes must not pay
-for importing numpy or ``noonlike.circuit``.  Each invocation runs in a fresh
-interpreter, since this one has imported both long ago.  The pure-Python
+for importing numpy or ``noonlike.circuit``, nor for ``dataclasses`` (which
+loads ``inspect``) or, with CSV output, ``json``.  Each invocation runs in a
+fresh interpreter, since this one has imported all of them long ago.  The
+gates count modules, never seconds.  The pure-Python
 stand-ins for ``np.linspace`` and ``np.interp`` that make this possible are
 checked against numpy bit for bit.
 """
@@ -38,6 +40,16 @@ def test_closed_form_commands_import_neither_numpy_nor_circuit(cli_in_fresh_inte
     assert code == 0
     assert "numpy" not in modules
     assert "noonlike.circuit" not in modules
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM, ids=" ".join)
+def test_closed_form_commands_generate_no_classes(cli_in_fresh_interpreter, argv):
+    code, modules = cli_in_fresh_interpreter(argv)
+    assert code == 0
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules
+    # json loads for --format json only; seeing it there shows the probe would catch it
+    assert ("json" in modules) == ("json" in argv)
 
 
 @pytest.mark.parametrize(
