@@ -5,9 +5,9 @@ Every value of ``qcrb``, ``compare``, ``sweep-escs``, ``unbalanced`` and
 for importing numpy or ``noonlike.circuit``, nor for ``dataclasses`` (which
 loads ``inspect``) or, with CSV output, ``json``.  Each invocation runs in a
 fresh interpreter, since this one has imported all of them long ago.  The
-gates count modules, never seconds.  The pure-Python
-stand-ins for ``np.linspace`` and ``np.interp`` that make this possible are
-checked against numpy bit for bit.
+gates count modules, never seconds.  The pure-Python stand-ins for
+``np.linspace`` and ``np.interp`` that make this possible are checked
+against numpy bit for bit.
 """
 
 import math
