@@ -26,6 +26,7 @@ from .errors import (
     NonPositivePhotonNumber,
     NoonlikeError,
     OrderingViolation,
+    ParameterOutOfRange,
     SingularMatrix,
     TruncationInsufficient,
     UsageError,

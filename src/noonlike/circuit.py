@@ -2,7 +2,7 @@
 
 Every element is passive and conserves total photon number, so the whole
 circuit is one m x m mode matrix U plus a global phase: input creation
-operators map as a_j^dag -> sum_k U[k, j] a_k^dag, and the constant phase
+operators map as a_j^dag -> sum_k U[k][j] a_k^dag, and the constant phase
 of each phase shifter only multiplies the whole state.  Heralding on
 ``herald_count`` photons and keeping at most ``max_output_photons`` in the
 output modes reads only sectors with at most their sum (the photon budget,
@@ -15,12 +15,11 @@ Nothing above the budget is built, so nothing is truncated: the config's
 ``cutoff`` is still accepted, and must still be at least the budget, but it
 changes no result.
 
-The state stays in numpy arrays from the circuit to the decomposition.
-``budget_amplitudes`` returns the sectors' occupation array and their
-amplitude vector; ``post_select`` keeps the heralded sectors with one
-boolean mask and returns a dense array indexed by the output modes'
-occupations; the decomposition reads the two branches of the two-mode state
-off its column 0 and row 0.
+The state is plain Python throughout, since the reference budget holds
+only 56 sectors: U is nested lists, ``budget_amplitudes`` gives one
+amplitude per sector of a cached occupation tuple, and ``post_select``
+gives nested lists indexed by the output occupations, whose column 0 and
+row 0 hold the two branches that the decomposition reads.
 
 Mode indexing is 0-based throughout the API; the circuit-config text format
 uses 1-based labels (the conventional numbering of the three-mode setup)
@@ -50,31 +49,15 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .errors import (
-    EmptyPostSelection,
-    ModeOutOfRange,
-    NoonlikeError,
-    OrderingViolation,
-)
+from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError, OrderingViolation
 from .families import Family, FamilyTarget, SweepCurve, solve_param_for_nbar
 from .qcrb import Balanced, ProbeSpec, noon_qcrb, qcrb_closed_form
-from .states import (
-    Coherent,
-    Fock,
-    FockSuperposition,
-    FockVector,
-    SingleModeState,
-    SqueezedVacuum,
-    fock_amplitudes,
-    moments_from_amplitudes,
-)
+from .states import Coherent, Fock, FockSuperposition, SingleModeState, SqueezedVacuum
+from .states import _build_amps, _Frozen
 
 __all__ = [
     "BeamSplitter",
@@ -97,20 +80,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BeamSplitter:
-    mode_a: int
-    mode_b: int
-    transmissivity: float = 0.5
-    convention: str = "symmetric"
+class BeamSplitter(_Frozen):
+    __slots__ = ("mode_a", "mode_b", "transmissivity", "convention")
 
-    def __post_init__(self):
-        if self.mode_a == self.mode_b:
+    def __init__(
+        self, mode_a: int, mode_b: int, transmissivity: float = 0.5, convention: str = "symmetric"
+    ):
+        if mode_a == mode_b:
             raise ValueError("beam splitter needs two distinct modes")
-        if not 0.0 < self.transmissivity < 1.0:
-            raise ValueError(f"transmissivity must be in (0, 1), got {self.transmissivity}")
-        if self.convention not in ("symmetric", "real"):
-            raise ValueError(f"unknown convention {self.convention!r}")
+        if not 0.0 < transmissivity < 1.0:
+            raise ValueError(f"transmissivity must be in (0, 1), got {transmissivity}")
+        if convention not in ("symmetric", "real"):
+            raise ValueError(f"unknown convention {convention!r}")
+        self._assign(mode_a, mode_b, transmissivity, convention)
 
     def reflection_amplitudes(self) -> tuple[complex, complex]:
         """(from mode_a, from mode_b) reflection amplitudes."""
@@ -120,18 +102,17 @@ class BeamSplitter:
         return -rho, rho
 
 
-@dataclass(frozen=True)
-class PhaseShifter:
-    mode: int
-    const_phase: float = 0.0
-    per_photon_phase: float = 0.0
+class PhaseShifter(_Frozen):
+    __slots__ = ("mode", "const_phase", "per_photon_phase")
+
+    def __init__(self, mode: int, const_phase: float = 0.0, per_photon_phase: float = 0.0):
+        self._assign(mode, const_phase, per_photon_phase)
 
 
 CircuitElement = BeamSplitter | PhaseShifter
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(_Frozen):
     """Decomposition of the heralded two-mode state.
 
     ``phi_amps`` holds the single-branch amplitudes c_0..c_4; the two-mode
@@ -139,51 +120,59 @@ class ExperimentResult:
     reported fidelity.
     """
 
-    phi_amps: tuple[complex, ...]
-    fidelity_to_noonlike: float
-    n_bar: float
-    success_prob: float
-    branch_phase: float
+    __slots__ = ("phi_amps", "fidelity_to_noonlike", "n_bar", "success_prob", "branch_phase")
+
+    def __init__(
+        self,
+        phi_amps: tuple[complex, ...],
+        fidelity_to_noonlike: float,
+        n_bar: float,
+        success_prob: float,
+        branch_phase: float,
+    ):
+        self._assign(phi_amps, fidelity_to_noonlike, n_bar, success_prob, branch_phase)
 
 
-@dataclass(frozen=True)
-class CircuitConfig:
-    mode_count: int
-    coherent_mode: int
-    squeezed_mode: int
-    elements: tuple[CircuitElement, ...]
-    herald_mode: int
-    herald_count: int
-    output_modes: tuple[int, ...]
-    max_output_photons: int
-    cutoff: int
+class CircuitConfig(_Frozen):
+    __slots__ = (
+        "mode_count", "coherent_mode", "squeezed_mode", "elements", "herald_mode",
+        "herald_count", "output_modes", "max_output_photons", "cutoff",
+    )
 
-    def __post_init__(self):
-        modes = range(self.mode_count)
-        used = (self.coherent_mode, self.squeezed_mode, self.herald_mode, *self.output_modes)
+    def __init__(
+        self, mode_count: int, coherent_mode: int, squeezed_mode: int,
+        elements: tuple[CircuitElement, ...], herald_mode: int, herald_count: int,
+        output_modes: tuple[int, ...], max_output_photons: int, cutoff: int,
+    ):
+        modes = range(mode_count)
+        used = (coherent_mode, squeezed_mode, herald_mode, *output_modes)
         if any(m not in modes for m in used):
-            raise ModeOutOfRange(f"config references modes outside 0..{self.mode_count - 1}")
-        if self.coherent_mode == self.squeezed_mode:
+            raise ModeOutOfRange(f"config references modes outside 0..{mode_count - 1}")
+        if coherent_mode == squeezed_mode:
             raise ValueError("coherent and squeezed inputs must enter distinct modes")
-        if set(self.output_modes) | {self.herald_mode} != set(modes) or len(
-            set(self.output_modes)
-        ) != len(self.output_modes) or self.herald_mode in self.output_modes:
+        if set(output_modes) | {herald_mode} != set(modes) or len(set(output_modes)) != len(
+            output_modes
+        ) or herald_mode in output_modes:
             raise ValueError("herald mode plus output modes must partition the modes")
-        if self.cutoff < self.herald_count + self.max_output_photons:
+        if cutoff < herald_count + max_output_photons:
             raise ValueError("cutoff below herald_count + max_output_photons")
+        self._assign(
+            mode_count, coherent_mode, squeezed_mode, elements, herald_mode, herald_count,
+            output_modes, max_output_photons, cutoff,
+        )
 
 
 def mode_matrix(
     elements: Iterable[CircuitElement], mode_count: int
-) -> tuple[np.ndarray, float]:
+) -> tuple[list[list[complex]], float]:
     """Compose passive elements, in order, into a mode matrix and a global phase.
 
-    Column j is the image of input mode j's creation operator,
-    a_j^dag -> sum_k U[k, j] a_k^dag.  A phase shifter multiplies its mode's
-    row by exp(i per_photon_phase); its ``const_phase`` multiplies every
-    amplitude alike and is summed into the returned global phase.
+    Column j of the nested lists u is the image of input mode j's creation
+    operator, a_j^dag -> sum_k u[k][j] a_k^dag.  A phase shifter multiplies
+    its mode's row by exp(i per_photon_phase); its ``const_phase`` multiplies
+    every amplitude alike and is summed into the returned global phase.
     """
-    u = np.eye(mode_count, dtype=np.complex128)
+    u = [[1.0 + 0j if k == j else 0j for j in range(mode_count)] for k in range(mode_count)]
     phase = 0.0
     for e in elements:
         modes = (e.mode_a, e.mode_b) if isinstance(e, BeamSplitter) else (e.mode,)
@@ -192,11 +181,12 @@ def mode_matrix(
         if isinstance(e, BeamSplitter):
             tau = math.sqrt(e.transmissivity)
             rho_a, rho_b = e.reflection_amplitudes()
-            row_a, row_b = u[e.mode_a].copy(), u[e.mode_b].copy()
-            u[e.mode_a] = tau * row_a + rho_b * row_b
-            u[e.mode_b] = rho_a * row_a + tau * row_b
+            row_a, row_b = u[e.mode_a], u[e.mode_b]
+            u[e.mode_a] = [tau * x + rho_b * y for x, y in zip(row_a, row_b)]
+            u[e.mode_b] = [rho_a * x + tau * y for x, y in zip(row_a, row_b)]
         else:
-            u[e.mode] *= complex(math.cos(e.per_photon_phase), math.sin(e.per_photon_phase))
+            turn = complex(math.cos(e.per_photon_phase), math.sin(e.per_photon_phase))
+            u[e.mode] = [turn * x for x in u[e.mode]]
             phase += e.const_phase
     return u, phase
 
@@ -205,150 +195,165 @@ def mode_matrix(
 def _creation_operators(mode_count: int, budget: int) -> tuple:
     """Occupations of at most ``budget`` photons and the entries of a_k^dag on them.
 
-    Returns (occs, dst, src, mode, weight): row i of the (sectors, modes)
-    array occs is the occupation of sector i, and a_mode[e]^dag maps sector
-    src[e] to weight[e] times sector dst[e], for every entry e that stays
-    within the budget.  The arrays are read-only and shared by every caller.
+    Returns (occs, ops): occs[i] is the occupation tuple of sector i, and
+    ops[k] lists the (src, dst, weight) entries of a_k^dag, which maps
+    sector src to weight times sector dst, for every entry that stays
+    within the budget.  Both are tuples, shared by every caller.
     """
-    sectors = [
-        occ
-        for occ in itertools.product(range(budget + 1), repeat=mode_count)
-        if sum(occ) <= budget
-    ]
-    index = {occ: i for i, occ in enumerate(sectors)}
-    entries = []
+    grid = itertools.product(range(budget + 1), repeat=mode_count)
+    occs = tuple(occ for occ in grid if sum(occ) <= budget)
+    index = {occ: i for i, occ in enumerate(occs)}
+    ops = []
     for k in range(mode_count):
-        for i, occ in enumerate(sectors):
+        entries = []
+        for i, occ in enumerate(occs):
             raised = occ[:k] + (occ[k] + 1,) + occ[k + 1 :]
             if raised in index:
-                entries.append((index[raised], i, k, math.sqrt(occ[k] + 1)))
-    occs = np.array(sectors, dtype=np.intp)
-    table = np.array(entries, dtype=np.float64).reshape(-1, 4).T
-    dst, src, mode = table[:3].astype(np.intp)
-    weight = table[3]
-    for arr in (occs, dst, src, mode, weight):
-        arr.setflags(write=False)
-    return occs, dst, src, mode, weight
+                entries.append((i, index[raised], math.sqrt(occ[k] + 1)))
+        ops.append(tuple(entries))
+    return occs, tuple(ops)
 
 
 def budget_amplitudes(
     per_mode_states: Sequence[SingleModeState],
-    u: np.ndarray,
+    u: Sequence[Sequence[complex]],
     budget: int,
     global_phase: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple[tuple[int, ...], ...], list[complex]]:
     """Output amplitudes of every occupation with at most ``budget`` photons.
 
     The output state is exp(i global_phase) prod_j f_j(b_j^dag) |0>, where
-    b_j^dag = sum_k U[k, j] a_k^dag is the image of input mode j and
+    b_j^dag = sum_k u[k][j] a_k^dag is the image of input mode j and
     f_j(x) = sum_n c_jn x^n / sqrt(n!) holds its Fock amplitudes c_jn.
     Creation operators only add photons, so applying them on the sectors
     within the budget, and dropping what leaves it, gives those sectors'
     amplitudes exactly.
 
-    Returns (occs, amps): amps[i] is the amplitude of the occupation in row
-    i of occs, a read-only (sectors, modes) int array shared by every call
-    with the same mode count and budget.  Every sector has a row, zero
-    amplitudes included.
+    Returns (occs, amps): amps[i] is the amplitude of the occupation occs[i],
+    a tuple of tuples shared by every call with the same mode count and
+    budget.  Every sector has an entry, zero amplitudes included.
     """
     m = len(per_mode_states)
-    if u.shape != (m, m):
-        raise ValueError(f"mode matrix shape {u.shape} does not match {m} input modes")
-    occs, dst, src, mode, weight = _creation_operators(m, budget)
+    if len(u) != m or any(len(row) != m for row in u):
+        raise ValueError(f"mode matrix is not {m} x {m}, the number of input modes")
+    occs, ops = _creation_operators(m, budget)
     size = len(occs)
-    vec = np.zeros(size, dtype=np.complex128)
+    vec = [0j] * size
     vec[0] = complex(math.cos(global_phase), math.sin(global_phase))
     for j, state in enumerate(per_mode_states):
-        c = fock_amplitudes(state, n_max=budget, tail_tol=math.inf).amps
-        coef = u[mode, j] * weight  # the entries of b_j^dag
-        acc = c[0] * vec
+        c = _build_amps(state, budget)
+        acc = [c[0] * v for v in vec]
         term = vec  # (b_j^dag)^n / sqrt(n!) applied to the modes done so far
-        for n in range(1, max(np.flatnonzero(c), default=0) + 1):
-            raised = coef * term[src] / math.sqrt(n)
-            term = np.bincount(dst, raised.real, size) + 1j * np.bincount(dst, raised.imag, size)
-            acc += c[n] * term
+        for n in range(1, max((n for n, cn in enumerate(c) if cn), default=0) + 1):
+            # (u[k][j] * weight) * term[src] * (1 / sqrt(n)), summed per dst from +0
+            # in entry order; a zero factor would add a signed zero, which
+            # leaves such a sum unchanged, so it is skipped
+            inv = 1.0 / math.sqrt(n)
+            raised = [0j] * size
+            for k, entries in enumerate(ops):
+                ukj = u[k][j]
+                if ukj:
+                    for src, dst, weight in entries:
+                        t = term[src]
+                        if t:
+                            raised[dst] += ukj * weight * t * inv
+            term = raised
+            cn = c[n]
+            if cn:  # a zero product could change only the sign of a zero amplitude
+                for i, t in enumerate(term):
+                    if t:
+                        acc[i] += cn * t
         vec = acc
     return occs, vec
 
 
 def post_select(
-    occs: np.ndarray,
-    amps: np.ndarray,
+    occs: Sequence[Sequence[int]],
+    amps: Sequence[complex],
     herald_mode: int,
     herald_count: int,
     output_modes: Sequence[int],
     max_output_photons: int,
-) -> tuple[np.ndarray, float]:
+) -> tuple[list, float]:
     """Condition on an exact herald count and an output photon budget.
 
     ``occs`` and ``amps`` are the occupations and amplitudes that
-    ``budget_amplitudes`` returns; the herald mode and the output modes
-    must partition its modes.  Keeps the amplitudes with exactly
+    ``budget_amplitudes`` returns; the herald mode and one or more output
+    modes must partition its modes.  Keeps the amplitudes with exactly
     ``herald_count`` photons in the herald mode and at most
     ``max_output_photons`` in the output modes combined, and renormalizes
     them over the kept mass.
 
-    Returns (state, success_prob).  state[n_1, ..., n_k] is the amplitude of
-    n_i photons in ``output_modes[i]``, with every axis of length
-    ``max_output_photons + 1``.  success_prob is the kept mass, an absolute
+    Returns (state, success_prob).  state is nested lists, one level per
+    output mode, each of length ``max_output_photons + 1``:
+    state[n_1][n_2]...[n_k] is the amplitude of n_i photons in
+    ``output_modes[i]``.  success_prob is the kept mass, an absolute
     probability, since the amplitudes are those of the normalized circuit
     output.
     """
     if herald_count < 0:
         raise ValueError("herald_count must be >= 0")
     modes = list(output_modes)
-    if sorted(modes + [herald_mode]) != list(range(occs.shape[1])):
+    m = len(occs[0])
+    if not modes or sorted(modes + [herald_mode]) != list(range(m)):
         raise ValueError(
-            f"herald mode plus output modes must partition the {occs.shape[1]} modes"
+            f"herald mode plus one or more output modes must partition the {m} modes"
         )
-    out = occs[:, modes]
-    mask = (occs[:, herald_mode] == herald_count) & (out.sum(axis=1) <= max_output_photons)
-    kept = amps[mask]
-    mass = sum(abs(a) ** 2 for a in kept.tolist())
+    side = max_output_photons + 1
+    kept = []  # (row-major index of the output occupation, amplitude)
+    for occ, amp in zip(occs, amps):
+        out = [occ[k] for k in modes]
+        if occ[herald_mode] == herald_count and sum(out) <= max_output_photons:
+            kept.append((functools.reduce(lambda i, n: i * side + n, out), amp))
+    mass = sum(abs(a) ** 2 for _, a in kept)
     if mass < 1e-15:
         raise EmptyPostSelection(
             f"herald {herald_count} photon(s) in mode {herald_mode} kept no mass"
         )
-    state = np.zeros((max_output_photons + 1,) * len(modes), dtype=np.complex128)
-    state[tuple(out[mask].T)] = kept * (1.0 / math.sqrt(mass))
+    state = [0j] * side ** len(modes)
+    scale = 1.0 / math.sqrt(mass)
+    for i, amp in kept:
+        state[i] = amp * scale
+    for _ in modes[1:]:  # nest the flat list, the last output mode innermost
+        state = [state[i : i + side] for i in range(0, len(state), side)]
     return state, mass
 
 
-def _noonlike_decomposition(state: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _noonlike_decomposition(state: list[list[complex]]) -> tuple[list[complex], float, float]:
     """Extract (phi, fidelity, branch_phase) from a two-mode state.
 
-    ``state[j, k]`` is the amplitude of j and k photons in the two modes, as
+    ``state[j][k]`` is the amplitude of j and k photons in the two modes, as
     ``post_select`` returns it.  phi is read off column 0 (scaled by
     sqrt(2)); the branch phase beta is fitted so that
     (|phi>|0> + e^{i beta}|0>|phi>)/sqrt(2) best matches row 0, and the
     fidelity is the squared overlap with that reconstruction.
     """
-    if state.ndim != 2 or state.shape[0] != state.shape[1]:
+    size = len(state)
+    square = size and all(isinstance(row, list) and len(row) == size for row in state)
+    if not square or isinstance(state[0][0], list):
         raise ValueError("decomposition requires a square two-mode amplitude array")
     root2 = math.sqrt(2.0)
-    phi = root2 * state[:, 0]
-    overlap = complex(np.sum(np.conj(phi[1:]) * (root2 * state[0, 1:])))
+    phi = [root2 * row[0] for row in state]
+    overlap = sum(a.conjugate() * (root2 * b) for a, b in zip(phi[1:], state[0][1:]))
     beta = math.atan2(overlap.imag, overlap.real) if abs(overlap) > 1e-300 else 0.0
 
     # (reconstruction, state) amplitude pairs at (n, 0) and (0, n) for n >= 1,
-    # then at the vacuum.  The products are scalar so that their rounding
-    # does not depend on the SIMD loop numpy picks for arrays, which may fuse
-    # a multiply and an add.
+    # then at the vacuum
     phase = complex(math.cos(beta), math.sin(beta))
     pairs = []
-    for n in range(1, len(phi)):
-        pairs += [(phi[n] / root2, state[n, 0]), (phase * phi[n] / root2, state[0, n])]
-    vac = complex(state[0, 0])
+    for n in range(1, size):
+        pairs += [(phi[n] / root2, state[n][0]), (phase * phi[n] / root2, state[0][n])]
+    vac = state[0][0]
     pairs.append((vac, vac))
 
-    dot = sum(np.conj(a) * b for a, b in pairs)
+    dot = sum(a.conjugate() * b for a, b in pairs)
     norm_r = sum(abs(a) ** 2 for a, _ in pairs)
-    norm_s = sum(abs(a) ** 2 for a in state.ravel().tolist())
+    norm_s = sum(abs(a) ** 2 for row in state for a in row)
     fidelity = abs(dot) ** 2 / (norm_r * norm_s) if norm_r > 0 else 0.0
-    return phi, float(fidelity), beta
+    return phi, fidelity, beta
 
 
-def verify_noonlike_form(state: np.ndarray) -> tuple[np.ndarray, float]:
+def verify_noonlike_form(state: list[list[complex]]) -> tuple[list[complex], float]:
     """Candidate branch amplitudes and fidelity to the two-branch form.
 
     ``state`` is a two-mode amplitude array as ``post_select`` returns it.
@@ -365,7 +370,7 @@ def pump_amplitude(r: float) -> float:
     return math.sqrt(1.5 * math.tanh(r))
 
 
-def heralded_target_amplitudes(r: float) -> np.ndarray:
+def heralded_target_amplitudes(r: float) -> list[complex]:
     """Reference amplitudes c_0..c_4 of the heralded branch state.
 
     c_n = i^n |c_n| with magnitudes (2 sqrt(2), 2 sqrt(3 t), 2 sqrt(3) t,
@@ -373,10 +378,10 @@ def heralded_target_amplitudes(r: float) -> np.ndarray:
     """
     t = math.tanh(r)
     g = math.sqrt(8.0 + 12.0 * t + 12.0 * t * t + 9.0 * t**3)
-    mags = np.array(
-        [0.0, 2.0 * math.sqrt(2.0), 2.0 * math.sqrt(3.0 * t), 2.0 * math.sqrt(3.0) * t, 3.0 * t**1.5]
-    )
-    return mags / g * np.array([1j**n for n in range(5)])
+    mags = [
+        0.0, 2.0 * math.sqrt(2.0), 2.0 * math.sqrt(3.0 * t), 2.0 * math.sqrt(3.0) * t, 3.0 * t**1.5
+    ]
+    return [mag / g * 1j**n for n, mag in enumerate(mags)]
 
 
 def heralded_success_probability(r: float) -> float:
@@ -417,13 +422,13 @@ def run_experiment(
     )
     phi, fidelity, beta = _noonlike_decomposition(state)
 
-    norm = float(np.sum(np.abs(phi) ** 2))
+    probs = [abs(c) ** 2 for c in phi]
+    norm = sum(probs)
     if abs(norm - 1.0) > 1e-10:
         raise NoonlikeError(f"branch amplitudes not normalized: {norm}")
     if abs(phi[0]) > 1e-10:
         raise NoonlikeError(f"unexpected vacuum component |c_0| = {abs(phi[0]):.3e}")
-    vec = FockVector(phi / math.sqrt(norm), len(phi) - 1, 0.0)
-    n_bar = moments_from_amplitudes(vec).mean_n
+    n_bar = sum(n * p for n, p in enumerate(probs)) / norm
     return ExperimentResult(
         phi_amps=tuple(phi),
         fidelity_to_noonlike=fidelity,
@@ -446,9 +451,8 @@ def experiment_qcrb_comparison(
     noon_pts, ecs_pts, phi_pts = [], [], []
     for r in r_grid:
         result = run_experiment(r, config=config, cutoff=cutoff)
-        amps = np.asarray(result.phi_amps)
-        amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        phi_state = FockSuperposition(tuple(amps))
+        scale = 1.0 / math.sqrt(sum(abs(c) ** 2 for c in result.phi_amps))
+        phi_state = FockSuperposition(tuple(c * scale for c in result.phi_amps))
         q_phi = qcrb_closed_form(ProbeSpec(1, phi_state, Balanced())).qcrb
         n_bar = result.n_bar
         q_noon = noon_qcrb(1, n_bar)
@@ -595,16 +599,7 @@ def parse_circuit_config(text: str) -> CircuitConfig:
             raise ValueError(f"config line {line!r}: missing key {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"config line {line!r}: {exc}") from exc
-    missing = {
-        "mode_count",
-        "coherent_mode",
-        "squeezed_mode",
-        "cutoff",
-        "herald_mode",
-        "herald_count",
-        "output_modes",
-        "max_output_photons",
-    } - set(fields)
+    missing = set(CircuitConfig.__slots__) - {"elements"} - set(fields)
     if missing:
         raise ValueError(f"config missing fields: {sorted(missing)}")
     return CircuitConfig(elements=tuple(elements), **fields)  # type: ignore[arg-type]

@@ -153,9 +153,29 @@ def _reject_unused(params: dict, offered: set[str], accepted, chooser: str) -> N
         raise UsageError(f"{chooser} does not take {', '.join(unused)}")
 
 
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """``--flag -1e5`` as ``--flag=-1e5``, for every value that float() reads.
+
+    argparse takes a separate token that starts with "-" for an option unless
+    it is a plain negative number, so ``-1e5`` or ``-inf`` would lose its flag.
+    """
+    out: list[str] = []
+    for token in argv:
+        if token.startswith("-") and out and out[-1].startswith("--") and "=" not in out[-1]:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def parse_args(argv: Sequence[str]) -> tuple[str, dict]:
     """Validated (command, params); raises UsageError on bad input."""
-    ns = _build_parser().parse_args(list(argv))
+    ns = _build_parser().parse_args(_attach_negative_values(argv))
     params = {k: v for k, v in vars(ns).items() if k != "command"}
     _finite(params)
     _positive(params, ["n", "n_bar", "r", "r_prime", "b2", "n_min", "n_max", "steps", "cutoff"])

@@ -57,6 +57,10 @@ class ModeOutOfRange(NoonlikeError):
     """A circuit element referenced a mode outside the state."""
 
 
+class ParameterOutOfRange(NoonlikeError):
+    """A nonzero parameter too large or too small for its moments to be representable."""
+
+
 class NonFiniteResult(NoonlikeError):
     """A reported value came out infinite or NaN."""
 

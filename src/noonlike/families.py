@@ -34,7 +34,9 @@ from .states import (
     SingleModeState,
     SqueezedCoherent,
     SqueezedVacuum,
+    _N_RANGE,
     _Frozen,
+    _require_real,
     moments,
 )
 
@@ -97,6 +99,7 @@ class FamilyTarget(_Frozen):
             raise ValueError(f"d must be >= 1, got {d}")
         if n_bar_target <= 0.0:
             raise ValueError(f"n_bar_target must be positive, got {n_bar_target}")
+        _require_real("n_bar", n_bar_target, _N_RANGE)  # NOON's n is n_bar
         if family is Family.ESCS:
             if fixed_extras is None or fixed_extras < 0.0:
                 raise ValueError("ESCS targets need a nonnegative fixed squeeze factor")

@@ -2,8 +2,11 @@
 
 Each state is described both analytically (closed-form moments of the photon
 number operator) and numerically (truncated Fock expansions), so the two
-routes can check each other.  Only the numeric route needs numpy, and it
-imports it when first called, so the analytic route starts without it.
+routes can check each other.  The expansions are built as plain lists by
+``_build_amps``, which the circuit simulator reads directly.  Only the
+numeric oracles, ``fock_amplitudes`` with its ``FockVector`` and
+``moments_from_amplitudes``, need numpy, and they import it when first
+called, so the analytic route and the simulator start without it.
 
 Conventions
 -----------
@@ -32,9 +35,10 @@ classes keep the import of these modules free of generated code.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING
 
-from .errors import TruncationInsufficient, ZeroPhotonState
+from .errors import ParameterOutOfRange, TruncationInsufficient, ZeroPhotonState
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,13 +60,33 @@ __all__ = [
 
 _NORM_TOL = 1e-12
 
+# The bound divides by <n>^2, and <n^2> holds terms of fourth order in the
+# state's parameter: n^2 for a number state; alpha^4, sinh(r)^4 and
+# alpha^2 e^(2r) otherwise.  A nonzero parameter keeps that fourth power
+# between the smallest normal double, below which <n>^2 loses digits or
+# vanishes, and 1/64 of the largest, which leaves room for the sums.  The
+# ranges below bound the parameter's square, which is cheaper to test.
+_P4_MIN, _P4_MAX = sys.float_info.min, sys.float_info.max / 64
+_N_RANGE = (_P4_MIN, _P4_MAX)
+_ALPHA_RANGE = (_P4_MIN**0.5, _P4_MAX**0.5)
+_R_RANGE = (math.asinh(_P4_MIN**0.25) ** 2, math.asinh(_P4_MAX**0.25) ** 2)
 
-def _require_real(name: str, value) -> float:
-    if isinstance(value, complex):
-        raise TypeError(f"{name} must be a real number, got complex {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValueError(f"{name} must be finite, got {out}")
+
+def _require_real(name: str, value, limits: tuple[float, float]) -> float:
+    """``value`` as a float that is 0 or whose square lies within ``limits``."""
+    out = value
+    if type(out) is not float:  # the solvers pass floats, which need no conversion
+        if isinstance(value, complex):
+            raise TypeError(f"{name} must be a real number, got complex {value!r}")
+        out = float(value)
+    if not limits[0] <= out * out <= limits[1] and out:
+        if not math.isfinite(out):
+            raise ValueError(f"{name} must be finite, got {out}")
+        lo, hi = (math.sqrt(limit) for limit in limits)
+        raise ParameterOutOfRange(
+            f"{name} = {out!r} is out of range: its magnitude must be 0"
+            f" or within [{lo:.6g}, {hi:.6g}]"
+        )
     return out
 
 
@@ -70,7 +94,8 @@ class _Frozen:
     """Immutable value whose fields are the names in ``__slots__``.
 
     A subclass sets each field once in its ``__init__`` with
-    ``object.__setattr__``, the only way past ``__setattr__`` here.
+    ``object.__setattr__``, the only way past ``__setattr__`` here, or all
+    of them at once, in ``__slots__`` order, with ``_assign``.
     """
 
     __slots__ = ()
@@ -99,6 +124,10 @@ class _Frozen:
     def __reduce__(self):
         return self.__class__, self._values()
 
+    def _assign(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
 
 class Fock(_Frozen):
     """Number state |n>.
@@ -111,7 +140,7 @@ class Fock(_Frozen):
     __slots__ = ("n",)
 
     def __init__(self, n: float):
-        n = _require_real("n", n)
+        n = _require_real("n", n, _N_RANGE)
         if n < 0:
             raise ValueError(f"photon count must be nonnegative, got {n}")
         object.__setattr__(self, "n", n)
@@ -125,22 +154,22 @@ class Coherent(_Frozen):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha: float):
-        object.__setattr__(self, "alpha", _require_real("alpha", alpha))
+        object.__setattr__(self, "alpha", _require_real("alpha", alpha, _ALPHA_RANGE))
 
 
 class SqueezedVacuum(_Frozen):
     __slots__ = ("r",)
 
     def __init__(self, r: float):
-        object.__setattr__(self, "r", _require_real("r", r))
+        object.__setattr__(self, "r", _require_real("r", r, _R_RANGE))
 
 
 class SqueezedCoherent(_Frozen):
     __slots__ = ("alpha", "r")
 
     def __init__(self, alpha: float, r: float):
-        object.__setattr__(self, "alpha", _require_real("alpha", alpha))
-        object.__setattr__(self, "r", _require_real("r", r))
+        object.__setattr__(self, "alpha", _require_real("alpha", alpha, _ALPHA_RANGE))
+        object.__setattr__(self, "r", _require_real("r", r, _R_RANGE))
 
 
 class FockSuperposition(_Frozen):
@@ -229,28 +258,23 @@ def moments(state: SingleModeState) -> Moments:
     raise TypeError(f"not a SingleModeState: {state!r}")
 
 
-def _coherent_amps(alpha: float, n_max: int) -> np.ndarray:
-    import numpy as np
-
+def _coherent_amps(alpha: float, n_max: int) -> list[float]:
     # log-space accumulation keeps n ~ hundreds finite past the 170! overflow
-    out = np.zeros(n_max + 1, dtype=np.complex128)
+    out = [0.0] * (n_max + 1)
     if alpha == 0.0:
         out[0] = 1.0
         return out
     a = abs(alpha)
-    n = np.arange(n_max + 1, dtype=np.float64)
-    log_mag = -0.5 * a * a + n * math.log(a) - 0.5 * np.array(
-        [math.lgamma(k + 1.0) for k in range(n_max + 1)]
-    )
-    sign = np.sign(alpha) ** n
-    out[:] = sign * np.exp(log_mag)
+    half_a2, log_a = -0.5 * a * a, math.log(a)
+    sign = math.copysign(1.0, alpha)
+    for n in range(n_max + 1):
+        log_mag = half_a2 + n * log_a - 0.5 * math.lgamma(n + 1.0)
+        out[n] = sign**n * math.exp(log_mag)
     return out
 
 
-def _squeezed_vacuum_amps(r: float, n_max: int) -> np.ndarray:
-    import numpy as np
-
-    out = np.zeros(n_max + 1, dtype=np.complex128)
+def _squeezed_vacuum_amps(r: float, n_max: int) -> list[float]:
+    out = [0.0] * (n_max + 1)
     if r == 0.0:
         out[0] = 1.0
         return out
@@ -268,13 +292,11 @@ def _squeezed_vacuum_amps(r: float, n_max: int) -> np.ndarray:
     return out
 
 
-def _squeezed_coherent_amps(alpha: float, r: float, n_max: int) -> np.ndarray:
+def _squeezed_coherent_amps(alpha: float, r: float, n_max: int) -> list[float]:
     # Stable two-term recurrence from the transformed annihilation relation
     #   (a cosh r - a^dag sinh r) |psi> = alpha e^{-r} |psi>
     # valid for the displacement-after-squeeze ordering documented above.
-    import numpy as np
-
-    out = np.zeros(n_max + 1, dtype=np.complex128)
+    out = [0.0] * (n_max + 1)
     ch = math.cosh(r)
     sh = math.sinh(r)
     gamma = alpha * math.exp(-r)
@@ -288,13 +310,12 @@ def _squeezed_coherent_amps(alpha: float, r: float, n_max: int) -> np.ndarray:
     return out
 
 
-def _build_amps(state: SingleModeState, n_max: int) -> np.ndarray:
-    import numpy as np
-
+def _build_amps(state: SingleModeState, n_max: int) -> list:
+    """Fock amplitudes c_0..c_n_max of ``state``: floats, or complex for a superposition."""
     if isinstance(state, Fock):
         if state.is_effective:
             raise ValueError("effective (non-integer) Fock states have no expansion")
-        out = np.zeros(n_max + 1, dtype=np.complex128)
+        out = [0.0] * (n_max + 1)
         n = int(state.n)
         if n <= n_max:
             out[n] = 1.0
@@ -306,7 +327,7 @@ def _build_amps(state: SingleModeState, n_max: int) -> np.ndarray:
     if isinstance(state, SqueezedCoherent):
         return _squeezed_coherent_amps(state.alpha, state.r, n_max)
     if isinstance(state, FockSuperposition):
-        out = np.zeros(n_max + 1, dtype=np.complex128)
+        out = [0.0] * (n_max + 1)
         upto = min(n_max + 1, len(state.amps))
         out[:upto] = state.amps[:upto]
         return out
@@ -338,7 +359,7 @@ def fock_amplitudes(
     if n_max is not None:
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
-        amps = _build_amps(state, n_max)
+        amps = np.array(_build_amps(state, n_max), dtype=np.complex128)
         tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
         if tail > tail_tol:
             raise TruncationInsufficient(
@@ -348,7 +369,7 @@ def fock_amplitudes(
 
     cutoff = _default_start(state)
     for _ in range(8):
-        amps = _build_amps(state, cutoff)
+        amps = np.array(_build_amps(state, cutoff), dtype=np.complex128)
         tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
         if tail < tail_tol:
             return FockVector(amps, cutoff, tail)

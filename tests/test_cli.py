@@ -66,6 +66,27 @@ class TestParseArgs:
         assert captured.out == ""
         assert captured.err == f"usage error: {flag} must be finite, got {value}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qcrb", "--family", "esvs", "--d", "5", "--r", "2", "--b2", "-inf"],
+            ["qcrb", "--family", "ecs", "--d", "5", "--alpha", "-1e5"],
+            ["qcrb", "--family", "ecs", "--d", "5", "--alpha", "-1.5"],
+            ["qcrb", "--family", "noon", "--d", "5", "--n", "-NaN"],
+            ["compare", "--d", "5", "--n-bar", "-1E-3"],
+        ],
+        ids=" ".join,
+    )
+    def test_negative_value_as_separate_token(self, capsys, argv):
+        # "--flag -1e5" and "--flag=-1e5" give the same output and exit code
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        results = []
+        for form in (argv, joined):
+            code = main(form)
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1]
+        assert "expected one argument" not in results[0][2]
+
     def test_qcrb_valid(self):
         _, params = parse_args(["qcrb", "--family", "noon", "--d", "5", "--n", "2"])
         assert params["n"] == 2.0
@@ -147,6 +168,25 @@ class TestCommands:
         assert main(["qcrb", "--family", "esvs", "--d", "5", "--r", "800"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["qcrb", "--family", "ecs", "--d", "5", "--alpha", "1e200"], "alpha"),
+            (["qcrb", "--family", "noon", "--d", "5", "--n", "1e200"], "n"),
+            (["compare", "--d", "5", "--n-bar", "1e300"], "n_bar"),
+            (["qcrb", "--family", "esvs", "--d", "5", "--r", "400"], "r"),
+            (["qcrb", "--family", "ecs", "--d", "5", "--alpha", "1e-160"], "alpha"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_unrepresentable_parameter_exit_code(self, capsys, argv, name):
+        # moments that overflow, or an <n>^2 that underflows, name the argument
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        value = float(argv[-1])
+        assert captured.err.startswith(f"error: {name} = {value!r} is out of range")
 
     @pytest.mark.parametrize(
         "line, broken",

@@ -1,13 +1,15 @@
-"""Start-up cost of the CLI: the closed-form commands load neither numpy nor the circuit.
+"""Start-up cost of the CLI: only figures 2 and 3 load numpy.
 
 Every value of ``qcrb``, ``compare``, ``sweep-escs``, ``unbalanced`` and
 ``figure --id 4`` comes from scalar math, so their processes must not pay
 for importing numpy or ``noonlike.circuit``, nor for ``dataclasses`` (which
-loads ``inspect``) or, with CSV output, ``json``.  Each invocation runs in a
-fresh interpreter, since this one has imported all of them long ago.  The
-gates count modules, never seconds.  The pure-Python stand-ins for
-``np.linspace`` and ``np.interp`` that make this possible are checked
-against numpy bit for bit.
+loads ``inspect``) or, with CSV output, ``json``.  The heralded-source
+commands, ``experiment`` and ``figure --id 6``, load the circuit simulator,
+which is plain Python too, so they must not load numpy or ``dataclasses``
+either.  Each invocation runs in a fresh interpreter, since this one has
+imported all of them long ago.  The gates count modules, never seconds.
+The pure-Python stand-ins for ``np.linspace`` and ``np.interp`` that make
+this possible are checked against numpy bit for bit.
 """
 
 import math
@@ -33,6 +35,12 @@ CLOSED_FORM = [
     ["figure", "--id", "4"],
 ]
 
+HERALDED = [
+    ["experiment", "--r", "1"],
+    ["experiment", "--r", "1", "--format", "json"],
+    ["figure", "--id", "6", "--steps", "3"],
+]
+
 
 @pytest.mark.parametrize("argv", CLOSED_FORM, ids=" ".join)
 def test_closed_form_commands_import_neither_numpy_nor_circuit(cli_in_fresh_interpreter, argv):
@@ -52,15 +60,28 @@ def test_closed_form_commands_generate_no_classes(cli_in_fresh_interpreter, argv
     assert ("json" in modules) == ("json" in argv)
 
 
+@pytest.mark.parametrize("argv", HERALDED, ids=" ".join)
+def test_heralded_commands_load_neither_numpy_nor_classes(cli_in_fresh_interpreter, argv):
+    code, modules = cli_in_fresh_interpreter(argv)
+    assert code == 0
+    assert "noonlike.circuit" in modules
+    assert "numpy" not in modules
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules
+    assert ("json" in modules) == ("json" in argv)
+
+
 @pytest.mark.parametrize(
     "argv, loads",
     [(["experiment", "--r", "1"], "noonlike.circuit"), (["figure", "--id", "2"], "numpy")],
     ids=" ".join,
 )
 def test_array_commands_load_what_they_need(cli_in_fresh_interpreter, argv, loads):
+    # figure 2 keeps numpy for np.geomspace; the simulator needs none
     code, modules = cli_in_fresh_interpreter(argv)
     assert code == 0
     assert loads in modules
+    assert ("numpy" in modules) == (loads == "numpy")
 
 
 def test_circuit_attribute_loads_on_first_use(fresh_python):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from noonlike import (
     Fock,
     FockSuperposition,
     FockVector,
+    ParameterOutOfRange,
     SqueezedCoherent,
     SqueezedVacuum,
     TruncationInsufficient,
@@ -17,6 +19,7 @@ from noonlike import (
     moments,
     moments_from_amplitudes,
 )
+from noonlike.states import _ALPHA_RANGE, _N_RANGE, _R_RANGE
 
 PARAM_GRID = [0.1, 0.35, 0.8, 1.3, 2.0, 2.6, 3.0]
 
@@ -205,3 +208,57 @@ class TestValidation:
     def test_negative_fock_rejected(self):
         with pytest.raises(ValueError):
             Fock(-1)
+
+
+def _accepted_magnitudes(limits):
+    """The smallest and the largest magnitude whose square lies within ``limits``."""
+    lo, hi = (math.sqrt(limit) for limit in limits)
+    while lo * lo < limits[0]:
+        lo = math.nextafter(lo, math.inf)
+    while hi * hi > limits[1]:
+        hi = math.nextafter(hi, 0.0)
+    return lo, hi
+
+
+class TestParameterRange:
+    """A nonzero parameter whose moments would overflow or lose <n>^2 is rejected by name."""
+
+    BUILDS = [
+        pytest.param("n", Fock, _N_RANGE, id="Fock"),
+        pytest.param("alpha", Coherent, _ALPHA_RANGE, id="Coherent"),
+        pytest.param("r", SqueezedVacuum, _R_RANGE, id="SqueezedVacuum"),
+        pytest.param("alpha", lambda a: SqueezedCoherent(a, 0.5), _ALPHA_RANGE, id="ESCS-alpha"),
+        pytest.param("r", lambda r: SqueezedCoherent(0.5, r), _R_RANGE, id="ESCS-r"),
+    ]
+
+    @pytest.mark.parametrize("name, build, limits", BUILDS)
+    def test_outside_rejected(self, name, build, limits):
+        lo, hi = _accepted_magnitudes(limits)
+        for value in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), 1e-300, 1e300):
+            with pytest.raises(ParameterOutOfRange) as info:
+                build(value)
+            assert str(info.value).startswith(f"{name} = {value!r} is out of range")
+
+    def _check_representable(self, state):
+        m = moments(state)
+        assert all(math.isfinite(v) for v in (m.mean_n, m.mean_n2, m.vacuum_prob))
+        assert m.mean_n**2 >= sys.float_info.min
+
+    @pytest.mark.parametrize("name, build, limits", BUILDS)
+    def test_edges_representable(self, name, build, limits):
+        for value in _accepted_magnitudes(limits):
+            self._check_representable(build(value))
+
+    def test_squeezed_coherent_corners_representable(self):
+        alphas, rs = _accepted_magnitudes(_ALPHA_RANGE), _accepted_magnitudes(_R_RANGE)
+        for alpha in (0.0, *alphas, -alphas[1]):
+            for r in (0.0, *rs, -rs[1]):
+                if alpha or r:
+                    self._check_representable(SqueezedCoherent(alpha, r))
+
+    def test_zero_and_non_finite(self):
+        assert moments(Coherent(0.0)).mean_n == 0.0
+        assert moments(SqueezedVacuum(0.0)).mean_n == 0.0
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                Coherent(value)

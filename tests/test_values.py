@@ -1,4 +1,4 @@
-"""Value semantics of the immutable classes in ``states``, ``qcrb`` and ``families``.
+"""Value semantics of the immutable classes in ``states``, ``qcrb``, ``families`` and ``circuit``.
 
 They share one frozen-value base: objects of one class with equal fields are
 equal and hash alike, objects of different classes are never equal (even
@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from noonlike.circuit import BeamSplitter, CircuitConfig, ExperimentResult, PhaseShifter
 from noonlike.families import Family, FamilyTarget, SweepCurve
 from noonlike.qcrb import Balanced, FixedB, OptimizedB, ProbeSpec, QcrbReport, QfiMatrix
 from noonlike.states import (
@@ -82,6 +83,37 @@ CASES = [
         dict(points=((1.0, 0.5, 0.3),), label="d"),
         "SweepCurve(points=((1.0, 0.5, 0.3),), label='c')",
     ),
+    (
+        BeamSplitter,
+        dict(mode_a=0, mode_b=1, transmissivity=0.3, convention="real"),
+        dict(mode_a=0, mode_b=1, transmissivity=0.4, convention="real"),
+        "BeamSplitter(mode_a=0, mode_b=1, transmissivity=0.3, convention='real')",
+    ),
+    (
+        PhaseShifter,
+        dict(mode=1, const_phase=0.5, per_photon_phase=-1.5),
+        dict(mode=1, const_phase=0.5, per_photon_phase=1.5),
+        "PhaseShifter(mode=1, const_phase=0.5, per_photon_phase=-1.5)",
+    ),
+    (
+        ExperimentResult,
+        dict(phi_amps=(0j, 0.6, 0.8j), fidelity_to_noonlike=1.0, n_bar=1.64, success_prob=0.1,
+             branch_phase=3.0),
+        dict(phi_amps=(0j, 0.6, -0.8j), fidelity_to_noonlike=1.0, n_bar=1.64, success_prob=0.1,
+             branch_phase=3.0),
+        "ExperimentResult(phi_amps=(0j, 0.6, 0.8j), fidelity_to_noonlike=1.0, n_bar=1.64,"
+        " success_prob=0.1, branch_phase=3.0)",
+    ),
+    (
+        CircuitConfig,
+        dict(mode_count=2, coherent_mode=0, squeezed_mode=1, elements=(BeamSplitter(0, 1),),
+             herald_mode=1, herald_count=1, output_modes=(0,), max_output_photons=2, cutoff=3),
+        dict(mode_count=2, coherent_mode=0, squeezed_mode=1, elements=(BeamSplitter(0, 1),),
+             herald_mode=1, herald_count=1, output_modes=(0,), max_output_photons=2, cutoff=4),
+        "CircuitConfig(mode_count=2, coherent_mode=0, squeezed_mode=1, elements=(BeamSplitter("
+        "mode_a=0, mode_b=1, transmissivity=0.5, convention='symmetric'),), herald_mode=1,"
+        " herald_count=1, output_modes=(0,), max_output_photons=2, cutoff=3)",
+    ),
 ]
 # Fields holding a numpy array make the object unhashable, as the array is.
 UNHASHABLE = {FockVector, QfiMatrix}
@@ -97,7 +129,7 @@ def case(request):
 
 
 def test_every_value_class_is_covered():
-    assert len({c[0] for c in CASES}) == len(CASES) == 15
+    assert len({c[0] for c in CASES}) == len(CASES) == 19
 
 
 def test_equal_fields_give_equal_objects(case):
@@ -129,6 +161,7 @@ def test_changed_field_gives_unequal_object(case):
         (Balanced(), ()),
         (Coherent(1.0), (1.0,)),
         (Moments(1.0, 2.0, 0.5), (1.0, 2.0, 0.5)),
+        (BeamSplitter(0, 1), PhaseShifter(0)),
     ],
     ids=lambda v: type(v).__name__,
 )
@@ -168,6 +201,8 @@ def test_defaults():
     report = QcrbReport(1.0, 0.5, 2.0, 0.1, 2.0, 1.5)
     assert (report.family, report.parameter) == ("", None)
     assert FamilyTarget(Family.ECS, 5, 4.0).fixed_extras is None
+    assert BeamSplitter(0, 1) == BeamSplitter(0, 1, transmissivity=0.5, convention="symmetric")
+    assert PhaseShifter(2) == PhaseShifter(2, const_phase=0.0, per_photon_phase=0.0)
 
 
 def test_copy_and_pickle_give_equal_objects(case):
