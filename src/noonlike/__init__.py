@@ -34,13 +34,13 @@ from .errors import (
 )
 from .families import (
     Family,
-    FamilyTarget,
     SweepCurve,
     balanced_vs_unbalanced_sweep,
     compare_families_at_nbar,
     compare_sweeps_at_common_nbar,
     escs_ratio_bracket_check,
     escs_sweep_r_prime,
+    matched_report,
     solve_param_for_nbar,
 )
 from .qcrb import (

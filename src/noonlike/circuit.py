@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError, OrderingViolation
-from .families import Family, FamilyTarget, SweepCurve, solve_param_for_nbar
+from .families import Family, SweepCurve, matched_report
 from .qcrb import Balanced, ProbeSpec, noon_qcrb, qcrb_closed_form
 from .states import Coherent, Fock, FockSuperposition, SingleModeState, SqueezedVacuum
 from .states import _build_amps, _Frozen
@@ -456,8 +456,7 @@ def experiment_qcrb_comparison(
         q_phi = qcrb_closed_form(ProbeSpec(1, phi_state, Balanced())).qcrb
         n_bar = result.n_bar
         q_noon = noon_qcrb(1, n_bar)
-        ecs_state = solve_param_for_nbar(FamilyTarget(Family.ECS, 1, n_bar))
-        q_ecs = qcrb_closed_form(ProbeSpec(1, ecs_state, Balanced())).qcrb
+        q_ecs = matched_report(Family.ECS, 1, n_bar).qcrb
         if not q_ecs < q_phi < q_noon:
             raise OrderingViolation(
                 f"expected ECS < heralded < NOON at r={r}: {q_ecs}, {q_phi}, {q_noon}"

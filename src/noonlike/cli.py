@@ -3,7 +3,8 @@
 Identical invocations produce byte-identical output files: no timestamps,
 fixed column orders, and every value formatted to 12 significant digits.
 Exit codes: 0 success, 1 computation error, 2 usage error.  An option that
-the chosen family or figure does not use is a usage error.
+the chosen family or figure does not use is a usage error, and so is a grid
+of several points whose min is not below its max.
 
 The default output directory is the current directory unless
 NOONLIKE_OUTPUT_DIR is set.
@@ -18,17 +19,16 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .errors import NoonlikeError, UsageError
+from .errors import NoonlikeError, OrderingViolation, UsageError
 from .families import (
     PARAMETERS,
     Family,
-    FamilyTarget,
     balanced_vs_unbalanced_sweep,
     compare_families_at_nbar,
     compare_sweeps_at_common_nbar,
     constituent,
     escs_sweep_r_prime,
-    solve_param_for_nbar,
+    matched_report,
 )
 from .qcrb import (
     Balanced,
@@ -36,7 +36,7 @@ from .qcrb import (
     OptimizedB,
     ProbeSpec,
     QcrbReport,
-    noon_qcrb,
+    noon_ceiling,
     qcrb_closed_form,
 )
 
@@ -153,6 +153,16 @@ def _reject_unused(params: dict, offered: set[str], accepted, chooser: str) -> N
         raise UsageError(f"{chooser} does not take {', '.join(unused)}")
 
 
+def _increasing_ranges(params: dict) -> None:
+    """UsageError unless each range of a grid of several points has min < max."""
+    for lo, hi in (("r_min", "r_max"), ("n_min", "n_max")):
+        if (params.get("steps") or 0) > 1 and lo in params and params[lo] >= params[hi]:
+            raise UsageError(
+                f"{_flag(lo)} must be less than {_flag(hi)} when --steps > 1, "
+                f"got {params[lo]} and {params[hi]}"
+            )
+
+
 def _attach_negative_values(argv: Sequence[str]) -> list[str]:
     """``--flag -1e5`` as ``--flag=-1e5``, for every value that float() reads.
 
@@ -193,6 +203,8 @@ def parse_args(argv: Sequence[str]) -> tuple[str, dict]:
         accepted = _FIGURE_DEFAULTS[ns.id].keys() | ({"circuit", "cutoff"} if ns.id == 6 else set())
         offered = params.keys() - {"id", "out", "format"}
         _reject_unused(params, offered, accepted, f"figure --id {ns.id}")
+        params = _FIGURE_DEFAULTS[ns.id] | {k: v for k, v in params.items() if v is not None}
+    _increasing_ranges(params)
     return ns.command, params
 
 
@@ -302,8 +314,7 @@ def _cmd_experiment(params: dict) -> tuple[list[str], list[list]]:
 
 
 def _assert_rows_bounded(d: int, n_bar: float, values: Sequence[float]) -> None:
-    bound = noon_qcrb(d, n_bar) + 1e-12
-    if any(v > bound for v in values):
+    if any(v > noon_ceiling(d, n_bar) for v in values):
         raise NoonlikeError(f"emitted value exceeds the NOON bound at n_bar={n_bar}")
 
 
@@ -330,17 +341,13 @@ def _figure_3(params: dict) -> tuple[list[str], list[list]]:
     rows = []
     for n_bar in grid:
         nb = float(n_bar)
-        ecs = qcrb_closed_form(
-            ProbeSpec(d, solve_param_for_nbar(FamilyTarget(Family.ECS, d, nb)), Balanced())
-        ).qcrb
-        esvs = qcrb_closed_form(
-            ProbeSpec(d, solve_param_for_nbar(FamilyTarget(Family.ESVS, d, nb)), Balanced())
-        ).qcrb
+        ecs = matched_report(Family.ECS, d, nb).qcrb
+        esvs = matched_report(Family.ESVS, d, nb).qcrb
         escs_curve = escs_sweep_r_prime(d, nb, r_primes)
         escs_vals = [q for _, q, _ in escs_curve.points]
         ordered = [ecs] + escs_vals + [esvs]
         if not all(a > b for a, b in zip(ordered, ordered[1:])):
-            raise NoonlikeError(f"expected ECS > ESCS(r') > ESVS at n_bar={nb}: {ordered}")
+            raise OrderingViolation(f"expected ECS > ESCS(r') > ESVS at n_bar={nb}: {ordered}")
         _assert_rows_bounded(d, nb, ordered)
         rows.append([nb] + ordered)
     return ["n_bar", "ecs", "escs_r0.4", "escs_r0.8", "escs_r1.2", "esvs"], rows
@@ -369,8 +376,7 @@ _FIGURES = {2: _figure_2, 3: _figure_3, 4: _cmd_unbalanced, 6: _figure_6}
 
 
 def _cmd_figure(params: dict) -> tuple[list[str], list[list]]:
-    given = {k: v for k, v in params.items() if v is not None}
-    return _FIGURES[params["id"]](_FIGURE_DEFAULTS[params["id"]] | given)
+    return _FIGURES[params["id"]](params)
 
 
 _COMMANDS = {

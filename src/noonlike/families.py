@@ -6,7 +6,10 @@ compared at a common mean total photon number of the balanced probe.  The
 NOON column uses the interpolated ("effective") photon number so that all
 four curves share an x-axis; the other three families are matched by
 bisection on their free parameter, which maps monotonically to the mean
-photon number.
+photon number.  ``solve_param_for_nbar`` does the matching and
+``matched_report`` adds the balanced bound; every comparison at a fixed
+budget (the four families, the squeeze-factor sweep, figure 3 and the
+heralded source's coherent reference) goes through ``matched_report``.
 
 Grid sweeps are pure and deterministic; points are produced in grid order.
 """
@@ -47,9 +50,9 @@ __all__ = [
     "Family",
     "PARAMETERS",
     "constituent",
-    "FamilyTarget",
     "SweepCurve",
     "solve_param_for_nbar",
+    "matched_report",
     "compare_families_at_nbar",
     "escs_sweep_r_prime",
     "escs_ratio_bracket_check",
@@ -83,30 +86,6 @@ def constituent(
     if family is Family.ESCS:
         return lambda alpha: SqueezedCoherent(alpha, r_prime)
     return {Family.NOON: Fock, Family.ECS: Coherent, Family.ESVS: SqueezedVacuum}[family]
-
-
-class FamilyTarget(_Frozen):
-    __slots__ = ("family", "d", "n_bar_target", "fixed_extras")
-
-    def __init__(
-        self,
-        family: Family,
-        d: int,
-        n_bar_target: float,
-        fixed_extras: float | None = None,  # squeeze factor of the ESCS constituent
-    ):
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
-        if n_bar_target <= 0.0:
-            raise ValueError(f"n_bar_target must be positive, got {n_bar_target}")
-        _require_real("n_bar", n_bar_target, _N_RANGE)  # NOON's n is n_bar
-        if family is Family.ESCS:
-            if fixed_extras is None or fixed_extras < 0.0:
-                raise ValueError("ESCS targets need a nonnegative fixed squeeze factor")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n_bar_target", n_bar_target)
-        object.__setattr__(self, "fixed_extras", fixed_extras)
 
 
 class SweepCurve(_Frozen):
@@ -167,35 +146,52 @@ def _bisect_increasing(fn: Callable[[float], float], target: float, guess: float
     return 0.5 * (lo + hi)
 
 
-def solve_param_for_nbar(target: FamilyTarget) -> SingleModeState:
-    """State of the requested family whose balanced probe has the target n_bar.
+def solve_param_for_nbar(
+    family: Family, d: int, n_bar: float, r_prime: float | None = None
+) -> SingleModeState:
+    """State of the family whose balanced d-phase probe has mean photon number n_bar.
 
-    NOON targets return an effective number state directly (its mean photon
-    number equals the occupation).  The other families bisect their free
-    parameter; the map to n_bar is strictly increasing, so a target below
-    the value at parameter 0 (possible for ESCS with a fixed squeeze factor)
-    raises BracketFailure.
+    ``r_prime`` is the squeeze factor of the ESCS constituent; the other
+    families ignore it.  NOON returns an effective number state directly (its
+    mean photon number equals the occupation).  The other families bisect
+    their free parameter; the map to n_bar is strictly increasing, so a
+    target below the value at parameter 0 (possible for ESCS with a fixed
+    squeeze factor) raises BracketFailure.
     """
-    build = constituent(target.family, target.fixed_extras)
-    if target.family is Family.NOON:
-        return build(target.n_bar_target)
-    d = target.d
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if n_bar <= 0.0:
+        raise ValueError(f"n_bar must be positive, got {n_bar}")
+    _require_real("n_bar", n_bar, _N_RANGE)  # NOON's n is n_bar
+    if family is Family.ESCS and (r_prime is None or r_prime < 0.0):
+        raise ValueError("ESCS needs a nonnegative squeeze factor r_prime")
+    build = constituent(family, r_prime)
+    if family is Family.NOON:
+        return build(n_bar)
 
     def nbar_of(p: float) -> float:
         return mean_total_photons(d, build(p))
 
-    guess = math.sqrt(target.n_bar_target)
-    if target.family is Family.ESVS:
-        guess = math.asinh(math.sqrt(target.n_bar_target))
-    param = _bisect_increasing(nbar_of, target.n_bar_target, guess)
+    guess = math.sqrt(n_bar)
+    if family is Family.ESVS:
+        guess = math.asinh(math.sqrt(n_bar))
+    param = _bisect_increasing(nbar_of, n_bar, guess)
     state = build(param)
-    residual = abs(mean_total_photons(d, state) - target.n_bar_target)
-    if residual > _RESIDUAL_TOL * max(1.0, target.n_bar_target):
+    residual = abs(mean_total_photons(d, state) - n_bar)
+    if residual > _RESIDUAL_TOL * max(1.0, n_bar):
         raise BracketFailure(f"bisection residual {residual:.3e} too large")
     return state
 
 
-def _labelled_report(family: Family, d: int, state: SingleModeState) -> QcrbReport:
+def matched_report(
+    family: Family, d: int, n_bar: float, r_prime: float | None = None
+) -> QcrbReport:
+    """Balanced bound of the family matched to n_bar.
+
+    The report carries the family and the solved free parameter; ``r_prime``
+    is as in ``solve_param_for_nbar``.
+    """
+    state = solve_param_for_nbar(family, d, n_bar, r_prime)
     rep = qcrb_closed_form(ProbeSpec(d, state, Balanced()))
     parameter = getattr(state, PARAMETERS[family])
     return QcrbReport(
@@ -213,21 +209,7 @@ def compare_families_at_nbar(
     decrease along NOON -> ECS -> ESCS -> ESVS.  A violation indicates an
     implementation bug and raises OrderingViolation.
     """
-    reports = [
-        _labelled_report(
-            fam,
-            d,
-            solve_param_for_nbar(
-                FamilyTarget(
-                    fam,
-                    d,
-                    n_bar,
-                    escs_r_prime if fam is Family.ESCS else None,
-                )
-            ),
-        )
-        for fam in Family
-    ]
+    reports = [matched_report(fam, d, n_bar, escs_r_prime) for fam in Family]
     qcrbs = [r.qcrb for r in reports]
     n_tildes = [r.n_tilde for r in reports]
     fs = [r.f for r in reports]
@@ -250,14 +232,15 @@ def escs_sweep_r_prime(
     The bound decreases strictly with the squeeze factor; at 0 it equals
     the ECS value and it approaches the ESVS value as the squeeze factor
     approaches the matched-ESVS one (where the displacement shrinks to 0).
+    The grid must be strictly increasing, as the ordering check assumes.
     """
     if any(rp < 0.0 for rp in r_prime_grid):
         raise ValueError("squeeze factors must be nonnegative")
-    points = []
-    for rp in r_prime_grid:
-        state = solve_param_for_nbar(FamilyTarget(Family.ESCS, d, n_bar, rp))
-        rep = qcrb_closed_form(ProbeSpec(d, state, Balanced()))
-        points.append((n_bar, rep.qcrb, rp))
+    if any(b <= a for a, b in zip(r_prime_grid, list(r_prime_grid)[1:])):
+        raise ValueError("r_prime_grid must be strictly increasing")
+    points = [
+        (n_bar, matched_report(Family.ESCS, d, n_bar, rp).qcrb, rp) for rp in r_prime_grid
+    ]
     values = [q for _, q, _ in points]
     if not all(a > b for a, b in zip(values, values[1:])):
         raise OrderingViolation(f"bound not decreasing with squeeze factor: {values}")

@@ -49,6 +49,7 @@ __all__ = [
     "qcrb_closed_form",
     "qcrb_from_f",
     "noon_qcrb",
+    "noon_ceiling",
     "noon_bound_check",
 ]
 
@@ -281,6 +282,11 @@ def noon_qcrb(d: int, n: float) -> float:
     return d * (d + 1) / (2.0 * n * n)
 
 
+def noon_ceiling(d: int, n_bar: float) -> float:
+    """NOON bound at n_bar plus the tolerance that every NOON-bound check allows."""
+    return noon_qcrb(d, n_bar) + _BOUND_TOL
+
+
 def noon_bound_check(report: QcrbReport, d: int) -> bool:
     """True iff the report respects the NOON-state upper bound on the QCRB.
 
@@ -288,4 +294,4 @@ def noon_bound_check(report: QcrbReport, d: int) -> bool:
     probe the check compares the bound with the NOON value at the report's
     balanced ``n_bar``, which no theorem guarantees.
     """
-    return report.qcrb <= noon_qcrb(d, report.n_bar) + _BOUND_TOL
+    return report.qcrb <= noon_ceiling(d, report.n_bar)

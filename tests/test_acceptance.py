@@ -25,7 +25,6 @@ from noonlike import (
     BracketFailure,
     Coherent,
     Family,
-    FamilyTarget,
     Fock,
     FockSuperposition,
     ProbeSpec,
@@ -133,10 +132,10 @@ def test_criterion_5_escs_monotonicity():
     curve = escs_sweep_r_prime(5, 2.0, [0.4, 0.8, 1.2])
     values = [q for _, q, _ in curve.points]
     ecs = qcrb_closed_form(
-        ProbeSpec(5, solve_param_for_nbar(FamilyTarget(Family.ECS, 5, 2.0)), Balanced())
+        ProbeSpec(5, solve_param_for_nbar(Family.ECS, 5, 2.0), Balanced())
     ).qcrb
     esvs = qcrb_closed_form(
-        ProbeSpec(5, solve_param_for_nbar(FamilyTarget(Family.ESVS, 5, 2.0)), Balanced())
+        ProbeSpec(5, solve_param_for_nbar(Family.ESVS, 5, 2.0), Balanced())
     ).qcrb
     ok = (
         values[0] > values[1] > values[2]
@@ -190,7 +189,7 @@ def test_criterion_7_ratio_bracket_grid():
     for alpha_p in np.linspace(0.2, 2.0, 10):
         for r_p in np.linspace(0.2, 2.0, 10):
             n_bar = mean_total_photons(5, SqueezedCoherent(float(alpha_p), float(r_p)))
-            r_matched = solve_param_for_nbar(FamilyTarget(Family.ESVS, 5, n_bar)).r
+            r_matched = solve_param_for_nbar(Family.ESVS, 5, n_bar).r
             holds &= escs_ratio_bracket_check(float(alpha_p), float(r_p), r_matched)
             checked += 1
     ok = holds and checked == 100

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+from noonlike import cli
 from noonlike.cli import main, parse_args
-from noonlike.errors import UsageError
-from noonlike.families import PARAMETERS, Family
+from noonlike.errors import OrderingViolation, UsageError
+from noonlike.families import PARAMETERS, Family, SweepCurve
 
 
 def _read_csv(path):
@@ -114,6 +115,45 @@ class TestParseArgs:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.rstrip().endswith(", ".join(unused))
+
+    @pytest.mark.parametrize(
+        "argv, grid",
+        [
+            (["sweep-escs", "--d", "5", "--n-bar", "4", "--r-min", "1.2", "--r-max", "0.4"], "r"),
+            (["sweep-escs", "--d", "5", "--n-bar", "4", "--r-min", "1", "--r-max", "1",
+              "--steps", "3"], "r"),
+            (["unbalanced", "--d", "5", "--r-min", "2", "--r-max", "1"], "r"),
+            (["unbalanced", "--d", "5", "--r-max", "0.2"], "r"),
+            (["figure", "--id", "2", "--n-min", "20", "--n-max", "0.5"], "n"),
+            (["figure", "--id", "3", "--n-min", "4", "--n-max", "4", "--steps", "2"], "n"),
+            (["figure", "--id", "4", "--r-min", "2", "--r-max", "1"], "r"),
+            (["figure", "--id", "6", "--r-min", "2", "--r-max", "1"], "r"),
+            (["figure", "--id", "6", "--r-max", "0.9"], "r"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_range_not_increasing_rejected(self, capsys, argv, grid):
+        # checked after the defaults are merged, so one given bound can be
+        # at fault against the other's default
+        with pytest.raises(UsageError):
+            parse_args(argv)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: --{grid}-min must be less than --{grid}-max ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-escs", "--d", "5", "--n-bar", "4", "--r-min", "1.2", "--r-max", "0.4",
+             "--steps", "1"],
+            ["figure", "--id", "2", "--n-min", "4", "--n-max", "1", "--steps", "1"],
+        ],
+        ids=["sweep-escs", "figure-2"],
+    )
+    def test_single_point_grid_takes_any_range(self, capsys, argv):
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 class TestCommands:
@@ -256,6 +296,19 @@ class TestFigures:
         assert header == ["n_bar", "ecs", "escs_r0.4", "escs_r0.8", "escs_r1.2", "esvs"]
         for row in rows:
             assert all(a > b for a, b in zip(row[1:], row[2:]))
+
+    def test_figure_3_ordering_fault_is_typed(self, monkeypatch, capsys):
+        # an ESCS column that ties instead of falling must be reported as
+        # the ordering fault it is, with the computation-error exit code
+        def flat_sweep(d, n_bar, grid):
+            return SweepCurve(tuple((n_bar, 1e-9, rp) for rp in grid), label="flat")
+
+        monkeypatch.setattr(cli, "escs_sweep_r_prime", flat_sweep)
+        argv = ["figure", "--id", "3", "--steps", "2"]
+        with pytest.raises(OrderingViolation, match=r"^expected ECS > ESCS\(r'\) > ESVS at n_bar="):
+            cli._figure_3(parse_args(argv)[1])
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: expected ECS > ESCS(r') > ESVS")
 
     def test_figure_4_columns(self, tmp_path):
         target = tmp_path / "fig4.csv"

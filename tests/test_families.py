@@ -9,12 +9,13 @@ from noonlike import (
     Coherent,
     ConstraintInfeasible,
     Family,
-    FamilyTarget,
     FixedB,
     Fock,
     ProbeSpec,
     Moments,
     OptimizedB,
+    ParameterOutOfRange,
+    QcrbReport,
     SqueezedCoherent,
     SqueezedVacuum,
     balanced_vs_unbalanced_sweep,
@@ -22,6 +23,7 @@ from noonlike import (
     compare_sweeps_at_common_nbar,
     escs_ratio_bracket_check,
     escs_sweep_r_prime,
+    matched_report,
     mean_total_photons,
     moments,
     noon_qcrb,
@@ -66,23 +68,23 @@ class TestFamilyTable:
 
 class TestSolve:
     def test_noon_effective(self):
-        state = solve_param_for_nbar(FamilyTarget(Family.NOON, 5, 2.0))
+        state = solve_param_for_nbar(Family.NOON, 5, 2.0)
         assert isinstance(state, Fock) and state.n == 2.0
 
     def test_ecs_example(self):
-        state = solve_param_for_nbar(FamilyTarget(Family.ECS, 1, 2.2462))
+        state = solve_param_for_nbar(Family.ECS, 1, 2.2462)
         assert state.alpha**2 == pytest.approx(2.442, abs=1e-3)
 
     def test_esvs_example(self):
-        state = solve_param_for_nbar(FamilyTarget(Family.ESVS, 5, 4.0))
+        state = solve_param_for_nbar(Family.ESVS, 5, 4.0)
         assert state.r == pytest.approx(1.87, abs=0.01)
         assert state.r == pytest.approx(1.8696812362638453, abs=1e-9)
 
     @pytest.mark.parametrize("d,nb", FEASIBLE_GRID)
     @pytest.mark.parametrize("family", [Family.ECS, Family.ESCS, Family.ESVS])
     def test_residuals(self, family, d, nb):
-        extras = 1.0 if family is Family.ESCS else None
-        state = solve_param_for_nbar(FamilyTarget(family, d, nb, extras))
+        r_prime = 1.0 if family is Family.ESCS else None
+        state = solve_param_for_nbar(family, d, nb, r_prime)
         assert abs(mean_total_photons(d, state) - nb) <= 1e-10 * max(1.0, nb)
 
     @pytest.mark.parametrize("d,floor", [(1, 0.838017), (2, 0.601495)])
@@ -90,9 +92,48 @@ class TestSolve:
         # at zero displacement the family degenerates to the matched
         # squeezed vacuum, so targets below that value have no solution
         with pytest.raises(BracketFailure):
-            solve_param_for_nbar(FamilyTarget(Family.ESCS, d, 0.9 * floor, 1.0))
-        state = solve_param_for_nbar(FamilyTarget(Family.ESCS, d, floor * 1.001, 1.0))
+            solve_param_for_nbar(Family.ESCS, d, 0.9 * floor, 1.0)
+        state = solve_param_for_nbar(Family.ESCS, d, floor * 1.001, 1.0)
         assert state.alpha > 0
+
+
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_d_below_one_rejected(self, d):
+        with pytest.raises(ValueError, match=f"^d must be >= 1, got {d}$"):
+            solve_param_for_nbar(Family.ECS, d, 4.0)
+
+    @pytest.mark.parametrize("n_bar", [0.0, -2.0])
+    def test_nonpositive_n_bar_rejected(self, n_bar):
+        with pytest.raises(ValueError, match="^n_bar must be positive"):
+            solve_param_for_nbar(Family.ESVS, 5, n_bar)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n_bar", [1e300, 1e-160])
+    def test_unrepresentable_n_bar_named(self, family, n_bar):
+        with pytest.raises(ParameterOutOfRange, match=r"^n_bar = .* is out of range"):
+            solve_param_for_nbar(family, 5, n_bar, 1.0)
+
+    @pytest.mark.parametrize("r_prime", [None, -0.5])
+    def test_escs_needs_nonnegative_squeeze(self, r_prime):
+        with pytest.raises(ValueError, match="nonnegative squeeze factor"):
+            solve_param_for_nbar(Family.ESCS, 5, 4.0, r_prime)
+
+
+class TestMatchedReport:
+    @pytest.mark.parametrize("d, n_bar", [(5, 4.0), (1, 2.2462)])
+    def test_equals_the_comparison_row(self, d, n_bar):
+        rows = compare_families_at_nbar(d, n_bar, 1.0)
+        for family, row in zip(Family, rows):
+            report = matched_report(family, d, n_bar, 1.0)
+            for field in QcrbReport.__slots__:
+                assert getattr(report, field) == getattr(row, field), field
+            assert report.family == family.value
+
+    def test_parameter_is_the_solved_one(self):
+        report = matched_report(Family.ESVS, 5, 4.0)
+        assert report.parameter == solve_param_for_nbar(Family.ESVS, 5, 4.0).r
+        assert report.qcrb == pytest.approx(0.0598, abs=0.0005)
+        assert report.n_bar == pytest.approx(4.0, rel=1e-10)
 
 
 class TestCompareFamilies:
@@ -127,7 +168,7 @@ class TestEscsSweep:
     def test_zero_squeeze_equals_ecs(self):
         curve = escs_sweep_r_prime(5, 2.0, [0.0])
         ecs = qcrb_closed_form(
-            ProbeSpec(5, solve_param_for_nbar(FamilyTarget(Family.ECS, 5, 2.0)))
+            ProbeSpec(5, solve_param_for_nbar(Family.ECS, 5, 2.0))
         )
         assert curve.points[0][1] == pytest.approx(ecs.qcrb, abs=1e-10)
 
@@ -136,20 +177,26 @@ class TestEscsSweep:
         values = [q for _, q, _ in curve.points]
         assert values[0] > values[1] > values[2]
 
+    @pytest.mark.parametrize("grid", [[1.2, 0.8, 0.4], [1.0, 1.0, 1.0], [0.4, 1.2, 0.8]])
+    def test_grid_not_increasing_rejected(self, grid):
+        # a reversed or flat grid is an input error, not an ordering fault
+        with pytest.raises(ValueError, match="strictly increasing"):
+            escs_sweep_r_prime(5, 4.0, grid)
+
     def test_approaches_esvs_at_matched_squeeze(self):
         # the family degenerates to the matched squeezed vacuum as the
         # displacement shrinks to zero
-        r_matched = solve_param_for_nbar(FamilyTarget(Family.ESVS, 5, 2.0)).r
+        r_matched = solve_param_for_nbar(Family.ESVS, 5, 2.0).r
         esvs = qcrb_closed_form(ProbeSpec(5, SqueezedVacuum(r_matched))).qcrb
         curve = escs_sweep_r_prime(5, 2.0, [0.99 * r_matched])
         assert curve.points[0][1] == pytest.approx(esvs, rel=0.02)
         assert curve.points[0][1] > esvs
 
     def test_bounded_by_ecs_and_esvs(self):
-        r_matched = solve_param_for_nbar(FamilyTarget(Family.ESVS, 5, 2.0)).r
+        r_matched = solve_param_for_nbar(Family.ESVS, 5, 2.0).r
         esvs = qcrb_closed_form(ProbeSpec(5, SqueezedVacuum(r_matched))).qcrb
         ecs = qcrb_closed_form(
-            ProbeSpec(5, solve_param_for_nbar(FamilyTarget(Family.ECS, 5, 2.0)))
+            ProbeSpec(5, solve_param_for_nbar(Family.ECS, 5, 2.0))
         ).qcrb
         curve = escs_sweep_r_prime(5, 2.0, [0.4, 0.8, 1.2])
         for _, q, _ in curve.points:
@@ -159,7 +206,7 @@ class TestEscsSweep:
 class TestRatioBracket:
     def test_example_point(self):
         nb = mean_total_photons(5, SqueezedCoherent(1.0, 1.0))
-        r_matched = solve_param_for_nbar(FamilyTarget(Family.ESVS, 5, nb)).r
+        r_matched = solve_param_for_nbar(Family.ESVS, 5, nb).r
         assert escs_ratio_bracket_check(1.0, 1.0, r_matched)
 
     def test_large_displacement_limit(self):
@@ -175,7 +222,7 @@ class TestRatioBracket:
     @pytest.mark.parametrize("r_p", np.linspace(0.2, 2.0, 7))
     def test_grid(self, alpha_p, r_p):
         nb = mean_total_photons(5, SqueezedCoherent(alpha_p, r_p))
-        r_matched = solve_param_for_nbar(FamilyTarget(Family.ESVS, 5, nb)).r
+        r_matched = solve_param_for_nbar(Family.ESVS, 5, nb).r
         assert escs_ratio_bracket_check(alpha_p, r_p, r_matched)
 
 

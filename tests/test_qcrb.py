@@ -16,6 +16,7 @@ from noonlike import (
     NonPositivePhotonNumber,
     OptimizedB,
     ProbeSpec,
+    QcrbReport,
     QfiMatrix,
     SingularMatrix,
     SqueezedCoherent,
@@ -32,6 +33,7 @@ from noonlike import (
     qfi_matrix,
     resolve_weights,
 )
+from noonlike.qcrb import noon_ceiling
 
 STATE_GRID = [
     Fock(1),
@@ -237,6 +239,12 @@ class TestNoonBound:
         rep = qcrb_closed_form(ProbeSpec(5, state))
         assert noon_bound_check(rep, 5)
         assert rep.qcrb < noon_qcrb(5, rep.n_bar) - 1e-6
+
+    def test_ceiling_is_the_check_threshold(self):
+        ceiling = noon_ceiling(5, 2.0)
+        assert ceiling == noon_qcrb(5, 2.0) + 1e-12
+        for qcrb, within in ((ceiling, True), (math.nextafter(ceiling, math.inf), False)):
+            assert noon_bound_check(QcrbReport(qcrb, 0.5, 2.0, 0.1, 2.0, 2.0), 5) is within
 
 
 def _probe_tensor(d, state, b2, c):

@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 from noonlike.circuit import BeamSplitter, CircuitConfig, ExperimentResult, PhaseShifter
-from noonlike.families import Family, FamilyTarget, SweepCurve
+from noonlike.families import SweepCurve
 from noonlike.qcrb import Balanced, FixedB, OptimizedB, ProbeSpec, QcrbReport, QfiMatrix
 from noonlike.states import (
     Coherent,
@@ -72,12 +72,6 @@ CASES = [
     ),
     (QfiMatrix, dict(entries=[[2.0]]), dict(entries=[[3.0]]), "QfiMatrix(entries=array([[2.]]))"),
     (
-        FamilyTarget,
-        dict(family=Family.ESCS, d=5, n_bar_target=4.0, fixed_extras=1.0),
-        dict(family=Family.ESCS, d=5, n_bar_target=4.0, fixed_extras=0.5),
-        "FamilyTarget(family=<Family.ESCS: 'escs'>, d=5, n_bar_target=4.0, fixed_extras=1.0)",
-    ),
-    (
         SweepCurve,
         dict(points=((1.0, 0.5, 0.3),), label="c"),
         dict(points=((1.0, 0.5, 0.3),), label="d"),
@@ -129,7 +123,7 @@ def case(request):
 
 
 def test_every_value_class_is_covered():
-    assert len({c[0] for c in CASES}) == len(CASES) == 19
+    assert len({c[0] for c in CASES}) == len(CASES) == 18
 
 
 def test_equal_fields_give_equal_objects(case):
@@ -200,7 +194,6 @@ def test_defaults():
     assert ProbeSpec(5, state).weighting == Balanced()
     report = QcrbReport(1.0, 0.5, 2.0, 0.1, 2.0, 1.5)
     assert (report.family, report.parameter) == ("", None)
-    assert FamilyTarget(Family.ECS, 5, 4.0).fixed_extras is None
     assert BeamSplitter(0, 1) == BeamSplitter(0, 1, transmissivity=0.5, convention="symmetric")
     assert PhaseShifter(2) == PhaseShifter(2, const_phase=0.0, per_photon_phase=0.0)
 

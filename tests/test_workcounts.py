@@ -1,4 +1,4 @@
-"""Ceilings on work counts that do not depend on the machine.
+"""Gates on work counts that do not depend on the machine.
 
 These gates count operations, never seconds, so they hold on any hardware:
 a change that makes a layer do more work fails here even where a timing
@@ -7,9 +7,15 @@ benchmark could not tell it apart from noise.
 
 import pytest
 
-from noonlike import Coherent, Fock, SqueezedVacuum, families
-from noonlike.circuit import budget_amplitudes, default_circuit_config, mode_matrix, pump_amplitude
-from noonlike.families import Family, FamilyTarget, solve_param_for_nbar
+from noonlike import Coherent, Fock, SqueezedVacuum, cli, families
+from noonlike.circuit import (
+    budget_amplitudes,
+    default_circuit_config,
+    experiment_qcrb_comparison,
+    mode_matrix,
+    pump_amplitude,
+)
+from noonlike.families import Family, solve_param_for_nbar
 
 MAX_SECTORS = 56
 MAX_NBAR_EVALS = 51
@@ -26,9 +32,9 @@ def test_reference_circuit_sectors():
     assert len(occs) == len(amps) <= MAX_SECTORS
 
 
-@pytest.mark.parametrize("family, extras", [(Family.ECS, None), (Family.ESCS, 1.0), (Family.ESVS, None)])
+@pytest.mark.parametrize("family, r_prime", [(Family.ECS, None), (Family.ESCS, 1.0), (Family.ESVS, None)])
 @pytest.mark.parametrize("d, n_bar", [(1, 4.0), (5, 4.0), (5, 20.0)])
-def test_solve_nbar_evaluations(monkeypatch, family, extras, d, n_bar):
+def test_solve_nbar_evaluations(monkeypatch, family, r_prime, d, n_bar):
     calls = 0
     original = families.mean_total_photons
 
@@ -38,8 +44,49 @@ def test_solve_nbar_evaluations(monkeypatch, family, extras, d, n_bar):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(families, "mean_total_photons", counted)
-    solve_param_for_nbar(FamilyTarget(family, d, n_bar, extras))
+    solve_param_for_nbar(family, d, n_bar, r_prime)
     assert 0 < calls <= MAX_NBAR_EVALS
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """One-element list counting the calls of ``families.solve_param_for_nbar``.
+
+    Every matched budget in the package is solved through ``families``, so
+    the count sees the calls of ``circuit`` and ``cli`` too.
+    """
+    count = [0]
+    original = families.solve_param_for_nbar
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(families, "solve_param_for_nbar", counted)
+    return count
+
+
+def test_compare_solves_once_per_family(solves):
+    families.compare_families_at_nbar(5, 4.0)
+    assert solves == [4]
+
+
+@pytest.mark.parametrize("grid", [[0.4], [0.4, 0.8, 1.2]])
+def test_escs_sweep_solves_once_per_point(solves, grid):
+    families.escs_sweep_r_prime(5, 4.0, grid)
+    assert solves == [len(grid)]
+
+
+def test_heralded_comparison_solves_once_per_point(solves):
+    experiment_qcrb_comparison([1.0, 1.5, 2.0])
+    assert solves == [3]
+
+
+def test_figure_3_solves_five_per_row(solves, capsys):
+    assert cli.main(["figure", "--id", "3", "--steps", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3
+    assert solves == [5 * len(rows)]
 
 
 def test_qcrb_command_modules(cli_in_fresh_interpreter):
