@@ -51,7 +51,6 @@ from .qcrb import (
     QcrbReport,
     QfiMatrix,
     mean_total_photons,
-    noon_bound_check,
     noon_qcrb,
     qcrb_closed_form,
     qcrb_from_f,

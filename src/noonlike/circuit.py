@@ -53,9 +53,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError, OrderingViolation
+from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError
 from .families import Family, SweepCurve, matched_report
-from .qcrb import Balanced, ProbeSpec, noon_qcrb, qcrb_closed_form
+from .qcrb import Balanced, ProbeSpec, _check_ordered, noon_qcrb, qcrb_closed_form
 from .states import Coherent, Fock, FockSuperposition, SingleModeState, SqueezedVacuum
 from .states import _build_amps, _Frozen
 
@@ -457,18 +457,13 @@ def experiment_qcrb_comparison(
         n_bar = result.n_bar
         q_noon = noon_qcrb(1, n_bar)
         q_ecs = matched_report(Family.ECS, 1, n_bar).qcrb
-        if not q_ecs < q_phi < q_noon:
-            raise OrderingViolation(
-                f"expected ECS < heralded < NOON at r={r}: {q_ecs}, {q_phi}, {q_noon}"
-            )
+        _check_ordered(
+            [q_ecs, q_phi, q_noon], "ECS < heralded < NOON", f"r={r}", increasing=True
+        )
         noon_pts.append((n_bar, q_noon, r))
         ecs_pts.append((n_bar, q_ecs, r))
         phi_pts.append((n_bar, q_phi, r))
-    return (
-        SweepCurve(tuple(noon_pts), label="noon_effective"),
-        SweepCurve(tuple(ecs_pts), label="ecs"),
-        SweepCurve(tuple(phi_pts), label="heralded"),
-    )
+    return SweepCurve(tuple(noon_pts)), SweepCurve(tuple(ecs_pts)), SweepCurve(tuple(phi_pts))
 
 
 # --------------------------- config file handling ---------------------------

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .errors import NoonlikeError, OrderingViolation, UsageError
+from .errors import NoonlikeError, UsageError
 from .families import (
     PARAMETERS,
     Family,
@@ -36,7 +36,8 @@ from .qcrb import (
     OptimizedB,
     ProbeSpec,
     QcrbReport,
-    noon_ceiling,
+    _check_below_noon,
+    _check_ordered,
     qcrb_closed_form,
 )
 
@@ -290,7 +291,11 @@ def _cmd_unbalanced(params: dict) -> tuple[list[str], list[list]]:
     columns = ["r", "n_bar_balanced", "qcrb_balanced", "n_bar_unbalanced", "qcrb_unbalanced"]
     rows = []
     for (nb_b, q_b, r), (nb_u, q_u, _) in zip(bal.points, unb.points):
-        _assert_rows_bounded(params["d"], nb_b, [q_b, q_u])
+        # Proven for balanced probes only.  Weight optimization only lowers
+        # the bound at a fixed squeeze factor, so q_u is held to the NOON
+        # value at the balanced budget nb_b; no theorem bounds it by NOON at
+        # its own budget nb_u, and it often lies above that.
+        _check_below_noon(params["d"], nb_b, [q_b, q_u])
         rows.append([r, nb_b, q_b, nb_u, q_u])
     _, crossover = compare_sweeps_at_common_nbar(bal, unb)
     if crossover is not None:
@@ -313,11 +318,6 @@ def _cmd_experiment(params: dict) -> tuple[list[str], list[list]]:
     return columns, [row]
 
 
-def _assert_rows_bounded(d: int, n_bar: float, values: Sequence[float]) -> None:
-    if any(v > noon_ceiling(d, n_bar) for v in values):
-        raise NoonlikeError(f"emitted value exceeds the NOON bound at n_bar={n_bar}")
-
-
 def _figure_2(params: dict) -> tuple[list[str], list[list]]:
     import numpy as np  # a pure-Python geomspace is not bit-equal to numpy's
 
@@ -327,7 +327,7 @@ def _figure_2(params: dict) -> tuple[list[str], list[list]]:
     for n_bar in grid:
         nb = float(n_bar)
         qcrbs = [r.qcrb for r in compare_families_at_nbar(d, nb, params["r_prime"])]
-        _assert_rows_bounded(d, nb, qcrbs)
+        _check_below_noon(d, nb, qcrbs)
         rows.append([nb] + qcrbs)
     return ["n_bar", "noon", "ecs", f"escs_r{params['r_prime']:g}", "esvs"], rows
 
@@ -346,9 +346,8 @@ def _figure_3(params: dict) -> tuple[list[str], list[list]]:
         escs_curve = escs_sweep_r_prime(d, nb, r_primes)
         escs_vals = [q for _, q, _ in escs_curve.points]
         ordered = [ecs] + escs_vals + [esvs]
-        if not all(a > b for a, b in zip(ordered, ordered[1:])):
-            raise OrderingViolation(f"expected ECS > ESCS(r') > ESVS at n_bar={nb}: {ordered}")
-        _assert_rows_bounded(d, nb, ordered)
+        _check_ordered(ordered, "ECS > ESCS(r') > ESVS", f"d={d}, n_bar={nb}")
+        _check_below_noon(d, nb, ordered)
         rows.append([nb] + ordered)
     return ["n_bar", "ecs", "escs_r0.4", "escs_r0.8", "escs_r1.2", "esvs"], rows
 

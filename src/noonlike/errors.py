@@ -22,7 +22,11 @@ class SingularMatrix(NoonlikeError):
 
 
 class DenominatorNonPositive(NoonlikeError):
-    """The closed-form bound denominator went non-positive; indicates a numerics bug."""
+    """The closed-form bound's denominator R - b^2 d is not positive.
+
+    Only the boundary weight b^2 = 1/d of a number state reaches it: that
+    weight leaves the reference mode empty, and the bound diverges.
+    """
 
 
 class FOutOfRange(NoonlikeError):

@@ -19,14 +19,15 @@ from __future__ import annotations
 import bisect
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-from .errors import BracketFailure, OrderingViolation
+from .errors import BracketFailure
 from .qcrb import (
     Balanced,
     OptimizedB,
     ProbeSpec,
     QcrbReport,
+    _check_ordered,
     mean_total_photons,
     qcrb_closed_form,
     resolve_weights,
@@ -42,9 +43,6 @@ from .states import (
     _require_real,
     moments,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Family",
@@ -91,35 +89,26 @@ def constituent(
 class SweepCurve(_Frozen):
     """Ordered (n_bar, qcrb, parameter) triples; n_bar never decreases."""
 
-    __slots__ = ("points", "label")
+    __slots__ = ("points",)
 
-    def __init__(self, points: tuple[tuple[float, float, float], ...], label: str):
+    def __init__(self, points: tuple[tuple[float, float, float], ...]):
         nbars = [p[0] for p in points]
         if any(b < a - 1e-12 for a, b in zip(nbars, nbars[1:])):
-            raise ValueError(f"n_bar must be non-decreasing along curve {label!r}")
+            raise ValueError("n_bar must be non-decreasing along the curve")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "label", label)
 
     @property
-    def n_bars(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([p[0] for p in self.points])
+    def n_bars(self) -> tuple[float, ...]:
+        return tuple(p[0] for p in self.points)
 
     @property
-    def qcrbs(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([p[1] for p in self.points])
+    def qcrbs(self) -> tuple[float, ...]:
+        return tuple(p[1] for p in self.points)
 
 
 def _bisect_increasing(fn: Callable[[float], float], target: float, guess: float) -> float:
-    """Root of fn(p) = target for a map verified increasing on the bracket."""
-    lo, f_lo = 0.0, fn(0.0) - target
-    if f_lo > _RESIDUAL_TOL:
-        raise BracketFailure(
-            f"target {target} below the family floor {f_lo + target:.6g} at parameter 0"
-        )
+    """Root of fn(p) = target for a map verified increasing on the bracket; fn(0) <= target."""
+    lo = 0.0
     hi = max(guess, 1e-6)
     f_hi = fn(hi) - target
     doublings = 0
@@ -172,6 +161,12 @@ def solve_param_for_nbar(
     def nbar_of(p: float) -> float:
         return mean_total_photons(d, build(p))
 
+    floor = nbar_of(0.0)  # 0 but for ESCS, whose zero displacement keeps the squeeze
+    if floor - n_bar > _RESIDUAL_TOL:
+        raise BracketFailure(
+            f"n_bar = {n_bar} is below the floor {floor:.6g} of family {family.value} "
+            f"at r_prime = {r_prime}"
+        )
     guess = math.sqrt(n_bar)
     if family is Family.ESVS:
         guess = math.asinh(math.sqrt(n_bar))
@@ -210,17 +205,10 @@ def compare_families_at_nbar(
     implementation bug and raises OrderingViolation.
     """
     reports = [matched_report(fam, d, n_bar, escs_r_prime) for fam in Family]
-    qcrbs = [r.qcrb for r in reports]
-    n_tildes = [r.n_tilde for r in reports]
-    fs = [r.f for r in reports]
-    if not all(a > b for a, b in zip(qcrbs, qcrbs[1:])):
-        raise OrderingViolation(f"bound ordering failed at d={d}, n_bar={n_bar}: {qcrbs}")
-    if not all(a < b for a, b in zip(n_tildes, n_tildes[1:])):
-        raise OrderingViolation(
-            f"constituent photon ordering failed at d={d}, n_bar={n_bar}: {n_tildes}"
-        )
-    if not all(a > b for a, b in zip(fs, fs[1:])):
-        raise OrderingViolation(f"f ordering failed at d={d}, n_bar={n_bar}: {fs}")
+    where = f"d={d}, n_bar={n_bar}"
+    _check_ordered([r.qcrb for r in reports], "bound", where)
+    _check_ordered([r.n_tilde for r in reports], "constituent photon", where, increasing=True)
+    _check_ordered([r.f for r in reports], "f", where)
     return reports
 
 
@@ -241,10 +229,8 @@ def escs_sweep_r_prime(
     points = [
         (n_bar, matched_report(Family.ESCS, d, n_bar, rp).qcrb, rp) for rp in r_prime_grid
     ]
-    values = [q for _, q, _ in points]
-    if not all(a > b for a, b in zip(values, values[1:])):
-        raise OrderingViolation(f"bound not decreasing with squeeze factor: {values}")
-    return SweepCurve(tuple(points), label=f"escs_sweep_d{d}_nbar{n_bar:g}")
+    _check_ordered([q for _, q, _ in points], "squeeze-factor bound", f"d={d}, n_bar={n_bar}")
+    return SweepCurve(tuple(points))
 
 
 def escs_ratio_bracket_check(alpha_p: float, r_p: float, r_matched: float) -> bool:
@@ -285,10 +271,7 @@ def balanced_vs_unbalanced_sweep(
         m = moments(state)
         b2, c = resolve_weights(d, m, OptimizedB())
         unb_points.append(((c * c + d * b2) * m.mean_n, unb.qcrb, r))
-    return (
-        SweepCurve(tuple(bal_points), label=f"balanced_esvs_d{d}"),
-        SweepCurve(tuple(unb_points), label=f"unbalanced_esvs_d{d}"),
-    )
+    return SweepCurve(tuple(bal_points)), SweepCurve(tuple(unb_points))
 
 
 def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:

@@ -17,7 +17,7 @@ assignment.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     ConstraintInfeasible,
@@ -26,6 +26,7 @@ from .errors import (
     FOutOfRange,
     NonFiniteResult,
     NonPositivePhotonNumber,
+    OrderingViolation,
     SingularMatrix,
     ZeroPhotonState,
 )
@@ -50,11 +51,10 @@ __all__ = [
     "qcrb_from_f",
     "noon_qcrb",
     "noon_ceiling",
-    "noon_bound_check",
 ]
 
 _COND_LIMIT = 1e12
-_BOUND_TOL = 1e-12
+_BOUND_RTOL = 1e-12
 _REPORTED = ("qcrb", "f", "R", "b2", "n_tilde", "n_bar")  # the numeric QcrbReport fields
 
 
@@ -241,7 +241,8 @@ def qcrb_closed_form(spec: ProbeSpec) -> QcrbReport:
     denom = big_r - b2 * d
     if denom <= 0.0:
         raise DenominatorNonPositive(
-            f"R - b^2 d = {denom} <= 0; valid inputs cannot reach this"
+            f"b2 = {b2} is the boundary weight 1/d of a number state: it leaves the "
+            f"reference mode no weight (c = 0), and the bound diverges (R - b^2 d = {denom})"
         )
     report = QcrbReport(
         qcrb=d / (4.0 * m.mean_n2) * (1.0 / b2 + 1.0 / denom),
@@ -283,15 +284,26 @@ def noon_qcrb(d: int, n: float) -> float:
 
 
 def noon_ceiling(d: int, n_bar: float) -> float:
-    """NOON bound at n_bar plus the tolerance that every NOON-bound check allows."""
-    return noon_qcrb(d, n_bar) + _BOUND_TOL
+    """NOON bound at n_bar, relaxed by the relative tolerance of every NOON-bound check."""
+    return noon_qcrb(d, n_bar) * (1.0 + _BOUND_RTOL)
 
 
-def noon_bound_check(report: QcrbReport, d: int) -> bool:
-    """True iff the report respects the NOON-state upper bound on the QCRB.
+# The proven orderings (NOON > ECS > ESCS > ESVS at a fixed budget, and no
+# balanced probe above NOON) are checked at run time through these two
+# helpers alone, so the rule for ties and rounding lives here.
 
-    The ordering is proven for balanced probes only.  For an unbalanced
-    probe the check compares the bound with the NOON value at the report's
-    balanced ``n_bar``, which no theorem guarantees.
-    """
-    return report.qcrb <= noon_ceiling(d, report.n_bar)
+
+def _check_ordered(
+    values: Sequence[float], what: str, where: str, increasing: bool = False
+) -> None:
+    """Raise OrderingViolation unless ``values`` falls strictly (rises, if ``increasing``)."""
+    pairs = zip(values, values[1:])
+    if not all(a < b if increasing else a > b for a, b in pairs):
+        raise OrderingViolation(f"{what} ordering failed at {where}: {values}")
+
+
+def _check_below_noon(d: int, n_bar: float, values: Sequence[float]) -> None:
+    """Raise OrderingViolation if a bound exceeds the NOON ceiling at n_bar."""
+    ceiling = noon_ceiling(d, n_bar)
+    if any(v > ceiling for v in values):
+        raise OrderingViolation(f"NOON ceiling exceeded at d={d}, n_bar={n_bar}: {values}")

@@ -1,4 +1,8 @@
-"""Every public name resolves, so a deleted name cannot linger in an export list."""
+"""Every public name resolves, so a deleted name cannot linger in an export list.
+
+Also pins where the proven orderings are checked: only ``qcrb`` raises
+OrderingViolation, so the rule for ties and rounding has one home.
+"""
 
 import ast
 import importlib
@@ -33,3 +37,19 @@ def test_package_reexport_resolves(module, name):
     assert getattr(noonlike, name) is getattr(source, name)
     if hasattr(source, "__all__"):
         assert name in source.__all__
+
+
+def _raises_ordering_violation(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name == "OrderingViolation":
+                return True
+    return False
+
+
+def test_only_qcrb_raises_ordering_violation():
+    package = Path(noonlike.__file__).parent
+    raising = [p.name for p in sorted(package.glob("*.py")) if _raises_ordering_violation(p)]
+    assert raising == ["qcrb.py"]

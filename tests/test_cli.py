@@ -265,6 +265,41 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: qcrb = inf is not finite\n"
 
+    def test_boundary_weight_exit_code(self, capsys):
+        # b^2 = 1/d leaves a number state's reference mode no weight
+        assert main(["qcrb", "--family", "noon", "--d", "5", "--n", "3", "--b2", "0.2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: b2 = 0.2 is the boundary weight 1/d of a number state: it leaves the "
+            "reference mode no weight (c = 0)"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--d", "5", "--n-bar", "4", "--r-prime", "3"],
+            ["sweep-escs", "--d", "5", "--n-bar", "4", "--r-min", "0.1", "--r-max", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_escs_floor_names_family_and_squeeze(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: n_bar = 4.0 is below the floor 67.0554 of family escs at r_prime = 3.0\n"
+        )
+
+    def test_false_ordering_fault_message(self, capsys):
+        # the ECS constituent's <n> rounds below NOON's at this budget (a
+        # known fault); the message is the one the benchmark expects
+        assert main(["compare", "--d", "5", "--n-bar", "45"]) == 1
+        assert capsys.readouterr().err == (
+            "error: constituent photon ordering failed at d=5, n_bar=45.0: "
+            "[45.0, 44.99999999995909, 45.00443716569517, 71.43649135176669]\n"
+        )
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["figure", "--id", "7"]) == 2
         assert "usage error" in capsys.readouterr().err
@@ -301,14 +336,22 @@ class TestFigures:
         # an ESCS column that ties instead of falling must be reported as
         # the ordering fault it is, with the computation-error exit code
         def flat_sweep(d, n_bar, grid):
-            return SweepCurve(tuple((n_bar, 1e-9, rp) for rp in grid), label="flat")
+            return SweepCurve(tuple((n_bar, 1e-9, rp) for rp in grid))
 
         monkeypatch.setattr(cli, "escs_sweep_r_prime", flat_sweep)
         argv = ["figure", "--id", "3", "--steps", "2"]
-        with pytest.raises(OrderingViolation, match=r"^expected ECS > ESCS\(r'\) > ESVS at n_bar="):
+        message = r"^ECS > ESCS\(r'\) > ESVS ordering failed at d=5, n_bar=0.75: \["
+        with pytest.raises(OrderingViolation, match=message):
             cli._figure_3(parse_args(argv)[1])
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: expected ECS > ESCS(r') > ESVS")
+        assert capsys.readouterr().err.startswith("error: ECS > ESCS(r') > ESVS ordering failed")
+
+    def test_figure_2_tiny_budget_within_noon_ceiling(self, capsys):
+        # the NOON column itself exceeded an absolute ceiling by an ulp here
+        argv = ["figure", "--id", "2", "--d", "1", "--n-min", "0.0001795655505842574",
+                "--n-max", "1", "--steps", "1", "--r-prime", "0.0001"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_figure_4_columns(self, tmp_path):
         target = tmp_path / "fig4.csv"

@@ -410,4 +410,4 @@ class TestBalancedVsUnbalanced:
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
-            SweepCurve(((2.0, 1.0, 0.1), (1.0, 1.0, 0.2)), label="bad")
+            SweepCurve(((2.0, 1.0, 0.1), (1.0, 1.0, 0.2)))

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from noonlike import (
     NonFiniteResult,
     NonPositivePhotonNumber,
     OptimizedB,
+    OrderingViolation,
     ProbeSpec,
-    QcrbReport,
     QfiMatrix,
     SingularMatrix,
     SqueezedCoherent,
@@ -25,7 +27,6 @@ from noonlike import (
     fock_amplitudes,
     mean_total_photons,
     moments,
-    noon_bound_check,
     noon_qcrb,
     qcrb_closed_form,
     qcrb_from_f,
@@ -33,7 +34,7 @@ from noonlike import (
     qfi_matrix,
     resolve_weights,
 )
-from noonlike.qcrb import noon_ceiling
+from noonlike.qcrb import _check_below_noon, _check_ordered, noon_ceiling
 
 STATE_GRID = [
     Fock(1),
@@ -150,7 +151,8 @@ class TestClosedForm:
 
     def test_degenerate_weight_rejected(self):
         # at the ellipse boundary of a number state the denominator hits zero
-        with pytest.raises(DenominatorNonPositive):
+        message = r"^b2 = 0\.5 is the boundary weight 1/d of a number state: .* \(c = 0\)"
+        with pytest.raises(DenominatorNonPositive, match=message):
             qcrb_closed_form(ProbeSpec(2, Fock(1), FixedB(0.5)))
 
     def test_non_finite_field_rejected(self):
@@ -230,21 +232,50 @@ class TestNoonBound:
     def test_noon_reports_saturate(self, d, n):
         rep = qcrb_closed_form(ProbeSpec(d, Fock(n)))
         assert abs(rep.qcrb - noon_qcrb(d, rep.n_bar)) <= 1e-12
-        assert noon_bound_check(rep, d)
+        _check_below_noon(d, rep.n_bar, [rep.qcrb])
 
     @pytest.mark.parametrize(
         "state", [Coherent(1.0), SqueezedVacuum(1.0), SqueezedCoherent(1.0, 0.5)]
     )
     def test_fluctuating_states_strictly_below(self, state):
         rep = qcrb_closed_form(ProbeSpec(5, state))
-        assert noon_bound_check(rep, 5)
         assert rep.qcrb < noon_qcrb(5, rep.n_bar) - 1e-6
 
     def test_ceiling_is_the_check_threshold(self):
         ceiling = noon_ceiling(5, 2.0)
-        assert ceiling == noon_qcrb(5, 2.0) + 1e-12
-        for qcrb, within in ((ceiling, True), (math.nextafter(ceiling, math.inf), False)):
-            assert noon_bound_check(QcrbReport(qcrb, 0.5, 2.0, 0.1, 2.0, 2.0), 5) is within
+        assert ceiling == noon_qcrb(5, 2.0) * (1.0 + 1e-12)
+        _check_below_noon(5, 2.0, [1.0, ceiling])
+        above = math.nextafter(ceiling, math.inf)
+        message = f"^NOON ceiling exceeded at d=5, n_bar=2.0: {re.escape(str([1.0, above]))}$"
+        with pytest.raises(OrderingViolation, match=message):
+            _check_below_noon(5, 2.0, [1.0, above])
+
+    def test_number_states_within_their_ceiling(self):
+        # the closed form of a number state lands within a few ulp of the NOON
+        # value; the ceiling's slack is relative, as an absolute 1e-12 falls
+        # below one ulp once the bound passes ~1e4 (small budgets)
+        rng = random.Random(15)
+        for _ in range(4000):
+            n = 10.0 ** rng.uniform(-4.0, 2.0)
+            d = rng.choice((1, 2, 5, 50))
+            assert qcrb_closed_form(ProbeSpec(d, Fock(n))).qcrb <= noon_ceiling(d, n), (d, n)
+
+
+class TestOrderingCheck:
+    def test_strict_chains_pass(self):
+        _check_ordered([3.0, 2.0, 1.0], "bound", "d=5")
+        _check_ordered([1.0, 2.0, 3.0], "bound", "d=5", increasing=True)
+        _check_ordered([1.0], "bound", "d=5")
+
+    @pytest.mark.parametrize(
+        "values, increasing",
+        [([3.0, 3.0, 1.0], False), ([3.0, 1.0, 2.0], False), ([1.0, 2.0, 2.0], True),
+         ([2.0, 1.0], True)],
+    )
+    def test_tie_or_reversal_raises(self, values, increasing):
+        message = f"^bound ordering failed at d=5: {re.escape(str(values))}$"
+        with pytest.raises(OrderingViolation, match=message):
+            _check_ordered(values, "bound", "d=5", increasing)
 
 
 def _probe_tensor(d, state, b2, c):

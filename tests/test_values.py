@@ -73,9 +73,9 @@ CASES = [
     (QfiMatrix, dict(entries=[[2.0]]), dict(entries=[[3.0]]), "QfiMatrix(entries=array([[2.]]))"),
     (
         SweepCurve,
-        dict(points=((1.0, 0.5, 0.3),), label="c"),
-        dict(points=((1.0, 0.5, 0.3),), label="d"),
-        "SweepCurve(points=((1.0, 0.5, 0.3),), label='c')",
+        dict(points=((1.0, 0.5, 0.3),)),
+        dict(points=((1.0, 0.5, 0.4),)),
+        "SweepCurve(points=((1.0, 0.5, 0.3),))",
     ),
     (
         BeamSplitter,
