@@ -1,12 +1,15 @@
 """Parameter matching, four-family comparisons, and balanced vs unbalanced sweeps.
 
 Each family is one constituent state with one free parameter: ``PARAMETERS``
-names it and ``constituent`` builds the state from it.  Families are
+names it, ``constituent`` builds the state from it and ``nbar_map`` gives
+the closed-form mean photon number of its balanced probe.  Families are
 compared at a common mean total photon number of the balanced probe.  The
 NOON column uses the interpolated ("effective") photon number so that all
 four curves share an x-axis; the other three families are matched by
 bisection on their free parameter, which maps monotonically to the mean
-photon number.  ``solve_param_for_nbar`` does the matching and
+photon number.  The bisection evaluates the family's n_bar map and builds
+no state per step; the solved state goes once through the general
+``moments`` path as a check.  ``solve_param_for_nbar`` does the matching and
 ``matched_report`` adds the balanced bound; every comparison at a fixed
 budget (the four families, the squeeze-factor sweep, figure 3 and the
 heralded source's coherent reference) goes through ``matched_report``.
@@ -21,7 +24,7 @@ import math
 from enum import Enum
 from typing import Callable, Sequence
 
-from .errors import BracketFailure
+from .errors import BracketFailure, ParameterOutOfRange
 from .qcrb import (
     Balanced,
     OptimizedB,
@@ -38,7 +41,9 @@ from .states import (
     SingleModeState,
     SqueezedCoherent,
     SqueezedVacuum,
+    _ALPHA_RANGE,
     _N_RANGE,
+    _R_RANGE,
     _Frozen,
     _require_real,
     moments,
@@ -48,6 +53,7 @@ __all__ = [
     "Family",
     "PARAMETERS",
     "constituent",
+    "nbar_map",
     "SweepCurve",
     "solve_param_for_nbar",
     "matched_report",
@@ -84,6 +90,44 @@ def constituent(
     if family is Family.ESCS:
         return lambda alpha: SqueezedCoherent(alpha, r_prime)
     return {Family.NOON: Fock, Family.ECS: Coherent, Family.ESVS: SqueezedVacuum}[family]
+
+
+def nbar_map(
+    family: Family, d: int, r_prime: float | None = None
+) -> Callable[[float], float]:
+    """Balanced n_bar of the family's d-phase probe as a function of its free parameter.
+
+    ``nbar_map(family, d, r_prime)(p)`` equals
+    ``mean_total_photons(d, constituent(family, r_prime)(p))`` bit for bit: it
+    runs the float operations of ``moments`` and ``mean_total_photons`` in
+    their order, and checks ``p`` against the constructor's range with the
+    constructor's message, but builds no state.  NOON has no map; its
+    occupation is n_bar itself.
+    """
+    if family is Family.ECS:
+
+        def ecs(alpha: float) -> float:
+            a2 = _require_real("alpha", alpha, _ALPHA_RANGE) ** 2
+            return a2 / (1.0 + d * math.exp(-a2))
+
+        return ecs
+    if family is Family.ESVS:
+
+        def esvs(r: float) -> float:
+            r = _require_real("r", r, _R_RANGE)
+            return math.sinh(r) ** 2 / (1.0 + d * (1.0 / math.cosh(r)))
+
+        return esvs
+    if family is Family.ESCS:
+        r = _require_real("r", r_prime, _R_RANGE)
+        sh2, one_minus_t, ch = math.sinh(r) ** 2, 1.0 - math.tanh(r), math.cosh(r)
+
+        def escs(alpha: float) -> float:
+            a2 = _require_real("alpha", alpha, _ALPHA_RANGE) ** 2
+            return (a2 + sh2) / (1.0 + d * (math.exp(-a2 * one_minus_t) / ch))
+
+        return escs
+    raise ValueError(f"family {family.value} has no n_bar map")
 
 
 class SweepCurve(_Frozen):
@@ -143,9 +187,10 @@ def solve_param_for_nbar(
     ``r_prime`` is the squeeze factor of the ESCS constituent; the other
     families ignore it.  NOON returns an effective number state directly (its
     mean photon number equals the occupation).  The other families bisect
-    their free parameter; the map to n_bar is strictly increasing, so a
-    target below the value at parameter 0 (possible for ESCS with a fixed
-    squeeze factor) raises BracketFailure.
+    their free parameter on ``nbar_map``; the map is strictly increasing, so
+    a target below the value at parameter 0 (possible for ESCS with a fixed
+    squeeze factor) raises BracketFailure, as does a bracket that has to
+    leave the parameter's representable range to reach the target.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -158,9 +203,7 @@ def solve_param_for_nbar(
     if family is Family.NOON:
         return build(n_bar)
 
-    def nbar_of(p: float) -> float:
-        return mean_total_photons(d, build(p))
-
+    nbar_of = nbar_map(family, d, r_prime)
     floor = nbar_of(0.0)  # 0 but for ESCS, whose zero displacement keeps the squeeze
     if floor - n_bar > _RESIDUAL_TOL:
         raise BracketFailure(
@@ -170,8 +213,15 @@ def solve_param_for_nbar(
     guess = math.sqrt(n_bar)
     if family is Family.ESVS:
         guess = math.asinh(math.sqrt(n_bar))
-    param = _bisect_increasing(nbar_of, n_bar, guess)
+    try:
+        param = _bisect_increasing(nbar_of, n_bar, guess)
+    except ParameterOutOfRange:
+        raise BracketFailure(
+            f"cannot match family {family.value} to the target n_bar = {n_bar}: the bracket "
+            f"on its parameter {PARAMETERS[family]} left the representable range"
+        ) from None
     state = build(param)
+    # the one evaluation through the general moments path, a check on the map
     residual = abs(mean_total_photons(d, state) - n_bar)
     if residual > _RESIDUAL_TOL * max(1.0, n_bar):
         raise BracketFailure(f"bisection residual {residual:.3e} too large")

@@ -228,6 +228,17 @@ class TestCommands:
         value = float(argv[-1])
         assert captured.err.startswith(f"error: {name} = {value!r} is out of range")
 
+    def test_bracket_past_parameter_range_names_n_bar(self, capsys):
+        # the ESVS bracket doubles r past its range before it reaches the
+        # target; the message names the budget the user gave, not r
+        assert main(["compare", "--d", "5", "--n-bar", "1e150"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot match family esvs to the target n_bar = 1e+150: "
+            "the bracket on its parameter r left the representable range\n"
+        )
+
     @pytest.mark.parametrize(
         "line, broken",
         [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from noonlike import (
     resolve_weights,
     solve_param_for_nbar,
 )
-from noonlike.families import PARAMETERS, SweepCurve, constituent
+from noonlike.families import PARAMETERS, SweepCurve, constituent, nbar_map
 
 FEASIBLE_GRID = [
     (d, nb)
@@ -64,6 +65,36 @@ class TestFamilyTable:
     @pytest.mark.parametrize("p", [0.3, 2.0])
     def test_constituent_carries_its_parameter(self, family, p):
         assert getattr(constituent(family, 0.7)(p), PARAMETERS[family]) == p
+
+    # 0, the smallest and largest representable parameters (alpha, then r),
+    # and quarter decades in between, where d * (1 / cosh r) and d / cosh r
+    # round apart; ESVS skips the alphas above its range
+    MAP_GRID = (
+        [0.0, 1.2214e-77, 1e-9]
+        + [10 ** (k / 4) for k in range(-12, 9)]
+        + [177.09, 1e20, 4.0938e76]
+    )
+
+    @pytest.mark.parametrize("family", [Family.ECS, Family.ESCS, Family.ESVS])
+    @pytest.mark.parametrize("d", [1, 2, 5, 50, 10**6])
+    @pytest.mark.parametrize("r_prime", [0.05, 0.4, 1.0, 2.0])
+    def test_nbar_map_is_the_general_path_bit_for_bit(self, family, d, r_prime):
+        nbar = nbar_map(family, d, r_prime)
+        build = constituent(family, r_prime)
+        grid = [p for p in self.MAP_GRID if family is not Family.ESVS or p <= 177.09]
+        for p in grid:
+            assert nbar(p) == mean_total_photons(d, build(p)), p
+
+    @pytest.mark.parametrize(
+        "family, p",
+        [(fam, p) for fam in (Family.ECS, Family.ESCS, Family.ESVS) for p in (1e-80, 5e76)]
+        + [(Family.ESVS, 177.2), (Family.ESVS, -177.2)],
+    )
+    def test_nbar_map_rejects_what_the_constructor_rejects(self, family, p):
+        with pytest.raises(ParameterOutOfRange) as built:
+            constituent(family, 1.0)(p)
+        with pytest.raises(ParameterOutOfRange, match=f"^{re.escape(str(built.value))}$"):
+            nbar_map(family, 5, 1.0)(p)
 
 
 class TestSolve:

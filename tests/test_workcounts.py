@@ -35,17 +35,31 @@ def test_reference_circuit_sectors():
 @pytest.mark.parametrize("family, r_prime", [(Family.ECS, None), (Family.ESCS, 1.0), (Family.ESVS, None)])
 @pytest.mark.parametrize("d, n_bar", [(1, 4.0), (5, 4.0), (5, 20.0)])
 def test_solve_nbar_evaluations(monkeypatch, family, r_prime, d, n_bar):
-    calls = 0
-    original = families.mean_total_photons
+    # the bisection steps evaluate the family's n_bar map; the residual check
+    # then evaluates the solved state once through the general moments path
+    steps = residuals = 0
+    make_map, general = families.nbar_map, families.mean_total_photons
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
+    def counted_map(*args):
+        nbar = make_map(*args)
 
-    monkeypatch.setattr(families, "mean_total_photons", counted)
+        def step(p):
+            nonlocal steps
+            steps += 1
+            return nbar(p)
+
+        return step
+
+    def counted_residual(*args):
+        nonlocal residuals
+        residuals += 1
+        return general(*args)
+
+    monkeypatch.setattr(families, "nbar_map", counted_map)
+    monkeypatch.setattr(families, "mean_total_photons", counted_residual)
     solve_param_for_nbar(family, d, n_bar, r_prime)
-    assert 0 < calls <= MAX_NBAR_EVALS
+    assert residuals == 1
+    assert 0 < steps and steps + residuals <= MAX_NBAR_EVALS
 
 
 @pytest.fixture
