@@ -2,9 +2,14 @@
 
 Identical invocations produce byte-identical output files: no timestamps,
 fixed column orders, and every value formatted to 12 significant digits.
-Exit codes: 0 success, 1 computation error, 2 usage error.  An option that
-the chosen family or figure does not use is a usage error, and so is a grid
-of several points whose min is not below its max.
+Exit codes: 0 success, 1 computation error, 2 usage error.
+
+Each option is declared once, in ``_OPTIONS``.  ``parse_args`` builds the
+parser from that table and checks, in this order: every value is finite and
+in its option's domain; the chosen family has the options it requires; no
+option is given that the chosen family or figure does not use; and, once the
+defaults are merged, each grid of several points has its min below its max.
+A failed check is a usage error that names the flag.
 
 The default output directory is the current directory unless
 NOONLIKE_OUTPUT_DIR is set.
@@ -43,23 +48,78 @@ from .qcrb import (
 
 __all__ = ["parse_args", "main"]
 
-# Per-figure defaults; a value given by the caller overrides its default,
-# and a figure takes only the options named here (figure 6 also takes
-# --circuit and --cutoff).  Figure 4 is the ``unbalanced`` command at d=5,
-# and shares its defaults.
-_FIGURE_DEFAULTS = {
-    2: dict(d=5, n_min=0.5, n_max=20.0, steps=40, r_prime=1.0),
-    # starts at 0.75 rather than 0.5: below ~0.61 the squeezed-coherent
-    # family with squeeze factor 1.2 cannot reach the target n_bar
-    3: dict(d=5, n_min=0.75, n_max=20.0, steps=40),
-    4: dict(d=5, r_min=0.3, r_max=3.0, steps=60),
-    6: dict(r_min=1.0, r_max=2.0, steps=20),
+_REQUIRED = object()  # in place of a default: the option must be given
+
+# Figure 4 is the ``unbalanced`` command at d=5, and shares its defaults.
+_FIGURE_4 = dict(d=5, r_min=0.3, r_max=3.0, steps=60)
+
+# chooser -> (its label in messages, {choice: {option: default}}); a command
+# takes every option of its chooser's choices, but a choice only its own
+_CHOICES = {
+    "family": ("--family", {
+        f.value: {PARAMETERS[f]: _REQUIRED} | ({"r_prime": _REQUIRED} if f is Family.ESCS else {})
+        for f in Family
+    }),
+    "id": ("figure --id", {
+        2: dict(d=5, n_min=0.5, n_max=20.0, steps=40, r_prime=1.0),
+        # starts at 0.75 rather than 0.5: below ~0.61 the squeezed-coherent
+        # family with squeeze factor 1.2 cannot reach the target n_bar
+        3: dict(d=5, n_min=0.75, n_max=20.0, steps=40),
+        4: _FIGURE_4,
+        6: dict(r_min=1.0, r_max=2.0, steps=20, circuit=None, cutoff=None),
+    }),
 }
 
-_CUTOFF_HELP = (
-    "Fock cutoff; validated, but changes no result: the circuit is simulated "
-    "exactly on its heralded photon budget"
-)
+_DOMAINS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
+
+# option -> (type, or the tuple of its choices; domain; help), in the order
+# every command lists them
+_OPTIONS = {
+    "family": (tuple(_CHOICES["family"][1]), None, "probe family"),
+    "id": (tuple(_CHOICES["id"][1]), None, "figure number"),
+    "d": (int, ">= 1", "number of phases"),
+    "n": (float, "positive", "photon number (noon)"),
+    "alpha": (float, None, "displacement (ecs, escs)"),
+    "r": (float, "positive", "squeeze factor (esvs; the heralded source)"),
+    "n_bar": (float, "positive", "mean total photon number"),
+    "n_min": (float, "positive", "first n_bar of the grid"),
+    "n_max": (float, "positive", "last n_bar of the grid"),
+    "r_min": (float, "nonnegative", "first squeeze factor of the grid"),
+    "r_max": (float, "nonnegative", "last squeeze factor of the grid"),
+    "steps": (int, "positive", "grid points"),
+    "r_prime": (float, "positive", "squeeze factor (escs)"),
+    "b2": (float, "positive", "fixed probing weight b^2 (unbalanced)"),
+    "optimized_b": (bool, None, "optimize b^2"),
+    "cutoff": (int, "positive", "Fock cutoff; validated, but changes no result: the circuit "
+               "is simulated exactly on its heralded photon budget"),
+    "circuit": (Path, None, "circuit config path"),
+    "out": (Path, None, "output file (default: stdout)"),
+    "format": (("csv", "json"), None, "output format"),
+}
+
+_FLAG = {key: "--" + key.replace("_", "-") for key in _OPTIONS}
+
+_EXCLUSIVE = ("b2", "optimized_b")  # a fixed or an optimized weight, not both
+
+# command -> (help, {option: default}); each also takes --out and --format
+_COMMAND_OPTIONS = {
+    "qcrb": ("bound for one probe",
+             dict(family=_REQUIRED, d=_REQUIRED, b2=None, optimized_b=False)),
+    "compare": ("four families at a common n_bar", dict(d=_REQUIRED, n_bar=_REQUIRED, r_prime=1.0)),
+    "sweep-escs": ("squeezed-coherent squeeze-factor sweep",
+                   dict(d=_REQUIRED, n_bar=_REQUIRED, r_min=0.4, r_max=1.2, steps=3)),
+    "unbalanced": ("balanced vs optimized-unbalanced sweep", _FIGURE_4 | dict(d=_REQUIRED)),
+    "experiment": ("simulate the heralded source", dict(r=_REQUIRED, cutoff=None, circuit=None)),
+    "figure": ("emit a comparison dataset", dict(id=_REQUIRED)),
+}
+
+
+def _takes(command: str) -> dict:
+    """Each option ``command`` takes, in ``_OPTIONS`` order, with its parser default."""
+    own = _COMMAND_OPTIONS[command][1] | dict(out=None, format="csv")
+    chosen = [opts for c in own.keys() & _CHOICES.keys() for opts in _CHOICES[c][1].values()]
+    takes = dict.fromkeys(set().union(*chosen)) | own  # a choice's defaults merge after the checks
+    return {key: takes[key] for key in _OPTIONS if key in takes}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,96 +130,49 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="noonlike", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p):
-        p.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("qcrb", help="bound for one probe")
-    p.add_argument("--family", required=True, choices=[f.value for f in Family])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=float, help="photon number (noon)")
-    p.add_argument("--alpha", type=float, help="displacement (ecs, escs)")
-    p.add_argument("--r", type=float, help="squeeze factor (esvs)")
-    p.add_argument("--r-prime", type=float, help="squeeze factor (escs)")
-    weights = p.add_mutually_exclusive_group()
-    weights.add_argument("--b2", type=float, help="fixed probing weight b^2 (unbalanced)")
-    weights.add_argument("--optimized-b", action="store_true", help="optimize b^2")
-    add_out(p)
-
-    p = sub.add_parser("compare", help="four families at a common n_bar")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n-bar", type=float, required=True)
-    p.add_argument("--r-prime", type=float, default=1.0)
-    add_out(p)
-
-    p = sub.add_parser("sweep-escs", help="squeezed-coherent squeeze-factor sweep")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n-bar", type=float, required=True)
-    p.add_argument("--r-min", type=float, default=0.4)
-    p.add_argument("--r-max", type=float, default=1.2)
-    p.add_argument("--steps", type=int, default=3)
-    add_out(p)
-
-    p = sub.add_parser("unbalanced", help="balanced vs optimized-unbalanced sweep")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r-min", type=float)
-    p.add_argument("--r-max", type=float)
-    p.add_argument("--steps", type=int)
-    p.set_defaults(**_FIGURE_DEFAULTS[4])
-    add_out(p)
-
-    p = sub.add_parser("experiment", help="simulate the heralded source")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--cutoff", type=int, default=None, help=_CUTOFF_HELP)
-    p.add_argument("--circuit", type=Path, default=None, help="circuit config path")
-    add_out(p)
-
-    p = sub.add_parser("figure", help="emit a comparison dataset")
-    p.add_argument("--id", type=int, required=True, choices=tuple(_FIGURE_DEFAULTS))
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n-min", type=float, default=None)
-    p.add_argument("--n-max", type=float, default=None)
-    p.add_argument("--r-min", type=float, default=None)
-    p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--r-prime", type=float, default=None)
-    p.add_argument("--cutoff", type=int, default=None, help=_CUTOFF_HELP)
-    p.add_argument("--circuit", type=Path, default=None)
-    add_out(p)
+    for command, (summary, _) in _COMMAND_OPTIONS.items():
+        p = sub.add_parser(command, help=summary)
+        exclusive = None
+        for key, default in _takes(command).items():
+            kind, _, help_text = _OPTIONS[key]
+            if key in _EXCLUSIVE:
+                exclusive = exclusive or p.add_mutually_exclusive_group()
+            add = (exclusive if key in _EXCLUSIVE else p).add_argument
+            if kind is bool:
+                add(_FLAG[key], action="store_true", help=help_text)
+                continue
+            choices = kind if isinstance(kind, tuple) else None
+            add(_FLAG[key], type=type(kind[0]) if choices else kind, choices=choices,
+                help=help_text, required=default is _REQUIRED,
+                default=None if default is _REQUIRED else default)
     return parser
 
 
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
-def _finite(params: dict) -> None:
+def _validate(params: dict) -> None:
+    """UsageError naming the first fault; merges the chosen family's or figure's defaults."""
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
-            raise UsageError(f"{_flag(key)} must be finite, got {value}")
-
-
-def _positive(params: dict, keys: Sequence[str]) -> None:
-    for key in keys:
-        value = params.get(key)
-        if value is not None and value <= 0:
-            raise UsageError(f"{_flag(key)} must be positive, got {value}")
-
-
-def _reject_unused(params: dict, offered: set[str], accepted, chooser: str) -> None:
-    """UsageError naming each given option in ``offered`` but not ``accepted``."""
-    unused = [_flag(k) for k in sorted(offered.difference(accepted)) if params[k] is not None]
-    if unused:
-        raise UsageError(f"{chooser} does not take {', '.join(unused)}")
-
-
-def _increasing_ranges(params: dict) -> None:
-    """UsageError unless each range of a grid of several points has min < max."""
+            raise UsageError(f"{_FLAG[key]} must be finite, got {value}")
+    for key, value in params.items():
+        domain = _OPTIONS[key][1]
+        if domain and value is not None and not _DOMAINS[domain](value):
+            raise UsageError(f"{_FLAG[key]} must be {domain}, got {value}")
+    for chooser in params.keys() & _CHOICES.keys():
+        label, choices = _CHOICES[chooser]
+        label, chosen = f"{label} {params[chooser]}", choices[params[chooser]]
+        for key, default in chosen.items():
+            if default is _REQUIRED and params[key] is None:
+                raise UsageError(f"{label} requires {_FLAG[key]}")
+        offered = set().union(*choices.values())
+        unused = [_FLAG[k] for k in sorted(offered - chosen.keys()) if params[k] is not None]
+        if unused:
+            raise UsageError(f"{label} does not take {', '.join(unused)}")
+        params.update((k, v) for k, v in chosen.items() if params[k] is None)
+    several = (params.get("steps") or 0) > 1
     for lo, hi in (("r_min", "r_max"), ("n_min", "n_max")):
-        if (params.get("steps") or 0) > 1 and lo in params and params[lo] >= params[hi]:
+        if several and params.get(lo) is not None and params[lo] >= params[hi]:
             raise UsageError(
-                f"{_flag(lo)} must be less than {_flag(hi)} when --steps > 1, "
+                f"{_FLAG[lo]} must be less than {_FLAG[hi]} when --steps > 1, "
                 f"got {params[lo]} and {params[hi]}"
             )
 
@@ -188,24 +201,7 @@ def parse_args(argv: Sequence[str]) -> tuple[str, dict]:
     """Validated (command, params); raises UsageError on bad input."""
     ns = _build_parser().parse_args(_attach_negative_values(argv))
     params = {k: v for k, v in vars(ns).items() if k != "command"}
-    _finite(params)
-    _positive(params, ["n", "n_bar", "r", "r_prime", "b2", "n_min", "n_max", "steps", "cutoff"])
-    if params.get("d") is not None and params["d"] < 1:
-        raise UsageError(f"--d must be >= 1, got {params['d']}")
-    if ns.command == "qcrb":
-        family = Family(ns.family)
-        needed = [PARAMETERS[family]] + (["r_prime"] if family is Family.ESCS else [])
-        for key in needed:
-            if params[key] is None:
-                raise UsageError(f"--family {ns.family} requires {_flag(key)}")
-        offered = set(PARAMETERS.values()) | {"r_prime"}
-        _reject_unused(params, offered, needed, f"--family {ns.family}")
-    elif ns.command == "figure":
-        accepted = _FIGURE_DEFAULTS[ns.id].keys() | ({"circuit", "cutoff"} if ns.id == 6 else set())
-        offered = params.keys() - {"id", "out", "format"}
-        _reject_unused(params, offered, accepted, f"figure --id {ns.id}")
-        params = _FIGURE_DEFAULTS[ns.id] | {k: v for k, v in params.items() if v is not None}
-    _increasing_ranges(params)
+    _validate(params)
     return ns.command, params
 
 

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from noonlike import cli
 from noonlike.cli import main, parse_args
 from noonlike.errors import OrderingViolation, UsageError
 from noonlike.families import PARAMETERS, Family, SweepCurve
+from noonlike.qcrb import noon_qcrb
 
 
 def _read_csv(path):
@@ -141,6 +144,60 @@ class TestParseArgs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"usage error: --{grid}-min must be less than --{grid}-max ")
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            pytest.param(argv, flag, value, id=" ".join(argv))
+            for argv, flag, value in [
+                (["sweep-escs", "--d", "5", "--n-bar", "4", "--r-min", "-0.5", "--r-max", "1"],
+                 "--r-min", "-0.5"),
+                (["unbalanced", "--d", "5", "--r-min", "-1"], "--r-min", "-1.0"),
+                (["figure", "--id", "6", "--r-min", "-0.5", "--r-max", "1"], "--r-min", "-0.5"),
+                (["figure", "--id", "4", "--r-max=-2", "--steps", "1"], "--r-max", "-2.0"),
+                (["sweep-escs", "--d", "5", "--n-bar", "4", "--r-max", "-1e5", "--steps", "1"],
+                 "--r-max", "-100000.0"),
+            ]
+        ],
+    )
+    def test_negative_squeeze_range_rejected(self, capsys, argv, flag, value):
+        # the grid's squeeze factors are nonnegative, so the usage error names
+        # the flag, even when --steps 1 leaves --r-max unused
+        with pytest.raises(UsageError):
+            parse_args(argv)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {flag} must be nonnegative, got {value}\n"
+
+    def test_zero_squeeze_is_the_coherent_point(self, capsys):
+        # r' = 0 is the ECS probe: the sweep's first row is compare's ecs bound
+        assert main(["sweep-escs", "--d", "5", "--n-bar", "4", "--r-min", "0", "--r-max", "1"]) == 0
+        sweep = capsys.readouterr().out
+        assert sweep == (
+            "r_prime,n_bar,qcrb\n0,4,0.477104643131\n0.5,4,0.270307260582\n1,4,0.141130549315\n"
+        )
+        assert main(["compare", "--d", "5", "--n-bar", "4"]) == 0
+        ecs = capsys.readouterr().out.splitlines()[2].split(",")
+        assert ecs[0] == "ecs" and sweep.splitlines()[1] == f"0,4,{ecs[1]}"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["unbalanced", "--d", "5", "--r-min", "0"],
+             "r_grid must be positive and strictly increasing"),
+            (["figure", "--id", "4", "--r-min", "0"],
+             "r_grid must be positive and strictly increasing"),
+            (["figure", "--id", "6", "--r-min", "0"], "squeeze factor must be positive, got 0.0"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_zero_squeeze_range_left_to_the_library(self, capsys, argv, message):
+        # --r-min and --r-max share one domain, nonnegative, so a zero squeeze
+        # factor on a squeezed-vacuum or heralded-source grid is the library's
+        # computation error
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -311,9 +368,42 @@ class TestCommands:
             "[45.0, 44.99999999995909, 45.00443716569517, 71.43649135176669]\n"
         )
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="qcrb_closed_form takes 1/(d+1) from R - b2 d = 1 - d/(d+1), off by ~d ulp",
+    )
+    def test_balanced_noon_bound_at_large_d(self, capsys):
+        assert main(["qcrb", "--family", "noon", "--d", "1000000", "--n", "2"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[1] == f"{noon_qcrb(10**6, 2.0):.12g}" == "125000125000"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the NOON column exceeds its own ceiling: R - b2 d cancels at d = 1e5",
+    )
+    def test_figure_2_at_large_d(self, capsys):
+        assert main(["figure", "--id", "2", "--d", "100000", "--steps", "3"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["figure", "--id", "7"]) == 2
         assert "usage error" in capsys.readouterr().err
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+    def test_help_lists_every_flag_of_the_table(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        listed = set(re.findall(r"^  (--[a-z0-9-]+)", out, re.M))
+        assert listed == {cli._FLAG[key] for key in cli._takes(command)}
+        for key in cli._takes(command):
+            assert " ".join(cli._OPTIONS[key][2].split()) in " ".join(out.split())
+
+    def test_cutoff_help_stated_once(self):
+        assert Path(cli.__file__).read_text().count("Fock cutoff") == 1
 
 
 class TestFigures:
