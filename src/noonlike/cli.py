@@ -293,7 +293,7 @@ def _cmd_unbalanced(params: dict) -> tuple[list[str], list[list]]:
         # its own budget nb_u, and it often lies above that.
         _check_below_noon(params["d"], nb_b, [q_b, q_u])
         rows.append([r, nb_b, q_b, nb_u, q_u])
-    _, crossover = compare_sweeps_at_common_nbar(bal, unb)
+    _, crossover = compare_sweeps_at_common_nbar(params["d"], bal, unb)
     if crossover is not None:
         print(f"# crossover n_bar = {_fmt(crossover)}", file=sys.stderr)
     return columns, rows

@@ -11,15 +11,16 @@ photon number.  The bisection evaluates the family's n_bar map and builds
 no state per step; the solved state goes once through the general
 ``moments`` path as a check.  ``solve_param_for_nbar`` does the matching and
 ``matched_report`` adds the balanced bound; every comparison at a fixed
-budget (the four families, the squeeze-factor sweep, figure 3 and the
-heralded source's coherent reference) goes through ``matched_report``.
+budget (the four families, the squeeze-factor sweep, figure 3, the
+heralded source's coherent reference and the balanced bound set against
+the weight-optimized unbalanced one) goes through ``matched_report``, so
+each compares exactly matched budgets.
 
 Grid sweeps are pure and deterministic; points are produced in grid order.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from enum import Enum
 from typing import Callable, Sequence
@@ -324,52 +325,30 @@ def balanced_vs_unbalanced_sweep(
     return SweepCurve(tuple(bal_points)), SweepCurve(tuple(unb_points))
 
 
-def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
-    """``np.interp(x, xp, fp)`` for one point, bit for bit, without numpy.
-
-    ``xp`` must be non-decreasing.  Follows numpy's C kernel: x outside the
-    grid takes the edge value, x exactly on ``xp[j]`` (the last such j)
-    takes ``fp[j]``, and an interpolant that comes out NaN from the left end
-    of its interval is retried from the right end.
-    """
-    if math.isnan(x):
-        return x
-    j = bisect.bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j == len(xp) - 1 or xp[j] == x:
-        return fp[j]
-    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-    value = slope * (x - xp[j]) + fp[j]
-    if math.isnan(value):
-        value = slope * (x - xp[j + 1]) + fp[j + 1]
-        if math.isnan(value) and fp[j] == fp[j + 1]:
-            value = fp[j]
-    return value
-
-
 def compare_sweeps_at_common_nbar(
-    balanced: SweepCurve, unbalanced: SweepCurve
+    d: int, balanced: SweepCurve, unbalanced: SweepCurve
 ) -> tuple[list[tuple[float, float, float]], float | None]:
-    """Interpolated comparison of two curves at shared n_bar values.
+    """Comparison of the two curves at exactly matched budgets.
 
     Returns (points, crossover) where each point is
-    (n_bar, qcrb_balanced, qcrb_unbalanced) over the n_bar overlap, and
-    crossover is the first n_bar at which the balanced bound exceeds the
-    unbalanced one (None if the balanced curve stays at or below throughout).
-    The comparison grid is the unbalanced curve's own n_bar values restricted
-    to the overlap, with the balanced curve linearly interpolated in n_bar.
+    (n_bar, qcrb_balanced, qcrb_unbalanced) and crossover is the first
+    compared n_bar at which the balanced bound exceeds the unbalanced one by
+    more than 1e-9 relative (None if it never does).  The compared n_bar are
+    the unbalanced curve's own values inside the overlap of the two curves'
+    n_bar ranges; the balanced bound at each is ``matched_report`` of ESVS
+    at that n_bar.  The crossover is a grid point, not a root: the curves
+    cross at or below it.  Empty curves compare nothing.
     """
-    bal_n = [p[0] for p in balanced.points]
-    bal_q = [p[1] for p in balanced.points]
-    lo = max(bal_n[0], unbalanced.points[0][0])
-    hi = min(bal_n[-1], unbalanced.points[-1][0])
+    if not balanced.points or not unbalanced.points:
+        return [], None
+    lo = max(balanced.points[0][0], unbalanced.points[0][0])
+    hi = min(balanced.points[-1][0], unbalanced.points[-1][0])
     points = []
     crossover = None
     for n_bar, q_unb, _ in unbalanced.points:
         if not lo <= n_bar <= hi:
             continue
-        q_bal = _interp(n_bar, bal_n, bal_q)
+        q_bal = matched_report(Family.ESVS, d, n_bar).qcrb
         points.append((n_bar, q_bal, q_unb))
         if crossover is None and q_bal > q_unb * (1.0 + 1e-9):
             crossover = n_bar

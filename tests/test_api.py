@@ -1,7 +1,9 @@
 """Every public name resolves, so a deleted name cannot linger in an export list.
 
 Also pins where the proven orderings are checked: only ``qcrb`` raises
-OrderingViolation, so the rule for ties and rounding has one home.
+OrderingViolation, so the rule for ties and rounding has one home.  And
+only ``families.matched_report`` calls the budget solve, so every
+fixed-budget comparison takes its balanced bound from one path.
 """
 
 import ast
@@ -39,12 +41,15 @@ def test_package_reexport_resolves(module, name):
         assert name in source.__all__
 
 
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
 def _raises_ordering_violation(path):
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
-            if name == "OrderingViolation":
+            if _name(exc) == "OrderingViolation":
                 return True
     return False
 
@@ -53,3 +58,30 @@ def test_only_qcrb_raises_ordering_violation():
     package = Path(noonlike.__file__).parent
     raising = [p.name for p in sorted(package.glob("*.py")) if _raises_ordering_violation(p)]
     assert raising == ["qcrb.py"]
+
+
+def _callers(path, callee):
+    """Names of the functions in ``path`` (``<module>`` at top level) that call ``callee``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name if scope == "<module>" else scope)
+                continue
+            if isinstance(child, ast.Call) and _name(child.func) == callee:
+                found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_only_matched_report_solves_a_budget():
+    package = Path(noonlike.__file__).parent
+    callers = [
+        f"{p.stem}.{scope}"
+        for p in sorted(package.glob("*.py"))
+        for scope in _callers(p, "solve_param_for_nbar")
+    ]
+    assert callers == ["families.matched_report"]

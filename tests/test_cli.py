@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -384,6 +385,38 @@ class TestCommands:
     def test_figure_2_at_large_d(self, capsys):
         assert main(["figure", "--id", "2", "--d", "100000", "--steps", "3"]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "args, err, stdout_sha256",
+        [
+            pytest.param(args, err, sha, id=args)
+            for args, err, sha in [
+                (
+                    "--d 5 --r-min 0.5 --r-max 5 --steps 8",
+                    "# crossover n_bar = 91.0174033344\n",
+                    "123bd563a888c534558bdccdf22ff8c49df819e306f836099de20116ca7dfabe",
+                ),
+                (
+                    "--d 5 --r-max 3 --steps 10",
+                    "",
+                    "fc78d3a49f2967d0ca9aec7a45d34d1d79adcaf068fee59661c8d41d6e072531",
+                ),
+                (
+                    "--d 10 --r-min 0.3 --r-max 5 --steps 3",
+                    "",
+                    "a544a2c0e436494f51ccc5202a694ddc6d8b7840633c8cf6b2fbf7660b7bd86f",
+                ),
+            ]
+        ],
+    )
+    def test_crossover_from_exactly_matched_budgets(self, capsys, args, err, stdout_sha256):
+        # on these coarse grids a linearly interpolated balanced curve shows
+        # crossovers (n_bar = 7.258, 22.28, 2.054) that the exact bounds do
+        # not have; the columns never depended on the comparison
+        assert main(["unbalanced", *args.split()]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha256
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["figure", "--id", "7"]) == 2

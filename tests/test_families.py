@@ -97,6 +97,26 @@ class TestFamilyTable:
             nbar_map(family, 5, 1.0)(p)
 
 
+class TestEscsAtZeroDisplacement:
+    """ESCS at zero displacement is the ESVS probe of the same squeeze factor."""
+
+    R_GRID = [1e-6, 0.05, 0.4, 1.0, 2.0, 3.9]
+
+    @pytest.mark.parametrize("r", R_GRID)
+    def test_moments_equal(self, r):
+        escs, esvs = moments(SqueezedCoherent(0.0, r)), moments(SqueezedVacuum(r))
+        assert escs.mean_n == esvs.mean_n
+        assert escs.vacuum_prob == esvs.vacuum_prob
+
+    @pytest.mark.parametrize("r", R_GRID)
+    @pytest.mark.parametrize("d", [1, 5, 50, 10**6])
+    def test_nbar_maps_and_bounds_agree(self, r, d):
+        assert nbar_map(Family.ESCS, d, r)(0.0) == nbar_map(Family.ESVS, d)(r)
+        escs = qcrb_closed_form(ProbeSpec(d, SqueezedCoherent(0.0, r))).qcrb
+        esvs = qcrb_closed_form(ProbeSpec(d, SqueezedVacuum(r))).qcrb
+        assert escs == pytest.approx(esvs, rel=4e-15, abs=0.0)
+
+
 class TestSolve:
     def test_noon_effective(self):
         state = solve_param_for_nbar(Family.NOON, 5, 2.0)
@@ -418,14 +438,38 @@ class TestBalancedVsUnbalanced:
 
     def test_balanced_at_or_below_in_low_region(self, sweep):
         bal, unb = sweep
-        points, crossover = compare_sweeps_at_common_nbar(bal, unb)
+        points, crossover = compare_sweeps_at_common_nbar(5, bal, unb)
         assert points, "curves share no n_bar overlap"
         assert crossover is None  # crossover sits above this sweep (~92)
         assert all(q_bal <= q_unb for _, q_bal, q_unb in points)
 
+    @pytest.mark.parametrize(
+        "d, r_grid",
+        [
+            (5, list(np.linspace(0.3, 6.0, 120))),
+            (5, list(np.linspace(0.5, 5.0, 8))),
+            (10, list(np.linspace(0.3, 5.0, 3))),
+            (1, list(np.linspace(0.3, 6.0, 120))),
+        ],
+    )
+    def test_compared_at_exactly_matched_budgets(self, d, r_grid):
+        bal, unb = balanced_vs_unbalanced_sweep(d, r_grid)
+        points, crossover = compare_sweeps_at_common_nbar(d, bal, unb)
+        assert points
+        for n_bar, q_bal, _ in points:
+            assert q_bal == matched_report(Family.ESVS, d, n_bar).qcrb
+        # the crossover is the first compared point past the 1e-9 margin
+        past = [nb for nb, q_bal, q_unb in points if q_bal > q_unb * (1.0 + 1e-9)]
+        assert crossover == (past[0] if past else None)
+
+    def test_empty_grid_compares_nothing(self):
+        bal, unb = balanced_vs_unbalanced_sweep(5, [])
+        assert bal.points == unb.points == ()
+        assert compare_sweeps_at_common_nbar(5, bal, unb) == ([], None)
+
     def test_crossover_found_on_extended_sweep(self):
         bal, unb = balanced_vs_unbalanced_sweep(5, list(np.linspace(0.3, 6.0, 120)))
-        points, crossover = compare_sweeps_at_common_nbar(bal, unb)
+        points, crossover = compare_sweeps_at_common_nbar(5, bal, unb)
         assert crossover is not None and 60 < crossover < 130
         high = [p for p in points if p[0] > crossover * 1.5]
         assert all(q_bal > q_unb for _, q_bal, q_unb in high)

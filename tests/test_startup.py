@@ -8,8 +8,8 @@ commands, ``experiment`` and ``figure --id 6``, load the circuit simulator,
 which is plain Python too, so they must not load numpy or ``dataclasses``
 either.  Each invocation runs in a fresh interpreter, since this one has
 imported all of them long ago.  The gates count modules, never seconds.
-The pure-Python stand-ins for ``np.linspace`` and ``np.interp`` that make
-this possible are checked against numpy bit for bit.
+The pure-Python stand-in for ``np.linspace`` that makes this possible is
+checked against numpy bit for bit.
 """
 
 import math
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from noonlike.cli import _linspace
-from noonlike.families import _interp
 
 CLOSED_FORM = [
     ["qcrb", "--family", "noon", "--d", "5", "--n", "2"],
@@ -150,47 +149,3 @@ class TestLinspace:
     def test_infinite_span_with_one_point(self):
         with np.errstate(invalid="ignore"):
             self._check(1.0, math.inf, 1)
-
-
-class TestInterp:
-    CASES = 10_000
-
-    def _check(self, x, xp, fp):
-        want = float(np.interp(x, xp, fp))
-        got = _interp(x, xp, fp)
-        assert _bits([got]) == _bits([want]), (x, xp, fp)
-
-    def test_random_points(self):
-        rng = np.random.default_rng(20241019)
-        for _ in range(self.CASES):
-            size = int(rng.integers(1, 80))
-            xp = np.sort(rng.uniform(-5.0, 5.0, size))
-            if size > 2 and rng.random() < 0.25:
-                xp[1] = xp[2]  # a repeated abscissa, as a flat stretch of n_bar gives
-            fp = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
-            roll = rng.random()
-            if roll < 0.2:
-                x = float(rng.choice(xp))  # exactly on a grid point
-            elif roll < 0.3:
-                x = float(xp[0] if rng.random() < 0.5 else xp[-1])  # an endpoint
-            else:
-                x = float(rng.uniform(-6.0, 6.0))  # inside or beyond either edge
-            self._check(x, xp.tolist(), fp.tolist())
-
-    @pytest.mark.parametrize(
-        "x, xp, fp",
-        [
-            (0.5, [0.0, 1.0], [math.inf, math.inf]),  # NaN from both ends, equal values
-            (0.5, [0.0, 1.0], [-math.inf, math.inf]),  # NaN from both ends
-            (0.5, [0.0, 1.0], [math.inf, 1.0]),
-            (math.nan, [0.0, 1.0], [0.0, 1.0]),
-            (0.0, [0.0, 0.0, 1.0], [1.0, 2.0, 3.0]),
-            (1.0, [0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
-            (2.0, [0.0], [7.0]),
-            (-2.0, [0.0], [7.0]),
-            (-1.0, [0.0, 1.0], [4.0, 5.0]),
-            (9.0, [0.0, 1.0], [4.0, 5.0]),
-        ],
-    )
-    def test_edges(self, x, xp, fp):
-        self._check(x, xp, fp)

@@ -103,6 +103,21 @@ def test_figure_3_solves_five_per_row(solves, capsys):
     assert solves == [5 * len(rows)]
 
 
+@pytest.mark.parametrize(
+    "argv, compared",
+    [
+        pytest.param(["figure", "--id", "4"], 58, id="figure 4"),
+        pytest.param(["unbalanced", "--d", "1", "--r-max", "6", "--steps", "120"], 119,
+                     id="unbalanced d=1 golden"),
+    ],
+)
+def test_unbalanced_solves_once_per_compared_point(solves, capsys, argv, compared):
+    # the balanced bound is solved at each unbalanced n_bar inside the overlap
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert solves == [compared]
+
+
 def test_qcrb_command_modules(cli_in_fresh_interpreter):
     code, modules = cli_in_fresh_interpreter(["qcrb", "--family", "esvs", "--d", "5", "--r", "2"])
     assert code == 0
