@@ -8,8 +8,8 @@ budget, optimizes balanced against unbalanced weighting, and simulates a
 heralded linear-optical circuit that generates a two-mode probe of this
 class, exactly on its heralded photon budget.
 
-The circuit simulator, ``noonlike.circuit``, and numpy load on first use, so
-the closed-form bounds start without either.
+The circuit simulator and the numeric oracles (``noonlike.oracles``, which
+imports numpy) load on first use, so the closed-form bounds start without either.
 """
 
 import importlib
@@ -49,35 +49,37 @@ from .qcrb import (
     OptimizedB,
     ProbeSpec,
     QcrbReport,
-    QfiMatrix,
     mean_total_photons,
     noon_qcrb,
     qcrb_closed_form,
     qcrb_from_f,
-    qcrb_trace_inverse,
-    qfi_matrix,
     resolve_weights,
 )
 from .states import (
     Coherent,
     Fock,
     FockSuperposition,
-    FockVector,
     Moments,
     SingleModeState,
     SqueezedCoherent,
     SqueezedVacuum,
     f_factor,
-    fock_amplitudes,
     moments,
-    moments_from_amplitudes,
 )
 
 __version__ = "0.1.0"
 
 
+# name -> its submodule, imported on first use; a submodule's name gives the submodule
+_LAZY = {"circuit": "circuit"} | dict.fromkeys(
+    ("FockVector", "QfiMatrix", "fock_amplitudes", "moments_from_amplitudes", "qfi_matrix",
+     "qcrb_trace_inverse"), "oracles")
+
+
 def __getattr__(name: str):
-    # PEP 562: ``noonlike.circuit`` works without importing it first
-    if name == "circuit":
-        return importlib.import_module(f"{__name__}.circuit")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # PEP 562: ``noonlike.circuit`` and ``from noonlike import qfi_matrix``
+    # work without importing the submodule first
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    return getattr(module, name, module)

@@ -227,6 +227,13 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return grid
 
 
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.geomspace(start, stop, num)`` as floats: the grid of figures 2 and 3."""
+    import numpy as np  # a pure-Python grid is not bit-equal to numpy's
+
+    return np.geomspace(start, stop, num).tolist()
+
+
 def _round12(value: float) -> float:
     return float(f"{value:.12g}")
 
@@ -315,13 +322,9 @@ def _cmd_experiment(params: dict) -> tuple[list[str], list[list]]:
 
 
 def _figure_2(params: dict) -> tuple[list[str], list[list]]:
-    import numpy as np  # a pure-Python geomspace is not bit-equal to numpy's
-
     d = params["d"]
-    grid = np.geomspace(params["n_min"], params["n_max"], params["steps"])
     rows = []
-    for n_bar in grid:
-        nb = float(n_bar)
+    for nb in _geomspace(params["n_min"], params["n_max"], params["steps"]):
         qcrbs = [r.qcrb for r in compare_families_at_nbar(d, nb, params["r_prime"])]
         _check_below_noon(d, nb, qcrbs)
         rows.append([nb] + qcrbs)
@@ -329,14 +332,10 @@ def _figure_2(params: dict) -> tuple[list[str], list[list]]:
 
 
 def _figure_3(params: dict) -> tuple[list[str], list[list]]:
-    import numpy as np  # a pure-Python geomspace is not bit-equal to numpy's
-
     d = params["d"]
-    grid = np.geomspace(params["n_min"], params["n_max"], params["steps"])
     r_primes = (0.4, 0.8, 1.2)
     rows = []
-    for n_bar in grid:
-        nb = float(n_bar)
+    for nb in _geomspace(params["n_min"], params["n_max"], params["steps"]):
         ecs = matched_report(Family.ECS, d, nb).qcrb
         esvs = matched_report(Family.ESVS, d, nb).qcrb
         escs_curve = escs_sweep_r_prime(d, nb, r_primes)

@@ -32,6 +32,7 @@ from .qcrb import (
     ProbeSpec,
     QcrbReport,
     _check_ordered,
+    _require_d,
     mean_total_photons,
     qcrb_closed_form,
     resolve_weights,
@@ -105,6 +106,7 @@ def nbar_map(
     constructor's message, but builds no state.  NOON has no map; its
     occupation is n_bar itself.
     """
+    d = _require_d(d)
     if family is Family.ECS:
 
         def ecs(alpha: float) -> float:
@@ -193,8 +195,7 @@ def solve_param_for_nbar(
     squeeze factor) raises BracketFailure, as does a bracket that has to
     leave the parameter's representable range to reach the target.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _require_d(d)
     if n_bar <= 0.0:
         raise ValueError(f"n_bar must be positive, got {n_bar}")
     _require_real("n_bar", n_bar, _N_RANGE)  # NOON's n is n_bar

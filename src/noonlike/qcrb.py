@@ -4,20 +4,20 @@ The probe is a (d+1)-mode superposition in which one mode carries a
 constituent state and the rest are vacuum; ``d`` phases are imprinted one
 per non-reference mode, with the reference-mode phase fixed to zero.  For
 this family the Fisher matrix is phase independent and has the structure
-``a I - c O`` (O = all-ones), so the bound has both a closed form and an
-independent dense-inversion route; both are exposed.
+``a I - c O`` (O = all-ones), so the bound has a closed form; the dense
+trace-of-inverse route that checks it is in ``noonlike.oracles``.
 
 Pure functions over immutable inputs throughout; thread-safe by construction.
-The weightings, ``ProbeSpec``, ``QcrbReport`` and ``QfiMatrix`` are
-``__slots__`` classes on the frozen-value base of ``noonlike.states``: equal
-when of one class with equal fields, hashable, and raising AttributeError on
-assignment.
+The weightings, ``ProbeSpec`` and ``QcrbReport`` are ``__slots__`` classes
+on the frozen-value base of ``noonlike.states``: equal when of one class
+with equal fields, hashable, and raising AttributeError on assignment.
+Every function that takes ``d`` accepts only a whole number >= 1.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import (
     ConstraintInfeasible,
@@ -27,13 +27,9 @@ from .errors import (
     NonFiniteResult,
     NonPositivePhotonNumber,
     OrderingViolation,
-    SingularMatrix,
     ZeroPhotonState,
 )
 from .states import Moments, SingleModeState, _Frozen, moments
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Balanced",
@@ -42,20 +38,25 @@ __all__ = [
     "Weighting",
     "ProbeSpec",
     "QcrbReport",
-    "QfiMatrix",
     "mean_total_photons",
     "resolve_weights",
-    "qfi_matrix",
-    "qcrb_trace_inverse",
     "qcrb_closed_form",
     "qcrb_from_f",
     "noon_qcrb",
     "noon_ceiling",
 ]
 
-_COND_LIMIT = 1e12
 _BOUND_RTOL = 1e-12
 _REPORTED = ("qcrb", "f", "R", "b2", "n_tilde", "n_bar")  # the numeric QcrbReport fields
+
+
+def _require_d(d) -> int:
+    """``d`` as an int; ValueError naming it unless it is a whole number >= 1."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if type(d) is not int and (not d < math.inf or int(d) != d):  # NaN is not below inf
+        raise ValueError(f"d must be a finite whole number, got {d}")
+    return int(d)
 
 
 class Balanced(_Frozen):
@@ -86,9 +87,7 @@ class ProbeSpec(_Frozen):
     __slots__ = ("d", "state", "weighting")
 
     def __init__(self, d: int, state: SingleModeState, weighting: Weighting = Balanced()):
-        if int(d) != d or d < 1:
-            raise ValueError(f"d must be a positive integer, got {d}")
-        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "d", _require_d(d))
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "weighting", weighting)
 
@@ -122,27 +121,6 @@ class QcrbReport(_Frozen):
         object.__setattr__(self, "parameter", parameter)
 
 
-class QfiMatrix(_Frozen):
-    """Dense d x d Fisher matrix of the form a I - c O."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: np.ndarray):
-        import numpy as np
-
-        m = np.asarray(entries, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(m))))):
-            raise ValueError("entries must be symmetric")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def resolve_weights(d: int, m: Moments, weighting: Weighting) -> tuple[float, float]:
     """Probing weight b^2 and signed reference weight c of the probe.
 
@@ -155,8 +133,7 @@ def resolve_weights(d: int, m: Moments, weighting: Weighting) -> tuple[float, fl
     the ellipse in c: the branch through the balanced point, which ends in
     the tangency root ``c = -B b/2`` on the boundary.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _require_d(d)
     p0 = m.vacuum_prob
     if isinstance(weighting, Balanced):
         b2 = 1.0 / ((d + 1) * (1.0 + d * p0))
@@ -187,38 +164,9 @@ def resolve_weights(d: int, m: Moments, weighting: Weighting) -> tuple[float, fl
 
 def mean_total_photons(d: int, state: SingleModeState) -> float:
     """Mean total photon number of the balanced (d+1)-mode probe."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _require_d(d)
     m = moments(state)
     return m.mean_n / (1.0 + d * m.vacuum_prob)
-
-
-def qfi_matrix(spec: ProbeSpec) -> QfiMatrix:
-    """Fisher matrix 4 b^2 <n^2> I - 4 b^4 <n>^2 O for the d phases."""
-    import numpy as np
-
-    m = moments(spec.state)
-    if m.mean_n2 <= 0.0:
-        raise ZeroPhotonState("vacuum constituent has no Fisher information")
-    b2, _ = resolve_weights(spec.d, m, spec.weighting)
-    a = 4.0 * b2 * m.mean_n2
-    c = 4.0 * b2 * b2 * m.mean_n**2
-    entries = a * np.eye(spec.d) - c * np.ones((spec.d, spec.d))
-    return QfiMatrix(entries)
-
-
-def qcrb_trace_inverse(matrix: QfiMatrix) -> float:
-    """Trace of the dense matrix inverse.
-
-    Deliberately generic (LAPACK LU with pivoting, no use of the rank-one
-    structure) so it can serve as an independent oracle for the closed form.
-    """
-    import numpy as np
-
-    m = matrix.entries
-    if np.linalg.cond(m) > _COND_LIMIT:
-        raise SingularMatrix(f"condition number exceeds {_COND_LIMIT:.0e}")
-    return float(np.trace(np.linalg.inv(m)))
 
 
 def qcrb_closed_form(spec: ProbeSpec) -> QcrbReport:
@@ -261,9 +209,8 @@ def qcrb_closed_form(spec: ProbeSpec) -> QcrbReport:
 
 def qcrb_from_f(d: int, n_bar: float, f: float) -> float:
     """Bound as a function of (d, n_bar, f) alone; increasing in f."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if n_bar <= 0.0:
+    d = _require_d(d)
+    if not n_bar > 0.0:
         raise NonPositivePhotonNumber(f"n_bar must be positive, got {n_bar}")
     if not 0.0 < f <= (1.0 / n_bar) * (1.0 + 1e-12):
         raise FOutOfRange(f"f={f} outside (0, 1/n_bar={1.0 / n_bar}]")
@@ -276,9 +223,8 @@ def noon_qcrb(d: int, n: float) -> float:
     Non-integer ``n`` is accepted for interpolated ("effective") comparison
     curves at matched mean photon number.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if n <= 0.0:
+    d = _require_d(d)
+    if not n > 0.0:
         raise NonPositivePhotonNumber(f"photon number must be positive, got {n}")
     return d * (d + 1) / (2.0 * n * n)
 

@@ -1,17 +1,16 @@
 """Single-mode constituent states and their photon-number statistics.
 
-Each state is described both analytically (closed-form moments of the photon
-number operator) and numerically (truncated Fock expansions), so the two
-routes can check each other.  The expansions are built as plain lists by
-``_build_amps``, which the circuit simulator reads directly.  Only the
-numeric oracles, ``fock_amplitudes`` with its ``FockVector`` and
-``moments_from_amplitudes``, need numpy, and they import it when first
-called, so the analytic route and the simulator start without it.
+Each state is described analytically, by closed-form moments of the photon
+number operator, and by its Fock amplitudes, built as plain lists by
+``_build_amps``.  The circuit simulator reads those lists directly, and
+``noonlike.oracles`` turns them into truncated expansions whose moments
+check the closed forms.
 
 Conventions
 -----------
-* All displacement amplitudes and squeeze factors are real; complex inputs
-  are rejected at construction.
+* All displacement amplitudes and squeeze factors are real; any other input,
+  such as a complex number, a numpy complex scalar or a string, raises
+  TypeError at construction.
 * ``SqueezedVacuum(r)`` is the state whose even Fock amplitudes follow
   ``c_{2m} = (cosh r)^{-1/2} (-tanh r)^m sqrt((2m)!)/(2^m m!)``.
 * ``SqueezedCoherent(alpha, r)`` is displacement applied after squeezing,
@@ -23,8 +22,8 @@ Conventions
   matters for the sign pattern of the amplitudes, not for any moment.
 
 All values are immutable after construction and all functions are pure, so
-everything here is safe to share across threads.  The value classes here, in
-``qcrb`` and in ``families`` share one small base, ``_Frozen``: each lists
+everything here is safe to share across threads.  The value classes of the
+package, these included, share one small base, ``_Frozen``: each lists
 its fields in ``__slots__`` and sets them once in ``__init__``; the base
 gives equality within one class, a hash over the fields, the
 ``Name(field=value)`` repr, copy and pickle through the constructor, and
@@ -35,13 +34,10 @@ classes keep the import of these modules free of generated code.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from typing import TYPE_CHECKING
 
-from .errors import ParameterOutOfRange, TruncationInsufficient, ZeroPhotonState
-
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import ParameterOutOfRange, ZeroPhotonState
 
 __all__ = [
     "Fock",
@@ -51,10 +47,7 @@ __all__ = [
     "FockSuperposition",
     "SingleModeState",
     "Moments",
-    "FockVector",
     "moments",
-    "fock_amplitudes",
-    "moments_from_amplitudes",
     "f_factor",
 ]
 
@@ -76,8 +69,8 @@ def _require_real(name: str, value, limits: tuple[float, float]) -> float:
     """``value`` as a float that is 0 or whose square lies within ``limits``."""
     out = value
     if type(out) is not float:  # the solvers pass floats, which need no conversion
-        if isinstance(value, complex):
-            raise TypeError(f"{name} must be a real number, got complex {value!r}")
+        if not isinstance(value, numbers.Real):  # complex, numpy complex, str, ...
+            raise TypeError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
         out = float(value)
     if not limits[0] <= out * out <= limits[1] and out:
         if not math.isfinite(out):
@@ -182,7 +175,7 @@ class FockSuperposition(_Frozen):
         if not amps:
             raise ValueError("amplitude list must be non-empty")
         norm_sq = sum(abs(a) ** 2 for a in amps)
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"amplitudes not normalized: sum |c_n|^2 = {norm_sq!r}")
         object.__setattr__(self, "amps", amps)
 
@@ -209,26 +202,6 @@ class Moments(_Frozen):
     @property
     def variance(self) -> float:
         return self.mean_n2 - self.mean_n**2
-
-
-class FockVector(_Frozen):
-    """Truncated Fock expansion |0>..|n_max> with the discarded tail mass."""
-
-    __slots__ = ("amps", "n_max", "tail_mass")
-
-    def __init__(self, amps: np.ndarray, n_max: int, tail_mass: float):
-        import numpy as np
-
-        amps = np.asarray(amps, dtype=np.complex128)
-        if amps.ndim != 1 or len(amps) != n_max + 1:
-            raise ValueError("amps must be a 1-D array of length n_max + 1")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not (1.0 - tail_mass - 1e-9) <= norm_sq <= 1.0 + 1e-9:
-            raise ValueError(f"norm {norm_sq} inconsistent with tail_mass {tail_mass}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "tail_mass", tail_mass)
 
 
 def moments(state: SingleModeState) -> Moments:
@@ -332,65 +305,6 @@ def _build_amps(state: SingleModeState, n_max: int) -> list:
         out[:upto] = state.amps[:upto]
         return out
     raise TypeError(f"not a SingleModeState: {state!r}")
-
-
-def _default_start(state: SingleModeState) -> int:
-    m = moments(state)
-    spread = math.sqrt(max(m.variance, 0.0) + 1.0)
-    return max(20, math.ceil(m.mean_n + 10.0 * spread))
-
-
-def fock_amplitudes(
-    state: SingleModeState,
-    n_max: int | None = None,
-    tail_tol: float = 1e-12,
-) -> FockVector:
-    """Truncated Fock expansion of ``state``.
-
-    With ``n_max=None`` the cutoff is chosen adaptively: start at
-    ``max(20, ceil(<n> + 10 sqrt(var + 1)))`` and double until the tail mass
-    drops below ``tail_tol`` (coherent/squeezed tails decay
-    super-geometrically, so a few doublings always suffice).  An explicit
-    ``n_max`` is honored as-is and raises TruncationInsufficient when the
-    tail exceeds ``tail_tol``; pass ``tail_tol=math.inf`` to accept any tail.
-    """
-    import numpy as np
-
-    if n_max is not None:
-        if n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {n_max}")
-        amps = np.array(_build_amps(state, n_max), dtype=np.complex128)
-        tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-        if tail > tail_tol:
-            raise TruncationInsufficient(
-                f"tail mass {tail:.3e} exceeds tolerance {tail_tol:.3e} at n_max={n_max}"
-            )
-        return FockVector(amps, n_max, tail)
-
-    cutoff = _default_start(state)
-    for _ in range(8):
-        amps = np.array(_build_amps(state, cutoff), dtype=np.complex128)
-        tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-        if tail < tail_tol:
-            return FockVector(amps, cutoff, tail)
-        cutoff *= 2
-    raise TruncationInsufficient(
-        f"tail mass still {tail:.3e} at n_max={cutoff // 2}"
-    )
-
-
-def moments_from_amplitudes(v: FockVector) -> Moments:
-    """Numeric moment oracle: direct sums over a truncated expansion."""
-    import numpy as np
-
-    p = np.abs(v.amps) ** 2
-    total = float(np.sum(p))
-    if total <= 0.0:
-        raise ValueError("amplitude vector has zero norm")
-    n = np.arange(v.n_max + 1, dtype=np.float64)
-    mean = float(np.sum(n * p)) / total
-    mean2 = float(np.sum(n * n * p)) / total
-    return Moments(mean, mean2, float(p[0]) / total)
 
 
 def f_factor(state: SingleModeState) -> float:

@@ -1,9 +1,10 @@
 """Every public name resolves, so a deleted name cannot linger in an export list.
 
 Also pins where the proven orderings are checked: only ``qcrb`` raises
-OrderingViolation, so the rule for ties and rounding has one home.  And
-only ``families.matched_report`` calls the budget solve, so every
-fixed-budget comparison takes its balanced bound from one path.
+OrderingViolation, so the rule for ties and rounding has one home.  Only
+``families.matched_report`` calls the budget solve, so every fixed-budget
+comparison takes its balanced bound from one path.  And numpy is imported
+only by ``oracles``, at its top, and by the figure grid ``cli._geomspace``.
 """
 
 import ast
@@ -14,8 +15,8 @@ import pytest
 
 import noonlike
 
-MODULES = ["noonlike.states", "noonlike.qcrb", "noonlike.families", "noonlike.circuit",
-           "noonlike.cli"]
+MODULES = ["noonlike.states", "noonlike.qcrb", "noonlike.oracles", "noonlike.families",
+           "noonlike.circuit", "noonlike.cli"]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -26,19 +27,29 @@ def test_all_names_resolve(module):
 
 
 def _package_reexports():
+    """(module, name) of every name the package imports or serves on first use."""
     tree = ast.parse(Path(noonlike.__file__).read_text())
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 yield node.module, alias.name
+    yield from ((module, name) for name, module in noonlike._LAZY.items())
 
 
 @pytest.mark.parametrize("module, name", list(_package_reexports()))
 def test_package_reexport_resolves(module, name):
     source = importlib.import_module(f"noonlike.{module}")
+    if name == module:  # a submodule served by its own name
+        assert getattr(noonlike, name) is source
+        return
     assert getattr(noonlike, name) is getattr(source, name)
     if hasattr(source, "__all__"):
         assert name in source.__all__
+
+
+def test_lazy_names_are_all_of_the_oracles():
+    lazy = {name for name, module in noonlike._LAZY.items() if module == "oracles"}
+    assert lazy == set(importlib.import_module("noonlike.oracles").__all__)
 
 
 def _name(node):
@@ -58,6 +69,46 @@ def test_only_qcrb_raises_ordering_violation():
     package = Path(noonlike.__file__).parent
     raising = [p.name for p in sorted(package.glob("*.py")) if _raises_ordering_violation(p)]
     assert raising == ["qcrb.py"]
+
+
+def _numpy_imports(path):
+    """``module:scope`` of each numpy import in ``path``: the top-level def or class, or ``<module>``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else scope)
+                continue
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            if any(n.split(".")[0] == "numpy" for n in names):
+                found.append(f"{path.stem}:{scope}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_only_oracles_and_the_figure_grid_import_numpy():
+    package = Path(noonlike.__file__).parent
+    found = [site for p in sorted(package.glob("*.py")) for site in _numpy_imports(p)]
+    assert found == ["cli:_geomspace", "oracles:<module>"]
+
+
+def test_numpy_import_gate_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy\n"
+        "if True:\n    from numpy import linalg\n"
+        "def f():\n    import numpy.linalg as la\n"
+        "class C:\n    def g(self):\n        from numpy.linalg import inv\n"
+        "import numbers\nfrom . import numpyish\n"
+    )
+    assert _numpy_imports(probe) == ["probe:<module>", "probe:<module>", "probe:f", "probe:C"]
 
 
 def _callers(path, callee):

@@ -9,6 +9,7 @@ from noonlike import (
     Balanced,
     Coherent,
     DenominatorNonPositive,
+    Family,
     FixedB,
     Fock,
     FockSuperposition,
@@ -33,7 +34,9 @@ from noonlike import (
     qcrb_trace_inverse,
     qfi_matrix,
     resolve_weights,
+    solve_param_for_nbar,
 )
+from noonlike.families import nbar_map
 from noonlike.qcrb import _check_below_noon, _check_ordered, noon_ceiling
 
 STATE_GRID = [
@@ -201,6 +204,10 @@ class TestBoundFromF:
         with pytest.raises(FOutOfRange):
             qcrb_from_f(3, 2.0, 0.0)
 
+    def test_nan_n_bar_named(self):
+        with pytest.raises(NonPositivePhotonNumber, match="^n_bar must be positive, got nan$"):
+            qcrb_from_f(1, math.nan, 0.5)
+
     @pytest.mark.parametrize("d,n_bar", [(1, 0.7), (3, 2.0), (5, 4.0), (10, 8.0)])
     def test_strictly_increasing_in_f(self, d, n_bar):
         # finite-difference check over the admissible interval
@@ -227,6 +234,15 @@ class TestNoonBound:
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositivePhotonNumber):
             noon_qcrb(3, 0.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(NonPositivePhotonNumber, match="^photon number must be positive"):
+            noon_qcrb(1, math.nan)
+
+    def test_nan_budget_keeps_the_ceiling(self):
+        # a NaN ceiling would let any value pass
+        with pytest.raises(NonPositivePhotonNumber):
+            _check_below_noon(1, math.nan, [1e9])
 
     @pytest.mark.parametrize("d,n", [(1, 1), (2, 3), (5, 2), (7, 6)])
     def test_noon_reports_saturate(self, d, n):
@@ -259,6 +275,39 @@ class TestNoonBound:
             n = 10.0 ** rng.uniform(-4.0, 2.0)
             d = rng.choice((1, 2, 5, 50))
             assert qcrb_closed_form(ProbeSpec(d, Fock(n))).qcrb <= noon_ceiling(d, n), (d, n)
+
+
+# every public function that takes d, called with a valid rest
+D_TAKERS = {
+    "ProbeSpec": lambda d: ProbeSpec(d, Coherent(1.0)),
+    "resolve_weights": lambda d: resolve_weights(d, moments(Coherent(1.0)), Balanced()),
+    "mean_total_photons": lambda d: mean_total_photons(d, Coherent(1.0)),
+    "qcrb_from_f": lambda d: qcrb_from_f(d, 1.0, 0.5),
+    "noon_qcrb": lambda d: noon_qcrb(d, 2.0),
+    "solve_param_for_nbar": lambda d: solve_param_for_nbar(Family.ECS, d, 3.0),
+    "nbar_map": lambda d: nbar_map(Family.ECS, d)(1.0),
+}
+
+
+class TestPhaseCount:
+    @pytest.mark.parametrize("take", D_TAKERS.values(), ids=D_TAKERS.keys())
+    @pytest.mark.parametrize("d", [2.5, math.inf, math.nan, 1.0 + 1e-15])
+    def test_non_whole_rejected(self, take, d):
+        with pytest.raises(ValueError, match=f"^d must be a finite whole number, got {d}$"):
+            take(d)
+
+    @pytest.mark.parametrize("take", D_TAKERS.values(), ids=D_TAKERS.keys())
+    @pytest.mark.parametrize("d", [0, -3, 0.5, -math.inf])
+    def test_below_one_rejected(self, take, d):
+        with pytest.raises(ValueError, match=f"^d must be >= 1, got {d}$"):
+            take(d)
+
+    @pytest.mark.parametrize("take", D_TAKERS.values(), ids=D_TAKERS.keys())
+    def test_whole_float_equals_int(self, take):
+        assert take(5.0) == take(5)
+
+    def test_probe_spec_stores_an_int(self):
+        assert type(ProbeSpec(np.int64(3), Fock(1)).d) is int
 
 
 class TestOrderingCheck:

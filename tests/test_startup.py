@@ -1,4 +1,4 @@
-"""Start-up cost of the CLI: only figures 2 and 3 load numpy.
+"""Start-up cost of the CLI: only figures 2 and 3 load numpy, and none the oracles.
 
 Every value of ``qcrb``, ``compare``, ``sweep-escs``, ``unbalanced`` and
 ``figure --id 4`` comes from scalar math, so their processes must not pay
@@ -6,8 +6,9 @@ for importing numpy or ``noonlike.circuit``, nor for ``dataclasses`` (which
 loads ``inspect``) or, with CSV output, ``json``.  The heralded-source
 commands, ``experiment`` and ``figure --id 6``, load the circuit simulator,
 which is plain Python too, so they must not load numpy or ``dataclasses``
-either.  Each invocation runs in a fresh interpreter, since this one has
-imported all of them long ago.  The gates count modules, never seconds.
+either.  No command, and no ``import noonlike``, loads ``noonlike.oracles``,
+the numpy code that checks the closed forms.  Each invocation runs in a
+fresh interpreter, since this one has imported all of them long ago.  The gates count modules, never seconds.
 The pure-Python stand-in for ``np.linspace`` that makes this possible is
 checked against numpy bit for bit.
 """
@@ -81,6 +82,35 @@ def test_array_commands_load_what_they_need(cli_in_fresh_interpreter, argv, load
     assert code == 0
     assert loads in modules
     assert ("numpy" in modules) == (loads == "numpy")
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM + HERALDED, ids=" ".join)
+def test_commands_leave_the_oracles_unloaded(cli_in_fresh_interpreter, argv):
+    code, modules = cli_in_fresh_interpreter(argv)
+    assert code == 0
+    assert "noonlike.oracles" not in modules
+
+
+def test_package_import_leaves_the_oracles_unloaded(fresh_python):
+    proc = fresh_python(
+        "import sys\nimport noonlike\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('noonlike', 'numpy'))))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.strip()
+    assert "noonlike.oracles" not in loaded and "numpy" not in loaded
+    assert "noonlike.qcrb" in loaded  # the probe sees the package's modules
+
+
+def test_oracle_names_load_the_oracles(fresh_python):
+    proc = fresh_python(
+        "import sys\nfrom noonlike import qfi_matrix, FockVector\n"
+        "print('noonlike.oracles' in sys.modules, 'numpy' in sys.modules)\n"
+        "import noonlike.oracles as oracles\n"
+        "assert qfi_matrix is oracles.qfi_matrix and FockVector is oracles.FockVector\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
 
 
 def test_circuit_attribute_loads_on_first_use(fresh_python):

@@ -209,6 +209,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             Fock(-1)
 
+    @pytest.mark.parametrize(
+        "amps", [(math.nan,), (math.nan, 1.0), (1.0, complex(0.0, math.nan))],
+        ids=["nan", "nan-and-finite", "nan-imaginary"],
+    )
+    def test_nan_superposition_rejected(self, amps):
+        with pytest.raises(ValueError, match="^amplitudes not normalized"):
+            FockSuperposition(amps)
+
+    @pytest.mark.parametrize(
+        "value", [np.complex64(1 + 2j), np.complex64(1.5), "1.5", b"1.5"],
+        ids=["complex64", "complex64-real", "str", "bytes"],
+    )
+    @pytest.mark.parametrize(
+        "name, build",
+        [("alpha", Coherent), ("r", SqueezedVacuum), ("n", Fock),
+         ("r", lambda r: SqueezedCoherent(1.0, r))],
+        ids=["Coherent", "SqueezedVacuum", "Fock", "ESCS-r"],
+    )
+    def test_non_real_rejected(self, name, build, value):
+        with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+            build(value)
+
+    @pytest.mark.parametrize("value", [2, np.float32(2.0), np.int64(2), True])
+    def test_real_numbers_accepted(self, value):
+        assert Coherent(value).alpha == float(value)
+        assert type(Coherent(value).alpha) is float
+
 
 def _accepted_magnitudes(limits):
     """The smallest and the largest magnitude whose square lies within ``limits``."""

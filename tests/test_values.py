@@ -1,4 +1,4 @@
-"""Value semantics of the immutable classes in ``states``, ``qcrb``, ``families`` and ``circuit``.
+"""Value semantics of the immutable classes of ``noonlike``.
 
 They share one frozen-value base: objects of one class with equal fields are
 equal and hash alike, objects of different classes are never equal (even
@@ -14,12 +14,12 @@ import pytest
 
 from noonlike.circuit import BeamSplitter, CircuitConfig, ExperimentResult, PhaseShifter
 from noonlike.families import SweepCurve
-from noonlike.qcrb import Balanced, FixedB, OptimizedB, ProbeSpec, QcrbReport, QfiMatrix
+from noonlike.oracles import FockVector, QfiMatrix
+from noonlike.qcrb import Balanced, FixedB, OptimizedB, ProbeSpec, QcrbReport
 from noonlike.states import (
     Coherent,
     Fock,
     FockSuperposition,
-    FockVector,
     Moments,
     SqueezedCoherent,
     SqueezedVacuum,
