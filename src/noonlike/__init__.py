@@ -9,7 +9,7 @@ heralded linear-optical circuit that generates a two-mode probe of this
 class, exactly on its heralded photon budget.
 
 The circuit simulator and the numeric oracles (``noonlike.oracles``, which
-imports numpy) load on first use, so the closed-form bounds start without either.
+imports numpy from the ``test`` extra) load on first use, so no command loads numpy.
 """
 
 import importlib

@@ -106,6 +106,9 @@ class PhaseShifter(_Frozen):
     __slots__ = ("mode", "const_phase", "per_photon_phase")
 
     def __init__(self, mode: int, const_phase: float = 0.0, per_photon_phase: float = 0.0):
+        for name, phase in (("const_phase", const_phase), ("per_photon_phase", per_photon_phase)):
+            if not math.isfinite(phase):
+                raise ValueError(f"{name} must be finite, got {phase}")
         self._assign(mode, const_phase, per_photon_phase)
 
 
@@ -424,7 +427,7 @@ def run_experiment(
 
     probs = [abs(c) ** 2 for c in phi]
     norm = sum(probs)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
         raise NoonlikeError(f"branch amplitudes not normalized: {norm}")
     if abs(phi[0]) > 1e-10:
         raise NoonlikeError(f"unexpected vacuum component |c_0| = {abs(phi[0]):.3e}")

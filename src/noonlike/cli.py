@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import NoonlikeError, UsageError
 from .families import (
@@ -227,11 +227,11 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return grid
 
 
-def _geomspace(start: float, stop: float, num: int) -> list[float]:
-    """``np.geomspace(start, stop, num)`` as floats: the grid of figures 2 and 3."""
-    import numpy as np  # a pure-Python grid is not bit-equal to numpy's
-
-    return np.geomspace(start, stop, num).tolist()
+def _geomspace(start: float, stop: float, num: int) -> Iterator[float]:
+    """``np.geomspace(start, stop, num)`` as numpy's baseline (non-AVX-512) code builds it."""
+    exponents = _linspace(math.log10(start), math.log10(stop), num)
+    for k, y in enumerate(exponents):  # lazy: an out-of-domain n_bar fails before 10 ** y overflows
+        yield start if k == 0 else stop if k == num - 1 else 10.0 ** y
 
 
 def _round12(value: float) -> float:

@@ -3,8 +3,8 @@
 ``fock_amplitudes`` and ``moments_from_amplitudes`` recompute the moments of
 ``states`` from truncated Fock expansions, and ``qfi_matrix`` with
 ``qcrb_trace_inverse`` recomputes the bound of ``qcrb`` as the trace of a
-dense matrix inverse.  ``noonlike`` re-exports these names on first use, so
-``import noonlike`` and the CLI commands do not load this module.
+dense matrix inverse.  ``noonlike`` serves these names on first use, so neither
+``import noonlike`` nor a command loads this module, or numpy (the ``test`` extra).
 """
 
 from __future__ import annotations

@@ -189,10 +189,10 @@ class Moments(_Frozen):
     __slots__ = ("mean_n", "mean_n2", "vacuum_prob")
 
     def __init__(self, mean_n: float, mean_n2: float, vacuum_prob: float):
-        if mean_n < 0:
+        if not mean_n >= 0:  # NaN fails too
             raise ValueError(f"mean_n must be nonnegative, got {mean_n}")
-        if mean_n2 < mean_n**2 - 1e-9 * max(1.0, mean_n2):
-            raise ValueError("mean_n2 < mean_n^2 violates variance nonnegativity")
+        if not mean_n2 >= mean_n**2 - 1e-9 * max(1.0, mean_n2):
+            raise ValueError(f"mean_n2 must be at least mean_n^2 = {mean_n**2}, got {mean_n2}")
         if not -1e-12 <= vacuum_prob <= 1 + 1e-12:
             raise ValueError(f"vacuum_prob outside [0, 1]: {vacuum_prob}")
         object.__setattr__(self, "mean_n", mean_n)

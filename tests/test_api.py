@@ -4,11 +4,12 @@ Also pins where the proven orderings are checked: only ``qcrb`` raises
 OrderingViolation, so the rule for ties and rounding has one home.  Only
 ``families.matched_report`` calls the budget solve, so every fixed-budget
 comparison takes its balanced bound from one path.  And numpy is imported
-only by ``oracles``, at its top, and by the figure grid ``cli._geomspace``.
+only by ``oracles``, at its top, and is no runtime dependency of the package.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -93,10 +94,19 @@ def _numpy_imports(path):
     return found
 
 
-def test_only_oracles_and_the_figure_grid_import_numpy():
+def test_only_oracles_import_numpy():
     package = Path(noonlike.__file__).parent
     found = [site for p in sorted(package.glob("*.py")) for site in _numpy_imports(p)]
-    assert found == ["cli:_geomspace", "oracles:<module>"]
+    assert found == ["oracles:<module>"]
+
+
+def test_numpy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["dependencies"] == []
+    test_extra = project["optional-dependencies"]["test"]
+    assert "numpy" in {re.match(r"[\w.-]+", requirement).group() for requirement in test_extra}
 
 
 def test_numpy_import_gate_sees_every_form(tmp_path):

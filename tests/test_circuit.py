@@ -11,6 +11,7 @@ from noonlike import (
     ModeOutOfRange,
     NoonlikeError,
     SqueezedVacuum,
+    circuit,
     fock_amplitudes,
 )
 from noonlike.circuit import (
@@ -149,6 +150,12 @@ class TestElements:
             mode_matrix([BeamSplitter(0, 2)], 2)
         with pytest.raises(ModeOutOfRange):
             mode_matrix([PhaseShifter(-1)], 2)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["const_phase", "per_photon_phase"])
+    def test_non_finite_phase_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PhaseShifter(0, **{field: value})
 
 
 def _permanent(m: np.ndarray) -> complex:
@@ -425,6 +432,13 @@ class TestReferenceCircuit:
             heralded_success_probability(r), rel=1e-12
         )
 
+    def test_nan_branch_amplitudes_fail_the_norm_check(self, monkeypatch):
+        monkeypatch.setattr(
+            circuit, "_noonlike_decomposition", lambda state: ([math.nan] * 5, math.nan, math.nan)
+        )
+        with pytest.raises(NoonlikeError, match="not normalized: nan"):
+            run_experiment(1.0)
+
 
 class TestVerifyNoonlikeForm:
     def _two_branch_state(self, amps, branch_phase=0.0):
@@ -573,6 +587,16 @@ class TestConfigFormat:
         shifter = cfg.elements[1]  # "const=pi per-photon=-pi/2": both pi-fraction forms
         assert isinstance(shifter, PhaseShifter)
         assert (shifter.const_phase, shifter.per_photon_phase) == (math.pi, -math.pi / 2)
+
+    @pytest.mark.parametrize(
+        "key, field", [("const=0", "const_phase"), ("per-photon=pi", "per_photon_phase")]
+    )
+    def test_nan_phase_rejected_with_its_line(self, reference_config_text, key, field):
+        line = "element phaseshifter mode=2 const=0 per-photon=pi"
+        broken = line.replace(key, key.split("=")[0] + "=nan")
+        with pytest.raises(ValueError) as info:
+            parse_circuit_config(reference_config_text.replace(line, broken, 1))
+        assert str(info.value) == f"config line {broken!r}: {field} must be finite, got nan"
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):

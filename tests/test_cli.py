@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -313,6 +314,14 @@ class TestCommands:
                 "element beamsplitter modes=2,3 transmissivity=0.5 convention=real wibble=1",
             ),
             ("herald mode=3 count=1", "herald mode=3 count=1 count=2"),
+            (
+                "element phaseshifter mode=2 const=0 per-photon=pi",
+                "element phaseshifter mode=2 const=nan per-photon=pi",
+            ),
+            (
+                "element phaseshifter mode=2 const=0 per-photon=pi",
+                "element phaseshifter mode=2 const=0 per-photon=nan",
+            ),
         ],
     )
     def test_incomplete_circuit_line_exit_code(
@@ -326,6 +335,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert repr(broken) in err
+
+    @pytest.mark.parametrize("figure", ["2", "3"])
+    def test_grid_at_the_float_limit_names_n_bar(self, capsys, figure):
+        # every interior point of this grid overflows 10 ** y; the first, exact,
+        # point is out of n_bar's domain and must stop the figure before them
+        argv = ["figure", "--id", figure, "--n-min", "1.7976931348623155e308",
+                "--n-max", "1.7976931348623157e308", "--steps", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n_bar = 1.7976931348623155e+308 is out of range")
 
     def test_non_finite_result_exit_code(self, capsys):
         # 1/b2 overflows: the bound would print as inf

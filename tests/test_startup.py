@@ -1,25 +1,32 @@
-"""Start-up cost of the CLI: only figures 2 and 3 load numpy, and none the oracles.
+"""Start-up cost of the CLI: no command loads numpy or the oracles.
 
 Every value of ``qcrb``, ``compare``, ``sweep-escs``, ``unbalanced`` and
-``figure --id 4`` comes from scalar math, so their processes must not pay
-for importing numpy or ``noonlike.circuit``, nor for ``dataclasses`` (which
-loads ``inspect``) or, with CSV output, ``json``.  The heralded-source
-commands, ``experiment`` and ``figure --id 6``, load the circuit simulator,
-which is plain Python too, so they must not load numpy or ``dataclasses``
-either.  No command, and no ``import noonlike``, loads ``noonlike.oracles``,
-the numpy code that checks the closed forms.  Each invocation runs in a
-fresh interpreter, since this one has imported all of them long ago.  The gates count modules, never seconds.
-The pure-Python stand-in for ``np.linspace`` that makes this possible is
-checked against numpy bit for bit.
+``figure --id 2``, ``3`` and ``4`` comes from scalar math, so their processes
+must not pay for importing numpy or ``noonlike.circuit``, nor for
+``dataclasses`` (which loads ``inspect``) or, with CSV output, ``json``.  The
+heralded-source commands, ``experiment`` and ``figure --id 6``, load the
+circuit simulator, which is plain Python too, so they must not load numpy or
+``dataclasses`` either.  No command, and no ``import noonlike``, loads
+``noonlike.oracles``, the numpy code that checks the closed forms.  Each
+invocation runs in a fresh interpreter, since this one has imported all of
+them long ago.  The gates count modules, never seconds.
+
+The pure-Python stand-ins for ``np.linspace`` and ``np.geomspace`` that make
+this possible are checked against numpy bit for bit.  The geometric grid is
+checked in a child interpreter that keeps numpy off its AVX-512 code, whose
+``power`` rounds differently from the C library's ``pow``; in this process
+it is held to within an ulp or two of numpy.
 """
 
+import json
 import math
+import random
 import struct
 
 import numpy as np
 import pytest
 
-from noonlike.cli import _linspace
+from noonlike.cli import _CHOICES, _geomspace, _linspace
 
 CLOSED_FORM = [
     ["qcrb", "--family", "noon", "--d", "5", "--n", "2"],
@@ -32,6 +39,8 @@ CLOSED_FORM = [
     ["sweep-escs", "--d", "5", "--n-bar", "4"],
     ["sweep-escs", "--d", "5", "--n-bar", "4", "--format", "json"],
     ["unbalanced", "--d", "1"],
+    ["figure", "--id", "2"],
+    ["figure", "--id", "3", "--format", "json"],
     ["figure", "--id", "4"],
 ]
 
@@ -72,16 +81,14 @@ def test_heralded_commands_load_neither_numpy_nor_classes(cli_in_fresh_interpret
 
 
 @pytest.mark.parametrize(
-    "argv, loads",
-    [(["experiment", "--r", "1"], "noonlike.circuit"), (["figure", "--id", "2"], "numpy")],
-    ids=" ".join,
+    "argv, loads", [(["experiment", "--r", "1"], "noonlike.circuit")], ids=" ".join
 )
 def test_array_commands_load_what_they_need(cli_in_fresh_interpreter, argv, loads):
-    # figure 2 keeps numpy for np.geomspace; the simulator needs none
+    # the simulator needs no numpy
     code, modules = cli_in_fresh_interpreter(argv)
     assert code == 0
     assert loads in modules
-    assert ("numpy" in modules) == (loads == "numpy")
+    assert "numpy" not in modules
 
 
 @pytest.mark.parametrize("argv", CLOSED_FORM + HERALDED, ids=" ".join)
@@ -179,3 +186,74 @@ class TestLinspace:
     def test_infinite_span_with_one_point(self):
         with np.errstate(invalid="ignore"):
             self._check(1.0, math.inf, 1)
+
+
+def _figure_grid(figure: int) -> tuple[float, float, int]:
+    defaults = _CHOICES["id"][1][figure]
+    return defaults["n_min"], defaults["n_max"], defaults["steps"]
+
+
+def _random_geometric_grids(count: int) -> list[tuple[float, float, int]]:
+    """Seeded (start, stop, num), either order, with ends across n_bar's whole domain."""
+    rng = random.Random(20261019)
+    return [
+        (10.0 ** rng.uniform(-150, 150), 10.0 ** rng.uniform(-150, 150), rng.randint(1, 300))
+        for _ in range(count)
+    ]
+
+
+# numpy's geomspace, and the float64 dispatch targets of the two ufuncs it
+# runs, in a child whose environment can turn numpy's AVX-512 code off
+_NUMPY_GEOMSPACE = """
+import json, pathlib, sys
+try:
+    import numpy as np
+    from numpy.lib.introspect import opt_func_info  # numpy 2.0 and later
+    targets = [sig["current"] for name in ("power", "log10") for sig in
+               opt_func_info(func_name=f"^{name}$", signature="float64")[name].values()]
+except ImportError as exc:  # numpy before 2.0 cannot report its dispatch
+    print(json.dumps({"targets": [f"unknown ({exc})"]}))
+    sys.exit()
+grids = json.loads(pathlib.Path(sys.argv[1]).read_text())
+print(json.dumps({"targets": targets, "grids": [np.geomspace(*g).tolist() for g in grids]}))
+"""
+
+
+class TestGeomspace:
+    EDGES = [
+        _figure_grid(2),
+        _figure_grid(3),
+        (0.5, 20.0, 1),
+        (0.5, 20.0, 2),
+        (1.0, 1.0, 5),
+        (20.0, 0.5, 40),
+        (5e-324, 1.7976931348623157e308, 50),
+    ]
+    GRIDS = EDGES + _random_geometric_grids(3000)
+
+    def test_equals_numpy_baseline_code_bit_for_bit(self, fresh_python, monkeypatch, tmp_path):
+        cases = tmp_path / "grids.json"
+        cases.write_text(json.dumps(self.GRIDS))
+        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "X86_V4")
+        proc = fresh_python(_NUMPY_GEOMSPACE, str(cases))
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        if any(t.startswith("unknown") or "X86_V4" in t or "AVX512" in t for t in result["targets"]):
+            pytest.skip(f"numpy still runs power and log10 on {result['targets']}")
+        for grid, want in zip(self.GRIDS, result["grids"], strict=True):
+            assert _bits(_geomspace(*grid)) == _bits(want), grid
+
+    def test_within_an_ulp_or_two_of_numpy_here(self):
+        for grid in self.GRIDS:
+            with np.errstate(over="ignore"):  # numpy computes, then pins, an end at the float limit
+                want = _bits(np.geomspace(*grid).tolist())
+            got = _bits(_geomspace(*grid))
+            assert len(got) == len(want)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 2, grid
+
+    @pytest.mark.parametrize("start, stop, num", EDGES)
+    def test_ends_are_exact(self, start, stop, num):
+        grid = list(_geomspace(start, stop, num))
+        assert len(grid) == num and grid[0] == start
+        if num > 1:
+            assert grid[-1] == stop

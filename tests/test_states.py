@@ -9,6 +9,7 @@ from noonlike import (
     Fock,
     FockSuperposition,
     FockVector,
+    Moments,
     ParameterOutOfRange,
     SqueezedCoherent,
     SqueezedVacuum,
@@ -63,6 +64,16 @@ class TestMoments:
         assert m.mean_n == pytest.approx(0.36 + 3 * 0.64)
         assert m.mean_n2 == pytest.approx(0.36 + 9 * 0.64)
         assert m.vacuum_prob == 0.0
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [((math.nan, math.nan, 0.5), "mean_n"), ((1.0, math.nan, 0.5), "mean_n2"),
+         ((-1.0, 1.0, 0.5), "mean_n"), ((2.0, 3.0, 0.5), "mean_n2")],
+        ids=["nan-mean", "nan-second-moment", "negative-mean", "negative-variance"],
+    )
+    def test_invalid_moments_rejected(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            Moments(*args)
 
 
 class TestVacuumOverlaps:
