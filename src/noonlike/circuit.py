@@ -5,18 +5,20 @@ circuit is one m x m mode matrix U plus a global phase: input creation
 operators map as a_j^dag -> sum_k U[k][j] a_k^dag, and the constant phase
 of each phase shifter only multiplies the whole state.  Heralding on
 ``herald_count`` photons and keeping at most ``max_output_photons`` in the
-output modes reads only sectors with at most their sum (the photon budget,
-5 for the reference topology) photons in total, and those sectors are fed
-only by input terms with the same photon numbers.  The simulator therefore
+output modes reads only sectors with exactly ``herald_count`` in the herald
+mode and at most ``max_output_photons`` in the others.  Creation operators
+only add photons, so only the sectors with at most as many in each group
+feed them: a downward-closed set, 30 of the 56 sectors within the photon
+budget (their sum, 5) of the reference topology.  The simulator therefore
 expands each input mode's Fock amplitudes up to the budget, applies the
-image of its creation operator under U to an amplitude vector over the
-sectors within the budget, and reads the heralded sectors off exactly.
-Nothing above the budget is built, so nothing is truncated: the config's
-``cutoff`` is still accepted, and must still be at least the budget, but it
-changes no result.
+image of its creation operator under U to an amplitude vector over that
+set, ``budget_amplitudes(states, u, budget, phase, herald=(mode, count))``,
+and reads the heralded sectors off exactly.  Nothing above the budget is
+built, so nothing is truncated: the config's ``cutoff`` is still accepted,
+and must still be at least the budget, but it changes no result.
 
-The state is plain Python throughout, since the reference budget holds
-only 56 sectors: U is nested lists, ``budget_amplitudes`` gives one
+The state is plain Python throughout, since the reference circuit needs
+only 30 sectors: U is nested lists, ``budget_amplitudes`` gives one
 amplitude per sector of a cached occupation tuple, and ``post_select``
 gives nested lists indexed by the output occupations, whose column 0 and
 row 0 hold the two branches that the decomposition reads.
@@ -157,6 +159,9 @@ class CircuitConfig(_Frozen):
             output_modes
         ) or herald_mode in output_modes:
             raise ValueError("herald mode plus output modes must partition the modes")
+        for name, n in ("herald_count", herald_count), ("max_output_photons", max_output_photons):
+            if n < 0:
+                raise ValueError(f"{name} must be >= 0, got {n}")
         if cutoff < herald_count + max_output_photons:
             raise ValueError("cutoff below herald_count + max_output_photons")
         self._assign(
@@ -195,16 +200,20 @@ def mode_matrix(
 
 
 @functools.cache
-def _creation_operators(mode_count: int, budget: int) -> tuple:
+def _creation_operators(mode_count: int, budget: int, herald: tuple | None = None) -> tuple:
     """Occupations of at most ``budget`` photons and the entries of a_k^dag on them.
 
     Returns (occs, ops): occs[i] is the occupation tuple of sector i, and
     ops[k] lists the (src, dst, weight) entries of a_k^dag, which maps
     sector src to weight times sector dst, for every entry that stays
-    within the budget.  Both are tuples, shared by every caller.
+    within the set.  Both are tuples, shared by every caller.
     """
     grid = itertools.product(range(budget + 1), repeat=mode_count)
-    occs = tuple(occ for occ in grid if sum(occ) <= budget)
+    if herald is None:
+        occs = tuple(occ for occ in grid if sum(occ) <= budget)
+    else:
+        h, count = herald
+        occs = tuple(o for o in grid if o[h] <= count and sum(o) - o[h] <= budget - count)
     index = {occ: i for i, occ in enumerate(occs)}
     ops = []
     for k in range(mode_count):
@@ -222,6 +231,7 @@ def budget_amplitudes(
     u: Sequence[Sequence[complex]],
     budget: int,
     global_phase: float = 0.0,
+    herald: tuple[int, int] | None = None,
 ) -> tuple[tuple[tuple[int, ...], ...], list[complex]]:
     """Output amplitudes of every occupation with at most ``budget`` photons.
 
@@ -232,14 +242,20 @@ def budget_amplitudes(
     within the budget, and dropping what leaves it, gives those sectors'
     amplitudes exactly.
 
+    ``herald=(mode, count)`` keeps only the sectors that can feed ``count``
+    photons in ``mode``, a downward-closed set (see the module docstring);
+    each kept amplitude is bit-identical to the one without it.
+
     Returns (occs, amps): amps[i] is the amplitude of the occupation occs[i],
-    a tuple of tuples shared by every call with the same mode count and
-    budget.  Every sector has an entry, zero amplitudes included.
+    a tuple of tuples shared by every call with the same mode count, budget
+    and herald.  Every sector has an entry, zero amplitudes included.
     """
     m = len(per_mode_states)
     if len(u) != m or any(len(row) != m for row in u):
         raise ValueError(f"mode matrix is not {m} x {m}, the number of input modes")
-    occs, ops = _creation_operators(m, budget)
+    if budget < 0 or herald and not (0 <= herald[0] < m and 0 <= herald[1] <= budget):
+        raise ValueError(f"no sector within budget {budget} and herald {herald} on {m} modes")
+    occs, ops = _creation_operators(m, budget, herald)
     size = len(occs)
     vec = [0j] * size
     vec[0] = complex(math.cos(global_phase), math.sin(global_phase))
@@ -416,10 +432,11 @@ def run_experiment(
     if cut < budget:
         raise ValueError("cutoff below the heralded photon budget")
     per_mode: list[SingleModeState] = [Fock(0)] * cfg.mode_count
+    per_mode[cfg.squeezed_mode] = SqueezedVacuum(r)  # first, so that an r out of range is named
     per_mode[cfg.coherent_mode] = Coherent(pump_amplitude(r))
-    per_mode[cfg.squeezed_mode] = SqueezedVacuum(r)
     u, phase = mode_matrix(cfg.elements, cfg.mode_count)
-    occs, amps = budget_amplitudes(per_mode, u, budget, phase)
+    herald = (cfg.herald_mode, cfg.herald_count)
+    occs, amps = budget_amplitudes(per_mode, u, budget, phase, herald)
     state, success_prob = post_select(
         occs, amps, cfg.herald_mode, cfg.herald_count, cfg.output_modes, cfg.max_output_photons
     )

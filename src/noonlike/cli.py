@@ -127,11 +127,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(*commands: str) -> _Parser:
+    """Every command as a choice, with the options of ``commands`` only.
+
+    argparse reads only the subparser of the command it parses, so
+    ``parse_args`` fills that one alone; its usage errors and help texts are
+    those of the parser with every command filled.
+    """
     parser = _Parser(prog="noonlike", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _) in _COMMAND_OPTIONS.items():
         p = sub.add_parser(command, help=summary)
+        if command not in commands:
+            continue
         exclusive = None
         for key, default in _takes(command).items():
             kind, _, help_text = _OPTIONS[key]
@@ -199,7 +207,10 @@ def _attach_negative_values(argv: Sequence[str]) -> list[str]:
 
 def parse_args(argv: Sequence[str]) -> tuple[str, dict]:
     """Validated (command, params); raises UsageError on bad input."""
-    ns = _build_parser().parse_args(_attach_negative_values(argv))
+    argv = _attach_negative_values(argv)
+    # the top level takes no option with a value, so its first positional is the command
+    command = next((token for token in argv if not token.startswith("-")), "")
+    ns = _build_parser(command).parse_args(argv)
     params = {k: v for k, v in vars(ns).items() if k != "command"}
     _validate(params)
     return ns.command, params

@@ -31,6 +31,7 @@ from noonlike.circuit import (
     verify_noonlike_form,
 )
 from noonlike.cli import main
+from noonlike.states import _R_RANGE
 
 
 def _output(elements, states, budget):
@@ -364,6 +365,13 @@ class TestCutoff:
             cfg = default_circuit_config()
             CircuitConfig(*[getattr(cfg, name) for name in CircuitConfig.__slots__[:-1]], 4)
 
+    @pytest.mark.parametrize("field", ["herald_count", "max_output_photons"])
+    def test_negative_count_rejected(self, field):
+        cfg = default_circuit_config()
+        fields = {name: getattr(cfg, name) for name in CircuitConfig.__slots__} | {field: -1}
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
+            CircuitConfig(**fields)
+
     def test_cli_below_budget_exit_code(self, capsys):
         assert main(["experiment", "--r", "1", "--cutoff", "4"]) == 1
         assert "cutoff below" in capsys.readouterr().err
@@ -520,33 +528,104 @@ class TestTopologySearch:
         assert self._evaluate(list(default_circuit_config().elements))
 
     def test_search_finds_only_squeezed_first_orderings(self):
-        per_photon_phases = (-math.pi / 2, math.pi / 2, math.pi, 0.0)
-        trailing = (None, -math.pi / 2, math.pi / 2, math.pi)
-        valid = []
-        for order in ("coherent_first", "squeezed_first"):
-            for convention in ("symmetric", "real"):
-                for phase in per_photon_phases:
-                    for gauge in trailing:
-                        if order == "coherent_first":
-                            elements = [
-                                BeamSplitter(0, 1, convention=convention),
-                                PhaseShifter(1, math.pi, phase),
-                                BeamSplitter(1, 2, convention=convention),
-                            ]
-                        else:
-                            elements = [
-                                BeamSplitter(1, 2, convention=convention),
-                                PhaseShifter(1, math.pi, phase),
-                                BeamSplitter(0, 1, convention=convention),
-                            ]
-                        if gauge is not None:
-                            elements.append(PhaseShifter(1, 0.0, gauge))
-                        if self._evaluate(elements):
-                            valid.append((order, convention, phase, gauge))
+        valid = [key for key, elements in _searched_wirings() if self._evaluate(elements)]
         assert valid, "search found no working topology"
         assert all(order == "squeezed_first" for order, *_ in valid)
         shipped = ("squeezed_first", "real", -math.pi / 2, math.pi)
         assert shipped in valid
+
+
+def _searched_wirings():
+    """(order, convention, per-photon phase, trailing gauge) and the elements of each wiring."""
+    per_photon_phases = (-math.pi / 2, math.pi / 2, math.pi, 0.0)
+    trailing = (None, -math.pi / 2, math.pi / 2, math.pi)
+    for order in ("coherent_first", "squeezed_first"):
+        for convention in ("symmetric", "real"):
+            for phase in per_photon_phases:
+                for gauge in trailing:
+                    first, last = (0, 1), (1, 2)
+                    if order == "squeezed_first":
+                        first, last = last, first
+                    elements = [
+                        BeamSplitter(*first, convention=convention),
+                        PhaseShifter(1, math.pi, phase),
+                        BeamSplitter(*last, convention=convention),
+                    ]
+                    if gauge is not None:
+                        elements.append(PhaseShifter(1, 0.0, gauge))
+                    yield (order, convention, phase, gauge), elements
+
+
+def _selected(cfg, r, herald):
+    """``post_select``'s (state, success_prob) at ``r``, or the error it raised."""
+    states = [Fock(0)] * cfg.mode_count
+    states[cfg.squeezed_mode] = SqueezedVacuum(r)
+    states[cfg.coherent_mode] = Coherent(pump_amplitude(r))
+    u, phase = mode_matrix(cfg.elements, cfg.mode_count)
+    budget = cfg.herald_count + cfg.max_output_photons
+    occs, amps = budget_amplitudes(states, u, budget, phase, herald)
+    try:
+        return post_select(
+            occs, amps, cfg.herald_mode, cfg.herald_count, cfg.output_modes, cfg.max_output_photons
+        )
+    except EmptyPostSelection as exc:
+        return str(exc)
+
+
+class TestHeraldedSectors:
+    """``run_experiment`` builds only the sectors that can feed the herald.
+
+    That set is downward-closed and creation operators only raise, so
+    every heralded amplitude comes from the same float operations as over
+    the full budget: the results must agree bit for bit, signed zeros too.
+    """
+
+    @staticmethod
+    def _assert_same(cfg, r):
+        full = _selected(cfg, r, None)
+        heralded = _selected(cfg, r, (cfg.herald_mode, cfg.herald_count))
+        assert heralded == full
+        assert repr(heralded) == repr(full)
+
+    # from the smallest to the largest squeeze factor SqueezedVacuum accepts;
+    # below ~6e-8 and above ~33.5 both sides keep too little mass and raise
+    r_min, r_max = (math.sqrt(limit) for limit in _R_RANGE)
+
+    @pytest.mark.parametrize("r", [r_min, 1e-30, 1e-8, 1e-3, 0.3, 1, 2, 5, 20, 60, r_max])
+    def test_reference_config(self, r):
+        self._assert_same(default_circuit_config(), r)
+
+    def test_reference_config_dense_grid(self):
+        for k in range(201):
+            self._assert_same(default_circuit_config(), 1e-3 + k * (5.0 - 1e-3) / 200)
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
+    def test_searched_wirings(self, r):
+        for _, elements in _searched_wirings():
+            self._assert_same(CircuitConfig(3, 0, 1, tuple(elements), 2, 1, (0, 1), 4, 6), r)
+
+    def test_other_heralds(self):
+        for herald_mode, herald_count, max_out in [(0, 0, 3), (1, 2, 2), (2, 3, 1), (2, 0, 0)]:
+            outputs = tuple(m for m in range(3) if m != herald_mode)
+            cfg = CircuitConfig(3, 0, 1, default_circuit_config().elements, herald_mode,
+                                herald_count, outputs, max_out, 6)
+            for r in (0.5, 1.5):
+                self._assert_same(cfg, r)
+
+    def test_kept_sectors(self):
+        budget, herald = 5, (2, 1)
+        occs, amps = budget_amplitudes([Fock(1)] * 3, _eye(3), budget, 0.0, herald)
+        expected = [occ for occ in itertools.product(range(budget + 1), repeat=3)
+                    if occ[2] <= 1 and occ[0] + occ[1] <= 4]
+        assert list(occs) == expected and len(occs) == 30
+        assert _amp_dict(occs, amps) == {(1, 1, 1): 1.0}
+
+    @pytest.mark.parametrize(
+        "budget, herald", [(-1, None), (3, (2, -1)), (3, (2, 4)), (3, (3, 1)), (3, (-1, 1))]
+    )
+    def test_empty_or_invalid_set_rejected(self, budget, herald):
+        with pytest.raises(ValueError, match="no sector within budget"):
+            budget_amplitudes([Fock(0)] * 3, _eye(3), budget, 0.0, herald)
 
 
 @pytest.fixture(scope="module")

@@ -276,6 +276,9 @@ class TestCommands:
             (["compare", "--d", "5", "--n-bar", "1e300"], "n_bar"),
             (["qcrb", "--family", "esvs", "--d", "5", "--r", "400"], "r"),
             (["qcrb", "--family", "ecs", "--d", "5", "--alpha", "1e-160"], "alpha"),
+            # the pump amplitude derives from r; the message names the r given
+            (["experiment", "--r", "1e-300"], "r"),
+            (["figure", "--id", "6", "--r-min", "1e-300"], "r"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
     )
@@ -335,6 +338,23 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert repr(broken) in err
+
+    @pytest.mark.parametrize(
+        "line, broken, field",
+        [
+            ("herald mode=3 count=1", "herald mode=3 count=-1", "herald_count"),
+            ("max-output-photons 4", "max-output-photons -1", "max_output_photons"),
+        ],
+    )
+    def test_negative_circuit_count_exit_code(
+        self, tmp_path, capsys, reference_config_text, line, broken, field
+    ):
+        path = tmp_path / "circuit.cfg"
+        path.write_text(reference_config_text.replace(line, broken, 1))
+        assert main(["experiment", "--r", "1", "--circuit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {field} must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("figure", ["2", "3"])
     def test_grid_at_the_float_limit_names_n_bar(self, capsys, figure):
@@ -456,6 +476,36 @@ class TestHelp:
         assert listed == {cli._FLAG[key] for key in cli._takes(command)}
         for key in cli._takes(command):
             assert " ".join(cli._OPTIONS[key][2].split()) in " ".join(out.split())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bogus"], ["--help"], ["-h"], ["--zz", "qcrb"]]
+        + [[command, "--help"] for command in cli._COMMAND_OPTIONS],
+        ids=lambda argv: " ".join(argv) or "no command",
+    )
+    def test_same_text_as_the_parser_of_every_command(self, capsys, argv):
+        # parse_args fills only the subparser named in argv; each error and
+        # help text must match the parser that fills them all
+        def outcome(parse):
+            try:
+                parse(argv)
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr()
+            except UsageError as exc:
+                return str(exc), capsys.readouterr()
+
+        assert outcome(parse_args) == outcome(cli._build_parser(*cli._COMMAND_OPTIONS).parse_args)
+
+    def test_command_errors(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: the following arguments are required: command\n"
+        )
+        assert main(["bogus"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: argument command: invalid choice: 'bogus' (choose from 'qcrb', "
+            "'compare', 'sweep-escs', 'unbalanced', 'experiment', 'figure')\n"
+        )
 
     def test_cutoff_help_stated_once(self):
         assert Path(cli.__file__).read_text().count("Fock cutoff") == 1

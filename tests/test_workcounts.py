@@ -7,29 +7,41 @@ benchmark could not tell it apart from noise.
 
 import pytest
 
-from noonlike import Coherent, Fock, SqueezedVacuum, cli, families
-from noonlike.circuit import (
-    budget_amplitudes,
-    default_circuit_config,
-    experiment_qcrb_comparison,
-    mode_matrix,
-    pump_amplitude,
-)
+from noonlike import circuit, cli, families
+from noonlike.circuit import experiment_qcrb_comparison, run_experiment
 from noonlike.families import Family, solve_param_for_nbar
 
-MAX_SECTORS = 56
+# what run_experiment builds for the reference circuit: the 30 sectors and 55
+# creation-operator entries that can feed its herald, of 56 and 105 in its budget
+MAX_SECTORS = 30
+MAX_CREATION_ENTRIES = 55
 MAX_NBAR_EVALS = 51
 QCRB_MODULES = {"noonlike.errors", "noonlike.states", "noonlike.qcrb", "noonlike.families", "noonlike.cli"}
 
 
-def test_reference_circuit_sectors():
-    cfg = default_circuit_config()
-    states = [Fock(0)] * cfg.mode_count
-    states[cfg.coherent_mode] = Coherent(pump_amplitude(1.0))
-    states[cfg.squeezed_mode] = SqueezedVacuum(1.0)
-    u, phase = mode_matrix(cfg.elements, cfg.mode_count)
-    occs, amps = budget_amplitudes(states, u, cfg.herald_count + cfg.max_output_photons, phase)
-    assert len(occs) == len(amps) <= MAX_SECTORS
+def test_reference_circuit_sectors(monkeypatch):
+    built = []
+    original = circuit._creation_operators
+
+    def counted(*args):
+        occs, ops = original(*args)
+        built.append((len(occs), sum(len(entries) for entries in ops)))
+        return occs, ops
+
+    monkeypatch.setattr(circuit, "_creation_operators", counted)
+    run_experiment(1.0)
+    [(sectors, entries)] = built
+    assert sectors <= MAX_SECTORS
+    assert entries <= MAX_CREATION_ENTRIES
+
+
+def test_parser_fills_only_the_named_command():
+    # parse_args adds the options of the command in argv alone; the other
+    # commands stay choices without options
+    parser = cli._build_parser("qcrb")
+    [choices] = [a.choices for a in parser._actions if a.dest == "command"]
+    filled = {name: len(p._actions) - 1 for name, p in choices.items()}  # less each -h
+    assert filled == {name: len(cli._takes(name)) if name == "qcrb" else 0 for name in choices}
 
 
 @pytest.mark.parametrize("family, r_prime", [(Family.ECS, None), (Family.ESCS, 1.0), (Family.ESVS, None)])
