@@ -23,9 +23,9 @@ amplitude per sector of a cached occupation tuple, and ``post_select``
 gives nested lists indexed by the output occupations, whose column 0 and
 row 0 hold the two branches that the decomposition reads.
 
-Mode indexing is 0-based throughout the API; the circuit-config text format
-uses 1-based labels (the conventional numbering of the three-mode setup)
-and the parser converts.
+Mode indexing is 0-based throughout.  ``default_circuit_config()`` returns
+the reference wiring; another wiring is another ``CircuitConfig``, passed
+to ``run_experiment`` as ``config``.
 
 Beam splitter conventions (transmitted amplitude sqrt(T) on both ports):
 
@@ -33,7 +33,7 @@ Beam splitter conventions (transmitted amplitude sqrt(T) on both ports):
 * ``real``      - reflection amplitudes -sqrt(1-T) from the first port and
   +sqrt(1-T) from the second.
 
-The shipped reference topology splits the squeezed-vacuum input first and
+The reference topology splits the squeezed-vacuum input first and
 heralds on one photon in the trigger mode, which guarantees a vacuum-free
 output: the trigger can only fire by consuming one photon of a squeezed
 pair, never a lone coherent photon.  Combining the remaining half of the
@@ -50,10 +50,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
-from importlib import resources
-from pathlib import Path
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError
 from .families import Family, SweepCurve, matched_report
@@ -73,8 +70,6 @@ __all__ = [
     "run_experiment",
     "verify_noonlike_form",
     "experiment_qcrb_comparison",
-    "parse_circuit_config",
-    "load_circuit_config",
     "default_circuit_config",
     "pump_amplitude",
     "heralded_target_amplitudes",
@@ -168,6 +163,37 @@ class CircuitConfig(_Frozen):
             mode_count, coherent_mode, squeezed_mode, elements, herald_mode, herald_count,
             output_modes, max_output_photons, cutoff,
         )
+
+
+# Reference topology for the heralded two-mode source: coherent -> mode 0,
+# squeezed vacuum -> mode 1, vacuum -> mode 2.  The squeezed beam is split
+# first so the trigger detector can only fire on one photon of a squeezed
+# pair; heralding on one photon in mode 2 then leaves a vacuum-free
+# superposition in modes 0 and 1 once the remaining half of the pair
+# interferes with the coherent beam.  The trailing phase shifter fixes the
+# output-arm reference phase so the two branches differ by a single overall
+# phase instead of a photon-number-dependent one.
+_REFERENCE_CIRCUIT = CircuitConfig(
+    mode_count=3,
+    coherent_mode=0,
+    squeezed_mode=1,
+    elements=(
+        BeamSplitter(1, 2, 0.5, "real"),
+        PhaseShifter(1, math.pi, -math.pi / 2),
+        BeamSplitter(0, 1, 0.5, "real"),
+        PhaseShifter(1, 0.0, math.pi),
+    ),
+    herald_mode=2,
+    herald_count=1,
+    output_modes=(0, 1),
+    max_output_photons=4,
+    cutoff=14,
+)
+
+
+def default_circuit_config() -> CircuitConfig:
+    """The reference topology (see the module docstring); the config is frozen."""
+    return _REFERENCE_CIRCUIT
 
 
 def mode_matrix(
@@ -321,11 +347,13 @@ def post_select(
     side = max_output_photons + 1
     kept = []  # (row-major index of the output occupation, amplitude)
     for occ, amp in zip(occs, amps):
+        if occ[herald_mode] != herald_count:
+            continue
         out = [occ[k] for k in modes]
-        if occ[herald_mode] == herald_count and sum(out) <= max_output_photons:
+        if sum(out) <= max_output_photons:
             kept.append((functools.reduce(lambda i, n: i * side + n, out), amp))
     mass = sum(abs(a) ** 2 for _, a in kept)
-    if mass < 1e-15:
+    if not mass > 0.0:  # NaN fails too
         raise EmptyPostSelection(
             f"herald {herald_count} photon(s) in mode {herald_mode} kept no mass"
         )
@@ -486,148 +514,3 @@ def experiment_qcrb_comparison(
     return SweepCurve(tuple(noon_pts)), SweepCurve(tuple(ecs_pts)), SweepCurve(tuple(phi_pts))
 
 
-# --------------------------- config file handling ---------------------------
-
-_PHASE_RE = re.compile(r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?)?pi(?:/(?P<div>\d+))?$")
-
-
-def _parse_phase(token: str) -> float:
-    token = token.strip().lower()
-    m = _PHASE_RE.match(token)
-    if m:
-        value = math.pi * float(m.group("coef") or 1.0)
-        if m.group("div"):
-            value /= float(m.group("div"))
-        return -value if m.group("sign") == "-" else value
-    return float(token)
-
-
-def _value(rest: list[str]) -> str:
-    """The one value token of a line; IndexError when it is missing."""
-    if len(rest) > 1:
-        raise ValueError(f"unexpected tokens {rest[1:]}")
-    return rest[0]
-
-
-def _kv(parts: Iterable[str], keys: tuple[str, ...]) -> dict[str, str]:
-    out = {}
-    for part in parts:
-        if "=" not in part:
-            raise ValueError(f"expected key=value, got {part!r}")
-        key, val = part.split("=", 1)
-        if key not in keys:
-            raise ValueError(f"unknown key {key!r}")
-        if key in out:
-            raise ValueError(f"repeated key {key!r}")
-        out[key] = val
-    return out
-
-
-def _parse_line(
-    words: list[str], fields: dict[str, object], elements: list[CircuitElement]
-) -> None:
-    """Parse one config line into ``fields`` or ``elements``."""
-    head, *rest = words
-    if head == "modes":
-        fields["mode_count"] = int(_value(rest))
-    elif head == "coherent-input":
-        fields["coherent_mode"] = int(_value(rest)) - 1
-    elif head == "squeezed-input":
-        fields["squeezed_mode"] = int(_value(rest)) - 1
-    elif head == "cutoff":
-        fields["cutoff"] = int(_value(rest))
-    elif head == "max-output-photons":
-        fields["max_output_photons"] = int(_value(rest))
-    elif head == "outputs":
-        fields["output_modes"] = tuple(int(tok) - 1 for tok in _value(rest).split(","))
-    elif head == "herald":
-        kv = _kv(rest, ("mode", "count"))
-        fields["herald_mode"] = int(kv["mode"]) - 1
-        fields["herald_count"] = int(kv["count"])
-    elif head == "element":
-        kind, params = rest[0], rest[1:]
-        if kind == "beamsplitter":
-            kv = _kv(params, ("modes", "transmissivity", "convention"))
-            a, b = (int(tok) - 1 for tok in kv["modes"].split(","))
-            elements.append(
-                BeamSplitter(
-                    a,
-                    b,
-                    transmissivity=float(kv.get("transmissivity", 0.5)),
-                    convention=kv.get("convention", "symmetric"),
-                )
-            )
-        elif kind == "phaseshifter":
-            kv = _kv(params, ("mode", "const", "per-photon"))
-            elements.append(
-                PhaseShifter(
-                    int(kv["mode"]) - 1,
-                    const_phase=_parse_phase(kv.get("const", "0")),
-                    per_photon_phase=_parse_phase(kv.get("per-photon", "0")),
-                )
-            )
-        else:
-            raise ValueError(f"unknown element kind {kind!r}")
-    else:
-        raise ValueError(f"unknown keyword {head!r}")
-
-
-def parse_circuit_config(text: str) -> CircuitConfig:
-    """Parse the structured key-value circuit description.
-
-    Lines (1-based mode labels; '#' starts a comment):
-
-        modes N
-        coherent-input M
-        squeezed-input M
-        cutoff N
-        element beamsplitter modes=A,B transmissivity=T convention=symmetric|real
-        element phaseshifter mode=M const=PHI per-photon=PHI
-        herald mode=M count=N
-        outputs A,B,...
-        max-output-photons N
-
-    Every line but ``element`` appears once and every key at most once per
-    line; a repeated line or key, a missing one, an unknown one or a stray
-    token is a ValueError that quotes the line.  Phases accept radians or
-    'pi' fractions like -pi/2.  ``cutoff`` must be at least herald count +
-    max-output-photons; it is kept for compatibility and changes no result,
-    since the simulator evaluates only the heralded photon budget.
-    """
-    fields: dict[str, object] = {}
-    elements: list[CircuitElement] = []
-    seen: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words = line.split()
-        if words[0] in seen and words[0] != "element":
-            raise ValueError(f"config line {line!r}: repeated {words[0]!r} line")
-        seen.add(words[0])
-        try:
-            _parse_line(words, fields, elements)
-        except IndexError as exc:
-            raise ValueError(f"config line {line!r}: missing value") from exc
-        except KeyError as exc:
-            raise ValueError(f"config line {line!r}: missing key {exc}") from exc
-        except ValueError as exc:
-            raise ValueError(f"config line {line!r}: {exc}") from exc
-    missing = set(CircuitConfig.__slots__) - {"elements"} - set(fields)
-    if missing:
-        raise ValueError(f"config missing fields: {sorted(missing)}")
-    return CircuitConfig(elements=tuple(elements), **fields)  # type: ignore[arg-type]
-
-
-def load_circuit_config(path: str | Path) -> CircuitConfig:
-    return parse_circuit_config(Path(path).read_text())
-
-
-@functools.cache
-def default_circuit_config() -> CircuitConfig:
-    """The shipped reference topology (see the module docstring).
-
-    Parsed on first use and shared afterwards; the config is frozen.
-    """
-    text = resources.files("noonlike").joinpath("data/reference_circuit.cfg").read_text()
-    return parse_circuit_config(text)

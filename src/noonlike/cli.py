@@ -21,8 +21,8 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterator, Sequence
 from pathlib import Path
-from typing import Iterator, Sequence
 
 from .errors import NoonlikeError, UsageError
 from .families import (
@@ -66,7 +66,7 @@ _CHOICES = {
         # family with squeeze factor 1.2 cannot reach the target n_bar
         3: dict(d=5, n_min=0.75, n_max=20.0, steps=40),
         4: _FIGURE_4,
-        6: dict(r_min=1.0, r_max=2.0, steps=20, circuit=None, cutoff=None),
+        6: dict(r_min=1.0, r_max=2.0, steps=20, cutoff=None),
     }),
 }
 
@@ -92,7 +92,6 @@ _OPTIONS = {
     "optimized_b": (bool, None, "optimize b^2"),
     "cutoff": (int, "positive", "Fock cutoff; validated, but changes no result: the circuit "
                "is simulated exactly on its heralded photon budget"),
-    "circuit": (Path, None, "circuit config path"),
     "out": (Path, None, "output file (default: stdout)"),
     "format": (("csv", "json"), None, "output format"),
 }
@@ -109,7 +108,7 @@ _COMMAND_OPTIONS = {
     "sweep-escs": ("squeezed-coherent squeeze-factor sweep",
                    dict(d=_REQUIRED, n_bar=_REQUIRED, r_min=0.4, r_max=1.2, steps=3)),
     "unbalanced": ("balanced vs optimized-unbalanced sweep", _FIGURE_4 | dict(d=_REQUIRED)),
-    "experiment": ("simulate the heralded source", dict(r=_REQUIRED, cutoff=None, circuit=None)),
+    "experiment": ("simulate the heralded source", dict(r=_REQUIRED, cutoff=None)),
     "figure": ("emit a comparison dataset", dict(id=_REQUIRED)),
 }
 
@@ -318,12 +317,9 @@ def _cmd_unbalanced(params: dict) -> tuple[list[str], list[list]]:
 
 
 def _cmd_experiment(params: dict) -> tuple[list[str], list[list]]:
-    from .circuit import default_circuit_config, load_circuit_config, run_experiment
+    from .circuit import run_experiment
 
-    config = (
-        load_circuit_config(params["circuit"]) if params.get("circuit") else default_circuit_config()
-    )
-    res = run_experiment(params["r"], config=config, cutoff=params.get("cutoff"))
+    res = run_experiment(params["r"], cutoff=params.get("cutoff"))
     columns = ["r", "n_bar", "success_prob", "fidelity", "branch_phase"] + [
         f"abs_c{n}" for n in range(len(res.phi_amps))
     ]
@@ -359,15 +355,10 @@ def _figure_3(params: dict) -> tuple[list[str], list[list]]:
 
 
 def _figure_6(params: dict) -> tuple[list[str], list[list]]:
-    from .circuit import default_circuit_config, experiment_qcrb_comparison, load_circuit_config
+    from .circuit import experiment_qcrb_comparison
 
     grid = _linspace(params["r_min"], params["r_max"], params["steps"])
-    config = (
-        load_circuit_config(params["circuit"]) if params.get("circuit") else default_circuit_config()
-    )
-    noon_curve, ecs_curve, phi_curve = experiment_qcrb_comparison(
-        grid, config=config, cutoff=params.get("cutoff")
-    )
+    noon_curve, ecs_curve, phi_curve = experiment_qcrb_comparison(grid, cutoff=params.get("cutoff"))
     rows = [
         [nb, qn, qe, qp]
         for (nb, qn, _), (_, qe, _), (_, qp, _) in zip(

@@ -22,8 +22,8 @@ Grid sweeps are pure and deterministic; points are produced in grid order.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from enum import Enum
-from typing import Callable, Sequence
 
 from .errors import BracketFailure, ParameterOutOfRange
 from .qcrb import (

@@ -17,7 +17,7 @@ Every function that takes ``d`` accepts only a whole number >= 1.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import (
     ConstraintInfeasible,

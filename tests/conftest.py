@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -24,13 +23,18 @@ print(json.dumps({"code": code, "modules": modules}))
 """
 
 
-def _run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports noonlike from this checkout."""
+def _run_fresh(code: str, *args: str, site: bool = True) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports noonlike from this checkout.
+
+    ``site=False`` runs it with ``-S``, without ``site`` and its ``.pth`` files.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     env.pop("NOONLIKE_OUTPUT_DIR", None)  # would send figure output to files
+    flags = [] if site else ["-S"]
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=120,
     )
 
 
@@ -44,23 +48,19 @@ def fresh_python():
 def cli_in_fresh_interpreter():
     """Run ``noonlike.cli.main(argv)`` in a fresh interpreter: (exit code, modules loaded).
 
-    Each distinct argv runs once per test run; later calls reuse its result.
+    ``site=False`` lists only the modules that the command loads itself, not
+    those that ``.pth`` files import.  Each distinct (argv, site) runs once
+    per test run; later calls reuse its result.
     """
-    results: dict[tuple[str, ...], tuple[int, frozenset[str]]] = {}
+    results: dict[tuple, tuple[int, frozenset[str]]] = {}
 
-    def run(argv: list[str]) -> tuple[int, frozenset[str]]:
-        key = tuple(argv)
+    def run(argv: list[str], site: bool = True) -> tuple[int, frozenset[str]]:
+        key = (site, *argv)
         if key not in results:
-            proc = _run_fresh(_CLI_CHILD, *argv)
+            proc = _run_fresh(_CLI_CHILD, *argv, site=site)
             assert proc.returncode == 0, proc.stderr
             result = json.loads(proc.stdout)
             results[key] = result["code"], frozenset(result["modules"])
         return results[key]
 
     return run
-
-
-@pytest.fixture(scope="session")
-def reference_config_text():
-    """Text of the shipped reference circuit config, to edit a line of."""
-    return resources.files("noonlike").joinpath("data/reference_circuit.cfg").read_text()

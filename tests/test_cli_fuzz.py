@@ -54,7 +54,7 @@ def argvs(draw):
     pairs = []
     for key in takes:
         kind = cli._OPTIONS[key][0]
-        if kind is Path:  # no --out or --circuit: nothing is written or read
+        if kind is Path:  # no --out: nothing is written
             continue
         # given always if required, else in 5 of 10 examples if the command or
         # its choice takes it, and in 1 of 10 if not

@@ -7,9 +7,10 @@ must not pay for importing numpy or ``noonlike.circuit``, nor for
 heralded-source commands, ``experiment`` and ``figure --id 6``, load the
 circuit simulator, which is plain Python too, so they must not load numpy or
 ``dataclasses`` either.  No command, and no ``import noonlike``, loads
-``noonlike.oracles``, the numpy code that checks the closed forms.  Each
-invocation runs in a fresh interpreter, since this one has imported all of
-them long ago.  The gates count modules, never seconds.
+``noonlike.oracles``, the numpy code that checks the closed forms, and
+none loads ``typing`` or ``importlib.resources``.  Each invocation runs in
+a fresh interpreter, since this one has imported all of them long ago.  The
+gates count modules, never seconds.
 
 The pure-Python stand-ins for ``np.linspace`` and ``np.geomspace`` that make
 this possible are checked against numpy bit for bit.  The geometric grid is
@@ -96,6 +97,16 @@ def test_commands_leave_the_oracles_unloaded(cli_in_fresh_interpreter, argv):
     code, modules = cli_in_fresh_interpreter(argv)
     assert code == 0
     assert "noonlike.oracles" not in modules
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM + HERALDED, ids=" ".join)
+def test_commands_load_neither_typing_nor_resources(cli_in_fresh_interpreter, argv):
+    # without site, whose .pth files may import typing themselves
+    code, modules = cli_in_fresh_interpreter(argv, site=False)
+    assert code == 0
+    assert "noonlike.cli" in modules  # the probe sees the package's modules
+    assert "typing" not in modules
+    assert "importlib.resources" not in modules
 
 
 def test_package_import_leaves_the_oracles_unloaded(fresh_python):
