@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from collections.abc import Iterator, Sequence
-from pathlib import Path
 
 from .errors import NoonlikeError, UsageError
 from .families import (
@@ -92,7 +91,7 @@ _OPTIONS = {
     "optimized_b": (bool, None, "optimize b^2"),
     "cutoff": (int, "positive", "Fock cutoff; validated, but changes no result: the circuit "
                "is simulated exactly on its heralded photon budget"),
-    "out": (Path, None, "output file (default: stdout)"),
+    "out": (str, None, "output file (default: stdout)"),
     "format": (("csv", "json"), None, "output format"),
 }
 
@@ -248,7 +247,7 @@ def _round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _write(columns: list[str], rows: list[list], out: Path | None, fmt: str) -> None:
+def _write(columns: list[str], rows: list[list], out: str | None, fmt: str) -> None:
     if fmt == "csv":
         text_rows = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
         payload = "\n".join(text_rows) + "\n"
@@ -263,8 +262,11 @@ def _write(columns: list[str], rows: list[list], out: Path | None, fmt: str) -> 
     if out is None:
         sys.stdout.write(payload)
     else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(payload)
+        parent = os.path.dirname(out)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(out, "w") as fh:
+            fh.write(payload)
 
 
 _REPORT_COLUMNS = ["family", "qcrb", "f", "R", "b2", "n_tilde", "n_bar", "parameter"]
@@ -385,13 +387,13 @@ _COMMANDS = {
 }
 
 
-def _default_out(params: dict, command: str) -> Path | None:
+def _default_out(params: dict, command: str) -> str | None:
     out = params.get("out")
     env_dir = os.environ.get("NOONLIKE_OUTPUT_DIR")
     if out is None and env_dir and command == "figure":
-        return Path(env_dir) / f"figure_{params['id']}.{params['format']}"
-    if out is not None and not out.is_absolute() and env_dir:
-        return Path(env_dir) / out
+        return os.path.join(env_dir, f"figure_{params['id']}.{params['format']}")
+    if out is not None and not os.path.isabs(out) and env_dir:
+        return os.path.join(env_dir, out)
     return out
 
 

@@ -22,7 +22,7 @@ Grid sweeps are pure and deterministic; points are produced in grid order.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable
 from enum import Enum
 
 from .errors import BracketFailure, ParameterOutOfRange
@@ -264,9 +264,7 @@ def compare_families_at_nbar(
     return reports
 
 
-def escs_sweep_r_prime(
-    d: int, n_bar: float, r_prime_grid: Sequence[float]
-) -> SweepCurve:
+def escs_sweep_r_prime(d: int, n_bar: float, r_prime_grid: Iterable[float]) -> SweepCurve:
     """ESCS bound at fixed n_bar for each squeeze factor in the grid.
 
     The bound decreases strictly with the squeeze factor; at 0 it equals
@@ -274,9 +272,10 @@ def escs_sweep_r_prime(
     approaches the matched-ESVS one (where the displacement shrinks to 0).
     The grid must be strictly increasing, as the ordering check assumes.
     """
+    r_prime_grid = tuple(r_prime_grid)
     if any(rp < 0.0 for rp in r_prime_grid):
         raise ValueError("squeeze factors must be nonnegative")
-    if any(b <= a for a, b in zip(r_prime_grid, list(r_prime_grid)[1:])):
+    if any(b <= a for a, b in zip(r_prime_grid, r_prime_grid[1:])):
         raise ValueError("r_prime_grid must be strictly increasing")
     points = [
         (n_bar, matched_report(Family.ESCS, d, n_bar, rp).qcrb, rp) for rp in r_prime_grid
@@ -301,7 +300,7 @@ def escs_ratio_bracket_check(alpha_p: float, r_p: float, r_matched: float) -> bo
 
 
 def balanced_vs_unbalanced_sweep(
-    d: int, r_grid: Sequence[float]
+    d: int, r_grid: Iterable[float]
 ) -> tuple[SweepCurve, SweepCurve]:
     """Balanced and weight-optimized unbalanced curves over a squeeze grid.
 
@@ -309,9 +308,8 @@ def balanced_vs_unbalanced_sweep(
     (n_bar, qcrb, r) with n_bar computed from that probe's own weights, so
     the two curves sweep n_bar at different rates over the same r grid.
     """
-    if any(b <= a for a, b in zip(r_grid, list(r_grid)[1:])) or any(
-        r <= 0 for r in r_grid
-    ):
+    r_grid = tuple(r_grid)
+    if any(b <= a for a, b in zip(r_grid, r_grid[1:])) or any(r <= 0 for r in r_grid):
         raise ValueError("r_grid must be positive and strictly increasing")
     bal_points, unb_points = [], []
     for r in r_grid:

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from noonlike.circuit import (
     verify_noonlike_form,
 )
 from noonlike.cli import main
-from noonlike.states import _R_RANGE
+from noonlike.states import _R_RANGE, _build_amps
 
 
 def _output(elements, states, budget):
@@ -377,6 +379,24 @@ class TestCutoff:
         assert default_circuit_config() is default_circuit_config()
 
 
+class TestConfigFields:
+    def test_sequences_stored_as_tuples(self):
+        # stored lists would make the config unhashable
+        ref = default_circuit_config()
+        cfg = CircuitConfig(3, 0, 1, list(ref.elements), 2, 1, [0, 1], 4, 14)
+        assert cfg.elements == ref.elements and cfg.output_modes == (0, 1)
+        assert cfg == ref and hash(cfg) == hash(ref)
+        assert run_experiment(1.0, config=cfg) == run_experiment(1.0)
+
+    @pytest.mark.parametrize(
+        "element, modes", [(BeamSplitter(0, 7), (0, 7)), (PhaseShifter(-1), (-1,))]
+    )
+    def test_element_modes_checked_when_built(self, element, modes):
+        with pytest.raises(ModeOutOfRange, match=rf"^element modes {re.escape(str(modes))} "
+                                                 r"outside 0\.\.2$"):
+            CircuitConfig(3, 0, 1, (element,), 2, 1, (0, 1), 4, 14)
+
+
 class TestReferenceCircuit:
     @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
     def test_magnitudes_match_target(self, r):
@@ -599,7 +619,16 @@ class TestHeraldedSectors:
     # from the smallest to the largest squeeze factor SqueezedVacuum accepts
     r_min, r_max = (math.sqrt(limit) for limit in _R_RANGE)
 
-    @pytest.mark.parametrize("r", [r_min, 1e-30, 1e-8, 1e-3, 0.3, 1, 2, 5, 20, 60, r_max])
+    r_extremes = [r_min, 1e-30, 1e-8, 1e-3, 0.3, 1, 2, 5, 20, 60, r_max]
+
+    @staticmethod
+    def other_heralds():
+        for herald_mode, herald_count, max_out in [(0, 0, 3), (1, 2, 2), (2, 3, 1), (2, 0, 0)]:
+            outputs = tuple(m for m in range(3) if m != herald_mode)
+            yield CircuitConfig(3, 0, 1, default_circuit_config().elements, herald_mode,
+                                herald_count, outputs, max_out, 6)
+
+    @pytest.mark.parametrize("r", r_extremes)
     def test_reference_config(self, r):
         self._assert_same(default_circuit_config(), r)
 
@@ -613,10 +642,7 @@ class TestHeraldedSectors:
             self._assert_same(CircuitConfig(3, 0, 1, tuple(elements), 2, 1, (0, 1), 4, 6), r)
 
     def test_other_heralds(self):
-        for herald_mode, herald_count, max_out in [(0, 0, 3), (1, 2, 2), (2, 3, 1), (2, 0, 0)]:
-            outputs = tuple(m for m in range(3) if m != herald_mode)
-            cfg = CircuitConfig(3, 0, 1, default_circuit_config().elements, herald_mode,
-                                herald_count, outputs, max_out, 6)
+        for cfg in self.other_heralds():
             for r in (0.5, 1.5):
                 self._assert_same(cfg, r)
 
@@ -634,6 +660,120 @@ class TestHeraldedSectors:
     def test_empty_or_invalid_set_rejected(self, budget, herald):
         with pytest.raises(ValueError, match="no sector within budget"):
             budget_amplitudes([Fock(0)] * 3, _eye(3), budget, 0.0, herald)
+
+
+def _dense_budget_amplitudes(per_mode_states, u, budget, global_phase=0.0, herald=None):
+    """Reference: ``budget_amplitudes`` as one dense loop, without its cached tables.
+
+    Every creation-operator entry is scanned at each photon step, and
+    u[k][j] * weight is multiplied there.
+    """
+    occs, ops = circuit._creation_operators(len(per_mode_states), budget, herald)
+    size = len(occs)
+    vec = [0j] * size
+    vec[0] = complex(math.cos(global_phase), math.sin(global_phase))
+    for j, state in enumerate(per_mode_states):
+        c = _build_amps(state, budget)
+        acc = [c[0] * v for v in vec]
+        term = vec
+        for n in range(1, max((n for n, cn in enumerate(c) if cn), default=0) + 1):
+            inv = 1.0 / math.sqrt(n)
+            raised = [0j] * size
+            for k, entries in enumerate(ops):
+                ukj = u[k][j]
+                if ukj:
+                    for src, dst, weight in entries:
+                        t = term[src]
+                        if t:
+                            raised[dst] += ukj * weight * t * inv
+            term = raised
+            cn = c[n]
+            if cn:
+                for i, t in enumerate(term):
+                    if t:
+                        acc[i] += cn * t
+        vec = acc
+    return occs, vec
+
+
+def _dense_post_select(occs, amps, herald_mode, herald_count, output_modes, max_output_photons):
+    """Reference: ``post_select`` indexing every kept sector afresh."""
+    side = max_output_photons + 1
+    kept = []
+    for occ, amp in zip(occs, amps):
+        out = [occ[k] for k in output_modes]
+        if occ[herald_mode] == herald_count and sum(out) <= max_output_photons:
+            kept.append((functools.reduce(lambda i, n: i * side + n, out), amp))
+    mass = sum(abs(a) ** 2 for _, a in kept)
+    if not mass > 0.0:
+        raise EmptyPostSelection(
+            f"herald {herald_count} photon(s) in mode {herald_mode} kept no mass"
+        )
+    state = [0j] * side ** len(output_modes)
+    scale = 1.0 / math.sqrt(mass)
+    for i, amp in kept:
+        state[i] = amp * scale
+    for _ in output_modes[1:]:
+        state = [state[i : i + side] for i in range(0, len(state), side)]
+    return state, mass
+
+
+def _outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and text of the NoonlikeError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except NoonlikeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestCompiledCircuit:
+    """The cached tables give what the dense loop they replace gives, bit for bit.
+
+    ``budget_amplitudes`` and ``post_select`` read per-circuit tables built
+    once; the references above recompute everything on every call.  Results
+    must agree by ``==`` and by ``repr``, so signed zeros count.
+    """
+
+    @staticmethod
+    def _assert_same(cfg, r):
+        states = [Fock(0)] * cfg.mode_count
+        states[cfg.squeezed_mode] = SqueezedVacuum(r)
+        states[cfg.coherent_mode] = Coherent(pump_amplitude(r))
+        u, phase = mode_matrix(cfg.elements, cfg.mode_count)
+        budget = cfg.herald_count + cfg.max_output_photons
+        selection = (cfg.herald_mode, cfg.herald_count, cfg.output_modes, cfg.max_output_photons)
+        for herald in (None, (cfg.herald_mode, cfg.herald_count)):
+            got = budget_amplitudes(states, u, budget, phase, herald)
+            want = _dense_budget_amplitudes(states, u, budget, phase, herald)
+            assert got == want and repr(got) == repr(want)
+            got = _outcome(post_select, *got, *selection)
+            want = _outcome(_dense_post_select, *want, *selection)
+            assert got == want and repr(got) == repr(want)
+        got = _outcome(run_experiment, r, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(circuit, "_composed", circuit._composed.__wrapped__)
+            mp.setattr(circuit, "budget_amplitudes", _dense_budget_amplitudes)
+            mp.setattr(circuit, "post_select", _dense_post_select)
+            want = _outcome(run_experiment, r, cfg)
+        assert got == want and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("r", TestHeraldedSectors.r_extremes)
+    def test_reference_config(self, r):
+        self._assert_same(default_circuit_config(), r)
+
+    def test_reference_config_dense_grid(self):
+        for k in range(201):
+            self._assert_same(default_circuit_config(), 1e-3 + k * (5.0 - 1e-3) / 200)
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
+    def test_searched_wirings(self, r):
+        for _, elements in _searched_wirings():
+            self._assert_same(CircuitConfig(3, 0, 1, tuple(elements), 2, 1, (0, 1), 4, 6), r)
+
+    def test_other_heralds(self):
+        for cfg in TestHeraldedSectors.other_heralds():
+            for r in (0.5, 1.5):
+                self._assert_same(cfg, r)
 
 
 @pytest.fixture(scope="module")

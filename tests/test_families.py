@@ -234,6 +234,16 @@ class TestEscsSweep:
         with pytest.raises(ValueError, match="strictly increasing"):
             escs_sweep_r_prime(5, 4.0, grid)
 
+    def test_generator_grid_read_once(self):
+        # the checks must not consume a one-shot grid before the sweep reads it
+        grid = (0.4, 0.8, 1.2)
+        assert escs_sweep_r_prime(5, 2.0, (x for x in grid)) == escs_sweep_r_prime(5, 2.0, grid)
+
+    @pytest.mark.parametrize("grid", [(1.2, 0.4), (0.4, -0.8)])
+    def test_invalid_generator_grid_rejected(self, grid):
+        with pytest.raises(ValueError):
+            escs_sweep_r_prime(5, 4.0, (x for x in grid))
+
     def test_approaches_esvs_at_matched_squeeze(self):
         # the family degenerates to the matched squeezed vacuum as the
         # displacement shrinks to zero
@@ -466,6 +476,17 @@ class TestBalancedVsUnbalanced:
         bal, unb = balanced_vs_unbalanced_sweep(5, [])
         assert bal.points == unb.points == ()
         assert compare_sweeps_at_common_nbar(5, bal, unb) == ([], None)
+
+    def test_generator_grid_read_once(self):
+        grid = (0.5, 1.0, 2.0)
+        want = balanced_vs_unbalanced_sweep(5, grid)
+        assert balanced_vs_unbalanced_sweep(5, (x for x in grid)) == want
+        assert len(want[0].points) == len(want[1].points) == 3
+
+    @pytest.mark.parametrize("grid", [(1.0, 0.5, -1.0), (0.5, 0.5), (-1.0, 0.5)])
+    def test_invalid_generator_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="positive and strictly increasing"):
+            balanced_vs_unbalanced_sweep(5, (x for x in grid))
 
     def test_crossover_found_on_extended_sweep(self):
         bal, unb = balanced_vs_unbalanced_sweep(5, list(np.linspace(0.3, 6.0, 120)))

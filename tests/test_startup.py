@@ -8,7 +8,7 @@ heralded-source commands, ``experiment`` and ``figure --id 6``, load the
 circuit simulator, which is plain Python too, so they must not load numpy or
 ``dataclasses`` either.  No command, and no ``import noonlike``, loads
 ``noonlike.oracles``, the numpy code that checks the closed forms, and
-none loads ``typing`` or ``importlib.resources``.  Each invocation runs in
+none loads ``typing``, ``importlib.resources`` or ``pathlib``.  Each invocation runs in
 a fresh interpreter, since this one has imported all of them long ago.  The
 gates count modules, never seconds.
 
@@ -107,6 +107,15 @@ def test_commands_load_neither_typing_nor_resources(cli_in_fresh_interpreter, ar
     assert "noonlike.cli" in modules  # the probe sees the package's modules
     assert "typing" not in modules
     assert "importlib.resources" not in modules
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM + HERALDED, ids=" ".join)
+def test_commands_load_no_pathlib(cli_in_fresh_interpreter, argv):
+    # the same processes as above: --out and NOONLIKE_OUTPUT_DIR go through os.path
+    code, modules = cli_in_fresh_interpreter(argv, site=False)
+    assert code == 0
+    assert "noonlike.cli" in modules
+    assert "pathlib" not in modules
 
 
 def test_package_import_leaves_the_oracles_unloaded(fresh_python):

@@ -11,28 +11,66 @@ from noonlike import circuit, cli, families
 from noonlike.circuit import experiment_qcrb_comparison, run_experiment
 from noonlike.families import Family, solve_param_for_nbar
 
-# what run_experiment builds for the reference circuit: the 30 sectors and 55
-# creation-operator entries that can feed its herald, of 56 and 105 in its budget
+# what run_experiment builds for the reference circuit: the 30 sectors that can
+# feed its herald, of 56 in its budget, and tables of at most the 55
+# creation-operator entries that stay within them, of 105
 MAX_SECTORS = 30
 MAX_CREATION_ENTRIES = 55
+# complex multiply-adds that apply the tables in one run_experiment(1.0)
+MAX_TABLE_PRODUCTS = 176
 MAX_NBAR_EVALS = 51
 QCRB_MODULES = {"noonlike.errors", "noonlike.states", "noonlike.qcrb", "noonlike.families", "noonlike.cli"}
 
 
-def test_reference_circuit_sectors(monkeypatch):
-    built = []
-    original = circuit._creation_operators
+@pytest.fixture
+def tables(monkeypatch):
+    """The (occs, tables) that each ``budget_amplitudes`` call reads, and its products.
+
+    Returns (built, products): built lists what ``_raising_tables`` gives per
+    call, and products[0] counts the (dst, w) pairs read from the tables,
+    one complex multiply-add each.
+    """
+    built, products = [], [0]
+    original = circuit._raising_tables
+
+    class Row(tuple):
+        def __iter__(self):
+            products[0] += len(self)
+            return super().__iter__()
 
     def counted(*args):
-        occs, ops = original(*args)
-        built.append((len(occs), sum(len(entries) for entries in ops)))
-        return occs, ops
+        occs, tables = original(*args)
+        built.append((occs, tables))
+        return occs, tuple(tuple(map(Row, table)) for table in tables)
 
-    monkeypatch.setattr(circuit, "_creation_operators", counted)
+    monkeypatch.setattr(circuit, "_raising_tables", counted)
+    return built, products
+
+
+def test_reference_circuit_sectors(tables):
+    built, _ = tables
     run_experiment(1.0)
-    [(sectors, entries)] = built
-    assert sectors <= MAX_SECTORS
-    assert entries <= MAX_CREATION_ENTRIES
+    [(occs, per_mode)] = built
+    assert len(occs) <= MAX_SECTORS
+    assert len(per_mode) == 3 and all(len(table) == len(occs) for table in per_mode)
+    assert all(sum(map(len, table)) <= MAX_CREATION_ENTRIES for table in per_mode)
+
+
+def test_reference_circuit_products(tables):
+    _, products = tables
+    run_experiment(1.0)
+    assert 0 < products[0] <= MAX_TABLE_PRODUCTS
+
+
+def test_figure_6_builds_the_circuit_once(capsys):
+    # the mode matrix, the tables and the post-selection index depend on the
+    # config alone, so a grid of r builds each once
+    caches = (circuit._composed, circuit._raising_tables, circuit._kept_sectors)
+    for cache in caches:
+        cache.cache_clear()
+    assert cli.main(["figure", "--id", "6", "--steps", "20"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 20
+    assert [cache.cache_info()[:2] for cache in caches] == [(19, 1)] * 3  # (hits, misses)
 
 
 def test_parser_fills_only_the_named_command():
