@@ -718,10 +718,10 @@ def _dense_post_select(occs, amps, herald_mode, herald_count, output_modes, max_
     return state, mass
 
 
-def _outcome(fn, *args, **kwargs):
+def _outcome(fn, *args):
     """``fn``'s result, or the type and text of the NoonlikeError it raises."""
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except NoonlikeError as exc:
         return type(exc).__name__, str(exc)
 
