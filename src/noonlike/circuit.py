@@ -17,27 +17,26 @@ and reads the heralded sectors off exactly.  Nothing above the budget is
 built, so nothing is truncated: the config's ``cutoff`` is still accepted,
 and must still be at least the budget, but it changes no result.
 
-Each circuit is compiled once, lazily on its first run, and only the work
-that depends on the squeeze factor r is done per run.  Cached by values
-that the config alone determines (equal values share an entry):
-
-* the mode matrix and global phase, by elements and mode count;
-* per input mode j, the table of b_j^dag = sum_k U[k][j] a_k^dag over the
-  sectors, indexed by source sector, with U[k][j] times the creation
-  operator's weight multiplied out and the pairs of a zero U[k][j]
-  dropped, by U, budget and herald;
-* the kept sectors and their flat output indices, for ``post_select``.
-
-A run then does one complex multiply-add per nonzero amplitude and table
-pair: 176 for the reference circuit at r = 1, where scanning every
-creation-operator entry at each photon step reads 420.  The result is
+Everything that depends on the config alone is built once, on its first
+run, by ``_compiled``, the module's one cache, keyed on the
+``CircuitConfig``: the budget, the global phase, the kept sectors with
+their flat output indices, and per input mode j the table of
+b_j^dag = sum_k U[k][j] a_k^dag over the sectors, indexed by source
+sector, with U[k][j] times the creation operator's weight multiplied out
+and the pairs of a zero U[k][j] dropped.  ``run_experiment`` then does
+only the work that depends on r, in two kernels: one applies the tables,
+with one complex multiply-add per nonzero amplitude and table pair (176
+for the reference circuit at r = 1, where scanning every
+creation-operator entry at each photon step reads 420), and one selects
+the kept sectors.  ``budget_amplitudes`` and ``post_select`` share the
+kernels but build their tables and index on each call.  The result is
 bit-identical to applying a_0^dag, a_1^dag, ... one at a time, since the
 sectors are in lexicographic order: the sources of a sector dst arrive as
 dst - e_0 < dst - e_1 < ..., the order of k.
 
 The state is plain Python throughout, since the reference circuit needs
 only 30 sectors: U is nested lists, ``budget_amplitudes`` gives one
-amplitude per sector of a cached occupation tuple, and ``post_select``
+amplitude per sector of a tuple of occupation tuples, and ``post_select``
 gives nested lists indexed by the output occupations, whose column 0 and
 row 0 hold the two branches that the decomposition reads.
 
@@ -181,6 +180,8 @@ class CircuitConfig(_Frozen):
             output_modes
         ) or herald_mode in output_modes:
             raise ValueError("herald mode plus output modes must partition the modes")
+        if len(output_modes) != 2:
+            raise ValueError(f"the heralded source needs two output modes, got {len(output_modes)}")
         for name, n in ("herald_count", herald_count), ("max_output_photons", max_output_photons):
             if n < 0:
                 raise ValueError(f"{name} must be >= 0, got {n}")
@@ -223,9 +224,16 @@ def default_circuit_config() -> CircuitConfig:
     return _REFERENCE_CIRCUIT
 
 
-@functools.lru_cache
-def _composed(elements: tuple[CircuitElement, ...], mode_count: int) -> tuple[tuple, float]:
-    """``mode_matrix`` with the rows as tuples, built once per element sequence."""
+def mode_matrix(
+    elements: Iterable[CircuitElement], mode_count: int
+) -> tuple[list[list[complex]], float]:
+    """Compose passive elements, in order, into a mode matrix and a global phase.
+
+    Column j of the nested lists u is the image of input mode j's creation
+    operator, a_j^dag -> sum_k u[k][j] a_k^dag.  A phase shifter multiplies
+    its mode's row by exp(i per_photon_phase); its ``const_phase`` multiplies
+    every amplitude alike and is summed into the returned global phase.
+    """
     u = [[1.0 + 0j if k == j else 0j for j in range(mode_count)] for k in range(mode_count)]
     phase = 0.0
     for e in elements:
@@ -240,70 +248,69 @@ def _composed(elements: tuple[CircuitElement, ...], mode_count: int) -> tuple[tu
             turn = complex(math.cos(e.per_photon_phase), math.sin(e.per_photon_phase))
             u[e.mode] = [turn * x for x in u[e.mode]]
             phase += e.const_phase
-    return tuple(map(tuple, u)), phase
+    return u, phase
 
 
-def mode_matrix(
-    elements: Iterable[CircuitElement], mode_count: int
-) -> tuple[list[list[complex]], float]:
-    """Compose passive elements, in order, into a mode matrix and a global phase.
+def _raising_tables(
+    u: Sequence[Sequence[complex]], budget: int, herald: tuple[int, int] | None
+) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """Occupations within ``budget`` and, per input mode, its image b_j^dag on them.
 
-    Column j of the nested lists u is the image of input mode j's creation
-    operator, a_j^dag -> sum_k u[k][j] a_k^dag.  A phase shifter multiplies
-    its mode's row by exp(i per_photon_phase); its ``const_phase`` multiplies
-    every amplitude alike and is summed into the returned global phase.
+    Returns (occs, tables).  occs[i] is the occupation tuple of sector i, in
+    lexicographic order: every sector within the budget, or with
+    ``herald=(mode, count)`` those that can feed that herald.
+    tables[j][src] lists the (dst, w) pairs of b_j^dag = sum_k u[k][j] a_k^dag
+    that map sector src to w times sector dst, w = u[k][j] * sqrt(occ[k] + 1),
+    in k order, for every dst in the set.  A zero u[k][j] contributes no pair.
     """
-    u, phase = _composed(tuple(elements), mode_count)
-    return [list(row) for row in u], phase
-
-
-@functools.cache
-def _creation_operators(mode_count: int, budget: int, herald: tuple | None = None) -> tuple:
-    """Occupations of at most ``budget`` photons and the entries of a_k^dag on them.
-
-    Returns (occs, ops): occs[i] is the occupation tuple of sector i, and
-    ops[k] lists the (src, dst, weight) entries of a_k^dag, which maps
-    sector src to weight times sector dst, for every entry that stays
-    within the set.  Both are tuples, shared by every caller.
-    """
-    grid = itertools.product(range(budget + 1), repeat=mode_count)
+    grid = itertools.product(range(budget + 1), repeat=len(u))
     if herald is None:
         occs = tuple(occ for occ in grid if sum(occ) <= budget)
     else:
         h, count = herald
         occs = tuple(o for o in grid if o[h] <= count and sum(o) - o[h] <= budget - count)
     index = {occ: i for i, occ in enumerate(occs)}
-    ops = []
-    for k in range(mode_count):
-        entries = []
-        for i, occ in enumerate(occs):
-            raised = occ[:k] + (occ[k] + 1,) + occ[k + 1 :]
-            if raised in index:
-                entries.append((i, index[raised], math.sqrt(occ[k] + 1)))
-        ops.append(tuple(entries))
-    return occs, tuple(ops)
+    tables = [[[] for _ in occs] for _ in u]
+    for k, row in enumerate(u):
+        for src, occ in enumerate(occs):
+            dst = index.get(occ[:k] + (occ[k] + 1,) + occ[k + 1 :])
+            if dst is not None:
+                weight = math.sqrt(occ[k] + 1)
+                for ukj, table in zip(row, tables):
+                    if ukj:
+                        table[src].append((dst, ukj * weight))
+    return occs, tuple(tuple(map(tuple, table)) for table in tables)
 
 
-@functools.lru_cache
-def _raising_tables(u: tuple[tuple, ...], budget: int, herald: tuple | None) -> tuple:
-    """Occupations and, per input mode, its image b_j^dag on them.
-
-    Returns (occs, tables): occs as ``_creation_operators`` gives them, and
-    tables[j][src] lists the (dst, w) pairs of b_j^dag = sum_k u[k][j] a_k^dag
-    that map sector src to w times sector dst, w = u[k][j] * sqrt(occ[k] + 1),
-    in k order.  A zero u[k][j] contributes no pair.
-    """
-    occs, ops = _creation_operators(len(u), budget, herald)
-    tables = []
-    for j in range(len(u)):
-        table = [[] for _ in occs]
-        for k, entries in enumerate(ops):
-            ukj = u[k][j]
-            if ukj:
-                for src, dst, weight in entries:
-                    table[src].append((dst, ukj * weight))
-        tables.append(tuple(map(tuple, table)))
-    return occs, tuple(tables)
+def _apply_tables(
+    states: Sequence[SingleModeState], tables: Sequence, size: int, budget: int, phase: float
+) -> list[complex]:
+    """``budget_amplitudes``'s amps over ``size`` sectors, from ``_raising_tables``'s tables."""
+    vec = [0j] * size
+    vec[0] = complex(math.cos(phase), math.sin(phase))
+    for state, table in zip(states, tables):
+        c = _build_amps(state, budget)
+        acc = [c[0] * v for v in vec]
+        term = vec  # (b_j^dag)^n / sqrt(n!) applied to the modes done so far
+        for n in range(1, max((n for n, cn in enumerate(c) if cn), default=0) + 1):
+            # w * term[src] * (1 / sqrt(n)), summed per dst from +0 in the
+            # order of src, which is the order of k (see the module
+            # docstring); a zero factor would add a signed zero, which
+            # leaves such a sum unchanged, so it is skipped
+            inv = 1.0 / math.sqrt(n)
+            raised = [0j] * size
+            for src, t in enumerate(term):
+                if t:
+                    for dst, w in table[src]:
+                        raised[dst] += w * t * inv
+            term = raised
+            cn = c[n]
+            if cn:  # a zero product could change only the sign of a zero amplitude
+                for i, t in enumerate(term):
+                    if t:
+                        acc[i] += cn * t
+        vec = acc
+    return vec
 
 
 def budget_amplitudes(
@@ -326,53 +333,25 @@ def budget_amplitudes(
     photons in ``mode``, a downward-closed set (see the module docstring);
     each kept amplitude is bit-identical to the one without it.
 
-    The table of each b_j^dag, with u[k][j] times the creation operator's
-    weight multiplied out, is built once per (u, budget, herald) and cached;
-    a call then does only the work that depends on the states, one complex
-    multiply-add per nonzero amplitude and table pair.
+    Each call builds the tables that ``run_experiment`` compiles once per
+    config (see the module docstring).
 
     Returns (occs, amps): amps[i] is the amplitude of the occupation occs[i],
-    a tuple of tuples shared by every call with the same mode count, budget
-    and herald.  Every sector has an entry, zero amplitudes included.
+    a tuple of tuples in lexicographic order.  Every sector has an entry,
+    zero amplitudes included.
     """
     m = len(per_mode_states)
     if len(u) != m or any(len(row) != m for row in u):
         raise ValueError(f"mode matrix is not {m} x {m}, the number of input modes")
     if budget < 0 or herald and not (0 <= herald[0] < m and 0 <= herald[1] <= budget):
         raise ValueError(f"no sector within budget {budget} and herald {herald} on {m} modes")
-    occs, tables = _raising_tables(tuple(map(tuple, u)), budget, herald)
-    size = len(occs)
-    vec = [0j] * size
-    vec[0] = complex(math.cos(global_phase), math.sin(global_phase))
-    for state, table in zip(per_mode_states, tables):
-        c = _build_amps(state, budget)
-        acc = [c[0] * v for v in vec]
-        term = vec  # (b_j^dag)^n / sqrt(n!) applied to the modes done so far
-        for n in range(1, max((n for n, cn in enumerate(c) if cn), default=0) + 1):
-            # w * term[src] * (1 / sqrt(n)), summed per dst from +0 in the
-            # order of src, which is the order of k (see the module
-            # docstring); a zero factor would add a signed zero, which
-            # leaves such a sum unchanged, so it is skipped
-            inv = 1.0 / math.sqrt(n)
-            raised = [0j] * size
-            for src, t in enumerate(term):
-                if t:
-                    for dst, w in table[src]:
-                        raised[dst] += w * t * inv
-            term = raised
-            cn = c[n]
-            if cn:  # a zero product could change only the sign of a zero amplitude
-                for i, t in enumerate(term):
-                    if t:
-                        acc[i] += cn * t
-        vec = acc
-    return occs, vec
+    occs, tables = _raising_tables(u, budget, herald)
+    return occs, _apply_tables(per_mode_states, tables, len(occs), budget, global_phase)
 
 
-@functools.lru_cache
 def _kept_sectors(
-    occs: tuple[tuple[int, ...], ...], herald_mode: int, herald_count: int,
-    output_modes: tuple[int, ...], max_output_photons: int,
+    occs: Sequence[Sequence[int]], herald_mode: int, herald_count: int,
+    output_modes: Sequence[int], max_output_photons: int,
 ) -> tuple[tuple[int, int], ...]:
     """(sector, row-major output index) of each sector ``post_select`` keeps, in sector order."""
     side = max_output_photons + 1
@@ -387,6 +366,27 @@ def _kept_sectors(
                 i = i * side + n
             kept.append((src, i))
     return tuple(kept)
+
+
+def _select_kept(
+    amps: Sequence[complex], kept: Sequence[tuple[int, int]], herald_mode: int,
+    herald_count: int, output_count: int, max_output_photons: int,
+) -> tuple[list, float]:
+    """``post_select`` on the (sector, output index) pairs of ``_kept_sectors``."""
+    side = max_output_photons + 1
+    kept = [(i, amps[src]) for src, i in kept]
+    mass = sum(abs(a) ** 2 for _, a in kept)
+    if not mass > 0.0:  # NaN fails too
+        raise EmptyPostSelection(
+            f"herald {herald_count} photon(s) in mode {herald_mode} kept no mass"
+        )
+    state = [0j] * side ** output_count
+    scale = 1.0 / math.sqrt(mass)
+    for i, amp in kept:
+        state[i] = amp * scale
+    for _ in range(output_count - 1):  # nest the flat list, the last output mode innermost
+        state = [state[i : i + side] for i in range(0, len(state), side)]
+    return state, mass
 
 
 def post_select(
@@ -421,23 +421,8 @@ def post_select(
         raise ValueError(
             f"herald mode plus one or more output modes must partition the {m} modes"
         )
-    side = max_output_photons + 1
-    index = _kept_sectors(
-        tuple(map(tuple, occs)), herald_mode, herald_count, tuple(modes), max_output_photons
-    )
-    kept = [(i, amps[src]) for src, i in index]
-    mass = sum(abs(a) ** 2 for _, a in kept)
-    if not mass > 0.0:  # NaN fails too
-        raise EmptyPostSelection(
-            f"herald {herald_count} photon(s) in mode {herald_mode} kept no mass"
-        )
-    state = [0j] * side ** len(modes)
-    scale = 1.0 / math.sqrt(mass)
-    for i, amp in kept:
-        state[i] = amp * scale
-    for _ in modes[1:]:  # nest the flat list, the last output mode innermost
-        state = [state[i : i + side] for i in range(0, len(state), side)]
-    return state, mass
+    kept = _kept_sectors(occs, herald_mode, herald_count, modes, max_output_photons)
+    return _select_kept(amps, kept, herald_mode, herald_count, len(modes), max_output_photons)
 
 
 def _noonlike_decomposition(state: list[list[complex]]) -> tuple[list[complex], float, float]:
@@ -516,6 +501,21 @@ def heralded_success_probability(r: float) -> float:
     return t * t * g2 * math.exp(-1.5 * t) / (32.0 * math.cosh(r))
 
 
+@functools.lru_cache
+def _compiled(cfg: CircuitConfig) -> tuple:
+    """(budget, global phase, ``_raising_tables`` tables, ``_kept_sectors`` index) of ``cfg``.
+
+    The tables span the sectors that can feed the herald.
+    """
+    budget = cfg.herald_count + cfg.max_output_photons
+    u, phase = mode_matrix(cfg.elements, cfg.mode_count)
+    occs, tables = _raising_tables(u, budget, (cfg.herald_mode, cfg.herald_count))
+    kept = _kept_sectors(
+        occs, cfg.herald_mode, cfg.herald_count, cfg.output_modes, cfg.max_output_photons
+    )
+    return budget, phase, tables, kept
+
+
 def run_experiment(
     r: float,
     config: CircuitConfig | None = None,
@@ -529,18 +529,15 @@ def run_experiment(
     not depend on ``cutoff``; a cutoff below the budget is still rejected.
     """
     cfg = config if config is not None else default_circuit_config()
-    cut = cfg.cutoff if cutoff is None else cutoff
-    budget = cfg.herald_count + cfg.max_output_photons
-    if cut < budget:
+    budget, phase, tables, kept = _compiled(cfg)
+    if (cfg.cutoff if cutoff is None else cutoff) < budget:
         raise ValueError("cutoff below the heralded photon budget")
     per_mode: list[SingleModeState] = [Fock(0)] * cfg.mode_count
     per_mode[cfg.squeezed_mode] = SqueezedVacuum(r)  # first, so that an r out of range is named
     per_mode[cfg.coherent_mode] = Coherent(pump_amplitude(r))
-    u, phase = _composed(cfg.elements, cfg.mode_count)
-    herald = (cfg.herald_mode, cfg.herald_count)
-    occs, amps = budget_amplitudes(per_mode, u, budget, phase, herald)
-    state, success_prob = post_select(
-        occs, amps, cfg.herald_mode, cfg.herald_count, cfg.output_modes, cfg.max_output_photons
+    amps = _apply_tables(per_mode, tables, len(tables[0]), budget, phase)
+    state, success_prob = _select_kept(
+        amps, kept, cfg.herald_mode, cfg.herald_count, len(cfg.output_modes), cfg.max_output_photons
     )
     phi, fidelity, beta = _noonlike_decomposition(state)
 
@@ -561,9 +558,7 @@ def run_experiment(
 
 
 def experiment_qcrb_comparison(
-    r_grid: Sequence[float],
-    config: CircuitConfig | None = None,
-    cutoff: int | None = None,
+    r_grid: Sequence[float], cutoff: int | None = None
 ) -> tuple[SweepCurve, SweepCurve, SweepCurve]:
     """Bound of the heralded state vs effective-NOON and ECS at matched n_bar.
 
@@ -572,7 +567,7 @@ def experiment_qcrb_comparison(
     """
     noon_pts, ecs_pts, phi_pts = [], [], []
     for r in r_grid:
-        result = run_experiment(r, config=config, cutoff=cutoff)
+        result = run_experiment(r, cutoff=cutoff)
         scale = 1.0 / math.sqrt(sum(abs(c) ** 2 for c in result.phi_amps))
         phi_state = FockSuperposition(tuple(c * scale for c in result.phi_amps))
         q_phi = qcrb_closed_form(ProbeSpec(1, phi_state, Balanced())).qcrb

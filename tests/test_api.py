@@ -3,8 +3,10 @@
 Also pins where the proven orderings are checked: only ``qcrb`` raises
 OrderingViolation, so the rule for ties and rounding has one home.  Only
 ``families.matched_report`` calls the budget solve, so every fixed-budget
-comparison takes its balanced bound from one path.  And numpy is imported
-only by ``oracles``, at its top, and is no runtime dependency of the package.
+comparison takes its balanced bound from one path.  ``circuit`` holds one
+cache, ``_compiled``, read only by ``run_experiment``.  And numpy is
+imported only by ``oracles``, at its top, and is no runtime dependency of
+the package.
 """
 
 import ast
@@ -146,3 +148,21 @@ def test_only_matched_report_solves_a_budget():
         for scope in _callers(p, "solve_param_for_nbar")
     ]
     assert callers == ["families.matched_report"]
+
+
+def test_circuit_compiles_behind_one_cache():
+    # what depends on the config alone is built behind one cache keyed on the
+    # config; any other cache would hash its own key on every run
+    path = Path(noonlike.__file__).parent / "circuit.py"
+    tree = ast.parse(path.read_text())
+    uses = [node for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+            and _name(node) in ("cache", "lru_cache", "cached_property")]
+    cached = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for d in node.decorator_list
+        if (d.func if isinstance(d, ast.Call) else d) in uses
+    ]
+    assert cached == ["_compiled"] and len(uses) == 1
+    assert _callers(path, "_compiled") == ["run_experiment"]

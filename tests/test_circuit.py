@@ -19,6 +19,7 @@ from noonlike import (
 from noonlike.circuit import (
     BeamSplitter,
     CircuitConfig,
+    ExperimentResult,
     PhaseShifter,
     budget_amplitudes,
     default_circuit_config,
@@ -81,12 +82,13 @@ class TestInject:
         with pytest.raises(ValueError):
             budget_amplitudes([Fock(0), Fock(0)], _eye(3), 2)
 
-    def test_occupations_shared_and_read_only(self):
+    def test_occupations_read_only_and_ordered(self):
         occs, amps = budget_amplitudes([Coherent(0.5), Fock(0), Fock(0)], _eye(3), 5)
         assert len(occs) == len(amps) == 56 and {len(o) for o in occs} == {3}
         assert max(map(sum, occs)) == 5 and len(set(occs)) == 56
         assert isinstance(occs, tuple) and all(isinstance(o, tuple) for o in occs)
-        assert budget_amplitudes([Fock(1)] * 3, _eye(3), 5)[0] is occs
+        assert list(occs) == sorted(occs)
+        assert budget_amplitudes([Fock(1)] * 3, _eye(3), 5)[0] == occs
 
 
 class TestElements:
@@ -396,6 +398,15 @@ class TestConfigFields:
                                                  r"outside 0\.\.2$"):
             CircuitConfig(3, 0, 1, (element,), 2, 1, (0, 1), 4, 14)
 
+    @pytest.mark.parametrize("mode_count, output_modes", [(2, (0,)), (4, (0, 1, 2))])
+    def test_two_output_modes_required(self, mode_count, output_modes):
+        # the decomposition reads two output modes, so any other count could
+        # fail only after a full simulation
+        with pytest.raises(ValueError, match=rf"^the heralded source needs two output modes, "
+                                             rf"got {len(output_modes)}$"):
+            CircuitConfig(mode_count, 0, 1, (BeamSplitter(0, 1, 0.5, "real"),), mode_count - 1,
+                          1, output_modes, 2, 3)
+
 
 class TestReferenceCircuit:
     @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
@@ -663,12 +674,33 @@ class TestHeraldedSectors:
 
 
 def _dense_budget_amplitudes(per_mode_states, u, budget, global_phase=0.0, herald=None):
-    """Reference: ``budget_amplitudes`` as one dense loop, without its cached tables.
+    """Reference: ``budget_amplitudes`` as one dense loop, sharing no sector or table code.
 
-    Every creation-operator entry is scanned at each photon step, and
+    The sectors and the (src, dst, weight) entries of each a_k^dag are
+    enumerated here; every entry is scanned at each photon step, and
     u[k][j] * weight is multiplied there.
     """
-    occs, ops = circuit._creation_operators(len(per_mode_states), budget, herald)
+    m = len(per_mode_states)
+    occs = []
+    for occ in itertools.product(range(budget + 1), repeat=m):
+        if herald is None:
+            feeds = sum(occ) <= budget
+        else:
+            mode, count = herald
+            feeds = occ[mode] <= count and sum(occ) - occ[mode] <= budget - count
+        if feeds:
+            occs.append(occ)
+    index = {occ: i for i, occ in enumerate(occs)}
+    ops = []
+    for k in range(m):
+        entries = []
+        for src, occ in enumerate(occs):
+            raised = list(occ)
+            raised[k] += 1
+            raised = tuple(raised)
+            if raised in index:
+                entries.append((src, index[raised], math.sqrt(raised[k])))
+        ops.append(entries)
     size = len(occs)
     vec = [0j] * size
     vec[0] = complex(math.cos(global_phase), math.sin(global_phase))
@@ -693,7 +725,7 @@ def _dense_budget_amplitudes(per_mode_states, u, budget, global_phase=0.0, heral
                     if t:
                         acc[i] += cn * t
         vec = acc
-    return occs, vec
+    return tuple(occs), vec
 
 
 def _dense_post_select(occs, amps, herald_mode, herald_count, output_modes, max_output_photons):
@@ -718,6 +750,27 @@ def _dense_post_select(occs, amps, herald_mode, herald_count, output_modes, max_
     return state, mass
 
 
+def _dense_run(r, cfg):
+    """Reference: ``run_experiment`` through the dense references above."""
+    states = [Fock(0)] * cfg.mode_count
+    states[cfg.squeezed_mode] = SqueezedVacuum(r)
+    states[cfg.coherent_mode] = Coherent(pump_amplitude(r))
+    u, phase = mode_matrix(cfg.elements, cfg.mode_count)
+    herald = (cfg.herald_mode, cfg.herald_count)
+    budget = cfg.herald_count + cfg.max_output_photons
+    occs, amps = _dense_budget_amplitudes(states, u, budget, phase, herald)
+    state, mass = _dense_post_select(occs, amps, *herald, cfg.output_modes, cfg.max_output_photons)
+    phi, fidelity, beta = circuit._noonlike_decomposition(state)
+    probs = [abs(c) ** 2 for c in phi]
+    norm = sum(probs)
+    if not abs(norm - 1.0) <= 1e-10:
+        raise NoonlikeError(f"branch amplitudes not normalized: {norm}")
+    if abs(phi[0]) > 1e-10:
+        raise NoonlikeError(f"unexpected vacuum component |c_0| = {abs(phi[0]):.3e}")
+    n_bar = sum(n * p for n, p in enumerate(probs)) / norm
+    return ExperimentResult(tuple(phi), fidelity, n_bar, mass, beta)
+
+
 def _outcome(fn, *args):
     """``fn``'s result, or the type and text of the NoonlikeError it raises."""
     try:
@@ -727,11 +780,13 @@ def _outcome(fn, *args):
 
 
 class TestCompiledCircuit:
-    """The cached tables give what the dense loop they replace gives, bit for bit.
+    """The tables and index give what the dense loop they replace gives, bit for bit.
 
-    ``budget_amplitudes`` and ``post_select`` read per-circuit tables built
-    once; the references above recompute everything on every call.  Results
-    must agree by ``==`` and by ``repr``, so signed zeros count.
+    ``run_experiment`` reads per-config tables and a kept-sector index built
+    once, and ``budget_amplitudes`` and ``post_select`` apply the same
+    kernels; the references above share no sector, table or index code
+    with them.  Results must agree by ``==`` and by ``repr``, so signed
+    zeros count.
     """
 
     @staticmethod
@@ -749,12 +804,7 @@ class TestCompiledCircuit:
             got = _outcome(post_select, *got, *selection)
             want = _outcome(_dense_post_select, *want, *selection)
             assert got == want and repr(got) == repr(want)
-        got = _outcome(run_experiment, r, cfg)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(circuit, "_composed", circuit._composed.__wrapped__)
-            mp.setattr(circuit, "budget_amplitudes", _dense_budget_amplitudes)
-            mp.setattr(circuit, "post_select", _dense_post_select)
-            want = _outcome(run_experiment, r, cfg)
+        got, want = _outcome(run_experiment, r, cfg), _outcome(_dense_run, r, cfg)
         assert got == want and repr(got) == repr(want)
 
     @pytest.mark.parametrize("r", TestHeraldedSectors.r_extremes)

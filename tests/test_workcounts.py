@@ -24,11 +24,13 @@ QCRB_MODULES = {"noonlike.errors", "noonlike.states", "noonlike.qcrb", "noonlike
 
 @pytest.fixture
 def tables(monkeypatch):
-    """The (occs, tables) that each ``budget_amplitudes`` call reads, and its products.
+    """The (occs, tables) that each circuit compiles, and the products read from them.
 
     Returns (built, products): built lists what ``_raising_tables`` gives per
     call, and products[0] counts the (dst, w) pairs read from the tables,
-    one complex multiply-add each.
+    one complex multiply-add each.  ``_compiled`` is cleared before, so that
+    a warm cache cannot hide the build, and after, so that no counting table
+    outlives the test.
     """
     built, products = [], [0]
     original = circuit._raising_tables
@@ -44,7 +46,9 @@ def tables(monkeypatch):
         return occs, tuple(tuple(map(Row, table)) for table in tables)
 
     monkeypatch.setattr(circuit, "_raising_tables", counted)
-    return built, products
+    circuit._compiled.cache_clear()
+    yield built, products
+    circuit._compiled.cache_clear()
 
 
 def test_reference_circuit_sectors(tables):
@@ -64,13 +68,11 @@ def test_reference_circuit_products(tables):
 
 def test_figure_6_builds_the_circuit_once(capsys):
     # the mode matrix, the tables and the post-selection index depend on the
-    # config alone, so a grid of r builds each once
-    caches = (circuit._composed, circuit._raising_tables, circuit._kept_sectors)
-    for cache in caches:
-        cache.cache_clear()
+    # config alone, so a grid of r compiles the circuit once
+    circuit._compiled.cache_clear()
     assert cli.main(["figure", "--id", "6", "--steps", "20"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 20
-    assert [cache.cache_info()[:2] for cache in caches] == [(19, 1)] * 3  # (hits, misses)
+    assert circuit._compiled.cache_info()[:2] == (19, 1)  # (hits, misses)
 
 
 def test_parser_fills_only_the_named_command():
