@@ -14,8 +14,8 @@ expands each input mode's Fock amplitudes up to the budget, applies the
 image of its creation operator under U to an amplitude vector over that
 set, ``budget_amplitudes(states, u, budget, phase, herald=(mode, count))``,
 and reads the heralded sectors off exactly.  Nothing above the budget is
-built, so nothing is truncated: the config's ``cutoff`` is still accepted,
-and must still be at least the budget, but it changes no result.
+built, so nothing is truncated: ``run_experiment``'s ``cutoff`` is still
+accepted, and must still be at least the budget, but it changes no result.
 
 Everything that depends on the config alone is built once, on its first
 run, by ``_compiled``, the module's one cache, keyed on the
@@ -34,15 +34,14 @@ bit-identical to applying a_0^dag, a_1^dag, ... one at a time, since the
 sectors are in lexicographic order: the sources of a sector dst arrive as
 dst - e_0 < dst - e_1 < ..., the order of k.
 
-The state is plain Python throughout, since the reference circuit needs
-only 30 sectors: U is nested lists, ``budget_amplitudes`` gives one
-amplitude per sector of a tuple of occupation tuples, and ``post_select``
-gives nested lists indexed by the output occupations, whose column 0 and
-row 0 hold the two branches that the decomposition reads.
+The state is plain Python throughout, nested lists and tuples, since the
+reference circuit needs only 30 sectors.
 
 Mode indexing is 0-based throughout.  ``default_circuit_config()`` returns
-the reference wiring; another wiring is another ``CircuitConfig``, passed
-to ``run_experiment`` as ``config``.
+the reference wiring; another wiring of the three modes is another
+``CircuitConfig``, passed to ``run_experiment`` as ``config``.  Its outputs
+are the two modes other than the herald mode, in ascending order: the other
+order is the same wiring with those two modes relabelled.
 
 Beam splitter conventions (transmitted amplitude sqrt(T) on both ports):
 
@@ -67,6 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Sequence
 
 from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError
@@ -157,52 +157,46 @@ class ExperimentResult(_Frozen):
 
 
 class CircuitConfig(_Frozen):
+    """A wiring of the heralded source on modes 0, 1 and 2 (see the module docstring)."""
+
     __slots__ = (
-        "mode_count", "coherent_mode", "squeezed_mode", "elements", "herald_mode",
-        "herald_count", "output_modes", "max_output_photons", "cutoff",
+        "coherent_mode", "squeezed_mode", "elements", "herald_mode", "herald_count",
+        "max_output_photons",
     )
 
     def __init__(
-        self, mode_count: int, coherent_mode: int, squeezed_mode: int,
-        elements: tuple[CircuitElement, ...], herald_mode: int, herald_count: int,
-        output_modes: tuple[int, ...], max_output_photons: int, cutoff: int,
+        self, coherent_mode: int, squeezed_mode: int, elements: tuple[CircuitElement, ...],
+        herald_mode: int, herald_count: int, max_output_photons: int,
     ):
-        elements, output_modes = tuple(elements), tuple(output_modes)
-        modes = range(mode_count)
-        used = (coherent_mode, squeezed_mode, herald_mode, *output_modes)
-        if any(m not in modes for m in used):
-            raise ModeOutOfRange(f"config references modes outside 0..{mode_count - 1}")
+        ints = []
+        for name, value in (("coherent_mode", coherent_mode), ("squeezed_mode", squeezed_mode),
+                            ("herald_mode", herald_mode), ("herald_count", herald_count),
+                            ("max_output_photons", max_output_photons)):
+            try:  # a float would fail only inside a run, naming no field
+                ints.append(operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        coherent_mode, squeezed_mode, herald_mode, herald_count, max_output_photons = ints
+        elements = tuple(elements)
+        if any(not 0 <= m < 3 for m in (coherent_mode, squeezed_mode, herald_mode)):
+            raise ModeOutOfRange("config references modes outside 0..2")
         for e in elements:
-            _check_element_modes(e, mode_count)
+            _check_element_modes(e, 3)
         if coherent_mode == squeezed_mode:
             raise ValueError("coherent and squeezed inputs must enter distinct modes")
-        if set(output_modes) | {herald_mode} != set(modes) or len(set(output_modes)) != len(
-            output_modes
-        ) or herald_mode in output_modes:
-            raise ValueError("herald mode plus output modes must partition the modes")
-        if len(output_modes) != 2:
-            raise ValueError(f"the heralded source needs two output modes, got {len(output_modes)}")
         for name, n in ("herald_count", herald_count), ("max_output_photons", max_output_photons):
             if n < 0:
                 raise ValueError(f"{name} must be >= 0, got {n}")
-        if cutoff < herald_count + max_output_photons:
-            raise ValueError("cutoff below herald_count + max_output_photons")
         self._assign(
-            mode_count, coherent_mode, squeezed_mode, elements, herald_mode, herald_count,
-            output_modes, max_output_photons, cutoff,
+            coherent_mode, squeezed_mode, elements, herald_mode, herald_count, max_output_photons
         )
 
 
-# Reference topology for the heralded two-mode source: coherent -> mode 0,
-# squeezed vacuum -> mode 1, vacuum -> mode 2.  The squeezed beam is split
-# first so the trigger detector can only fire on one photon of a squeezed
-# pair; heralding on one photon in mode 2 then leaves a vacuum-free
-# superposition in modes 0 and 1 once the remaining half of the pair
-# interferes with the coherent beam.  The trailing phase shifter fixes the
-# output-arm reference phase so the two branches differ by a single overall
-# phase instead of a photon-number-dependent one.
+# The reference topology (see the module docstring): coherent -> mode 0,
+# squeezed vacuum -> mode 1, vacuum -> mode 2, the herald.  The trailing phase
+# shifter fixes the output-arm reference phase so the two branches differ by a
+# single overall phase instead of a photon-number-dependent one.
 _REFERENCE_CIRCUIT = CircuitConfig(
-    mode_count=3,
     coherent_mode=0,
     squeezed_mode=1,
     elements=(
@@ -213,9 +207,7 @@ _REFERENCE_CIRCUIT = CircuitConfig(
     ),
     herald_mode=2,
     herald_count=1,
-    output_modes=(0, 1),
     max_output_photons=4,
-    cutoff=14,
 )
 
 
@@ -508,18 +500,15 @@ def _compiled(cfg: CircuitConfig) -> tuple:
     The tables span the sectors that can feed the herald.
     """
     budget = cfg.herald_count + cfg.max_output_photons
-    u, phase = mode_matrix(cfg.elements, cfg.mode_count)
+    u, phase = mode_matrix(cfg.elements, 3)
     occs, tables = _raising_tables(u, budget, (cfg.herald_mode, cfg.herald_count))
-    kept = _kept_sectors(
-        occs, cfg.herald_mode, cfg.herald_count, cfg.output_modes, cfg.max_output_photons
-    )
+    outputs = [k for k in range(3) if k != cfg.herald_mode]
+    kept = _kept_sectors(occs, cfg.herald_mode, cfg.herald_count, outputs, cfg.max_output_photons)
     return budget, phase, tables, kept
 
 
 def run_experiment(
-    r: float,
-    config: CircuitConfig | None = None,
-    cutoff: int | None = None,
+    r: float, config: CircuitConfig | None = None, cutoff: int | None = None
 ) -> ExperimentResult:
     """Simulate the heralded source at squeeze factor ``r``.
 
@@ -530,14 +519,14 @@ def run_experiment(
     """
     cfg = config if config is not None else default_circuit_config()
     budget, phase, tables, kept = _compiled(cfg)
-    if (cfg.cutoff if cutoff is None else cutoff) < budget:
+    if cutoff is not None and cutoff < budget:
         raise ValueError("cutoff below the heralded photon budget")
-    per_mode: list[SingleModeState] = [Fock(0)] * cfg.mode_count
+    per_mode: list[SingleModeState] = [Fock(0)] * 3
     per_mode[cfg.squeezed_mode] = SqueezedVacuum(r)  # first, so that an r out of range is named
     per_mode[cfg.coherent_mode] = Coherent(pump_amplitude(r))
     amps = _apply_tables(per_mode, tables, len(tables[0]), budget, phase)
     state, success_prob = _select_kept(
-        amps, kept, cfg.herald_mode, cfg.herald_count, len(cfg.output_modes), cfg.max_output_photons
+        amps, kept, cfg.herald_mode, cfg.herald_count, 2, cfg.max_output_photons
     )
     phi, fidelity, beta = _noonlike_decomposition(state)
 
@@ -563,8 +552,12 @@ def experiment_qcrb_comparison(
     """Bound of the heralded state vs effective-NOON and ECS at matched n_bar.
 
     Returns (noon_curve, ecs_curve, phi_curve); enforces the strict ordering
-    ECS < heralded state < NOON at every grid point.
+    ECS < heralded state < NOON at every grid point.  n_bar rises with r,
+    and the curves hold it non-decreasing, so ``r_grid`` must not decrease.
     """
+    r_grid = tuple(r_grid)
+    if any(b < a for a, b in zip(r_grid, r_grid[1:])):
+        raise ValueError("r_grid must be non-decreasing")
     noon_pts, ecs_pts, phi_pts = [], [], []
     for r in r_grid:
         result = run_experiment(r, cutoff=cutoff)
@@ -574,9 +567,7 @@ def experiment_qcrb_comparison(
         n_bar = result.n_bar
         q_noon = noon_qcrb(1, n_bar)
         q_ecs = matched_report(Family.ECS, 1, n_bar).qcrb
-        _check_ordered(
-            [q_ecs, q_phi, q_noon], "ECS < heralded < NOON", f"r={r}", increasing=True
-        )
+        _check_ordered([q_ecs, q_phi, q_noon], "ECS < heralded < NOON", f"r={r}", increasing=True)
         noon_pts.append((n_bar, q_noon, r))
         ecs_pts.append((n_bar, q_ecs, r))
         phi_pts.append((n_bar, q_phi, r))

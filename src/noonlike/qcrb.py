@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteResult,
     NonPositivePhotonNumber,
     OrderingViolation,
+    ParameterOutOfRange,
     ZeroPhotonState,
 )
 from .states import Moments, SingleModeState, _Frozen, moments
@@ -221,12 +222,17 @@ def noon_qcrb(d: int, n: float) -> float:
     """NOON-probe bound d(d+1)/(2 N^2).
 
     Non-integer ``n`` is accepted for interpolated ("effective") comparison
-    curves at matched mean photon number.
+    curves at matched mean photon number.  An ``n`` whose bound is not a
+    finite positive double, such as inf, raises ParameterOutOfRange.
     """
     d = _require_d(d)
     if not n > 0.0:
         raise NonPositivePhotonNumber(f"photon number must be positive, got {n}")
-    return d * (d + 1) / (2.0 * n * n)
+    denom = 2.0 * n * n  # 0 once n * n underflows
+    bound = d * (d + 1) / denom if denom else math.inf
+    if not 0.0 < bound < math.inf:
+        raise ParameterOutOfRange(f"photon number {n} gives the NOON bound {bound} at d={d}")
+    return bound
 
 
 def noon_ceiling(d: int, n_bar: float) -> float:

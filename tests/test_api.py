@@ -4,7 +4,8 @@ Also pins where the proven orderings are checked: only ``qcrb`` raises
 OrderingViolation, so the rule for ties and rounding has one home.  Only
 ``families.matched_report`` calls the budget solve, so every fixed-budget
 comparison takes its balanced bound from one path.  ``circuit`` holds one
-cache, ``_compiled``, read only by ``run_experiment``.  And numpy is
+cache, ``_compiled``, read only by ``run_experiment``, and reads every
+``CircuitConfig`` field, so none is inert.  And numpy is
 imported only by ``oracles``, at its top, and is no runtime dependency of
 the package.
 """
@@ -166,3 +167,20 @@ def test_circuit_compiles_behind_one_cache():
     ]
     assert cached == ["_compiled"] and len(uses) == 1
     assert _callers(path, "_compiled") == ["run_experiment"]
+
+
+def test_circuit_reads_every_config_field():
+    # a field read only where the config is built changes no run: it is no choice
+    from noonlike.circuit import CircuitConfig
+
+    tree = ast.parse((Path(noonlike.__file__).parent / "circuit.py").read_text())
+    config = next(n for n in tree.body if getattr(n, "name", None) == "CircuitConfig")
+    init = next(n for n in config.body if getattr(n, "name", None) == "__init__")
+    in_init = {id(node) for node in ast.walk(init)}
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "cfg" and id(node) not in in_init
+    }
+    assert set(CircuitConfig.__slots__) <= read

@@ -305,8 +305,7 @@ class TestPermanentOracle:
         cfg = default_circuit_config()
         states = [Coherent(pump_amplitude(1.2)), SqueezedVacuum(1.2), Fock(0)]
         want, want_prob = _heralded_by_permanents(
-            cfg.elements, states, cfg.herald_mode, cfg.herald_count, cfg.output_modes,
-            cfg.max_output_photons,
+            cfg.elements, states, cfg.herald_mode, cfg.herald_count, (0, 1), cfg.max_output_photons
         )
         assert want_prob == pytest.approx(heralded_success_probability(1.2), rel=1e-12)
         res = run_experiment(1.2)
@@ -356,9 +355,6 @@ class TestCutoff:
     def test_below_budget_rejected(self):
         with pytest.raises(ValueError):
             run_experiment(1.0, cutoff=4)
-        with pytest.raises(ValueError):
-            cfg = default_circuit_config()
-            CircuitConfig(*[getattr(cfg, name) for name in CircuitConfig.__slots__[:-1]], 4)
 
     @pytest.mark.parametrize("field", ["herald_count", "max_output_photons"])
     def test_negative_count_rejected(self, field):
@@ -385,8 +381,8 @@ class TestConfigFields:
     def test_sequences_stored_as_tuples(self):
         # stored lists would make the config unhashable
         ref = default_circuit_config()
-        cfg = CircuitConfig(3, 0, 1, list(ref.elements), 2, 1, [0, 1], 4, 14)
-        assert cfg.elements == ref.elements and cfg.output_modes == (0, 1)
+        cfg = CircuitConfig(0, 1, list(ref.elements), 2, 1, 4)
+        assert cfg.elements == ref.elements
         assert cfg == ref and hash(cfg) == hash(ref)
         assert run_experiment(1.0, config=cfg) == run_experiment(1.0)
 
@@ -396,16 +392,57 @@ class TestConfigFields:
     def test_element_modes_checked_when_built(self, element, modes):
         with pytest.raises(ModeOutOfRange, match=rf"^element modes {re.escape(str(modes))} "
                                                  r"outside 0\.\.2$"):
-            CircuitConfig(3, 0, 1, (element,), 2, 1, (0, 1), 4, 14)
+            CircuitConfig(0, 1, (element,), 2, 1, 4)
 
-    @pytest.mark.parametrize("mode_count, output_modes", [(2, (0,)), (4, (0, 1, 2))])
-    def test_two_output_modes_required(self, mode_count, output_modes):
-        # the decomposition reads two output modes, so any other count could
-        # fail only after a full simulation
-        with pytest.raises(ValueError, match=rf"^the heralded source needs two output modes, "
-                                             rf"got {len(output_modes)}$"):
-            CircuitConfig(mode_count, 0, 1, (BeamSplitter(0, 1, 0.5, "real"),), mode_count - 1,
-                          1, output_modes, 2, 3)
+    @pytest.mark.parametrize("mode", [-1, 3])
+    def test_config_modes_checked_when_built(self, mode):
+        with pytest.raises(ModeOutOfRange, match=r"^config references modes outside 0\.\.2$"):
+            CircuitConfig(0, 1, (), mode, 1, 4)
+
+    def test_inputs_enter_distinct_modes(self):
+        with pytest.raises(ValueError, match="^coherent and squeezed inputs must enter distinct"):
+            CircuitConfig(1, 1, (), 2, 1, 4)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("coherent_mode", 0.0), ("squeezed_mode", 1.0), ("herald_mode", "2"),
+         ("herald_count", 1.5), ("max_output_photons", 4.0)],
+    )
+    def test_non_integer_fields_rejected(self, field, value):
+        # a float would build, and fail only inside a run, with a TypeError
+        # that names no field
+        fields = {name: getattr(default_circuit_config(), name) for name in CircuitConfig.__slots__}
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+            CircuitConfig(**fields | {field: value})
+
+    def test_integer_like_fields_stored_as_ints(self):
+        ints = [np.int64(k) for k in (0, 1, 2, 1, 4)]
+        cfg = CircuitConfig(*ints[:2], default_circuit_config().elements, *ints[2:])
+        assert cfg == default_circuit_config()
+        fields = [getattr(cfg, name) for name in CircuitConfig.__slots__ if name != "elements"]
+        assert [type(v) for v in fields] == [int] * 5 and fields == [0, 1, 2, 1, 4]
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
+    def test_relabelled_outputs_give_the_same_state(self, r):
+        # the outputs are the non-herald modes in ascending order; the other
+        # order is the same wiring with modes 0 and 1 swapped, which reads
+        # the branches the other way round: phi -> e^{i beta} phi = -phi
+        swap = {0: 1, 1: 0, 2: 2}
+        ref = default_circuit_config()
+        elements = tuple(
+            BeamSplitter(swap[e.mode_a], swap[e.mode_b], e.transmissivity, e.convention)
+            if isinstance(e, BeamSplitter)
+            else PhaseShifter(swap[e.mode], e.const_phase, e.per_photon_phase)
+            for e in ref.elements
+        )
+        cfg = CircuitConfig(1, 0, elements, 2, ref.herald_count, ref.max_output_photons)
+        got, want = run_experiment(r, config=cfg), run_experiment(r)
+        assert [abs(c) for c in got.phi_amps] == pytest.approx(
+            [abs(c) for c in want.phi_amps], rel=1e-15, abs=0
+        )
+        for name in ("n_bar", "success_prob", "fidelity_to_noonlike"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-15, abs=0)
+        assert abs(math.remainder(got.branch_phase - want.branch_phase, 2 * math.pi)) <= 1e-15
 
 
 class TestReferenceCircuit:
@@ -476,7 +513,6 @@ class TestReferenceCircuit:
 
     def test_default_matches_shipped_wiring(self):
         cfg = default_circuit_config()
-        assert cfg.mode_count == 3
         assert (cfg.coherent_mode, cfg.squeezed_mode, cfg.herald_mode) == (0, 1, 2)
         first = cfg.elements[0]
         assert isinstance(first, BeamSplitter)
@@ -545,7 +581,7 @@ class TestTopologySearch:
 
     @staticmethod
     def _evaluate(elements):
-        cfg = CircuitConfig(3, 0, 1, tuple(elements), 2, 1, (0, 1), 4, 6)
+        cfg = CircuitConfig(0, 1, tuple(elements), 2, 1, 4)
         try:
             res = run_experiment(1.0, cfg)
         except NoonlikeError:
@@ -599,16 +635,26 @@ def _searched_wirings():
                     yield (order, convention, phase, gauge), elements
 
 
-def _selected(cfg, r, herald):
-    """``post_select``'s (state, success_prob) at ``r``."""
-    states = [Fock(0)] * cfg.mode_count
+def _inputs(cfg, r):
+    """The per-mode input states of ``cfg`` at ``r``."""
+    states = [Fock(0)] * 3
     states[cfg.squeezed_mode] = SqueezedVacuum(r)
     states[cfg.coherent_mode] = Coherent(pump_amplitude(r))
-    u, phase = mode_matrix(cfg.elements, cfg.mode_count)
+    return states
+
+
+def _output_modes(cfg):
+    """The two output modes of ``cfg``: the non-herald modes, ascending."""
+    return tuple(k for k in range(3) if k != cfg.herald_mode)
+
+
+def _selected(cfg, r, herald):
+    """``post_select``'s (state, success_prob) at ``r``."""
+    u, phase = mode_matrix(cfg.elements, 3)
     budget = cfg.herald_count + cfg.max_output_photons
-    occs, amps = budget_amplitudes(states, u, budget, phase, herald)
+    occs, amps = budget_amplitudes(_inputs(cfg, r), u, budget, phase, herald)
     return post_select(
-        occs, amps, cfg.herald_mode, cfg.herald_count, cfg.output_modes, cfg.max_output_photons
+        occs, amps, cfg.herald_mode, cfg.herald_count, _output_modes(cfg), cfg.max_output_photons
     )
 
 
@@ -635,9 +681,8 @@ class TestHeraldedSectors:
     @staticmethod
     def other_heralds():
         for herald_mode, herald_count, max_out in [(0, 0, 3), (1, 2, 2), (2, 3, 1), (2, 0, 0)]:
-            outputs = tuple(m for m in range(3) if m != herald_mode)
-            yield CircuitConfig(3, 0, 1, default_circuit_config().elements, herald_mode,
-                                herald_count, outputs, max_out, 6)
+            yield CircuitConfig(0, 1, default_circuit_config().elements, herald_mode,
+                                herald_count, max_out)
 
     @pytest.mark.parametrize("r", r_extremes)
     def test_reference_config(self, r):
@@ -650,7 +695,7 @@ class TestHeraldedSectors:
     @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
     def test_searched_wirings(self, r):
         for _, elements in _searched_wirings():
-            self._assert_same(CircuitConfig(3, 0, 1, tuple(elements), 2, 1, (0, 1), 4, 6), r)
+            self._assert_same(CircuitConfig(0, 1, tuple(elements), 2, 1, 4), r)
 
     def test_other_heralds(self):
         for cfg in self.other_heralds():
@@ -752,14 +797,13 @@ def _dense_post_select(occs, amps, herald_mode, herald_count, output_modes, max_
 
 def _dense_run(r, cfg):
     """Reference: ``run_experiment`` through the dense references above."""
-    states = [Fock(0)] * cfg.mode_count
-    states[cfg.squeezed_mode] = SqueezedVacuum(r)
-    states[cfg.coherent_mode] = Coherent(pump_amplitude(r))
-    u, phase = mode_matrix(cfg.elements, cfg.mode_count)
+    u, phase = mode_matrix(cfg.elements, 3)
     herald = (cfg.herald_mode, cfg.herald_count)
     budget = cfg.herald_count + cfg.max_output_photons
-    occs, amps = _dense_budget_amplitudes(states, u, budget, phase, herald)
-    state, mass = _dense_post_select(occs, amps, *herald, cfg.output_modes, cfg.max_output_photons)
+    occs, amps = _dense_budget_amplitudes(_inputs(cfg, r), u, budget, phase, herald)
+    state, mass = _dense_post_select(
+        occs, amps, *herald, _output_modes(cfg), cfg.max_output_photons
+    )
     phi, fidelity, beta = circuit._noonlike_decomposition(state)
     probs = [abs(c) ** 2 for c in phi]
     norm = sum(probs)
@@ -791,12 +835,10 @@ class TestCompiledCircuit:
 
     @staticmethod
     def _assert_same(cfg, r):
-        states = [Fock(0)] * cfg.mode_count
-        states[cfg.squeezed_mode] = SqueezedVacuum(r)
-        states[cfg.coherent_mode] = Coherent(pump_amplitude(r))
-        u, phase = mode_matrix(cfg.elements, cfg.mode_count)
+        states = _inputs(cfg, r)
+        u, phase = mode_matrix(cfg.elements, 3)
         budget = cfg.herald_count + cfg.max_output_photons
-        selection = (cfg.herald_mode, cfg.herald_count, cfg.output_modes, cfg.max_output_photons)
+        selection = (cfg.herald_mode, cfg.herald_count, _output_modes(cfg), cfg.max_output_photons)
         for herald in (None, (cfg.herald_mode, cfg.herald_count)):
             got = budget_amplitudes(states, u, budget, phase, herald)
             want = _dense_budget_amplitudes(states, u, budget, phase, herald)
@@ -818,7 +860,7 @@ class TestCompiledCircuit:
     @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
     def test_searched_wirings(self, r):
         for _, elements in _searched_wirings():
-            self._assert_same(CircuitConfig(3, 0, 1, tuple(elements), 2, 1, (0, 1), 4, 6), r)
+            self._assert_same(CircuitConfig(0, 1, tuple(elements), 2, 1, 4), r)
 
     def test_other_heralds(self):
         for cfg in TestHeraldedSectors.other_heralds():
@@ -844,6 +886,13 @@ class TestQcrbComparison:
         noon, ecs, phi = curves
         for (_, qn, _), (_, qe, _), (_, qp, _) in zip(noon.points, ecs.points, phi.points):
             assert qe < qp < qn
+
+    def test_decreasing_grid_rejected_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(circuit, "run_experiment", lambda r, **kw: runs.append(r))
+        with pytest.raises(ValueError, match="^r_grid must be non-decreasing$"):
+            experiment_qcrb_comparison([1.0, 2.0, 1.5])
+        assert runs == []
 
     def test_curves_smooth_and_monotone(self, curves):
         _, _, phi = curves

@@ -19,6 +19,7 @@ from noonlike import (
     NonPositivePhotonNumber,
     OptimizedB,
     OrderingViolation,
+    ParameterOutOfRange,
     ProbeSpec,
     QfiMatrix,
     SingularMatrix,
@@ -238,6 +239,22 @@ class TestNoonBound:
     def test_nan_rejected(self):
         with pytest.raises(NonPositivePhotonNumber, match="^photon number must be positive"):
             noon_qcrb(1, math.nan)
+
+    @pytest.mark.parametrize(
+        "d, n, bound", [(5, math.inf, "0.0"), (5, 1e200, "0.0"), (10**6, 1e-150, "inf"),
+                        (5, 1e-200, "inf")],
+    )
+    def test_unrepresentable_bound_rejected(self, d, n, bound):
+        # these gave 0.0, 0.0, inf and a bare ZeroDivisionError
+        message = re.escape(f"photon number {n} gives the NOON bound {bound} at d={d}")
+        with pytest.raises(ParameterOutOfRange, match=f"^{message}$"):
+            noon_qcrb(d, n)
+        with pytest.raises(ParameterOutOfRange, match=f"^{message}$"):
+            noon_ceiling(d, n)
+
+    def test_infinite_budget_is_no_ordering_violation(self):
+        with pytest.raises(ParameterOutOfRange):
+            _check_below_noon(1, math.inf, [1.0])
 
     def test_nan_budget_keeps_the_ceiling(self):
         # a NaN ceiling would let any value pass

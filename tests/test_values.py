@@ -100,13 +100,13 @@ CASES = [
     ),
     (
         CircuitConfig,
-        dict(mode_count=3, coherent_mode=0, squeezed_mode=1, elements=(BeamSplitter(0, 1),),
-             herald_mode=2, herald_count=1, output_modes=(0, 1), max_output_photons=2, cutoff=3),
-        dict(mode_count=3, coherent_mode=0, squeezed_mode=1, elements=(BeamSplitter(0, 1),),
-             herald_mode=2, herald_count=1, output_modes=(0, 1), max_output_photons=2, cutoff=4),
-        "CircuitConfig(mode_count=3, coherent_mode=0, squeezed_mode=1, elements=(BeamSplitter("
+        dict(coherent_mode=0, squeezed_mode=1, elements=(BeamSplitter(0, 1),), herald_mode=2,
+             herald_count=1, max_output_photons=2),
+        dict(coherent_mode=0, squeezed_mode=1, elements=(BeamSplitter(0, 1),), herald_mode=2,
+             herald_count=1, max_output_photons=3),
+        "CircuitConfig(coherent_mode=0, squeezed_mode=1, elements=(BeamSplitter("
         "mode_a=0, mode_b=1, transmissivity=0.5, convention='symmetric'),), herald_mode=2,"
-        " herald_count=1, output_modes=(0, 1), max_output_photons=2, cutoff=3)",
+        " herald_count=1, max_output_photons=2)",
     ),
 ]
 # Fields holding a numpy array make the object unhashable, as the array is.
