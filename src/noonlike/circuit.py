@@ -1,37 +1,42 @@
 """Heralded state-generation circuit, evaluated on its photon budget only.
 
+The paper proposes one source: a coherent beam, a squeezed vacuum and a
+vacuum mode meet in passive optics on three modes, and a photon count in
+one of them heralds a two-mode state in the other two.  A
+``CircuitConfig`` is one wiring of that source, and ``run_experiment``
+simulates it at a squeeze factor r.
+
 Every element is passive and conserves total photon number, so the whole
-circuit is one m x m mode matrix U plus a global phase: input creation
+circuit is one 3 x 3 mode matrix U plus a global phase: input creation
 operators map as a_j^dag -> sum_k U[k][j] a_k^dag, and the constant phase
 of each phase shifter only multiplies the whole state.  Heralding on
 ``herald_count`` photons and keeping at most ``max_output_photons`` in the
-output modes reads only sectors with exactly ``herald_count`` in the herald
-mode and at most ``max_output_photons`` in the others.  Creation operators
-only add photons, so only the sectors with at most as many in each group
-feed them: a downward-closed set, 30 of the 56 sectors within the photon
-budget (their sum, 5) of the reference topology.  The simulator therefore
-expands each input mode's Fock amplitudes up to the budget, applies the
-image of its creation operator under U to an amplitude vector over that
-set, ``budget_amplitudes(states, u, budget, phase, herald=(mode, count))``,
-and reads the heralded sectors off exactly.  Nothing above the budget is
-built, so nothing is truncated: ``run_experiment``'s ``cutoff`` is still
-accepted, and must still be at least the budget, but it changes no result.
+two output modes reads only sectors with exactly ``herald_count`` in the
+herald mode and at most ``max_output_photons`` in the others.  Creation
+operators only add photons, so only the sectors with at most as many in
+each group feed them: a downward-closed set, 30 of the 56 sectors within
+the photon budget (their sum, 5) of the reference topology.  The simulator
+therefore expands each input mode's Fock amplitudes up to the budget,
+applies the image of its creation operator under U to an amplitude vector
+over that set, and reads the heralded sectors off exactly.  Nothing above
+the budget is built, so nothing is truncated: ``run_experiment``'s
+``cutoff`` is still accepted, and must still be at least the budget, but
+it changes no result.
 
 Everything that depends on the config alone is built once, on its first
 run, by ``_compiled``, the module's one cache, keyed on the
-``CircuitConfig``: the budget, the global phase, the kept sectors with
-their flat output indices, and per input mode j the table of
-b_j^dag = sum_k U[k][j] a_k^dag over the sectors, indexed by source
-sector, with U[k][j] times the creation operator's weight multiplied out
-and the pairs of a zero U[k][j] dropped.  ``run_experiment`` then does
-only the work that depends on r, in two kernels: one applies the tables,
-with one complex multiply-add per nonzero amplitude and table pair (176
-for the reference circuit at r = 1, where scanning every
-creation-operator entry at each photon step reads 420), and one selects
-the kept sectors.  ``budget_amplitudes`` and ``post_select`` share the
-kernels but build their tables and index on each call.  The result is
-bit-identical to applying a_0^dag, a_1^dag, ... one at a time, since the
-sectors are in lexicographic order: the sources of a sector dst arrive as
+``CircuitConfig``: the budget, the global phase, per input mode j the
+table of b_j^dag = sum_k U[k][j] a_k^dag over the sectors, indexed by
+source sector, with U[k][j] times the creation operator's weight
+multiplied out and the pairs of a zero U[k][j] dropped, and the kept
+sectors with their output occupations.  ``run_experiment`` then does only
+the work that depends on r, in two kernels: ``_apply_tables`` applies the
+tables, with one complex multiply-add per nonzero amplitude and table pair
+(176 for the reference circuit at r = 1, where scanning every
+creation-operator entry at each photon step reads 420), and
+``_select_kept`` selects the kept sectors.  The result is bit-identical to
+applying a_0^dag, a_1^dag, ... one at a time, since the sectors are in
+lexicographic order: the sources of a sector dst arrive as
 dst - e_0 < dst - e_1 < ..., the order of k.
 
 The state is plain Python throughout, nested lists and tuples, since the
@@ -82,10 +87,7 @@ __all__ = [
     "CircuitConfig",
     "ExperimentResult",
     "mode_matrix",
-    "budget_amplitudes",
-    "post_select",
     "run_experiment",
-    "verify_noonlike_form",
     "experiment_qcrb_comparison",
     "default_circuit_config",
     "pump_amplitude",
@@ -94,12 +96,21 @@ __all__ = [
 ]
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` through ``operator.index``; TypeError naming ``name`` if it is no integer."""
+    try:  # a float would fail only inside a run, naming no field
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 class BeamSplitter(_Frozen):
     __slots__ = ("mode_a", "mode_b", "transmissivity", "convention")
 
     def __init__(
         self, mode_a: int, mode_b: int, transmissivity: float = 0.5, convention: str = "symmetric"
     ):
+        mode_a, mode_b = _as_int("mode_a", mode_a), _as_int("mode_b", mode_b)
         if mode_a == mode_b:
             raise ValueError("beam splitter needs two distinct modes")
         if not 0.0 < transmissivity < 1.0:
@@ -120,6 +131,7 @@ class PhaseShifter(_Frozen):
     __slots__ = ("mode", "const_phase", "per_photon_phase")
 
     def __init__(self, mode: int, const_phase: float = 0.0, per_photon_phase: float = 0.0):
+        mode = _as_int("mode", mode)
         for name, phase in (("const_phase", const_phase), ("per_photon_phase", per_photon_phase)):
             if not math.isfinite(phase):
                 raise ValueError(f"{name} must be finite, got {phase}")
@@ -168,15 +180,12 @@ class CircuitConfig(_Frozen):
         self, coherent_mode: int, squeezed_mode: int, elements: tuple[CircuitElement, ...],
         herald_mode: int, herald_count: int, max_output_photons: int,
     ):
-        ints = []
-        for name, value in (("coherent_mode", coherent_mode), ("squeezed_mode", squeezed_mode),
-                            ("herald_mode", herald_mode), ("herald_count", herald_count),
-                            ("max_output_photons", max_output_photons)):
-            try:  # a float would fail only inside a run, naming no field
-                ints.append(operator.index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
-        coherent_mode, squeezed_mode, herald_mode, herald_count, max_output_photons = ints
+        coherent_mode, squeezed_mode, herald_mode, herald_count, max_output_photons = (
+            _as_int(name, value)
+            for name, value in (("coherent_mode", coherent_mode), ("squeezed_mode", squeezed_mode),
+                                ("herald_mode", herald_mode), ("herald_count", herald_count),
+                                ("max_output_photons", max_output_photons))
+        )
         elements = tuple(elements)
         if any(not 0 <= m < 3 for m in (coherent_mode, squeezed_mode, herald_mode)):
             raise ModeOutOfRange("config references modes outside 0..2")
@@ -244,23 +253,20 @@ def mode_matrix(
 
 
 def _raising_tables(
-    u: Sequence[Sequence[complex]], budget: int, herald: tuple[int, int] | None
+    u: Sequence[Sequence[complex]], budget: int, herald: tuple[int, int]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple]:
-    """Occupations within ``budget`` and, per input mode, its image b_j^dag on them.
+    """The sectors that can feed a herald and, per input mode, its image b_j^dag on them.
 
     Returns (occs, tables).  occs[i] is the occupation tuple of sector i, in
-    lexicographic order: every sector within the budget, or with
-    ``herald=(mode, count)`` those that can feed that herald.
+    lexicographic order: those within ``budget`` that can feed
+    ``herald=(mode, count)``, a downward-closed set (see the module docstring).
     tables[j][src] lists the (dst, w) pairs of b_j^dag = sum_k u[k][j] a_k^dag
     that map sector src to w times sector dst, w = u[k][j] * sqrt(occ[k] + 1),
     in k order, for every dst in the set.  A zero u[k][j] contributes no pair.
     """
+    h, count = herald
     grid = itertools.product(range(budget + 1), repeat=len(u))
-    if herald is None:
-        occs = tuple(occ for occ in grid if sum(occ) <= budget)
-    else:
-        h, count = herald
-        occs = tuple(o for o in grid if o[h] <= count and sum(o) - o[h] <= budget - count)
+    occs = tuple(o for o in grid if o[h] <= count and sum(o) - o[h] <= budget - count)
     index = {occ: i for i, occ in enumerate(occs)}
     tables = [[[] for _ in occs] for _ in u]
     for k, row in enumerate(u):
@@ -277,7 +283,15 @@ def _raising_tables(
 def _apply_tables(
     states: Sequence[SingleModeState], tables: Sequence, size: int, budget: int, phase: float
 ) -> list[complex]:
-    """``budget_amplitudes``'s amps over ``size`` sectors, from ``_raising_tables``'s tables."""
+    """Amplitudes of the ``size`` sectors of ``_raising_tables``'s tables, in sector order.
+
+    The output state is exp(i phase) prod_j f_j(b_j^dag) |0>, where b_j^dag
+    is the image of input mode j and f_j(x) = sum_n c_jn x^n / sqrt(n!)
+    holds its Fock amplitudes c_jn up to ``budget``.  Creation operators
+    only add photons, so applying them on the sectors and dropping what
+    leaves them gives those sectors' amplitudes exactly.  Every sector has
+    an entry, zero amplitudes included.
+    """
     vec = [0j] * size
     vec[0] = complex(math.cos(phase), math.sin(phase))
     for state, table in zip(states, tables):
@@ -305,126 +319,40 @@ def _apply_tables(
     return vec
 
 
-def budget_amplitudes(
-    per_mode_states: Sequence[SingleModeState],
-    u: Sequence[Sequence[complex]],
-    budget: int,
-    global_phase: float = 0.0,
-    herald: tuple[int, int] | None = None,
-) -> tuple[tuple[tuple[int, ...], ...], list[complex]]:
-    """Output amplitudes of every occupation with at most ``budget`` photons.
-
-    The output state is exp(i global_phase) prod_j f_j(b_j^dag) |0>, where
-    b_j^dag = sum_k u[k][j] a_k^dag is the image of input mode j and
-    f_j(x) = sum_n c_jn x^n / sqrt(n!) holds its Fock amplitudes c_jn.
-    Creation operators only add photons, so applying them on the sectors
-    within the budget, and dropping what leaves it, gives those sectors'
-    amplitudes exactly.
-
-    ``herald=(mode, count)`` keeps only the sectors that can feed ``count``
-    photons in ``mode``, a downward-closed set (see the module docstring);
-    each kept amplitude is bit-identical to the one without it.
-
-    Each call builds the tables that ``run_experiment`` compiles once per
-    config (see the module docstring).
-
-    Returns (occs, amps): amps[i] is the amplitude of the occupation occs[i],
-    a tuple of tuples in lexicographic order.  Every sector has an entry,
-    zero amplitudes included.
-    """
-    m = len(per_mode_states)
-    if len(u) != m or any(len(row) != m for row in u):
-        raise ValueError(f"mode matrix is not {m} x {m}, the number of input modes")
-    if budget < 0 or herald and not (0 <= herald[0] < m and 0 <= herald[1] <= budget):
-        raise ValueError(f"no sector within budget {budget} and herald {herald} on {m} modes")
-    occs, tables = _raising_tables(u, budget, herald)
-    return occs, _apply_tables(per_mode_states, tables, len(occs), budget, global_phase)
-
-
-def _kept_sectors(
-    occs: Sequence[Sequence[int]], herald_mode: int, herald_count: int,
-    output_modes: Sequence[int], max_output_photons: int,
-) -> tuple[tuple[int, int], ...]:
-    """(sector, row-major output index) of each sector ``post_select`` keeps, in sector order."""
-    side = max_output_photons + 1
-    kept = []
-    for src, occ in enumerate(occs):
-        if occ[herald_mode] != herald_count:
-            continue
-        out = [occ[k] for k in output_modes]
-        if sum(out) <= max_output_photons:
-            i = 0
-            for n in out:
-                i = i * side + n
-            kept.append((src, i))
-    return tuple(kept)
-
-
 def _select_kept(
-    amps: Sequence[complex], kept: Sequence[tuple[int, int]], herald_mode: int,
-    herald_count: int, output_count: int, max_output_photons: int,
-) -> tuple[list, float]:
-    """``post_select`` on the (sector, output index) pairs of ``_kept_sectors``."""
-    side = max_output_photons + 1
-    kept = [(i, amps[src]) for src, i in kept]
-    mass = sum(abs(a) ** 2 for _, a in kept)
+    amps: Sequence[complex], kept: Sequence[tuple[int, int, int]], cfg: CircuitConfig
+) -> tuple[list[list[complex]], float]:
+    """Condition ``amps`` on ``cfg``'s herald and output budget.
+
+    ``kept`` holds ``_compiled``'s (sector, n_1, n_2) triples.  Returns
+    (state, success_prob): state[n_1][n_2] is the amplitude, renormalized
+    over the kept mass, of n_1 and n_2 photons in the two output modes, and
+    success_prob is that mass, an absolute probability, since the amplitudes
+    are those of the normalized circuit output.
+    """
+    side = cfg.max_output_photons + 1
+    kept = [(n1, n2, amps[src]) for src, n1, n2 in kept]
+    mass = sum(abs(a) ** 2 for _, _, a in kept)
     if not mass > 0.0:  # NaN fails too
         raise EmptyPostSelection(
-            f"herald {herald_count} photon(s) in mode {herald_mode} kept no mass"
+            f"herald {cfg.herald_count} photon(s) in mode {cfg.herald_mode} kept no mass"
         )
-    state = [0j] * side ** output_count
+    state = [[0j] * side for _ in range(side)]
     scale = 1.0 / math.sqrt(mass)
-    for i, amp in kept:
-        state[i] = amp * scale
-    for _ in range(output_count - 1):  # nest the flat list, the last output mode innermost
-        state = [state[i : i + side] for i in range(0, len(state), side)]
+    for n1, n2, amp in kept:
+        state[n1][n2] = amp * scale
     return state, mass
-
-
-def post_select(
-    occs: Sequence[Sequence[int]],
-    amps: Sequence[complex],
-    herald_mode: int,
-    herald_count: int,
-    output_modes: Sequence[int],
-    max_output_photons: int,
-) -> tuple[list, float]:
-    """Condition on an exact herald count and an output photon budget.
-
-    ``occs`` and ``amps`` are the occupations and amplitudes that
-    ``budget_amplitudes`` returns; the herald mode and one or more output
-    modes must partition its modes.  Keeps the amplitudes with exactly
-    ``herald_count`` photons in the herald mode and at most
-    ``max_output_photons`` in the output modes combined, and renormalizes
-    them over the kept mass.
-
-    Returns (state, success_prob).  state is nested lists, one level per
-    output mode, each of length ``max_output_photons + 1``:
-    state[n_1][n_2]...[n_k] is the amplitude of n_i photons in
-    ``output_modes[i]``.  success_prob is the kept mass, an absolute
-    probability, since the amplitudes are those of the normalized circuit
-    output.
-    """
-    if herald_count < 0:
-        raise ValueError("herald_count must be >= 0")
-    modes = list(output_modes)
-    m = len(occs[0])
-    if not modes or sorted(modes + [herald_mode]) != list(range(m)):
-        raise ValueError(
-            f"herald mode plus one or more output modes must partition the {m} modes"
-        )
-    kept = _kept_sectors(occs, herald_mode, herald_count, modes, max_output_photons)
-    return _select_kept(amps, kept, herald_mode, herald_count, len(modes), max_output_photons)
 
 
 def _noonlike_decomposition(state: list[list[complex]]) -> tuple[list[complex], float, float]:
     """Extract (phi, fidelity, branch_phase) from a two-mode state.
 
     ``state[j][k]`` is the amplitude of j and k photons in the two modes, as
-    ``post_select`` returns it.  phi is read off column 0 (scaled by
+    ``_select_kept`` returns it.  phi is read off column 0 (scaled by
     sqrt(2)); the branch phase beta is fitted so that
     (|phi>|0> + e^{i beta}|0>|phi>)/sqrt(2) best matches row 0, and the
-    fidelity is the squared overlap with that reconstruction.
+    fidelity is the squared overlap with that reconstruction; a low
+    fidelity is a returned value, never an error.
     """
     size = len(state)
     square = size and all(isinstance(row, list) and len(row) == size for row in state)
@@ -451,21 +379,16 @@ def _noonlike_decomposition(state: list[list[complex]]) -> tuple[list[complex], 
     return phi, fidelity, beta
 
 
-def verify_noonlike_form(state: list[list[complex]]) -> tuple[list[complex], float]:
-    """Candidate branch amplitudes and fidelity to the two-branch form.
-
-    ``state`` is a two-mode amplitude array as ``post_select`` returns it.
-    Low fidelity is a returned value, never an error.
-    """
-    phi, fidelity, _ = _noonlike_decomposition(state)
-    return phi, fidelity
+def _require_squeeze(r: float) -> float:
+    """``r``, unless it is not a positive squeeze factor (NaN is not)."""
+    if not r > 0.0:
+        raise ValueError(f"squeeze factor must be positive, got {r}")
+    return r
 
 
 def pump_amplitude(r: float) -> float:
     """Coherent amplitude matched to the squeeze factor: alpha^2 = 3 tanh(r)/2."""
-    if r <= 0.0:
-        raise ValueError(f"squeeze factor must be positive, got {r}")
-    return math.sqrt(1.5 * math.tanh(r))
+    return math.sqrt(1.5 * math.tanh(_require_squeeze(r)))
 
 
 def heralded_target_amplitudes(r: float) -> list[complex]:
@@ -474,7 +397,7 @@ def heralded_target_amplitudes(r: float) -> list[complex]:
     c_n = i^n |c_n| with magnitudes (2 sqrt(2), 2 sqrt(3 t), 2 sqrt(3) t,
     3 t^{3/2}) / g and g^2 = 8 + 12 t + 12 t^2 + 9 t^3, t = tanh(r).
     """
-    t = math.tanh(r)
+    t = math.tanh(_require_squeeze(r))
     g = math.sqrt(8.0 + 12.0 * t + 12.0 * t * t + 9.0 * t**3)
     mags = [
         0.0, 2.0 * math.sqrt(2.0), 2.0 * math.sqrt(3.0 * t), 2.0 * math.sqrt(3.0) * t, 3.0 * t**1.5
@@ -488,22 +411,29 @@ def heralded_success_probability(r: float) -> float:
     Derived from the generating-function form of the circuit output:
     P = t^2 g(r)^2 exp(-3t/2) / (32 cosh r), t = tanh(r).
     """
-    t = math.tanh(r)
+    t = math.tanh(_require_squeeze(r))
     g2 = 8.0 + 12.0 * t + 12.0 * t * t + 9.0 * t**3
     return t * t * g2 * math.exp(-1.5 * t) / (32.0 * math.cosh(r))
 
 
 @functools.lru_cache
 def _compiled(cfg: CircuitConfig) -> tuple:
-    """(budget, global phase, ``_raising_tables`` tables, ``_kept_sectors`` index) of ``cfg``.
+    """(budget, global phase, ``_raising_tables`` tables, kept sectors) of ``cfg``.
 
-    The tables span the sectors that can feed the herald.
+    The tables span the sectors that can feed the herald.  The kept sectors
+    are those with exactly ``herald_count`` photons in the herald mode and
+    at most ``max_output_photons`` in the two output modes, as
+    (sector, n_1, n_2) triples in sector order, n_i the photons in output i.
     """
     budget = cfg.herald_count + cfg.max_output_photons
     u, phase = mode_matrix(cfg.elements, 3)
-    occs, tables = _raising_tables(u, budget, (cfg.herald_mode, cfg.herald_count))
-    outputs = [k for k in range(3) if k != cfg.herald_mode]
-    kept = _kept_sectors(occs, cfg.herald_mode, cfg.herald_count, outputs, cfg.max_output_photons)
+    h = cfg.herald_mode
+    occs, tables = _raising_tables(u, budget, (h, cfg.herald_count))
+    a, b = (k for k in range(3) if k != h)
+    kept = tuple(
+        (src, occ[a], occ[b]) for src, occ in enumerate(occs)
+        if occ[h] == cfg.herald_count and occ[a] + occ[b] <= cfg.max_output_photons
+    )
     return budget, phase, tables, kept
 
 
@@ -525,9 +455,7 @@ def run_experiment(
     per_mode[cfg.squeezed_mode] = SqueezedVacuum(r)  # first, so that an r out of range is named
     per_mode[cfg.coherent_mode] = Coherent(pump_amplitude(r))
     amps = _apply_tables(per_mode, tables, len(tables[0]), budget, phase)
-    state, success_prob = _select_kept(
-        amps, kept, cfg.herald_mode, cfg.herald_count, 2, cfg.max_output_photons
-    )
+    state, success_prob = _select_kept(amps, kept, cfg)
     phi, fidelity, beta = _noonlike_decomposition(state)
 
     probs = [abs(c) ** 2 for c in phi]

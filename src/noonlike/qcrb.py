@@ -11,12 +11,14 @@ Pure functions over immutable inputs throughout; thread-safe by construction.
 The weightings, ``ProbeSpec`` and ``QcrbReport`` are ``__slots__`` classes
 on the frozen-value base of ``noonlike.states``: equal when of one class
 with equal fields, hashable, and raising AttributeError on assignment.
-Every function that takes ``d`` accepts only a whole number >= 1.
+Every function that takes ``d`` accepts only a whole number >= 1 whose
+NOON numerator d * (d + 1) fits a double.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 
 from .errors import (
@@ -48,16 +50,26 @@ __all__ = [
 ]
 
 _BOUND_RTOL = 1e-12
+# the largest d whose NOON numerator d * (d + 1) fits a double: the floor of
+# the positive root of d^2 + d = max, in exact integer arithmetic
+_D_MAX = (math.isqrt(4 * int(sys.float_info.max) + 1) - 1) // 2
 _REPORTED = ("qcrb", "f", "R", "b2", "n_tilde", "n_bar")  # the numeric QcrbReport fields
 
 
 def _require_d(d) -> int:
-    """``d`` as an int; ValueError naming it unless it is a whole number >= 1."""
+    """``d`` as an int; ValueError naming it unless it is a whole number >= 1.
+
+    The NOON numerator d * (d + 1) must also fit a double, which the bounds
+    convert it to.
+    """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if type(d) is not int and (not d < math.inf or int(d) != d):  # NaN is not below inf
         raise ValueError(f"d must be a finite whole number, got {d}")
-    return int(d)
+    d = int(d)
+    if d > _D_MAX:
+        raise ValueError(f"d must keep d * (d + 1) within a double, got a {d.bit_length()}-bit d")
+    return d
 
 
 class Balanced(_Frozen):

@@ -21,24 +21,40 @@ from noonlike.circuit import (
     CircuitConfig,
     ExperimentResult,
     PhaseShifter,
-    budget_amplitudes,
     default_circuit_config,
     experiment_qcrb_comparison,
     heralded_success_probability,
     heralded_target_amplitudes,
     mode_matrix,
-    post_select,
     pump_amplitude,
     run_experiment,
-    verify_noonlike_form,
 )
 from noonlike.cli import main
 from noonlike.states import _R_RANGE, _build_amps
 
 
 def _output(elements, states, budget):
-    u, phase = mode_matrix(elements, len(states))
-    return budget_amplitudes(states, u, budget, phase)
+    """The simulator kernels' nonzero amplitudes within ``budget``, keyed by occupation.
+
+    One more vacuum mode, heralded on zero photons, makes the sectors that
+    can feed the herald every sector of the modes of ``states`` within the
+    budget; its occupation, always 0, is left out of the keys.
+    """
+    m = len(states)
+    u, phase = mode_matrix(elements, m + 1)
+    occs, tables = circuit._raising_tables(u, budget, (m, 0))
+    amps = circuit._apply_tables([*states, Fock(0)], tables, len(occs), budget, phase)
+    return _amp_dict([occ[:m] for occ in occs], amps)
+
+
+def _heralded(cfg, states):
+    """``run_experiment``'s kernels on ``cfg`` with ``states`` in its three modes.
+
+    Returns ``_select_kept``'s (state, success_prob).
+    """
+    budget, phase, tables, kept = circuit._compiled(cfg)
+    amps = circuit._apply_tables(states, tables, len(tables[0]), budget, phase)
+    return circuit._select_kept(amps, kept, cfg)
 
 
 def _amp_dict(occs, amps):
@@ -54,14 +70,11 @@ class TestInject:
     """How the per-mode input states enter the budget evaluation."""
 
     def test_all_vacuum(self):
-        amps = _amp_dict(*budget_amplitudes([Fock(0)] * 3, _eye(3), 5))
-        assert amps == {(0, 0, 0): 1.0}
+        assert _output([], [Fock(0)] * 3, 5) == {(0, 0, 0): 1.0}
 
     def test_product_amplitudes(self):
         alpha, r, budget = 0.9, 0.8, 5
-        amps = _amp_dict(
-            *budget_amplitudes([Coherent(alpha), SqueezedVacuum(r), Fock(0)], _eye(3), budget)
-        )
+        amps = _output([], [Coherent(alpha), SqueezedVacuum(r), Fock(0)], budget)
         coh = fock_amplitudes(Coherent(alpha), n_max=budget, tail_tol=math.inf).amps
         sv = fock_amplitudes(SqueezedVacuum(r), n_max=budget, tail_tol=math.inf).amps
         expected = {
@@ -75,27 +88,25 @@ class TestInject:
             assert amp == pytest.approx(expected[occ], rel=1e-12)
 
     def test_zero_budget_keeps_the_vacuum(self):
-        amps = _amp_dict(*budget_amplitudes([Coherent(0.5), Fock(0)], _eye(2), 0))
+        amps = _output([], [Coherent(0.5), Fock(0)], 0)
         assert amps == {(0, 0): pytest.approx(math.exp(-0.125), rel=1e-15)}
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            budget_amplitudes([Fock(0), Fock(0)], _eye(3), 2)
-
     def test_occupations_read_only_and_ordered(self):
-        occs, amps = budget_amplitudes([Coherent(0.5), Fock(0), Fock(0)], _eye(3), 5)
-        assert len(occs) == len(amps) == 56 and {len(o) for o in occs} == {3}
-        assert max(map(sum, occs)) == 5 and len(set(occs)) == 56
+        # a vacuum herald on zero photons in mode 3 leaves every sector of
+        # modes 0..2 within the budget
+        occs, tables = circuit._raising_tables(_eye(4), 5, (3, 0))
+        assert len(occs) == 56 and {o[3] for o in occs} == {0} and len(set(occs)) == 56
+        assert max(map(sum, occs)) == 5
         assert isinstance(occs, tuple) and all(isinstance(o, tuple) for o in occs)
         assert list(occs) == sorted(occs)
-        assert budget_amplitudes([Fock(1)] * 3, _eye(3), 5)[0] == occs
+        assert [len(table) for table in tables] == [56] * 4
 
 
 class TestElements:
     def test_vacuum_unchanged(self):
         # vacuum survives any element (a constant phase is global)
         for element in (BeamSplitter(0, 1), PhaseShifter(0, 1.0, 2.0)):
-            amps = _amp_dict(*_output([element], [Fock(0), Fock(0)], 4))
+            amps = _output([element], [Fock(0), Fock(0)], 4)
             assert set(amps) == {(0, 0)}
             assert abs(amps[(0, 0)]) == pytest.approx(1.0, abs=1e-14)
 
@@ -104,25 +115,26 @@ class TestElements:
         assert phase == 0.0
         column = [row[0] for row in u]
         assert column == pytest.approx([1 / math.sqrt(2), 1j / math.sqrt(2)], rel=1e-12)
-        amps = _amp_dict(*budget_amplitudes([Fock(1), Fock(0)], u, 2))
+        amps = _output([BeamSplitter(0, 1)], [Fock(1), Fock(0)], 2)
         assert amps[(1, 0)] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert amps[(0, 1)] == pytest.approx(1j / math.sqrt(2), rel=1e-12)
 
     def test_single_photon_real_split(self):
-        u, _ = mode_matrix([BeamSplitter(0, 1, convention="real")], 2)
+        splitter = BeamSplitter(0, 1, convention="real")
+        u, _ = mode_matrix([splitter], 2)
         column = [row[0] for row in u]
         assert column == pytest.approx([1 / math.sqrt(2), -1 / math.sqrt(2)], rel=1e-12)
-        amps = _amp_dict(*budget_amplitudes([Fock(1), Fock(0)], u, 2))
+        amps = _output([splitter], [Fock(1), Fock(0)], 2)
         assert amps[(1, 0)] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert amps[(0, 1)] == pytest.approx(-1 / math.sqrt(2), rel=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
     def test_phase_shifter_number_dependence(self, n):
-        u, phase = mode_matrix([PhaseShifter(0, math.pi, -math.pi / 2)], 1)
+        shifter = PhaseShifter(0, math.pi, -math.pi / 2)
+        u, phase = mode_matrix([shifter], 1)
         assert phase == math.pi
-        amps = _amp_dict(*budget_amplitudes([Fock(n)], u, 6, phase))
         expected = -1.0 * (-1j) ** n
-        assert amps == {(n,): pytest.approx(expected, rel=1e-12)}
+        assert _output([shifter], [Fock(n)], 6) == {(n,): pytest.approx(expected, rel=1e-12)}
 
     @pytest.mark.parametrize("convention", ["symmetric", "real"])
     def test_norm_preserved(self, convention):
@@ -136,16 +148,17 @@ class TestElements:
         u = np.array(u)
         assert np.abs(u @ u.conj().T - np.eye(3)).max() <= 1e-14
         # number states within the budget keep their whole mass
-        amps = _amp_dict(*_output(elements, [Fock(1), Fock(2), Fock(1)], 4))
+        amps = _output(elements, [Fock(1), Fock(2), Fock(1)], 4)
         assert sum(abs(a) ** 2 for a in amps.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(sum(occ) == 4 for occ in amps)
 
     @pytest.mark.parametrize("convention", ["symmetric", "real"])
     def test_double_beam_splitter_is_mode_swap(self, convention):
         bs = BeamSplitter(0, 1, convention=convention)
-        u, _ = mode_matrix([bs, bs], 2)
+        u, phase = mode_matrix([bs, bs], 2)
+        assert phase == 0.0
         assert np.abs(np.abs(np.array(u)) - np.array([[0.0, 1.0], [1.0, 0.0]])).max() <= 1e-15
-        amps = _amp_dict(*_output([bs, bs], [Fock(2), Fock(1)], 3))
+        amps = _output([bs, bs], [Fock(2), Fock(1)], 3)
         assert abs(amps[(1, 2)]) == pytest.approx(1.0, abs=1e-14)
         assert all(abs(a) <= 1e-14 for occ, a in amps.items() if occ != (1, 2))
 
@@ -160,6 +173,22 @@ class TestElements:
     def test_non_finite_phase_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             PhaseShifter(0, **{field: value})
+
+    @pytest.mark.parametrize("field", ["mode_a", "mode_b", "mode"])
+    @pytest.mark.parametrize("mode", [1.0, "1", None])
+    def test_non_integer_modes_rejected(self, field, mode):
+        # a float would build, and fail only inside a run, with a TypeError
+        # that names no field
+        build = {"mode_a": lambda m: BeamSplitter(m, 2), "mode_b": lambda m: BeamSplitter(1, m),
+                 "mode": PhaseShifter}[field]
+        message = f"^{field} must be an integer, got {re.escape(repr(mode))}$"
+        with pytest.raises(TypeError, match=message):
+            build(mode)
+
+    def test_integer_like_modes_stored_as_ints(self):
+        splitter, shifter = BeamSplitter(np.int64(1), np.int64(2)), PhaseShifter(np.int64(1))
+        assert splitter == BeamSplitter(1, 2) and shifter == PhaseShifter(1)
+        assert [type(m) for m in (splitter.mode_a, splitter.mode_b, shifter.mode)] == [int] * 3
 
 
 def _permanent(m: np.ndarray) -> complex:
@@ -235,71 +264,76 @@ def _random_beam_splitter(rng, a, b):
 
 
 def _random_case(seed):
-    """A random passive circuit on 2-4 modes; herald count ``seed % 3``."""
+    """A random three-mode config and its input states; herald count ``seed % 3``.
+
+    The coherent and squeezed inputs take random amplitudes in their modes;
+    the third mode holds the vacuum, or one photon at odd seeds.
+    """
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 5))
     # a chain of splitters through every mode, then random elements
-    order = rng.permutation(m)
+    order = rng.permutation(3)
     elements = [_random_beam_splitter(rng, a, b) for a, b in zip(order, order[1:])]
     for _ in range(int(rng.integers(2, 6))):
         if rng.random() < 0.5:
-            elements.append(_random_beam_splitter(rng, *rng.choice(m, size=2, replace=False)))
+            elements.append(_random_beam_splitter(rng, *rng.choice(3, size=2, replace=False)))
         else:
             elements.append(
                 PhaseShifter(
-                    int(rng.integers(m)),
+                    int(rng.integers(3)),
                     const_phase=float(rng.uniform(-math.pi, math.pi)),
                     per_photon_phase=float(rng.uniform(-math.pi, math.pi)),
                 )
             )
-    pool = [
-        Coherent(float(rng.uniform(0.3, 1.2))),
-        SqueezedVacuum(float(rng.uniform(0.3, 1.2))),
-        Fock(1),
-    ]
-    states = [pool[k] if k < len(pool) else Fock(0) for k in rng.permutation(max(m, 3))[:m]]
-    herald_mode = int(rng.integers(m))
-    output_modes = tuple(k for k in range(m) if k != herald_mode)
+    coherent, squeezed, third = (int(k) for k in rng.permutation(3))
+    states = [Fock(seed % 2)] * 3
+    states[coherent] = Coherent(float(rng.uniform(0.3, 1.2)))
+    states[squeezed] = SqueezedVacuum(float(rng.uniform(0.3, 1.2)))
     herald_count = seed % 3
     max_out = int(rng.integers(1, 6 - herald_count))
-    return elements, states, herald_mode, herald_count, output_modes, max_out
+    cfg = CircuitConfig(
+        coherent, squeezed, tuple(elements), int(rng.integers(3)), herald_count, max_out
+    )
+    return cfg, states
 
 
 class TestPermanentOracle:
-    """The budget evaluator against sector-by-sector permanents on random circuits."""
+    """``run_experiment``'s kernels against sector-by-sector permanents on random configs."""
 
     @pytest.mark.parametrize("seed", range(24))
     def test_random_passive_circuit(self, seed):
-        elements, states, herald_mode, herald_count, output_modes, max_out = _random_case(seed)
+        cfg, states = _random_case(seed)
+        max_out = cfg.max_output_photons
         want, want_prob = _heralded_by_permanents(
-            elements, states, herald_mode, herald_count, output_modes, max_out
+            cfg.elements, states, cfg.herald_mode, cfg.herald_count, _output_modes(cfg), max_out
         )
-        occs, amps = _output(elements, states, herald_count + max_out)
-        state, prob = post_select(occs, amps, herald_mode, herald_count, output_modes, max_out)
+        state, prob = _heralded(cfg, states)
         state = np.array(state)
-        assert state.shape == (max_out + 1,) * len(output_modes)
+        assert state.shape == (max_out + 1, max_out + 1)
         assert prob == pytest.approx(want_prob, rel=1e-12)
         for occ, amp in want.items():
             assert abs(state[occ] - amp) <= 1e-12
         assert set(_amp_dict(np.argwhere(state).tolist(), state[state != 0])) <= set(want)
 
     def test_cases_cover_the_space(self):
-        cases = [_random_case(seed) for seed in range(24)]
-        assert {len(c[1]) for c in cases} == {2, 3, 4}
-        assert {c[3] for c in cases} == {0, 1, 2}
-        conventions = {e.convention for c in cases for e in c[0] if isinstance(e, BeamSplitter)}
+        cases = [_random_case(seed)[0] for seed in range(24)]
+        assert {cfg.herald_mode for cfg in cases} == {0, 1, 2}
+        assert {cfg.herald_count for cfg in cases} == {0, 1, 2}
+        assert {(cfg.coherent_mode, cfg.squeezed_mode) for cfg in cases} == {
+            (a, b) for a in range(3) for b in range(3) if a != b
+        }
+        conventions = {e.convention for c in cases for e in c.elements
+                       if isinstance(e, BeamSplitter)}
         assert conventions == {"symmetric", "real"}
 
     def test_mode_matrix_matches_element_matrices(self):
         for seed in range(24):
-            elements, states, *_ = _random_case(seed)
-            m = len(states)
-            want = np.eye(m, dtype=complex)
+            elements = _random_case(seed)[0].elements
+            want = np.eye(3, dtype=complex)
             for element in elements:
-                want = _element_matrix(element, m) @ want
-            u = np.array(mode_matrix(elements, m)[0])
+                want = _element_matrix(element, 3) @ want
+            u = np.array(mode_matrix(elements, 3)[0])
             assert np.abs(u - want).max() <= 1e-14
-            assert np.abs(u @ u.conj().T - np.eye(m)).max() <= 1e-13
+            assert np.abs(u @ u.conj().T - np.eye(3)).max() <= 1e-13
 
     def test_reference_circuit(self):
         cfg = default_circuit_config()
@@ -315,30 +349,19 @@ class TestPermanentOracle:
 
 
 class TestPostSelect:
+    # herald one photon in mode 0; the outputs are modes 1 and 2
+    config = CircuitConfig(1, 2, (), 0, 1, 4)
+
     def test_single_branch_heralds_with_certainty(self):
-        occs, amps = budget_amplitudes([Fock(1), Fock(2)], _eye(2), 4)
-        state, prob = post_select(occs, amps, 0, 1, [1], max_output_photons=4)
+        state, prob = _heralded(self.config, [Fock(1), Fock(2), Fock(0)])
         assert prob == pytest.approx(1.0, abs=1e-12)
-        assert state == [0j, 0j, pytest.approx(1.0), 0j, 0j]
+        want = [[0j] * 5 for _ in range(5)]
+        want[2][0] = pytest.approx(1.0)
+        assert state == want
 
     def test_empty_selection(self):
-        occs, amps = budget_amplitudes([Fock(0), Fock(2)], _eye(2), 4)
-        with pytest.raises(EmptyPostSelection):
-            post_select(occs, amps, 0, 1, [1], max_output_photons=4)
-
-    def test_modes_must_partition(self):
-        occs, amps = budget_amplitudes([Fock(0), Fock(2)], _eye(2), 4)
-        with pytest.raises(ValueError):
-            post_select(occs, amps, 0, 1, [0], max_output_photons=4)
-
-    def test_partition_checked_against_amplitude_modes(self):
-        # amplitudes over three modes: herald 1 plus outputs [0] leaves mode
-        # 2 out, which must not be summed over silently
-        occs, amps = budget_amplitudes([Fock(1), Fock(1), Fock(1)], _eye(3), 5)
-        with pytest.raises(ValueError):
-            post_select(occs, amps, 1, 1, [0], 4)
-        with pytest.raises(ValueError):
-            post_select(occs, amps, 1, 1, [0, 0, 2], 4)
+        with pytest.raises(EmptyPostSelection, match="^herald 1 photon.s. in mode 0 kept no mass$"):
+            _heralded(self.config, [Fock(0), Fock(2), Fock(0)])
 
     def test_reference_circuit_success_probability(self):
         res = run_experiment(1.0)
@@ -523,11 +546,20 @@ class TestReferenceCircuit:
 
     def test_pump_condition(self):
         assert pump_amplitude(1.0) ** 2 == pytest.approx(1.5 * math.tanh(1.0), rel=1e-14)
-        with pytest.raises(ValueError):
-            pump_amplitude(0.0)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "closed_form", [pump_amplitude, heralded_target_amplitudes, heralded_success_probability]
+    )
+    def test_closed_forms_need_a_positive_squeeze_factor(self, closed_form, r):
+        # NaN would give NaNs, and -1 a probability or a bare math domain error
+        with pytest.raises(ValueError, match=rf"^squeeze factor must be positive, got {r}$"):
+            closed_form(r)
 
 
 class TestVerifyNoonlikeForm:
+    """``_noonlike_decomposition`` fits the two-branch form to a two-mode state."""
+
     def _two_branch_state(self, amps, branch_phase=0.0):
         phase = complex(math.cos(branch_phase), math.sin(branch_phase))
         state = np.zeros((len(amps), len(amps)), dtype=complex)
@@ -541,28 +573,29 @@ class TestVerifyNoonlikeForm:
     def test_exact_state_has_unit_fidelity(self):
         amps = heralded_target_amplitudes(1.0)
         state = self._two_branch_state(amps)
-        phi, fidelity = verify_noonlike_form(state)
+        phi, fidelity, _ = circuit._noonlike_decomposition(state)
         assert fidelity == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(phi, amps, atol=1e-12)
 
     def test_antisymmetric_state_recovered_via_branch_phase(self):
         amps = heralded_target_amplitudes(1.0)
         state = self._two_branch_state(amps, branch_phase=math.pi)
-        _, fidelity = verify_noonlike_form(state)
+        _, fidelity, beta = circuit._noonlike_decomposition(state)
         assert fidelity == pytest.approx(1.0, abs=1e-12)
+        assert beta == pytest.approx(math.pi, abs=1e-12)
 
     def test_product_state_scores_below_one(self):
         phi = fock_amplitudes(Coherent(0.9), n_max=3, tail_tol=math.inf).amps
         phi = phi / math.sqrt(float(np.sum(np.abs(phi) ** 2)))
         state = np.zeros((7, 7), dtype=complex)
         state[:4, :4] = np.outer(phi, phi)
-        _, fidelity = verify_noonlike_form(state.tolist())
+        _, fidelity, _ = circuit._noonlike_decomposition(state.tolist())
         assert fidelity < 0.9
 
     def test_requires_a_square_two_mode_array(self):
         for shape in ((5,), (5, 4), (3, 3, 3)):
             with pytest.raises(ValueError):
-                verify_noonlike_form(np.zeros(shape, dtype=complex).tolist())
+                circuit._noonlike_decomposition(np.zeros(shape, dtype=complex).tolist())
 
     def test_circuit_output_regression(self):
         res = run_experiment(1.5)
@@ -648,82 +681,33 @@ def _output_modes(cfg):
     return tuple(k for k in range(3) if k != cfg.herald_mode)
 
 
-def _selected(cfg, r, herald):
-    """``post_select``'s (state, success_prob) at ``r``."""
-    u, phase = mode_matrix(cfg.elements, 3)
-    budget = cfg.herald_count + cfg.max_output_photons
-    occs, amps = budget_amplitudes(_inputs(cfg, r), u, budget, phase, herald)
-    return post_select(
-        occs, amps, cfg.herald_mode, cfg.herald_count, _output_modes(cfg), cfg.max_output_photons
-    )
-
-
 class TestHeraldedSectors:
-    """``run_experiment`` builds only the sectors that can feed the herald.
-
-    That set is downward-closed and creation operators only raise, so
-    every heralded amplitude comes from the same float operations as over
-    the full budget: the results must agree bit for bit, signed zeros too.
-    """
-
-    @staticmethod
-    def _assert_same(cfg, r):
-        full = _selected(cfg, r, None)
-        heralded = _selected(cfg, r, (cfg.herald_mode, cfg.herald_count))
-        assert heralded == full
-        assert repr(heralded) == repr(full)
-
-    # from the smallest to the largest squeeze factor SqueezedVacuum accepts
-    r_min, r_max = (math.sqrt(limit) for limit in _R_RANGE)
-
-    r_extremes = [r_min, 1e-30, 1e-8, 1e-3, 0.3, 1, 2, 5, 20, 60, r_max]
-
-    @staticmethod
-    def other_heralds():
-        for herald_mode, herald_count, max_out in [(0, 0, 3), (1, 2, 2), (2, 3, 1), (2, 0, 0)]:
-            yield CircuitConfig(0, 1, default_circuit_config().elements, herald_mode,
-                                herald_count, max_out)
-
-    @pytest.mark.parametrize("r", r_extremes)
-    def test_reference_config(self, r):
-        self._assert_same(default_circuit_config(), r)
-
-    def test_reference_config_dense_grid(self):
-        for k in range(201):
-            self._assert_same(default_circuit_config(), 1e-3 + k * (5.0 - 1e-3) / 200)
-
-    @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
-    def test_searched_wirings(self, r):
-        for _, elements in _searched_wirings():
-            self._assert_same(CircuitConfig(0, 1, tuple(elements), 2, 1, 4), r)
-
-    def test_other_heralds(self):
-        for cfg in self.other_heralds():
-            for r in (0.5, 1.5):
-                self._assert_same(cfg, r)
+    """The simulator builds only the sectors that can feed the herald."""
 
     def test_kept_sectors(self):
         budget, herald = 5, (2, 1)
-        occs, amps = budget_amplitudes([Fock(1)] * 3, _eye(3), budget, 0.0, herald)
+        occs, tables = circuit._raising_tables(_eye(3), budget, herald)
         expected = [occ for occ in itertools.product(range(budget + 1), repeat=3)
                     if occ[2] <= 1 and occ[0] + occ[1] <= 4]
         assert list(occs) == expected and len(occs) == 30
+        amps = circuit._apply_tables([Fock(1)] * 3, tables, len(occs), budget, 0.0)
         assert _amp_dict(occs, amps) == {(1, 1, 1): 1.0}
-
-    @pytest.mark.parametrize(
-        "budget, herald", [(-1, None), (3, (2, -1)), (3, (2, 4)), (3, (3, 1)), (3, (-1, 1))]
-    )
-    def test_empty_or_invalid_set_rejected(self, budget, herald):
-        with pytest.raises(ValueError, match="no sector within budget"):
-            budget_amplitudes([Fock(0)] * 3, _eye(3), budget, 0.0, herald)
+        # the kept ones: one herald photon, at most 4 in the outputs, in sector order
+        kept = circuit._compiled(default_circuit_config())[3]
+        assert [(occs[src], n1, n2) for src, n1, n2 in kept] == [
+            (occ, occ[0], occ[1]) for occ in occs if occ[2] == 1
+        ]
 
 
 def _dense_budget_amplitudes(per_mode_states, u, budget, global_phase=0.0, herald=None):
-    """Reference: ``budget_amplitudes`` as one dense loop, sharing no sector or table code.
+    """Reference amplitudes as one dense loop, sharing no sector or table code.
 
-    The sectors and the (src, dst, weight) entries of each a_k^dag are
-    enumerated here; every entry is scanned at each photon step, and
-    u[k][j] * weight is multiplied there.
+    The output state is exp(i global_phase) prod_j f_j(b_j^dag) |0> over
+    every sector within ``budget``, or with ``herald=(mode, count)`` over
+    those that can feed that herald, as (occs, amps).  The sectors and the
+    (src, dst, weight) entries of each a_k^dag are enumerated here; every
+    entry is scanned at each photon step, and u[k][j] * weight is
+    multiplied there.
     """
     m = len(per_mode_states)
     occs = []
@@ -774,7 +758,10 @@ def _dense_budget_amplitudes(per_mode_states, u, budget, global_phase=0.0, heral
 
 
 def _dense_post_select(occs, amps, herald_mode, herald_count, output_modes, max_output_photons):
-    """Reference: ``post_select`` indexing every kept sector afresh."""
+    """Reference post-selection, indexing every kept sector afresh.
+
+    Returns (state, success_prob), state nested one level per output mode.
+    """
     side = max_output_photons + 1
     kept = []
     for occ, amp in zip(occs, amps):
@@ -824,13 +811,15 @@ def _outcome(fn, *args):
 
 
 class TestCompiledCircuit:
-    """The tables and index give what the dense loop they replace gives, bit for bit.
+    """The compiled kernels give what the dense loops they replace give, bit for bit.
 
     ``run_experiment`` reads per-config tables and a kept-sector index built
-    once, and ``budget_amplitudes`` and ``post_select`` apply the same
-    kernels; the references above share no sector, table or index code
-    with them.  Results must agree by ``==`` and by ``repr``, so signed
-    zeros count.
+    once; the references above share no sector, table or index code with
+    them.  The heralded state must also match the references over the full
+    budget: the sectors that can feed the herald are downward-closed and
+    creation operators only raise, so every heralded amplitude comes from
+    the same float operations.  Results must agree by ``==`` and by
+    ``repr``, so signed zeros count.
     """
 
     @staticmethod
@@ -839,17 +828,18 @@ class TestCompiledCircuit:
         u, phase = mode_matrix(cfg.elements, 3)
         budget = cfg.herald_count + cfg.max_output_photons
         selection = (cfg.herald_mode, cfg.herald_count, _output_modes(cfg), cfg.max_output_photons)
+        got = _outcome(_heralded, cfg, states)
         for herald in (None, (cfg.herald_mode, cfg.herald_count)):
-            got = budget_amplitudes(states, u, budget, phase, herald)
-            want = _dense_budget_amplitudes(states, u, budget, phase, herald)
-            assert got == want and repr(got) == repr(want)
-            got = _outcome(post_select, *got, *selection)
-            want = _outcome(_dense_post_select, *want, *selection)
+            amps = _dense_budget_amplitudes(states, u, budget, phase, herald)
+            want = _outcome(_dense_post_select, *amps, *selection)
             assert got == want and repr(got) == repr(want)
         got, want = _outcome(run_experiment, r, cfg), _outcome(_dense_run, r, cfg)
         assert got == want and repr(got) == repr(want)
 
-    @pytest.mark.parametrize("r", TestHeraldedSectors.r_extremes)
+    # from the smallest to the largest squeeze factor SqueezedVacuum accepts
+    r_min, r_max = (math.sqrt(limit) for limit in _R_RANGE)
+
+    @pytest.mark.parametrize("r", [r_min, 1e-30, 1e-8, 1e-3, 0.3, 1, 2, 5, 20, 60, r_max])
     def test_reference_config(self, r):
         self._assert_same(default_circuit_config(), r)
 
@@ -863,7 +853,9 @@ class TestCompiledCircuit:
             self._assert_same(CircuitConfig(0, 1, tuple(elements), 2, 1, 4), r)
 
     def test_other_heralds(self):
-        for cfg in TestHeraldedSectors.other_heralds():
+        for herald_mode, herald_count, max_out in [(0, 0, 3), (1, 2, 2), (2, 3, 1), (2, 0, 0)]:
+            cfg = CircuitConfig(0, 1, default_circuit_config().elements, herald_mode,
+                                herald_count, max_out)
             for r in (0.5, 1.5):
                 self._assert_same(cfg, r)
 

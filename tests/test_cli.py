@@ -278,6 +278,16 @@ class TestCommands:
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "command", [["qcrb", "--family", "noon", "--n", "2"], ["compare", "--n-bar", "4"]]
+    )
+    def test_d_beyond_a_double_exit_code(self, capsys, command):
+        # d * (d + 1) would overflow a double, once a bare OverflowError that named nothing
+        assert main([*command, "--d", str(10**400)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d must keep d * (d + 1) within a double, got a 1329-bit d\n"
+
+    @pytest.mark.parametrize(
         "argv, name",
         [
             (["qcrb", "--family", "ecs", "--d", "5", "--alpha", "1e200"], "alpha"),

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from noonlike import (
     solve_param_for_nbar,
 )
 from noonlike.families import nbar_map
-from noonlike.qcrb import _check_below_noon, _check_ordered, noon_ceiling
+from noonlike.qcrb import _D_MAX, _check_below_noon, _check_ordered, noon_ceiling
 
 STATE_GRID = [
     Fock(1),
@@ -318,6 +319,17 @@ class TestPhaseCount:
     def test_below_one_rejected(self, take, d):
         with pytest.raises(ValueError, match=f"^d must be >= 1, got {d}$"):
             take(d)
+
+    @pytest.mark.parametrize("take", D_TAKERS.values(), ids=D_TAKERS.keys())
+    @pytest.mark.parametrize("d", [10**400, _D_MAX + 1, 1e300], ids=["10**400", "D_MAX+1", "1e300"])
+    def test_numerator_beyond_a_double_rejected(self, take, d):
+        # d * (d + 1) would fail to convert deep inside, with a bare OverflowError
+        with pytest.raises(ValueError, match=r"^d must keep d \* \(d \+ 1\) within a double"):
+            take(d)
+
+    def test_largest_numerator_accepted(self):
+        assert _D_MAX * (_D_MAX + 1) <= sys.float_info.max < (_D_MAX + 1) * (_D_MAX + 2)
+        assert noon_qcrb(_D_MAX, 2.0) == float(_D_MAX * (_D_MAX + 1)) / 8.0
 
     @pytest.mark.parametrize("take", D_TAKERS.values(), ids=D_TAKERS.keys())
     def test_whole_float_equals_int(self, take):
