@@ -681,8 +681,67 @@ def _output_modes(cfg):
     return tuple(k for k in range(3) if k != cfg.herald_mode)
 
 
+def _full_budget(cfg, states):
+    """``_heralded`` with the kernels over every sector within ``cfg``'s budget.
+
+    A fourth vacuum mode, heralded on zero photons, makes the sectors that
+    can feed that herald every sector of the three modes within the budget.
+    """
+    budget = cfg.herald_count + cfg.max_output_photons
+    u, phase = mode_matrix(cfg.elements, 4)
+    occs, tables = circuit._raising_tables(u, budget, (3, 0))
+    amps = circuit._apply_tables([*states, Fock(0)], tables, len(occs), budget, phase)
+    h = cfg.herald_mode
+    a, b = _output_modes(cfg)
+    kept = [(src, occ[a], occ[b]) for src, occ in enumerate(occs)
+            if occ[h] == cfg.herald_count and occ[a] + occ[b] <= cfg.max_output_photons]
+    return circuit._select_kept(amps, kept, cfg)
+
+
 class TestHeraldedSectors:
-    """The simulator builds only the sectors that can feed the herald."""
+    """``run_experiment`` builds only the sectors that can feed the herald.
+
+    That set is downward-closed and creation operators only raise, so
+    every heralded amplitude comes from the same float operations as over
+    the full budget: the results must agree bit for bit, signed zeros too.
+    """
+
+    @staticmethod
+    def _assert_same(cfg, r):
+        states = _inputs(cfg, r)
+        full = _outcome(_full_budget, cfg, states)
+        heralded = _outcome(_heralded, cfg, states)
+        assert heralded == full
+        assert repr(heralded) == repr(full)
+
+    # from the smallest to the largest squeeze factor SqueezedVacuum accepts
+    r_min, r_max = (math.sqrt(limit) for limit in _R_RANGE)
+
+    r_extremes = [r_min, 1e-30, 1e-8, 1e-3, 0.3, 1, 2, 5, 20, 60, r_max]
+
+    @staticmethod
+    def other_heralds():
+        for herald_mode, herald_count, max_out in [(0, 0, 3), (1, 2, 2), (2, 3, 1), (2, 0, 0)]:
+            yield CircuitConfig(0, 1, default_circuit_config().elements, herald_mode,
+                                herald_count, max_out)
+
+    @pytest.mark.parametrize("r", r_extremes)
+    def test_reference_config(self, r):
+        self._assert_same(default_circuit_config(), r)
+
+    def test_reference_config_dense_grid(self):
+        for k in range(201):
+            self._assert_same(default_circuit_config(), 1e-3 + k * (5.0 - 1e-3) / 200)
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
+    def test_searched_wirings(self, r):
+        for _, elements in _searched_wirings():
+            self._assert_same(CircuitConfig(0, 1, tuple(elements), 2, 1, 4), r)
+
+    def test_other_heralds(self):
+        for cfg in self.other_heralds():
+            for r in (0.5, 1.5):
+                self._assert_same(cfg, r)
 
     def test_kept_sectors(self):
         budget, herald = 5, (2, 1)
@@ -836,10 +895,7 @@ class TestCompiledCircuit:
         got, want = _outcome(run_experiment, r, cfg), _outcome(_dense_run, r, cfg)
         assert got == want and repr(got) == repr(want)
 
-    # from the smallest to the largest squeeze factor SqueezedVacuum accepts
-    r_min, r_max = (math.sqrt(limit) for limit in _R_RANGE)
-
-    @pytest.mark.parametrize("r", [r_min, 1e-30, 1e-8, 1e-3, 0.3, 1, 2, 5, 20, 60, r_max])
+    @pytest.mark.parametrize("r", TestHeraldedSectors.r_extremes)
     def test_reference_config(self, r):
         self._assert_same(default_circuit_config(), r)
 
@@ -853,9 +909,7 @@ class TestCompiledCircuit:
             self._assert_same(CircuitConfig(0, 1, tuple(elements), 2, 1, 4), r)
 
     def test_other_heralds(self):
-        for herald_mode, herald_count, max_out in [(0, 0, 3), (1, 2, 2), (2, 3, 1), (2, 0, 0)]:
-            cfg = CircuitConfig(0, 1, default_circuit_config().elements, herald_mode,
-                                herald_count, max_out)
+        for cfg in TestHeraldedSectors.other_heralds():
             for r in (0.5, 1.5):
                 self._assert_same(cfg, r)
 
