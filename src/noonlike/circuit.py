@@ -19,9 +19,7 @@ the photon budget (their sum, 5) of the reference topology.  The simulator
 therefore expands each input mode's Fock amplitudes up to the budget,
 applies the image of its creation operator under U to an amplitude vector
 over that set, and reads the heralded sectors off exactly.  Nothing above
-the budget is built, so nothing is truncated: ``run_experiment``'s
-``cutoff`` is still accepted, and must still be at least the budget, but
-it changes no result.
+the budget is built, so nothing is truncated: the ``cutoff`` keyword is inert.
 
 Everything that depends on the config alone is built once, on its first
 run, by ``_compiled``, the module's one cache, keyed on the
@@ -78,7 +76,7 @@ from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError
 from .families import Family, SweepCurve, matched_report
 from .qcrb import Balanced, ProbeSpec, _check_ordered, noon_qcrb, qcrb_closed_form
 from .states import Coherent, Fock, FockSuperposition, SingleModeState, SqueezedVacuum
-from .states import _build_amps, _Frozen
+from .states import _R_RANGE, _build_amps, _Frozen, _require_real
 
 __all__ = [
     "BeamSplitter",
@@ -98,10 +96,12 @@ __all__ = [
 
 def _as_int(name: str, value) -> int:
     """``value`` through ``operator.index``; TypeError naming ``name`` if it is no integer."""
-    try:  # a float would fail only inside a run, naming no field
-        return operator.index(value)
+    try:  # a float would fail only inside a run, naming no field; a bool is no number
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 class BeamSplitter(_Frozen):
@@ -380,10 +380,13 @@ def _noonlike_decomposition(state: list[list[complex]]) -> tuple[list[complex], 
 
 
 def _require_squeeze(r: float) -> float:
-    """``r``, unless it is not a positive squeeze factor (NaN is not)."""
-    if not r > 0.0:
-        raise ValueError(f"squeeze factor must be positive, got {r}")
-    return r
+    """``r`` as a float, if it is positive (NaN is not) and ``SqueezedVacuum`` takes it."""
+    try:
+        if not r > 0.0:
+            raise ValueError(f"squeeze factor must be positive, got {r}")
+    except TypeError:  # no number, such as a str: _require_real names it
+        pass
+    return _require_real("r", r, _R_RANGE)
 
 
 def pump_amplitude(r: float) -> float:
@@ -452,8 +455,8 @@ def run_experiment(
     if cutoff is not None and cutoff < budget:
         raise ValueError("cutoff below the heralded photon budget")
     per_mode: list[SingleModeState] = [Fock(0)] * 3
-    per_mode[cfg.squeezed_mode] = SqueezedVacuum(r)  # first, so that an r out of range is named
     per_mode[cfg.coherent_mode] = Coherent(pump_amplitude(r))
+    per_mode[cfg.squeezed_mode] = SqueezedVacuum(r)
     amps = _apply_tables(per_mode, tables, len(tables[0]), budget, phase)
     state, success_prob = _select_kept(amps, kept, cfg)
     phi, fidelity, beta = _noonlike_decomposition(state)

@@ -65,7 +65,7 @@ _CHOICES = {
         # family with squeeze factor 1.2 cannot reach the target n_bar
         3: dict(d=5, n_min=0.75, n_max=20.0, steps=40),
         4: _FIGURE_4,
-        6: dict(r_min=1.0, r_max=2.0, steps=20, cutoff=None),
+        6: dict(r_min=1.0, r_max=2.0, steps=20),
     }),
 }
 
@@ -89,8 +89,6 @@ _OPTIONS = {
     "r_prime": (float, "positive", "squeeze factor (escs)"),
     "b2": (float, "positive", "fixed probing weight b^2 (unbalanced)"),
     "optimized_b": (bool, None, "optimize b^2"),
-    "cutoff": (int, "positive", "Fock cutoff; validated, but changes no result: the circuit "
-               "is simulated exactly on its heralded photon budget"),
     "out": (str, None, "output file (default: stdout)"),
     "format": (("csv", "json"), None, "output format"),
 }
@@ -107,7 +105,7 @@ _COMMAND_OPTIONS = {
     "sweep-escs": ("squeezed-coherent squeeze-factor sweep",
                    dict(d=_REQUIRED, n_bar=_REQUIRED, r_min=0.4, r_max=1.2, steps=3)),
     "unbalanced": ("balanced vs optimized-unbalanced sweep", _FIGURE_4 | dict(d=_REQUIRED)),
-    "experiment": ("simulate the heralded source", dict(r=_REQUIRED, cutoff=None)),
+    "experiment": ("simulate the heralded source", dict(r=_REQUIRED)),
     "figure": ("emit a comparison dataset", dict(id=_REQUIRED)),
 }
 
@@ -321,7 +319,7 @@ def _cmd_unbalanced(params: dict) -> tuple[list[str], list[list]]:
 def _cmd_experiment(params: dict) -> tuple[list[str], list[list]]:
     from .circuit import run_experiment
 
-    res = run_experiment(params["r"], cutoff=params.get("cutoff"))
+    res = run_experiment(params["r"])
     columns = ["r", "n_bar", "success_prob", "fidelity", "branch_phase"] + [
         f"abs_c{n}" for n in range(len(res.phi_amps))
     ]
@@ -360,7 +358,7 @@ def _figure_6(params: dict) -> tuple[list[str], list[list]]:
     from .circuit import experiment_qcrb_comparison
 
     grid = _linspace(params["r_min"], params["r_max"], params["steps"])
-    noon_curve, ecs_curve, phi_curve = experiment_qcrb_comparison(grid, cutoff=params.get("cutoff"))
+    noon_curve, ecs_curve, phi_curve = experiment_qcrb_comparison(grid)
     rows = [
         [nb, qn, qe, qp]
         for (nb, qn, _), (_, qe, _), (_, qp, _) in zip(

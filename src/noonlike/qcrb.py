@@ -57,15 +57,18 @@ _REPORTED = ("qcrb", "f", "R", "b2", "n_tilde", "n_bar")  # the numeric QcrbRepo
 
 
 def _require_d(d) -> int:
-    """``d`` as an int; ValueError naming it unless it is a whole number >= 1.
+    """``d`` as an int; ValueError naming it unless it is a whole number >= 1, TypeError for a bool.
 
     The NOON numerator d * (d + 1) must also fit a double, which the bounds
     convert it to.
     """
+    if type(d) is not int:
+        if isinstance(d, bool):
+            raise TypeError(f"d must be a whole number, got bool {d!r}")
+        if not d < 1 and (not d < math.inf or int(d) != d):  # NaN is neither
+            raise ValueError(f"d must be a finite whole number, got {d}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if type(d) is not int and (not d < math.inf or int(d) != d):  # NaN is not below inf
-        raise ValueError(f"d must be a finite whole number, got {d}")
     d = int(d)
     if d > _D_MAX:
         raise ValueError(f"d must keep d * (d + 1) within a double, got a {d.bit_length()}-bit d")

@@ -9,8 +9,8 @@ check the closed forms.
 Conventions
 -----------
 * All displacement amplitudes and squeeze factors are real; any other input,
-  such as a complex number, a numpy complex scalar or a string, raises
-  TypeError at construction.
+  such as a complex number, a numpy complex scalar, a string or a bool,
+  raises TypeError at construction.
 * ``SqueezedVacuum(r)`` is the state whose even Fock amplitudes follow
   ``c_{2m} = (cosh r)^{-1/2} (-tanh r)^m sqrt((2m)!)/(2^m m!)``.
 * ``SqueezedCoherent(alpha, r)`` is displacement applied after squeezing,
@@ -69,7 +69,7 @@ def _require_real(name: str, value, limits: tuple[float, float]) -> float:
     """``value`` as a float that is 0 or whose square lies within ``limits``."""
     out = value
     if type(out) is not float:  # the solvers pass floats, which need no conversion
-        if not isinstance(value, numbers.Real):  # complex, numpy complex, str, ...
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):  # complex, str, ...
             raise TypeError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
         out = float(value)
     if not limits[0] <= out * out <= limits[1] and out:

@@ -12,6 +12,7 @@ from noonlike import (
     Fock,
     ModeOutOfRange,
     NoonlikeError,
+    ParameterOutOfRange,
     SqueezedVacuum,
     circuit,
     fock_amplitudes,
@@ -29,7 +30,6 @@ from noonlike.circuit import (
     pump_amplitude,
     run_experiment,
 )
-from noonlike.cli import main
 from noonlike.states import _R_RANGE, _build_amps
 
 
@@ -175,7 +175,7 @@ class TestElements:
             PhaseShifter(0, **{field: value})
 
     @pytest.mark.parametrize("field", ["mode_a", "mode_b", "mode"])
-    @pytest.mark.parametrize("mode", [1.0, "1", None])
+    @pytest.mark.parametrize("mode", [1.0, "1", None, True])
     def test_non_integer_modes_rejected(self, field, mode):
         # a float would build, and fail only inside a run, with a TypeError
         # that names no field
@@ -184,6 +184,18 @@ class TestElements:
         message = f"^{field} must be an integer, got {re.escape(repr(mode))}$"
         with pytest.raises(TypeError, match=message):
             build(mode)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [(dict(mode_a=1, mode_b=1), "beam splitter needs two distinct modes"),
+         (dict(transmissivity=1.0), r"transmissivity must be in \(0, 1\), got 1.0"),
+         (dict(transmissivity=math.nan), r"transmissivity must be in \(0, 1\), got nan"),
+         (dict(convention="lossy"), "unknown convention 'lossy'")],
+        ids=["equal-modes", "transmissivity-1", "transmissivity-nan", "convention"],
+    )
+    def test_invalid_beam_splitter_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BeamSplitter(**dict(mode_a=0, mode_b=1) | kwargs)
 
     def test_integer_like_modes_stored_as_ints(self):
         splitter, shifter = BeamSplitter(np.int64(1), np.int64(2)), PhaseShifter(np.int64(1))
@@ -370,7 +382,7 @@ class TestPostSelect:
 
 
 class TestCutoff:
-    """The cutoff is validated and accepted but changes no result."""
+    """The library's cutoff keyword is validated but changes no result."""
 
     def test_large_cutoff_identical(self):
         assert run_experiment(1.3, cutoff=60) == run_experiment(1.3)
@@ -385,16 +397,6 @@ class TestCutoff:
         fields = {name: getattr(cfg, name) for name in CircuitConfig.__slots__} | {field: -1}
         with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
             CircuitConfig(**fields)
-
-    def test_cli_below_budget_exit_code(self, capsys):
-        assert main(["experiment", "--r", "1", "--cutoff", "4"]) == 1
-        assert "cutoff below" in capsys.readouterr().err
-
-    def test_cli_cutoff_and_config_accepted(self, capsys):
-        assert main(["experiment", "--r", "1"]) == 0
-        baseline = capsys.readouterr().out
-        assert main(["experiment", "--r", "1", "--cutoff", "60"]) == 0
-        assert capsys.readouterr().out == baseline
 
     def test_default_config_parsed_once(self):
         assert default_circuit_config() is default_circuit_config()
@@ -429,7 +431,8 @@ class TestConfigFields:
     @pytest.mark.parametrize(
         "field, value",
         [("coherent_mode", 0.0), ("squeezed_mode", 1.0), ("herald_mode", "2"),
-         ("herald_count", 1.5), ("max_output_photons", 4.0)],
+         ("herald_count", 1.5), ("max_output_photons", 4.0),
+         ("herald_count", True), ("squeezed_mode", False)],
     )
     def test_non_integer_fields_rejected(self, field, value):
         # a float would build, and fail only inside a run, with a TypeError
@@ -526,8 +529,10 @@ class TestReferenceCircuit:
             run_experiment(1.0)
 
     # the kept mass is tiny at both ends (2.5e-17 at r = 1e-8, 7.7e-78 at
-    # r = 177) but positive, and the normalized state is ordinary doubles
-    @pytest.mark.parametrize("r", [1e-8, 35.0, 177.0])
+    # r = 177) but positive, and the normalized state is ordinary doubles;
+    # the closed forms take the squeeze factors SqueezedVacuum takes
+    @pytest.mark.parametrize("r", [math.sqrt(_R_RANGE[0]), 1e-8, 35.0, 177.0,
+                                   math.sqrt(_R_RANGE[1])])
     def test_extreme_squeeze_factors_match_closed_forms(self, r):
         res = run_experiment(r)
         assert res.success_prob == pytest.approx(heralded_success_probability(r), rel=1e-12)
@@ -554,6 +559,18 @@ class TestReferenceCircuit:
     def test_closed_forms_need_a_positive_squeeze_factor(self, closed_form, r):
         # NaN would give NaNs, and -1 a probability or a bare math domain error
         with pytest.raises(ValueError, match=rf"^squeeze factor must be positive, got {r}$"):
+            closed_form(r)
+
+    # 711 overflowed cosh r, and inf and 1e-200 gave a probability of 0
+    @pytest.mark.parametrize("r", [177.2, 711.0, math.inf, 1e-200, "1", 1j, True])
+    @pytest.mark.parametrize(
+        "closed_form", [pump_amplitude, heralded_target_amplitudes, heralded_success_probability]
+    )
+    def test_closed_forms_take_the_squeeze_factors_of_squeezed_vacuum(self, closed_form, r):
+        with pytest.raises((ValueError, TypeError, ParameterOutOfRange)) as expected:
+            SqueezedVacuum(r)
+        assert re.match(r"^r( = | must)", str(expected.value))
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
             closed_form(r)
 
 

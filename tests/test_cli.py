@@ -3,7 +3,6 @@ import hashlib
 import json
 import re
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -109,7 +108,7 @@ class TestParseArgs:
         [
             (["figure", "--id", "4", "--n-min", "3", "--r-prime", "9"], ["--n-min", "--r-prime"]),
             (["figure", "--id", "6", "--d", "7"], ["--d"]),
-            (["figure", "--id", "2", "--cutoff", "3"], ["--cutoff"]),
+            (["figure", "--id", "2", "--r-min", "1"], ["--r-min"]),
             (["qcrb", "--family", "noon", "--d", "5", "--n", "2", "--alpha", "3"], ["--alpha"]),
             (["qcrb", "--family", "esvs", "--d", "5", "--r", "2", "--r-prime", "1"], ["--r-prime"]),
         ],
@@ -129,6 +128,16 @@ class TestParseArgs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "usage error: unrecognized arguments: --circuit x.cfg\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["experiment", "--r", "1"], ["figure", "--id", "6"]], ids=" ".join
+    )
+    def test_cutoff_option_unrecognized(self, capsys, argv):
+        # the source is evaluated exactly on its photon budget: no cutoff to choose
+        assert main(argv + ["--cutoff", "60"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: unrecognized arguments: --cutoff 60\n"
 
     @pytest.mark.parametrize(
         "argv, grid",
@@ -482,9 +491,6 @@ class TestHelp:
             "'compare', 'sweep-escs', 'unbalanced', 'experiment', 'figure')\n"
         )
 
-    def test_cutoff_help_stated_once(self):
-        assert Path(cli.__file__).read_text().count("Fock cutoff") == 1
-
 
 class TestFigures:
     def test_figure_2_columns_and_ordering(self, tmp_path):
@@ -573,6 +579,15 @@ class TestFigures:
         monkeypatch.setenv("NOONLIKE_OUTPUT_DIR", str(tmp_path))
         assert main(["figure", "--id", "2", "--steps", "4"]) == 0
         assert (tmp_path / "figure_2.csv").exists()
+
+    def test_output_dir_env_prefixes_a_relative_out(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NOONLIKE_OUTPUT_DIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "--r", "1", "--out", "sub/exp.csv"]) == 0
+        assert (tmp_path / "sub" / "exp.csv").read_text().startswith("r,n_bar,")
+        absolute = tmp_path / "elsewhere" / "exp.csv"
+        assert main(["experiment", "--r", "1", "--out", str(absolute)]) == 0
+        assert absolute.exists()
 
 
 class TestRowFormatting:

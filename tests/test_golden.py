@@ -22,8 +22,6 @@ CASES = {
     "experiment_r0.3.csv": ["experiment", "--r", "0.3"],
     "experiment_r1.csv": ["experiment", "--r", "1"],
     "experiment_r2.csv": ["experiment", "--r", "2"],
-    "experiment_r1_cutoff5.csv": ["experiment", "--r", "1", "--cutoff", "5"],
-    "experiment_r1_cutoff30.csv": ["experiment", "--r", "1", "--cutoff", "30"],
     "figure6.csv": ["figure", "--id", "6"],
     "figure6.json": ["figure", "--id", "6", "--format", "json"],
     "qcrb_noon.csv": ["qcrb", "--family", "noon", "--d", "5", "--n", "2"],
@@ -60,3 +58,8 @@ def test_output_matches_fixture(fixture, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out.encode() == (GOLDEN / fixture).read_bytes()
     assert captured.err == STDERR.get(fixture, "")
+
+
+def test_every_fixture_has_a_case():
+    # an orphaned fixture would pin nothing, and a case without one would error
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(CASES)

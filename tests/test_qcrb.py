@@ -9,6 +9,7 @@ import pytest
 from noonlike import (
     Balanced,
     Coherent,
+    DegenerateOverlap,
     DenominatorNonPositive,
     Family,
     FixedB,
@@ -74,6 +75,22 @@ class TestBalancedWeight:
         assert _balanced_b2(5, math.exp(-1)) == pytest.approx(
             0.05869790472529191, rel=1e-14
         )
+
+
+class TestUnresolvableWeights:
+    @pytest.mark.parametrize("weighting", [FixedB(0.1), OptimizedB()], ids=repr)
+    def test_vacuum_overlap_of_one(self, weighting):
+        with pytest.raises(DegenerateOverlap, match="^vacuum overlap of 1 leaves no photons"):
+            resolve_weights(5, Moments(0.0, 0.0, 1.0), weighting)
+
+    def test_optimized_weight_of_a_zero_photon_state(self):
+        with pytest.raises(ZeroPhotonState, match="^cannot optimize weights for a zero-photon"):
+            resolve_weights(5, Moments(0.0, 0.0, 0.5), OptimizedB())
+
+    @pytest.mark.parametrize("weighting", [None, 0.1, "balanced"])
+    def test_not_a_weighting(self, weighting):
+        with pytest.raises(TypeError, match=f"^not a Weighting: {re.escape(repr(weighting))}$"):
+            resolve_weights(5, Moments(1.0, 2.0, 0.5), weighting)
 
 
 class TestMeanTotalPhotons:
@@ -325,6 +342,13 @@ class TestPhaseCount:
     def test_numerator_beyond_a_double_rejected(self, take, d):
         # d * (d + 1) would fail to convert deep inside, with a bare OverflowError
         with pytest.raises(ValueError, match=r"^d must keep d \* \(d \+ 1\) within a double"):
+            take(d)
+
+    @pytest.mark.parametrize("take", D_TAKERS.values(), ids=D_TAKERS.keys())
+    @pytest.mark.parametrize("d", [True, False])
+    def test_bool_rejected(self, take, d):
+        # a bool is no number: True passed as d = 1, and noon_qcrb(True, 2) gave 0.25
+        with pytest.raises(TypeError, match=f"^d must be a whole number, got bool {d}$"):
             take(d)
 
     def test_largest_numerator_accepted(self):

@@ -20,7 +20,7 @@ from noonlike import (
     moments,
     moments_from_amplitudes,
 )
-from noonlike.states import _ALPHA_RANGE, _N_RANGE, _R_RANGE
+from noonlike.states import _ALPHA_RANGE, _N_RANGE, _R_RANGE, _build_amps
 
 PARAM_GRID = [0.1, 0.35, 0.8, 1.3, 2.0, 2.6, 3.0]
 
@@ -129,6 +129,10 @@ class TestFockAmplitudes:
         ]
         assert all(a >= b for a, b in zip(tails, tails[1:]))
 
+    @pytest.mark.parametrize("state", [Coherent(0.0), SqueezedVacuum(0.0)], ids=repr)
+    def test_zero_parameter_is_the_vacuum(self, state):
+        assert _build_amps(state, 4) == [1.0, 0.0, 0.0, 0.0, 0.0]
+
     def test_effective_fock_has_no_expansion(self):
         with pytest.raises(ValueError):
             fock_amplitudes(Fock(1.5), n_max=10)
@@ -228,9 +232,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="^amplitudes not normalized"):
             FockSuperposition(amps)
 
+    # a bool is no number either: Fock(True) built Fock(n=1.0)
     @pytest.mark.parametrize(
-        "value", [np.complex64(1 + 2j), np.complex64(1.5), "1.5", b"1.5"],
-        ids=["complex64", "complex64-real", "str", "bytes"],
+        "value", [np.complex64(1 + 2j), np.complex64(1.5), "1.5", b"1.5", True, False],
+        ids=["complex64", "complex64-real", "str", "bytes", "True", "False"],
     )
     @pytest.mark.parametrize(
         "name, build",
@@ -242,7 +247,7 @@ class TestValidation:
         with pytest.raises(TypeError, match=f"^{name} must be a real number"):
             build(value)
 
-    @pytest.mark.parametrize("value", [2, np.float32(2.0), np.int64(2), True])
+    @pytest.mark.parametrize("value", [2, np.float32(2.0), np.int64(2)])
     def test_real_numbers_accepted(self, value):
         assert Coherent(value).alpha == float(value)
         assert type(Coherent(value).alpha) is float
