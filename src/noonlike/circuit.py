@@ -9,36 +9,20 @@ simulates it at a squeeze factor r.
 Every element is passive and conserves total photon number, so the whole
 circuit is one 3 x 3 mode matrix U plus a global phase: input creation
 operators map as a_j^dag -> sum_k U[k][j] a_k^dag, and the constant phase
-of each phase shifter only multiplies the whole state.  Heralding on
-``herald_count`` photons and keeping at most ``max_output_photons`` in the
-two output modes reads only sectors with exactly ``herald_count`` in the
-herald mode and at most ``max_output_photons`` in the others.  Creation
-operators only add photons, so only the sectors with at most as many in
-each group feed them: a downward-closed set, 30 of the 56 sectors within
-the photon budget (their sum, 5) of the reference topology.  The simulator
-therefore expands each input mode's Fock amplitudes up to the budget,
-applies the image of its creation operator under U to an amplitude vector
-over that set, and reads the heralded sectors off exactly.  Nothing above
-the budget is built, so nothing is truncated: the ``cutoff`` keyword is inert.
-
-Everything that depends on the config alone is built once, on its first
-run, by ``_compiled``, the module's one cache, keyed on the
-``CircuitConfig``: the budget, the global phase, per input mode j the
-table of b_j^dag = sum_k U[k][j] a_k^dag over the sectors, indexed by
-source sector, with U[k][j] times the creation operator's weight
-multiplied out and the pairs of a zero U[k][j] dropped, and the kept
-sectors with their output occupations.  ``run_experiment`` then does only
-the work that depends on r, in two kernels: ``_apply_tables`` applies the
-tables, with one complex multiply-add per nonzero amplitude and table pair
-(176 for the reference circuit at r = 1, where scanning every
-creation-operator entry at each photon step reads 420), and
-``_select_kept`` selects the kept sectors.  The result is bit-identical to
-applying a_0^dag, a_1^dag, ... one at a time, since the sectors are in
-lexicographic order: the sources of a sector dst arrive as
-dst - e_0 < dst - e_1 < ..., the order of k.
-
-The state is plain Python throughout, nested lists and tuples, since the
-reference circuit needs only 30 sectors.
+of each phase shifter only multiplies the whole state.  Only two inputs
+carry photons, so each kept output amplitude, with exactly
+``herald_count`` photons in the herald mode and at most
+``max_output_photons`` in the two others, is a fixed bilinear form
+sum_{m,k} T[m, k] c_m s_k in the Fock amplitudes c_m of the coherent input
+and s_k of the squeezed one, with m + k the sector's photon number.  T
+depends on the config alone, so ``_compiled``, the module's one cache,
+keyed on the ``CircuitConfig``, builds it in closed form on a config's
+first run: its nonzero terms, 54 over the 15 kept sectors of the
+reference circuit.  ``run_experiment`` then expands the two inputs up to
+the photon budget and takes one short sum per kept sector.  Nothing above
+the budget feeds a kept sector, so nothing is truncated: the ``cutoff``
+keyword is inert.  The state is plain Python throughout, nested lists and
+tuples.
 
 Mode indexing is 0-based throughout.  ``default_circuit_config()`` returns
 the reference wiring; another wiring of the three modes is another
@@ -75,8 +59,8 @@ from collections.abc import Iterable, Sequence
 from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError
 from .families import Family, SweepCurve, matched_report
 from .qcrb import Balanced, ProbeSpec, _check_ordered, noon_qcrb, qcrb_closed_form
-from .states import Coherent, Fock, FockSuperposition, SingleModeState, SqueezedVacuum
-from .states import _R_RANGE, _build_amps, _Frozen, _require_real
+from .states import Coherent, FockSuperposition, SqueezedVacuum
+from .states import _R_RANGE, _build_amps, _Frozen, _require_number, _require_real
 
 __all__ = [
     "BeamSplitter",
@@ -133,6 +117,8 @@ class PhaseShifter(_Frozen):
     def __init__(self, mode: int, const_phase: float = 0.0, per_photon_phase: float = 0.0):
         mode = _as_int("mode", mode)
         for name, phase in (("const_phase", const_phase), ("per_photon_phase", per_photon_phase)):
+            if type(phase) is not float:
+                _require_number(name, phase)
             if not math.isfinite(phase):
                 raise ValueError(f"{name} must be finite, got {phase}")
         self._assign(mode, const_phase, per_photon_phase)
@@ -252,94 +238,55 @@ def mode_matrix(
     return u, phase
 
 
-def _raising_tables(
-    u: Sequence[Sequence[complex]], budget: int, herald: tuple[int, int]
-) -> tuple[tuple[tuple[int, ...], ...], tuple]:
-    """The sectors that can feed a herald and, per input mode, its image b_j^dag on them.
+def _transfer_terms(
+    occ: tuple[int, ...], u: Sequence[complex], v: Sequence[complex], phase: float
+) -> tuple[tuple[int, int, complex], ...]:
+    """The nonzero (m, k, T) of sector ``occ``'s amplitude sum_{m,k} T c_m s_k.
 
-    Returns (occs, tables).  occs[i] is the occupation tuple of sector i, in
-    lexicographic order: those within ``budget`` that can feed
-    ``herald=(mode, count)``, a downward-closed set (see the module docstring).
-    tables[j][src] lists the (dst, w) pairs of b_j^dag = sum_k u[k][j] a_k^dag
-    that map sector src to w times sector dst, w = u[k][j] * sqrt(occ[k] + 1),
-    in k order, for every dst in the set.  A zero u[k][j] contributes no pair.
+    c_m and s_k are the Fock amplitudes of the coherent and squeezed inputs,
+    whose columns of the mode matrix are u and v; the third input is vacuum.
+    Expanding exp(i phase) f_c(b_c^dag) f_s(b_s^dag) |0>, for f(x) = sum_n
+    a_n x^n / sqrt(n!), gives T = exp(i phase) sqrt(m! k! prod_i occ_i!)
+    sum_{p+q=occ, |p|=m} prod_i u_i^p_i v_i^q_i / (p_i! q_i!), where
+    k = |occ| - m.
     """
-    h, count = herald
-    grid = itertools.product(range(budget + 1), repeat=len(u))
-    occs = tuple(o for o in grid if o[h] <= count and sum(o) - o[h] <= budget - count)
-    index = {occ: i for i, occ in enumerate(occs)}
-    tables = [[[] for _ in occs] for _ in u]
-    for k, row in enumerate(u):
-        for src, occ in enumerate(occs):
-            dst = index.get(occ[:k] + (occ[k] + 1,) + occ[k + 1 :])
-            if dst is not None:
-                weight = math.sqrt(occ[k] + 1)
-                for ukj, table in zip(row, tables):
-                    if ukj:
-                        table[src].append((dst, ukj * weight))
-    return occs, tuple(tuple(map(tuple, table)) for table in tables)
+    total, fact = sum(occ), math.factorial
+    sums = [0j] * (total + 1)
+    for p in itertools.product(*(range(n + 1) for n in occ)):
+        sums[sum(p)] += math.prod(
+            uc**pi * us ** (n - pi) / (fact(pi) * fact(n - pi))
+            for uc, us, pi, n in zip(u, v, p, occ)
+        )
+    scale = complex(math.cos(phase), math.sin(phase)) * math.sqrt(math.prod(map(fact, occ)))
+    return tuple(
+        (m, total - m, scale * math.sqrt(fact(m) * fact(total - m)) * t)
+        for m, t in enumerate(sums) if t
+    )
 
 
-def _apply_tables(
-    states: Sequence[SingleModeState], tables: Sequence, size: int, budget: int, phase: float
-) -> list[complex]:
-    """Amplitudes of the ``size`` sectors of ``_raising_tables``'s tables, in sector order.
-
-    The output state is exp(i phase) prod_j f_j(b_j^dag) |0>, where b_j^dag
-    is the image of input mode j and f_j(x) = sum_n c_jn x^n / sqrt(n!)
-    holds its Fock amplitudes c_jn up to ``budget``.  Creation operators
-    only add photons, so applying them on the sectors and dropping what
-    leaves them gives those sectors' amplitudes exactly.  Every sector has
-    an entry, zero amplitudes included.
-    """
-    vec = [0j] * size
-    vec[0] = complex(math.cos(phase), math.sin(phase))
-    for state, table in zip(states, tables):
-        c = _build_amps(state, budget)
-        acc = [c[0] * v for v in vec]
-        term = vec  # (b_j^dag)^n / sqrt(n!) applied to the modes done so far
-        for n in range(1, max((n for n, cn in enumerate(c) if cn), default=0) + 1):
-            # w * term[src] * (1 / sqrt(n)), summed per dst from +0 in the
-            # order of src, which is the order of k (see the module
-            # docstring); a zero factor would add a signed zero, which
-            # leaves such a sum unchanged, so it is skipped
-            inv = 1.0 / math.sqrt(n)
-            raised = [0j] * size
-            for src, t in enumerate(term):
-                if t:
-                    for dst, w in table[src]:
-                        raised[dst] += w * t * inv
-            term = raised
-            cn = c[n]
-            if cn:  # a zero product could change only the sign of a zero amplitude
-                for i, t in enumerate(term):
-                    if t:
-                        acc[i] += cn * t
-        vec = acc
-    return vec
-
-
-def _select_kept(
-    amps: Sequence[complex], kept: Sequence[tuple[int, int, int]], cfg: CircuitConfig
+def _heralded_state(
+    kept: Sequence[tuple], c: Sequence[complex], s: Sequence[complex], cfg: CircuitConfig
 ) -> tuple[list[list[complex]], float]:
-    """Condition ``amps`` on ``cfg``'s herald and output budget.
+    """``cfg``'s heralded state from its transfer table and the two inputs' amplitudes.
 
-    ``kept`` holds ``_compiled``'s (sector, n_1, n_2) triples.  Returns
-    (state, success_prob): state[n_1][n_2] is the amplitude, renormalized
-    over the kept mass, of n_1 and n_2 photons in the two output modes, and
-    success_prob is that mass, an absolute probability, since the amplitudes
-    are those of the normalized circuit output.
+    ``kept`` holds ``_compiled``'s (n_1, n_2, terms) and ``c`` and ``s`` the
+    Fock amplitudes of the coherent and squeezed inputs up to the budget.
+    Returns (state, success_prob): state[n_1][n_2] is the amplitude,
+    renormalized over the kept mass, of n_1 and n_2 photons in the two
+    output modes, and success_prob is that mass, an absolute probability.
     """
     side = cfg.max_output_photons + 1
-    kept = [(n1, n2, amps[src]) for src, n1, n2 in kept]
-    mass = sum(abs(a) ** 2 for _, _, a in kept)
+    amps = [
+        (n1, n2, sum((t * (c[m] * s[k]) for m, k, t in terms), 0j)) for n1, n2, terms in kept
+    ]
+    mass = sum(abs(a) ** 2 for _, _, a in amps)
     if not mass > 0.0:  # NaN fails too
         raise EmptyPostSelection(
             f"herald {cfg.herald_count} photon(s) in mode {cfg.herald_mode} kept no mass"
         )
     state = [[0j] * side for _ in range(side)]
     scale = 1.0 / math.sqrt(mass)
-    for n1, n2, amp in kept:
+    for n1, n2, amp in amps:
         state[n1][n2] = amp * scale
     return state, mass
 
@@ -348,7 +295,7 @@ def _noonlike_decomposition(state: list[list[complex]]) -> tuple[list[complex], 
     """Extract (phi, fidelity, branch_phase) from a two-mode state.
 
     ``state[j][k]`` is the amplitude of j and k photons in the two modes, as
-    ``_select_kept`` returns it.  phi is read off column 0 (scaled by
+    ``_heralded_state`` returns it.  phi is read off column 0 (scaled by
     sqrt(2)); the branch phase beta is fitted so that
     (|phi>|0> + e^{i beta}|0>|phi>)/sqrt(2) best matches row 0, and the
     fidelity is the squared overlap with that reconstruction; a low
@@ -421,23 +368,25 @@ def heralded_success_probability(r: float) -> float:
 
 @functools.lru_cache
 def _compiled(cfg: CircuitConfig) -> tuple:
-    """(budget, global phase, ``_raising_tables`` tables, kept sectors) of ``cfg``.
+    """(budget, transfer table) of ``cfg``.
 
-    The tables span the sectors that can feed the herald.  The kept sectors
-    are those with exactly ``herald_count`` photons in the herald mode and
-    at most ``max_output_photons`` in the two output modes, as
-    (sector, n_1, n_2) triples in sector order, n_i the photons in output i.
+    The table holds, for each kept output, with exactly ``herald_count``
+    photons in the herald mode and n_1 + n_2 <= ``max_output_photons`` in
+    the two output modes, (n_1, n_2, ``_transfer_terms``) in the order of
+    (n_1, n_2).
     """
     budget = cfg.herald_count + cfg.max_output_photons
     u, phase = mode_matrix(cfg.elements, 3)
+    columns = [[row[j] for row in u] for j in (cfg.coherent_mode, cfg.squeezed_mode)]
     h = cfg.herald_mode
-    occs, tables = _raising_tables(u, budget, (h, cfg.herald_count))
     a, b = (k for k in range(3) if k != h)
-    kept = tuple(
-        (src, occ[a], occ[b]) for src, occ in enumerate(occs)
-        if occ[h] == cfg.herald_count and occ[a] + occ[b] <= cfg.max_output_photons
-    )
-    return budget, phase, tables, kept
+    kept = []
+    for n1 in range(cfg.max_output_photons + 1):
+        for n2 in range(cfg.max_output_photons + 1 - n1):
+            occ = [0] * 3
+            occ[h], occ[a], occ[b] = cfg.herald_count, n1, n2
+            kept.append((n1, n2, _transfer_terms(tuple(occ), *columns, phase)))
+    return budget, tuple(kept)
 
 
 def run_experiment(
@@ -445,20 +394,19 @@ def run_experiment(
 ) -> ExperimentResult:
     """Simulate the heralded source at squeeze factor ``r``.
 
-    The coherent amplitude is set by the pump condition.  Only the sectors
-    within the photon budget ``herald_count + max_output_photons`` are
-    evaluated, and exactly (see the module docstring), so the result does
-    not depend on ``cutoff``; a cutoff below the budget is still rejected.
+    The coherent amplitude is set by the pump condition.  Every kept
+    amplitude is evaluated exactly from the inputs' Fock amplitudes up to
+    the photon budget ``herald_count + max_output_photons`` (see the module
+    docstring), so the result does not depend on ``cutoff``; a cutoff below
+    the budget is still rejected.
     """
     cfg = config if config is not None else default_circuit_config()
-    budget, phase, tables, kept = _compiled(cfg)
+    budget, kept = _compiled(cfg)
     if cutoff is not None and cutoff < budget:
         raise ValueError("cutoff below the heralded photon budget")
-    per_mode: list[SingleModeState] = [Fock(0)] * 3
-    per_mode[cfg.coherent_mode] = Coherent(pump_amplitude(r))
-    per_mode[cfg.squeezed_mode] = SqueezedVacuum(r)
-    amps = _apply_tables(per_mode, tables, len(tables[0]), budget, phase)
-    state, success_prob = _select_kept(amps, kept, cfg)
+    c = _build_amps(Coherent(pump_amplitude(r)), budget)
+    s = _build_amps(SqueezedVacuum(r), budget)
+    state, success_prob = _heralded_state(kept, c, s, cfg)
     phi, fidelity, beta = _noonlike_decomposition(state)
 
     probs = [abs(c) ** 2 for c in phi]

@@ -118,7 +118,33 @@ def _takes(command: str) -> dict:
     return {key: takes[key] for key in _OPTIONS if key in takes}
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help layout, with the width found as ``shutil.get_terminal_size`` finds it.
+
+    argparse imports ``shutil``, and with it ``bz2``, ``lzma`` and
+    ``fnmatch``, only to read that width, once per formatter.
+    """
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            try:
+                width = int(os.environ["COLUMNS"])
+            except (KeyError, ValueError):
+                width = 0
+            if width <= 0:
+                try:
+                    width = os.get_terminal_size(sys.__stdout__.fileno()).columns
+                except (AttributeError, ValueError, OSError):  # no stdout, or no terminal
+                    width = 0
+                width = width or 80  # a terminal may report 0 columns
+            width -= 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
+
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
 

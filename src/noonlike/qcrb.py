@@ -18,6 +18,7 @@ NOON numerator d * (d + 1) fits a double.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections.abc import Sequence
 
@@ -32,7 +33,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroPhotonState,
 )
-from .states import Moments, SingleModeState, _Frozen, moments
+from .states import Moments, SingleModeState, _Frozen, _require_number, moments
 
 __all__ = [
     "Balanced",
@@ -63,8 +64,8 @@ def _require_d(d) -> int:
     convert it to.
     """
     if type(d) is not int:
-        if isinstance(d, bool):
-            raise TypeError(f"d must be a whole number, got bool {d!r}")
+        if isinstance(d, bool) or not isinstance(d, numbers.Real):  # numpy.bool_ too
+            raise TypeError(f"d must be a whole number, got {type(d).__name__} {d!r}")
         if not d < 1 and (not d < math.inf or int(d) != d):  # NaN is neither
             raise ValueError(f"d must be a finite whole number, got {d}")
     if d < 1:
@@ -87,6 +88,8 @@ class FixedB(_Frozen):
     __slots__ = ("b2",)
 
     def __init__(self, b2: float):
+        if type(b2) is not float:
+            _require_number("b2", b2)
         object.__setattr__(self, "b2", b2)
 
 
@@ -226,6 +229,9 @@ def qcrb_closed_form(spec: ProbeSpec) -> QcrbReport:
 def qcrb_from_f(d: int, n_bar: float, f: float) -> float:
     """Bound as a function of (d, n_bar, f) alone; increasing in f."""
     d = _require_d(d)
+    for name, value in ("n_bar", n_bar), ("f", f):
+        if type(value) is not float:
+            _require_number(name, value)
     if not n_bar > 0.0:
         raise NonPositivePhotonNumber(f"n_bar must be positive, got {n_bar}")
     if not 0.0 < f <= (1.0 / n_bar) * (1.0 + 1e-12):
@@ -241,6 +247,8 @@ def noon_qcrb(d: int, n: float) -> float:
     finite positive double, such as inf, raises ParameterOutOfRange.
     """
     d = _require_d(d)
+    if type(n) is not float:
+        _require_number("n", n)
     if not n > 0.0:
         raise NonPositivePhotonNumber(f"photon number must be positive, got {n}")
     denom = 2.0 * n * n  # 0 once n * n underflows

@@ -65,12 +65,18 @@ _ALPHA_RANGE = (_P4_MIN**0.5, _P4_MAX**0.5)
 _R_RANGE = (math.asinh(_P4_MIN**0.25) ** 2, math.asinh(_P4_MAX**0.25) ** 2)
 
 
+def _require_number(name: str, value, kind: type = numbers.Real) -> None:
+    """TypeError naming ``name`` unless ``value`` is a ``kind`` number; no bool is one."""
+    if isinstance(value, bool) or not isinstance(value, kind):  # complex, str, numpy.bool_, ...
+        noun = "a real number" if kind is numbers.Real else "a number"
+        raise TypeError(f"{name} must be {noun}, got {type(value).__name__} {value!r}")
+
+
 def _require_real(name: str, value, limits: tuple[float, float]) -> float:
     """``value`` as a float that is 0 or whose square lies within ``limits``."""
     out = value
     if type(out) is not float:  # the solvers pass floats, which need no conversion
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):  # complex, str, ...
-            raise TypeError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
+        _require_number(name, value)
         out = float(value)
     if not limits[0] <= out * out <= limits[1] and out:
         if not math.isfinite(out):
@@ -171,7 +177,11 @@ class FockSuperposition(_Frozen):
     __slots__ = ("amps",)
 
     def __init__(self, amps: tuple[complex, ...]):
-        amps = tuple(complex(a) for a in amps)
+        amps = tuple(amps)
+        for n, a in enumerate(amps):
+            if type(a) is not complex:
+                _require_number(f"amps[{n}]", a, numbers.Number)
+        amps = tuple(map(complex, amps))
         if not amps:
             raise ValueError("amplitude list must be non-empty")
         norm_sq = sum(abs(a) ** 2 for a in amps)

@@ -4,7 +4,7 @@ Also pins where the proven orderings are checked: only ``qcrb`` raises
 OrderingViolation, so the rule for ties and rounding has one home.  Only
 ``families.matched_report`` calls the budget solve, so every fixed-budget
 comparison takes its balanced bound from one path.  ``circuit`` holds one
-cache, ``_compiled``, read only by ``run_experiment``, runs its kernels on
+cache, ``_compiled``, read only by ``run_experiment``, runs its kernel on
 that one path alone, and reads every ``CircuitConfig`` field, so none is
 inert.  And numpy is
 imported only by ``oracles``, at its top, and is no runtime dependency of
@@ -171,12 +171,11 @@ def test_circuit_compiles_behind_one_cache():
 
 
 def test_circuit_has_one_simulator_path():
-    # the tables are built only behind the cache, and applied and selected only
-    # by run_experiment: a second simulator path beside it would call them too
+    # the transfer table is built only behind the cache, and run only by
+    # run_experiment: a second simulator path beside it would call the kernel too
     path = Path(noonlike.__file__).parent / "circuit.py"
-    assert _callers(path, "_raising_tables") == ["_compiled"]
-    assert _callers(path, "_apply_tables") == ["run_experiment"]
-    assert _callers(path, "_select_kept") == ["run_experiment"]
+    assert _callers(path, "_transfer_terms") == ["_compiled"]
+    assert _callers(path, "_heralded_state") == ["run_experiment"]
 
 
 def test_circuit_reads_every_config_field():

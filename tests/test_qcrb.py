@@ -345,11 +345,27 @@ class TestPhaseCount:
             take(d)
 
     @pytest.mark.parametrize("take", D_TAKERS.values(), ids=D_TAKERS.keys())
-    @pytest.mark.parametrize("d", [True, False])
+    @pytest.mark.parametrize(
+        "d", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"]
+    )
     def test_bool_rejected(self, take, d):
-        # a bool is no number: True passed as d = 1, and noon_qcrb(True, 2) gave 0.25
-        with pytest.raises(TypeError, match=f"^d must be a whole number, got bool {d}$"):
+        # a bool is no number: True passed as d = 1, and noon_qcrb(True, 2) gave
+        # 0.25; so did noon_qcrb(numpy.True_, 2), numpy's bool being no int
+        with pytest.raises(TypeError, match=f"^d must be a whole number, got bool {d!r}$"):
             take(d)
+
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+    @pytest.mark.parametrize(
+        "name, take",
+        [("n", lambda v: noon_qcrb(1, v)), ("n_bar", lambda v: qcrb_from_f(1, v, 0.5)),
+         ("f", lambda v: qcrb_from_f(1, 0.5, v)), ("b2", FixedB)],
+        ids=["noon_qcrb-n", "qcrb_from_f-n_bar", "qcrb_from_f-f", "FixedB-b2"],
+    )
+    def test_bool_number_rejected(self, name, take, value):
+        # noon_qcrb(1, True) gave 1.0, qcrb_from_f(1, True, 0.5) 0.333, and
+        # FixedB(True) stored b2=True
+        with pytest.raises(TypeError, match=f"^{name} must be a real number, got bool {value!r}$"):
+            take(value)
 
     def test_largest_numerator_accepted(self):
         assert _D_MAX * (_D_MAX + 1) <= sys.float_info.max < (_D_MAX + 1) * (_D_MAX + 2)

@@ -8,7 +8,7 @@ heralded-source commands, ``experiment`` and ``figure --id 6``, load the
 circuit simulator, which is plain Python too, so they must not load numpy or
 ``dataclasses`` either.  No command, and no ``import noonlike``, loads
 ``noonlike.oracles``, the numpy code that checks the closed forms, and
-none loads ``typing``, ``importlib.resources`` or ``pathlib``.  Each invocation runs in
+none loads ``typing``, ``importlib.resources``, ``pathlib`` or ``shutil``.  Each invocation runs in
 a fresh interpreter, since this one has imported all of them long ago.  The
 gates count modules, never seconds.
 
@@ -27,7 +27,7 @@ import struct
 import numpy as np
 import pytest
 
-from noonlike.cli import _CHOICES, _geomspace, _linspace
+from noonlike.cli import _CHOICES, _Formatter, _geomspace, _linspace
 
 CLOSED_FORM = [
     ["qcrb", "--family", "noon", "--d", "5", "--n", "2"],
@@ -107,6 +107,18 @@ def test_commands_load_neither_typing_nor_resources(cli_in_fresh_interpreter, ar
     assert "noonlike.cli" in modules  # the probe sees the package's modules
     assert "typing" not in modules
     assert "importlib.resources" not in modules
+    assert "shutil" not in modules  # argparse's help formatter would import it for the width
+
+
+@pytest.mark.parametrize("columns", ["80", "40", "200", None, "0", "-5", "wide"])
+def test_help_width_is_shutils(monkeypatch, columns):
+    # the width argparse would take from shutil.get_terminal_size, without importing it
+    shutil = pytest.importorskip("shutil")
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert _Formatter("noonlike")._width == shutil.get_terminal_size().columns - 2
 
 
 @pytest.mark.parametrize("argv", CLOSED_FORM + HERALDED, ids=" ".join)

@@ -247,6 +247,12 @@ class TestValidation:
         with pytest.raises(TypeError, match=f"^{name} must be a real number"):
             build(value)
 
+    @pytest.mark.parametrize("amps", [(False, True), (0.0, np.True_)], ids=["bool", "np.bool"])
+    def test_bool_amplitude_rejected(self, amps):
+        # FockSuperposition((False, True)) built the state |1>
+        with pytest.raises(TypeError, match=r"^amps\[[01]\] must be a number, got bool "):
+            FockSuperposition(amps)
+
     @pytest.mark.parametrize("value", [2, np.float32(2.0), np.int64(2)])
     def test_real_numbers_accepted(self, value):
         assert Coherent(value).alpha == float(value)

@@ -11,64 +11,55 @@ from noonlike import circuit, cli, families
 from noonlike.circuit import experiment_qcrb_comparison, run_experiment
 from noonlike.families import Family, solve_param_for_nbar
 
-# what run_experiment builds for the reference circuit: the 30 sectors that can
-# feed its herald, of 56 in its budget, and tables of at most the 55
-# creation-operator entries that stay within them, of 105
-MAX_SECTORS = 30
-MAX_CREATION_ENTRIES = 55
-# complex multiply-adds that apply the tables in one run_experiment(1.0)
-MAX_TABLE_PRODUCTS = 176
+# the reference circuit's transfer table: its 15 kept sectors, and at most 54
+# nonzero terms over them, one triple product each in a run_experiment call
+KEPT_SECTORS = 15
+MAX_TRANSFER_TERMS = 54
 MAX_NBAR_EVALS = 51
 QCRB_MODULES = {"noonlike.errors", "noonlike.states", "noonlike.qcrb", "noonlike.families", "noonlike.cli"}
 
 
 @pytest.fixture
-def tables(monkeypatch):
-    """The (occs, tables) that each circuit compiles, and the products read from them.
+def table(monkeypatch):
+    """The reference circuit's transfer table, and the terms that runs read from it.
 
-    Returns (built, products): built lists what ``_raising_tables`` gives per
-    call, and products[0] counts the (dst, w) pairs read from the tables,
-    one complex multiply-add each.  ``_compiled`` is cleared before, so that
-    a warm cache cannot hide the build, and after, so that no counting table
-    outlives the test.
+    Returns (kept, read): kept is what ``_compiled`` gives, compiled afresh,
+    and read[0] counts the (m, k, T) terms read from its rows, one triple
+    product each.  ``_compiled`` is cleared before, so that a warm cache
+    cannot hide the build, and after, so that no counting table outlives
+    the test.
     """
-    built, products = [], [0]
-    original = circuit._raising_tables
+    read = [0]
 
-    class Row(tuple):
+    class Terms(tuple):
         def __iter__(self):
-            products[0] += len(self)
+            read[0] += len(self)
             return super().__iter__()
 
-    def counted(*args):
-        occs, tables = original(*args)
-        built.append((occs, tables))
-        return occs, tuple(tuple(map(Row, table)) for table in tables)
-
-    monkeypatch.setattr(circuit, "_raising_tables", counted)
-    circuit._compiled.cache_clear()
-    yield built, products
-    circuit._compiled.cache_clear()
+    compiled = circuit._compiled
+    compiled.cache_clear()
+    budget, kept = compiled(circuit.default_circuit_config())
+    counted = tuple((n1, n2, Terms(terms)) for n1, n2, terms in kept)
+    monkeypatch.setattr(circuit, "_compiled", lambda cfg: (budget, counted))
+    yield kept, read
+    compiled.cache_clear()
 
 
-def test_reference_circuit_sectors(tables):
-    built, _ = tables
+def test_reference_circuit_transfer_table(table):
+    kept, _ = table
+    assert len(kept) == KEPT_SECTORS
+    assert sum(len(terms) for _, _, terms in kept) <= MAX_TRANSFER_TERMS
+
+
+def test_reference_circuit_products(table):
+    _, read = table
     run_experiment(1.0)
-    [(occs, per_mode)] = built
-    assert len(occs) <= MAX_SECTORS
-    assert len(per_mode) == 3 and all(len(table) == len(occs) for table in per_mode)
-    assert all(sum(map(len, table)) <= MAX_CREATION_ENTRIES for table in per_mode)
-
-
-def test_reference_circuit_products(tables):
-    _, products = tables
-    run_experiment(1.0)
-    assert 0 < products[0] <= MAX_TABLE_PRODUCTS
+    assert 0 < read[0] <= MAX_TRANSFER_TERMS
 
 
 def test_figure_6_builds_the_circuit_once(capsys):
-    # the mode matrix, the tables and the post-selection index depend on the
-    # config alone, so a grid of r compiles the circuit once
+    # the transfer table depends on the config alone, so a grid of r
+    # compiles the circuit once
     circuit._compiled.cache_clear()
     assert cli.main(["figure", "--id", "6", "--steps", "20"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 20
