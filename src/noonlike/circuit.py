@@ -60,7 +60,7 @@ from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError
 from .families import Family, SweepCurve, matched_report
 from .qcrb import Balanced, ProbeSpec, _check_ordered, noon_qcrb, qcrb_closed_form
 from .states import Coherent, FockSuperposition, SqueezedVacuum
-from .states import _R_RANGE, _build_amps, _Frozen, _require_number, _require_real
+from .states import _R_RANGE, _build_amps, _Frozen, _require_real
 
 __all__ = [
     "BeamSplitter",
@@ -97,6 +97,7 @@ class BeamSplitter(_Frozen):
         mode_a, mode_b = _as_int("mode_a", mode_a), _as_int("mode_b", mode_b)
         if mode_a == mode_b:
             raise ValueError("beam splitter needs two distinct modes")
+        transmissivity = _require_real("transmissivity", transmissivity)
         if not 0.0 < transmissivity < 1.0:
             raise ValueError(f"transmissivity must be in (0, 1), got {transmissivity}")
         if convention not in ("symmetric", "real"):
@@ -116,12 +117,12 @@ class PhaseShifter(_Frozen):
 
     def __init__(self, mode: int, const_phase: float = 0.0, per_photon_phase: float = 0.0):
         mode = _as_int("mode", mode)
-        for name, phase in (("const_phase", const_phase), ("per_photon_phase", per_photon_phase)):
-            if type(phase) is not float:
-                _require_number(name, phase)
+        phases = dict(const_phase=const_phase, per_photon_phase=per_photon_phase)
+        for name, phase in phases.items():
+            phases[name] = phase = _require_real(name, phase)
             if not math.isfinite(phase):
                 raise ValueError(f"{name} must be finite, got {phase}")
-        self._assign(mode, const_phase, per_photon_phase)
+        self._assign(mode, *phases.values())
 
 
 CircuitElement = BeamSplitter | PhaseShifter
@@ -328,11 +329,9 @@ def _noonlike_decomposition(state: list[list[complex]]) -> tuple[list[complex], 
 
 def _require_squeeze(r: float) -> float:
     """``r`` as a float, if it is positive (NaN is not) and ``SqueezedVacuum`` takes it."""
-    try:
-        if not r > 0.0:
-            raise ValueError(f"squeeze factor must be positive, got {r}")
-    except TypeError:  # no number, such as a str: _require_real names it
-        pass
+    r = _require_real("r", r)
+    if not r > 0.0:
+        raise ValueError(f"squeeze factor must be positive, got {r}")
     return _require_real("r", r, _R_RANGE)
 
 
@@ -402,7 +401,7 @@ def run_experiment(
     """
     cfg = config if config is not None else default_circuit_config()
     budget, kept = _compiled(cfg)
-    if cutoff is not None and cutoff < budget:
+    if cutoff is not None and _as_int("cutoff", cutoff) < budget:
         raise ValueError("cutoff below the heralded photon budget")
     c = _build_amps(Coherent(pump_amplitude(r)), budget)
     s = _build_amps(SqueezedVacuum(r), budget)
@@ -434,7 +433,7 @@ def experiment_qcrb_comparison(
     ECS < heralded state < NOON at every grid point.  n_bar rises with r,
     and the curves hold it non-decreasing, so ``r_grid`` must not decrease.
     """
-    r_grid = tuple(r_grid)
+    r_grid = tuple(_require_real(f"r_grid[{k}]", r) for k, r in enumerate(r_grid))
     if any(b < a for a, b in zip(r_grid, r_grid[1:])):
         raise ValueError("r_grid must be non-decreasing")
     noon_pts, ecs_pts, phi_pts = [], [], []

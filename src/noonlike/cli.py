@@ -10,9 +10,6 @@ in its option's domain; the chosen family has the options it requires; no
 option is given that the chosen family or figure does not use; and, once the
 defaults are merged, each grid of several points has its min below its max.
 A failed check is a usage error that names the flag.
-
-The default output directory is the current directory unless
-NOONLIKE_OUTPUT_DIR is set.
 """
 
 from __future__ import annotations
@@ -411,21 +408,11 @@ _COMMANDS = {
 }
 
 
-def _default_out(params: dict, command: str) -> str | None:
-    out = params.get("out")
-    env_dir = os.environ.get("NOONLIKE_OUTPUT_DIR")
-    if out is None and env_dir and command == "figure":
-        return os.path.join(env_dir, f"figure_{params['id']}.{params['format']}")
-    if out is not None and not os.path.isabs(out) and env_dir:
-        return os.path.join(env_dir, out)
-    return out
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         command, params = parse_args(sys.argv[1:] if argv is None else argv)
         columns, rows = _COMMANDS[command](params)
-        _write(columns, rows, _default_out(params, command), params["format"])
+        _write(columns, rows, params["out"], params["format"])
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ import math
 from collections.abc import Callable, Iterable
 from enum import Enum
 
-from .errors import BracketFailure, ParameterOutOfRange
+from .errors import BracketFailure, ParameterOutOfRange, ZeroPhotonState
 from .qcrb import (
     Balanced,
     OptimizedB,
@@ -196,10 +196,11 @@ def solve_param_for_nbar(
     leave the parameter's representable range to reach the target.
     """
     d = _require_d(d)
+    n_bar = _require_real("n_bar", n_bar)
     if n_bar <= 0.0:
         raise ValueError(f"n_bar must be positive, got {n_bar}")
     _require_real("n_bar", n_bar, _N_RANGE)  # NOON's n is n_bar
-    if family is Family.ESCS and (r_prime is None or r_prime < 0.0):
+    if family is Family.ESCS and (r_prime is None or _require_real("r_prime", r_prime) < 0.0):
         raise ValueError("ESCS needs a nonnegative squeeze factor r_prime")
     build = constituent(family, r_prime)
     if family is Family.NOON:
@@ -272,9 +273,12 @@ def escs_sweep_r_prime(d: int, n_bar: float, r_prime_grid: Iterable[float]) -> S
     approaches the matched-ESVS one (where the displacement shrinks to 0).
     The grid must be strictly increasing, as the ordering check assumes.
     """
-    r_prime_grid = tuple(r_prime_grid)
-    if any(rp < 0.0 for rp in r_prime_grid):
-        raise ValueError("squeeze factors must be nonnegative")
+    r_prime_grid = tuple(
+        _require_real(f"r_prime_grid[{k}]", rp) for k, rp in enumerate(r_prime_grid)
+    )
+    negative = [rp for rp in r_prime_grid if rp < 0.0]
+    if negative:
+        raise ValueError(f"r_prime_grid must be nonnegative, got {negative[0]}")
     if any(b <= a for a, b in zip(r_prime_grid, r_prime_grid[1:])):
         raise ValueError("r_prime_grid must be strictly increasing")
     points = [
@@ -290,8 +294,14 @@ def escs_ratio_bracket_check(alpha_p: float, r_p: float, r_matched: float) -> bo
     For an ESCS constituent with displacement ``alpha_p`` and squeeze
     ``r_p``, matched in mean photon number to an ESVS with squeeze
     ``r_matched``, the excess-noise ratio must lie strictly between 1 and
-    ``2 cosh^2 r_matched``.
+    ``2 cosh^2 r_matched``.  Each argument must be a parameter its state
+    takes; the vacuum, ``alpha_p = r_p = 0``, raises ZeroPhotonState.
     """
+    alpha_p = _require_real("alpha_p", alpha_p, _ALPHA_RANGE)
+    r_p = _require_real("r_p", r_p, _R_RANGE)
+    r_matched = _require_real("r_matched", r_matched, _R_RANGE)
+    if alpha_p == r_p == 0.0:
+        raise ZeroPhotonState("vacuum constituent: alpha_p = r_p = 0 carries no excess noise")
     sh2 = math.sinh(r_p) ** 2
     ch2 = math.cosh(r_p) ** 2
     a2 = alpha_p**2
@@ -308,7 +318,7 @@ def balanced_vs_unbalanced_sweep(
     (n_bar, qcrb, r) with n_bar computed from that probe's own weights, so
     the two curves sweep n_bar at different rates over the same r grid.
     """
-    r_grid = tuple(r_grid)
+    r_grid = tuple(_require_real(f"r_grid[{k}]", r) for k, r in enumerate(r_grid))
     if any(b <= a for a, b in zip(r_grid, r_grid[1:])) or any(r <= 0 for r in r_grid):
         raise ValueError("r_grid must be positive and strictly increasing")
     bal_points, unb_points = [], []

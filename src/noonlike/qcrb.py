@@ -33,7 +33,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroPhotonState,
 )
-from .states import Moments, SingleModeState, _Frozen, _require_number, moments
+from .states import Moments, SingleModeState, _Frozen, _require_real, moments
 
 __all__ = [
     "Balanced",
@@ -88,8 +88,9 @@ class FixedB(_Frozen):
     __slots__ = ("b2",)
 
     def __init__(self, b2: float):
-        if type(b2) is not float:
-            _require_number("b2", b2)
+        b2 = _require_real("b2", b2)
+        if not math.isfinite(b2):
+            raise ValueError(f"b2 must be finite, got {b2}")
         object.__setattr__(self, "b2", b2)
 
 
@@ -161,7 +162,7 @@ def resolve_weights(d: int, m: Moments, weighting: Weighting) -> tuple[float, fl
         raise DegenerateOverlap("vacuum overlap of 1 leaves no photons to weight")
     boundary = 1.0 / (d * (1.0 + d * p0) * (1.0 - p0))
     if isinstance(weighting, FixedB):
-        b2 = float(weighting.b2)
+        b2 = weighting.b2
         if not 0.0 < b2 <= boundary * (1.0 + 1e-9):
             raise ConstraintInfeasible(f"b2={b2} outside (0, {boundary}]")
     elif isinstance(weighting, OptimizedB):
@@ -227,16 +228,21 @@ def qcrb_closed_form(spec: ProbeSpec) -> QcrbReport:
 
 
 def qcrb_from_f(d: int, n_bar: float, f: float) -> float:
-    """Bound as a function of (d, n_bar, f) alone; increasing in f."""
+    """Bound as a function of (d, n_bar, f) alone; increasing in f.
+
+    Inputs whose bound is not a finite positive double, such as a subnormal
+    n_bar, raise ParameterOutOfRange.
+    """
     d = _require_d(d)
-    for name, value in ("n_bar", n_bar), ("f", f):
-        if type(value) is not float:
-            _require_number(name, value)
+    n_bar, f = _require_real("n_bar", n_bar), _require_real("f", f)
     if not n_bar > 0.0:
         raise NonPositivePhotonNumber(f"n_bar must be positive, got {n_bar}")
     if not 0.0 < f <= (1.0 / n_bar) * (1.0 + 1e-12):
         raise FOutOfRange(f"f={f} outside (0, 1/n_bar={1.0 / n_bar}]")
-    return (d * (d + 1) / 4.0) * f * (1.0 / n_bar + 1.0 / ((d + 1) / f - d * n_bar))
+    bound = (d * (d + 1) / 4.0) * f * (1.0 / n_bar + 1.0 / ((d + 1) / f - d * n_bar))
+    if not 0.0 < bound < math.inf:
+        raise ParameterOutOfRange(f"n_bar = {n_bar} and f = {f} give the bound {bound} at d={d}")
+    return bound
 
 
 def noon_qcrb(d: int, n: float) -> float:
@@ -247,8 +253,7 @@ def noon_qcrb(d: int, n: float) -> float:
     finite positive double, such as inf, raises ParameterOutOfRange.
     """
     d = _require_d(d)
-    if type(n) is not float:
-        _require_number("n", n)
+    n = _require_real("n", n)
     if not n > 0.0:
         raise NonPositivePhotonNumber(f"photon number must be positive, got {n}")
     denom = 2.0 * n * n  # 0 once n * n underflows

@@ -72,13 +72,22 @@ def _require_number(name: str, value, kind: type = numbers.Real) -> None:
         raise TypeError(f"{name} must be {noun}, got {type(value).__name__} {value!r}")
 
 
-def _require_real(name: str, value, limits: tuple[float, float]) -> float:
-    """``value`` as a float that is 0 or whose square lies within ``limits``."""
+def _require_real(name: str, value, limits: tuple[float, float] | None = None) -> float:
+    """``value`` as a float; with ``limits``, one that is 0 or whose square lies within them.
+
+    A real number too large for a double raises ParameterOutOfRange naming
+    ``name``; with no ``limits``, every float passes, NaN and inf too.
+    """
     out = value
     if type(out) is not float:  # the solvers pass floats, which need no conversion
         _require_number(name, value)
-        out = float(value)
-    if not limits[0] <= out * out <= limits[1] and out:
+        try:
+            out = float(value)
+        except OverflowError:  # an int or a fraction beyond the largest double
+            raise ParameterOutOfRange(
+                f"{name} must fit a double, got a {int(value).bit_length()}-bit {name}"
+            ) from None
+    if limits and not limits[0] <= out * out <= limits[1] and out:
         if not math.isfinite(out):
             raise ValueError(f"{name} must be finite, got {out}")
         lo, hi = (math.sqrt(limit) for limit in limits)
@@ -177,14 +186,18 @@ class FockSuperposition(_Frozen):
     __slots__ = ("amps",)
 
     def __init__(self, amps: tuple[complex, ...]):
-        amps = tuple(amps)
+        amps = list(amps)
         for n, a in enumerate(amps):
             if type(a) is not complex:
-                _require_number(f"amps[{n}]", a, numbers.Number)
-        amps = tuple(map(complex, amps))
+                name = f"amps[{n}]"
+                _require_number(name, a, numbers.Number)
+                # a real too large for a double raises, naming it
+                amps[n] = complex(_require_real(name, a) if isinstance(a, numbers.Real) else a)
+        amps = tuple(amps)
         if not amps:
             raise ValueError("amplitude list must be non-empty")
-        norm_sq = sum(abs(a) ** 2 for a in amps)
+        # products, not powers: a float power that overflows raises
+        norm_sq = sum(a.real * a.real + a.imag * a.imag for a in amps)
         if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"amplitudes not normalized: sum |c_n|^2 = {norm_sq!r}")
         object.__setattr__(self, "amps", amps)

@@ -30,7 +30,6 @@ def _run_fresh(code: str, *args: str, site: bool = True) -> subprocess.Completed
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    env.pop("NOONLIKE_OUTPUT_DIR", None)  # would send figure output to files
     flags = [] if site else ["-S"]
     return subprocess.run(
         [sys.executable, *flags, "-c", code, *args], env=env, capture_output=True, text=True,

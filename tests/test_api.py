@@ -6,9 +6,10 @@ OrderingViolation, so the rule for ties and rounding has one home.  Only
 comparison takes its balanced bound from one path.  ``circuit`` holds one
 cache, ``_compiled``, read only by ``run_experiment``, runs its kernel on
 that one path alone, and reads every ``CircuitConfig`` field, so none is
-inert.  And numpy is
-imported only by ``oracles``, at its top, and is no runtime dependency of
-the package.
+inert.  numpy is imported only by ``oracles``, at its top, and is no
+runtime dependency of the package.  And the package reads one environment
+variable, ``COLUMNS``, for the help text's width: no variable changes what
+a command computes or where it writes.
 """
 
 import ast
@@ -193,3 +194,53 @@ def test_circuit_reads_every_config_field():
         and node.value.id == "cfg" and id(node) not in in_init
     }
     assert set(CircuitConfig.__slots__) <= read
+
+
+_ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")
+
+
+def _environment_reads(path):
+    """The key of each environment read in ``path``: None where it is no literal.
+
+    A read is ``environ[key]``, ``environ.get(key)`` or ``getenv(key)``, with
+    or without ``os.``; any other use of those names, an alias or a ``key in
+    environ`` test, counts as a read of no literal key.
+    """
+    tree = ast.parse(path.read_text())
+    keys = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            target, key = node.value, node.slice
+        elif isinstance(node, ast.Call) and node.args:
+            func = node.func
+            target = func.value if isinstance(func, ast.Attribute) and func.attr == "get" else func
+            key = node.args[0]
+        else:
+            continue
+        if _name(target) in _ENVIRONMENT:
+            keys[id(target)] = key.value if isinstance(key, ast.Constant) else None
+    return [
+        keys.get(id(node))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in _ENVIRONMENT
+    ]
+
+
+def test_only_the_help_width_comes_from_the_environment():
+    # a command writes to stdout or to --out: no variable redirects it
+    package = Path(noonlike.__file__).parent
+    reads = [
+        f"{p.stem}:{key}" for p in sorted(package.glob("*.py")) for key in _environment_reads(p)
+    ]
+    assert reads == ["cli:COLUMNS"]
+
+
+def test_environment_gate_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os\nfrom os import environ, getenv\n"
+        "a = os.environ['A']\nb = os.environ.get('B')\nc = os.getenv('C', '')\n"
+        "d = environ['D']\ne = getenv('E')\nf = os.environ\ng = 'G' in environ\n"
+        "h = os.environ.get(name)\n"
+    )
+    assert sorted(map(str, _environment_reads(probe))) == ["A", "B", "C", "D", "E"] + ["None"] * 3

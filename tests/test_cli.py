@@ -575,19 +575,13 @@ class TestFigures:
         assert payload["columns"] == ["n_bar", "noon_effective", "ecs", "phi"]
         assert len(payload["rows"]) == 3
 
-    def test_output_dir_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NOONLIKE_OUTPUT_DIR", str(tmp_path))
-        assert main(["figure", "--id", "2", "--steps", "4"]) == 0
-        assert (tmp_path / "figure_2.csv").exists()
-
-    def test_output_dir_env_prefixes_a_relative_out(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NOONLIKE_OUTPUT_DIR", str(tmp_path))
+    def test_out_creates_missing_directories(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["experiment", "--r", "1", "--out", "sub/exp.csv"]) == 0
         assert (tmp_path / "sub" / "exp.csv").read_text().startswith("r,n_bar,")
         absolute = tmp_path / "elsewhere" / "exp.csv"
         assert main(["experiment", "--r", "1", "--out", str(absolute)]) == 0
-        assert absolute.exists()
+        assert absolute.read_text().startswith("r,n_bar,")
 
 
 class TestRowFormatting:

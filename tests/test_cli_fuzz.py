@@ -83,13 +83,6 @@ def _numbers(text: str) -> list:
     return numbers
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _output_to_stdout():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("NOONLIKE_OUTPUT_DIR", raising=False)
-        yield
-
-
 @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @hypothesis.given(argv=argvs())
 def test_any_argv_exits_cleanly(argv):

@@ -1,0 +1,193 @@
+"""One input contract for the public API, over a fixed table of edge values.
+
+Each case puts one edge value in one parameter of a public callable, with
+ordinary values in the others.  The call must return finite values, or
+raise a ``NoonlikeError``, or a ``TypeError`` or ``ValueError`` whose
+message names the parameter as a word; never an ``OverflowError``, a
+``ZeroDivisionError`` or a ``TypeError`` from a comparison inside the
+library.  The table is fixed rather than drawn, so the cases do not depend
+on which modules pytest collected.
+"""
+
+import cmath
+import numbers
+import re
+
+import numpy as np
+import pytest
+
+from noonlike.circuit import (
+    BeamSplitter,
+    PhaseShifter,
+    experiment_qcrb_comparison,
+    pump_amplitude,
+    run_experiment,
+)
+from noonlike.errors import NoonlikeError, ParameterOutOfRange, ZeroPhotonState
+from noonlike.families import (
+    Family,
+    balanced_vs_unbalanced_sweep,
+    compare_families_at_nbar,
+    escs_ratio_bracket_check,
+    escs_sweep_r_prime,
+    matched_report,
+    solve_param_for_nbar,
+)
+from noonlike.qcrb import FixedB, noon_qcrb, qcrb_from_f
+from noonlike.states import (
+    Coherent,
+    Fock,
+    FockSuperposition,
+    SqueezedCoherent,
+    SqueezedVacuum,
+    _Frozen,
+)
+
+EDGES = [
+    pytest.param(value, id=label)
+    for label, value in [
+        ("0.0", 0.0), ("-0.0", -0.0), ("5e-324", 5e-324), ("1e308", 1e308), ("-1e308", -1e308),
+        ("inf", float("inf")), ("-inf", float("-inf")), ("nan", float("nan")),
+        ("10**400", 10**400), ("-10**400", -(10**400)), ("2**70", 2**70), ("True", True),
+        ("np.True_", np.True_), ("np.nan", np.float64("nan")), ("np.int64", np.int64(5)),
+        ("str", "1"), ("None", None), ("complex", 1 + 0j),
+    ]
+]
+
+# case -> (the call with the edge value x, the words a message may name the
+# parameter by).  A squeeze factor's own name is also a word where the
+# message is the CLI's ("squeeze factor must be positive", printed by
+# `figure --id 6 --r-min 0`), or where the constituent state names it: the
+# squeeze factor r_prime of the squeezed-coherent family is that state's r.
+CALLS = {
+    "Fock-n": (lambda x: Fock(x), ["n"]),
+    "Coherent-alpha": (lambda x: Coherent(x), ["alpha"]),
+    "SqueezedVacuum-r": (lambda x: SqueezedVacuum(x), ["r"]),
+    "SqueezedCoherent-alpha": (lambda x: SqueezedCoherent(x, 0.5), ["alpha"]),
+    "SqueezedCoherent-r": (lambda x: SqueezedCoherent(1.0, x), ["r"]),
+    "FockSuperposition-amps": (lambda x: FockSuperposition((x,)), ["amps", "amplitudes"]),
+    "noon_qcrb-n": (lambda x: noon_qcrb(5, x), ["n"]),
+    "qcrb_from_f-n_bar": (lambda x: qcrb_from_f(5, x, 0.1), ["n_bar"]),
+    "qcrb_from_f-f": (lambda x: qcrb_from_f(5, 2.0, x), ["f"]),
+    "FixedB-b2": (lambda x: FixedB(x), ["b2"]),
+    "solve_param_for_nbar-n_bar": (lambda x: solve_param_for_nbar(Family.ECS, 5, x), ["n_bar"]),
+    "solve_param_for_nbar-r_prime": (
+        lambda x: solve_param_for_nbar(Family.ESCS, 5, 3.0, x), ["r_prime", "r"]
+    ),
+    "matched_report-n_bar": (lambda x: matched_report(Family.ESVS, 5, x), ["n_bar"]),
+    "matched_report-r_prime": (
+        lambda x: matched_report(Family.ESCS, 5, 3.0, x), ["r_prime", "r"]
+    ),
+    "compare_families_at_nbar-n_bar": (lambda x: compare_families_at_nbar(5, x), ["n_bar"]),
+    "compare_families_at_nbar-escs_r_prime": (
+        lambda x: compare_families_at_nbar(5, 4.0, x), ["r_prime", "r"]
+    ),
+    "escs_sweep_r_prime-n_bar": (lambda x: escs_sweep_r_prime(5, x, [0.4]), ["n_bar"]),
+    "escs_sweep_r_prime-r_prime_grid": (
+        lambda x: escs_sweep_r_prime(5, 3.0, [x]), ["r_prime_grid", "r"]
+    ),
+    "balanced_vs_unbalanced_sweep-r_grid": (
+        lambda x: balanced_vs_unbalanced_sweep(5, [x]), ["r_grid", "r"]
+    ),
+    "escs_ratio_bracket_check-alpha_p": (
+        lambda x: escs_ratio_bracket_check(x, 0.5, 1.0), ["alpha_p"]
+    ),
+    "escs_ratio_bracket_check-r_p": (lambda x: escs_ratio_bracket_check(1.0, x, 1.0), ["r_p"]),
+    "escs_ratio_bracket_check-r_matched": (
+        lambda x: escs_ratio_bracket_check(1.0, 0.5, x), ["r_matched"]
+    ),
+    "BeamSplitter-transmissivity": (lambda x: BeamSplitter(0, 1, x), ["transmissivity"]),
+    "PhaseShifter-const_phase": (lambda x: PhaseShifter(0, x), ["const_phase"]),
+    "PhaseShifter-per_photon_phase": (lambda x: PhaseShifter(0, 0.0, x), ["per_photon_phase"]),
+    "pump_amplitude-r": (lambda x: pump_amplitude(x), ["r", "squeeze factor"]),
+    "run_experiment-r": (lambda x: run_experiment(x), ["r", "squeeze factor"]),
+    "run_experiment-cutoff": (lambda x: run_experiment(1.0, cutoff=x), ["cutoff"]),
+    "experiment_qcrb_comparison-r_grid": (
+        lambda x: experiment_qcrb_comparison([x]), ["r_grid", "r", "squeeze factor"]
+    ),
+}
+
+
+def _finite(value) -> bool:
+    """Whether every number in ``value``, a value the library returned, is finite."""
+    if isinstance(value, _Frozen):
+        return _finite(value._values())
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    if isinstance(value, numbers.Integral):  # an int is finite however large
+        return True
+    if isinstance(value, numbers.Number):
+        return cmath.isfinite(value)
+    return True  # a label: a family name, None
+
+
+@pytest.mark.parametrize("edge", EDGES)
+@pytest.mark.parametrize("case", list(CALLS))
+def test_returns_finite_values_or_names_the_parameter(case, edge):
+    call, words = CALLS[case]
+    try:
+        result = call(edge)
+    except NoonlikeError:
+        return
+    except (TypeError, ValueError) as exc:
+        named = [w for w in words if re.search(rf"\b{re.escape(w)}\b", str(exc))]
+        assert named, f"{type(exc).__name__} names none of {words}: {exc}"
+        return
+    assert _finite(result), result
+
+
+# the message of each fault the table found, as the library now words it
+MESSAGES = {
+    "Coherent-huge": (lambda: Coherent(10**400), ParameterOutOfRange,
+                      "alpha must fit a double, got a 1329-bit alpha"),
+    "SqueezedCoherent-huge-r": (lambda: SqueezedCoherent(1.0, -(10**400)), ParameterOutOfRange,
+                                "r must fit a double, got a 1329-bit r"),
+    "FockSuperposition-huge": (lambda: FockSuperposition((10**400,)), ParameterOutOfRange,
+                               "amps[0] must fit a double, got a 1329-bit amps[0]"),
+    "FockSuperposition-1e308": (lambda: FockSuperposition((1e308,)), ValueError,
+                                "amplitudes not normalized: sum |c_n|^2 = inf"),
+    "noon_qcrb-huge": (lambda: noon_qcrb(5, 10**400), ParameterOutOfRange,
+                       "n must fit a double, got a 1329-bit n"),
+    "qcrb_from_f-subnormal": (lambda: qcrb_from_f(5, 5e-324, 0.1), ParameterOutOfRange,
+                              "n_bar = 5e-324 and f = 0.1 give the bound inf at d=5"),
+    "FixedB-huge": (lambda: FixedB(10**400), ParameterOutOfRange,
+                    "b2 must fit a double, got a 1329-bit b2"),
+    "FixedB-inf": (lambda: FixedB(float("inf")), ValueError, "b2 must be finite, got inf"),
+    "PhaseShifter-huge": (lambda: PhaseShifter(0, 10**400), ParameterOutOfRange,
+                          "const_phase must fit a double, got a 1329-bit const_phase"),
+    "solve-str-n_bar": (lambda: solve_param_for_nbar(Family.ECS, 5, "3"), TypeError,
+                        "n_bar must be a real number, got str '3'"),
+    "solve-huge-n_bar": (lambda: solve_param_for_nbar(Family.ECS, 5, 10**400),
+                         ParameterOutOfRange, "n_bar must fit a double, got a 1329-bit n_bar"),
+    "solve-str-r_prime": (lambda: solve_param_for_nbar(Family.ESCS, 5, 3.0, "1"), TypeError,
+                          "r_prime must be a real number, got str '1'"),
+    "compare-str-n_bar": (lambda: compare_families_at_nbar(5, "3"), TypeError,
+                          "n_bar must be a real number, got str '3'"),
+    "escs_sweep-str": (lambda: escs_sweep_r_prime(5, 3.0, ["0.4"]), TypeError,
+                       "r_prime_grid[0] must be a real number, got str '0.4'"),
+    "escs_sweep-negative": (lambda: escs_sweep_r_prime(5, 3.0, [-1.0]), ValueError,
+                            "r_prime_grid must be nonnegative, got -1.0"),
+    "unbalanced-str": (lambda: balanced_vs_unbalanced_sweep(5, ["1"]), TypeError,
+                       "r_grid[0] must be a real number, got str '1'"),
+    "BeamSplitter-str": (lambda: BeamSplitter(0, 1, "0.5"), TypeError,
+                         "transmissivity must be a real number, got str '0.5'"),
+    "run_experiment-str-cutoff": (lambda: run_experiment(1.0, cutoff="1"), TypeError,
+                                  "cutoff must be an integer, got '1'"),
+    "pump_amplitude-huge": (lambda: pump_amplitude(10**400), ParameterOutOfRange,
+                            "r must fit a double, got a 1329-bit r"),
+    "experiment_qcrb_comparison-str": (lambda: experiment_qcrb_comparison([1.0, "1"]),
+                                       TypeError, "r_grid[1] must be a real number, got str '1'"),
+    "bracket-str": (lambda: escs_ratio_bracket_check("a", 1, 1), TypeError,
+                    "alpha_p must be a real number, got str 'a'"),
+    "bracket-1e308": (lambda: escs_ratio_bracket_check(1e308, 0.5, 1.0), ParameterOutOfRange,
+                      "alpha_p = 1e+308 is out of range"),
+    "bracket-vacuum": (lambda: escs_ratio_bracket_check(0, 0, 1.0), ZeroPhotonState,
+                       "vacuum constituent: alpha_p = r_p = 0 carries no excess noise"),
+}
+
+
+@pytest.mark.parametrize("case", list(MESSAGES))
+def test_message(case):
+    call, error, message = MESSAGES[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        call()

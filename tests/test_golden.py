@@ -52,8 +52,7 @@ STDERR = {"unbalanced_d1_crossover.csv": "# crossover n_bar = 14.5268852304\n"}
 
 
 @pytest.mark.parametrize("fixture", sorted(CASES))
-def test_output_matches_fixture(fixture, capsys, monkeypatch):
-    monkeypatch.delenv("NOONLIKE_OUTPUT_DIR", raising=False)
+def test_output_matches_fixture(fixture, capsys):
     assert main(CASES[fixture]) == 0
     captured = capsys.readouterr()
     assert captured.out.encode() == (GOLDEN / fixture).read_bytes()

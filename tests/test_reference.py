@@ -1,4 +1,4 @@
-"""A 40-digit reference for the printed cells of the heralded source and of ``qcrb``.
+"""A 40-digit reference for the printed cells of the heralded source, ``qcrb`` and ``unbalanced``.
 
 mpmath evaluates closed forms, transcribed here and independent of
 ``noonlike``, which this module does not import.  For ``experiment`` they
@@ -7,7 +7,9 @@ number, the success probability, a fidelity of 1 and a branch phase of
 pi.  For figure 6 they are the NOON, coherent-state (ECS) and heralded
 bounds, with the ECS matched to each n_bar exactly, through Lambert W.
 For the six ``qcrb`` fixtures they are each family's photon-number
-moments, the probe weights on the normalization ellipse and the bound.
+moments, the probe weights on the normalization ellipse and the bound;
+for figure 4 and the two ``unbalanced`` fixtures, the same for a squeezed
+vacuum, balanced and with the optimized weight, at each grid point.
 ``test_golden`` pins the fixtures to the program's output, so checking the
 fixtures checks the program.
 
@@ -155,6 +157,29 @@ _QCRB_FIXTURES = {
 }
 
 
+# each unbalanced fixture's squeeze grid, np.linspace(0.3, r_max, steps), at
+# d: figure 4 is the ``unbalanced`` command at d = 5
+_UNBALANCED_FIXTURES = {
+    "figure4.csv": (5, 3.0, 60),
+    "unbalanced_d5.csv": (5, 3.0, 60),
+    "unbalanced_d1_crossover.csv": (1, 6.0, 120),
+}
+
+
+def _unbalanced(d: int, r: float) -> dict:
+    """The ``unbalanced`` cells of a squeezed vacuum with squeeze factor ``r``.
+
+    It is probed balanced and with the bound-minimizing weight; each n_bar
+    is that probe's own.
+    """
+    esvs = _constituent("esvs", r)
+    cells = {}
+    for label, weighting in ("balanced", "balanced"), ("unbalanced", "optimized"):
+        report = _qcrb(d, esvs, weighting)
+        cells[f"n_bar_{label}"], cells[f"qcrb_{label}"] = report["n_bar"], report["qcrb"]
+    return cells
+
+
 def _read(fixture: str) -> list[dict]:
     with open(GOLDEN / fixture, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -167,6 +192,8 @@ def _cells():
         tables.append(("figure6.csv", [_figure_6(float(r)) for r in np.linspace(1.0, 2.0, 20)]))
         tables += [(fixture, [_qcrb(5, _constituent(*probe), weighting)])
                    for fixture, (probe, weighting) in _QCRB_FIXTURES.items()]
+        tables += [(fixture, [_unbalanced(d, float(r)) for r in np.linspace(0.3, r_max, steps)])
+                   for fixture, (d, r_max, steps) in _UNBALANCED_FIXTURES.items()]
     for fixture, references in tables:
         rows = _read(fixture)
         assert len(rows) == len(references)
@@ -209,8 +236,8 @@ CELLS = [
 
 def test_every_computed_cell_is_covered():
     # 9 computed cells in each experiment fixture, 4 in each of figure 6's 20
-    # rows, and 6 in each qcrb fixture
-    assert len(CELLS) == 3 * 9 + 20 * 4 + 6 * 6
+    # rows, 6 in each qcrb fixture, and 4 in each row of the unbalanced ones
+    assert len(CELLS) == 3 * 9 + 20 * 4 + 6 * 6 + (60 + 60 + 120) * 4
 
 
 @pytest.mark.parametrize("text, exact", CELLS)

@@ -123,7 +123,7 @@ def test_help_width_is_shutils(monkeypatch, columns):
 
 @pytest.mark.parametrize("argv", CLOSED_FORM + HERALDED, ids=" ".join)
 def test_commands_load_no_pathlib(cli_in_fresh_interpreter, argv):
-    # the same processes as above: --out and NOONLIKE_OUTPUT_DIR go through os.path
+    # the same processes as above: --out goes through os.path
     code, modules = cli_in_fresh_interpreter(argv, site=False)
     assert code == 0
     assert "noonlike.cli" in modules
