@@ -47,7 +47,6 @@ from .qcrb import (
     Balanced,
     FixedB,
     OptimizedB,
-    ProbeSpec,
     QcrbReport,
     mean_total_photons,
     noon_qcrb,

@@ -58,7 +58,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError
 from .families import Family, SweepCurve, matched_report
-from .qcrb import Balanced, ProbeSpec, _check_ordered, noon_qcrb, qcrb_closed_form
+from .qcrb import _check_ordered, noon_qcrb, qcrb_closed_form
 from .states import Coherent, FockSuperposition, SqueezedVacuum
 from .states import _R_RANGE, _build_amps, _Frozen, _require_real
 
@@ -441,7 +441,7 @@ def experiment_qcrb_comparison(
         result = run_experiment(r, cutoff=cutoff)
         scale = 1.0 / math.sqrt(sum(abs(c) ** 2 for c in result.phi_amps))
         phi_state = FockSuperposition(tuple(c * scale for c in result.phi_amps))
-        q_phi = qcrb_closed_form(ProbeSpec(1, phi_state, Balanced())).qcrb
+        q_phi = qcrb_closed_form(1, phi_state).qcrb
         n_bar = result.n_bar
         q_noon = noon_qcrb(1, n_bar)
         q_ecs = matched_report(Family.ECS, 1, n_bar).qcrb

@@ -35,7 +35,6 @@ from .qcrb import (
     Balanced,
     FixedB,
     OptimizedB,
-    ProbeSpec,
     QcrbReport,
     _check_below_noon,
     _check_ordered,
@@ -305,7 +304,7 @@ def _cmd_qcrb(params: dict) -> tuple[list[str], list[list]]:
         weighting = OptimizedB()
     family = Family(params["family"])
     state = constituent(family, params["r_prime"])(params[PARAMETERS[family]])
-    rep = qcrb_closed_form(ProbeSpec(params["d"], state, weighting))
+    rep = qcrb_closed_form(params["d"], state, weighting)
     labelled = QcrbReport(rep.qcrb, rep.f, rep.R, rep.b2, rep.n_tilde, rep.n_bar, family.value)
     return _REPORT_COLUMNS, [_report_row(labelled)]
 

@@ -27,9 +27,7 @@ from enum import Enum
 
 from .errors import BracketFailure, ParameterOutOfRange, ZeroPhotonState
 from .qcrb import (
-    Balanced,
     OptimizedB,
-    ProbeSpec,
     QcrbReport,
     _check_ordered,
     _require_d,
@@ -240,7 +238,7 @@ def matched_report(
     is as in ``solve_param_for_nbar``.
     """
     state = solve_param_for_nbar(family, d, n_bar, r_prime)
-    rep = qcrb_closed_form(ProbeSpec(d, state, Balanced()))
+    rep = qcrb_closed_form(d, state)
     parameter = getattr(state, PARAMETERS[family])
     return QcrbReport(
         rep.qcrb, rep.f, rep.R, rep.b2, rep.n_tilde, rep.n_bar, family.value, parameter
@@ -255,8 +253,13 @@ def compare_families_at_nbar(
     Also enforces the proven strict orderings: the bounds decrease, the
     constituent mean photon numbers increase, and the sensitivity factors
     decrease along NOON -> ECS -> ESCS -> ESVS.  A violation indicates an
-    implementation bug and raises OrderingViolation.
+    implementation bug and raises OrderingViolation.  ``escs_r_prime`` must
+    be positive: at 0 the ESCS probe is the ECS probe, and the orderings
+    cannot be strict.
     """
+    escs_r_prime = _require_real("escs_r_prime", escs_r_prime)
+    if not escs_r_prime > 0.0:
+        raise ValueError(f"escs_r_prime must be positive, got {escs_r_prime}")
     reports = [matched_report(fam, d, n_bar, escs_r_prime) for fam in Family]
     where = f"d={d}, n_bar={n_bar}"
     _check_ordered([r.qcrb for r in reports], "bound", where)
@@ -324,10 +327,10 @@ def balanced_vs_unbalanced_sweep(
     bal_points, unb_points = [], []
     for r in r_grid:
         state = SqueezedVacuum(r)
-        bal = qcrb_closed_form(ProbeSpec(d, state, Balanced()))
+        bal = qcrb_closed_form(d, state)
         bal_points.append((bal.n_bar, bal.qcrb, r))
 
-        unb = qcrb_closed_form(ProbeSpec(d, state, OptimizedB()))
+        unb = qcrb_closed_form(d, state, OptimizedB())
         m = moments(state)
         b2, c = resolve_weights(d, m, OptimizedB())
         unb_points.append(((c * c + d * b2) * m.mean_n, unb.qcrb, r))

@@ -1,9 +1,10 @@
 """Numeric oracles for the closed forms: the one module that loads numpy on import.
 
 ``fock_amplitudes`` and ``moments_from_amplitudes`` recompute the moments of
-``states`` from truncated Fock expansions, and ``qfi_matrix`` with
-``qcrb_trace_inverse`` recomputes the bound of ``qcrb`` as the trace of a
-dense matrix inverse.  ``noonlike`` serves these names on first use, so neither
+``states`` from truncated Fock expansions, and ``qfi_matrix(d, state,
+weighting)`` with ``qcrb_trace_inverse`` recomputes the bound of
+``qcrb_closed_form(d, state, weighting)`` as the trace of a dense matrix
+inverse.  ``noonlike`` serves these names on first use, so neither
 ``import noonlike`` nor a command loads this module, or numpy (the ``test`` extra).
 """
 
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import SingularMatrix, TruncationInsufficient, ZeroPhotonState
-from .qcrb import ProbeSpec, resolve_weights
+from .qcrb import Balanced, Weighting, _require_d, resolve_weights
 from .states import Moments, SingleModeState, _build_amps, _Frozen, moments
 
 __all__ = ["FockVector", "QfiMatrix", "fock_amplitudes", "moments_from_amplitudes", "qfi_matrix",
@@ -108,20 +109,19 @@ class QfiMatrix(_Frozen):
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
-
-def qfi_matrix(spec: ProbeSpec) -> QfiMatrix:
+def qfi_matrix(
+    d: int, state: SingleModeState, weighting: Weighting = Balanced()
+) -> QfiMatrix:
     """Fisher matrix 4 b^2 <n^2> I - 4 b^4 <n>^2 O for the d phases."""
-    m = moments(spec.state)
+    d = _require_d(d)
+    m = moments(state)
     if m.mean_n2 <= 0.0:
         raise ZeroPhotonState("vacuum constituent has no Fisher information")
-    b2, _ = resolve_weights(spec.d, m, spec.weighting)
+    b2, _ = resolve_weights(d, m, weighting)
     a = 4.0 * b2 * m.mean_n2
     c = 4.0 * b2 * b2 * m.mean_n**2
-    entries = a * np.eye(spec.d) - c * np.ones((spec.d, spec.d))
+    entries = a * np.eye(d) - c * np.ones((d, d))
     return QfiMatrix(entries)
 
 

@@ -8,11 +8,13 @@ this family the Fisher matrix is phase independent and has the structure
 trace-of-inverse route that checks it is in ``noonlike.oracles``.
 
 Pure functions over immutable inputs throughout; thread-safe by construction.
-The weightings, ``ProbeSpec`` and ``QcrbReport`` are ``__slots__`` classes
-on the frozen-value base of ``noonlike.states``: equal when of one class
-with equal fields, hashable, and raising AttributeError on assignment.
-Every function that takes ``d`` accepts only a whole number >= 1 whose
-NOON numerator d * (d + 1) fits a double.
+Each function takes the number of phases ``d`` first, then the constituent
+(a state or its ``Moments``) and the weighting, as plain arguments.  The
+weightings and ``QcrbReport`` are ``__slots__`` classes on the frozen-value
+base of ``noonlike.states``: equal when of one class with equal fields,
+hashable, and raising AttributeError on assignment.  Every function that
+takes ``d`` accepts only a whole number >= 1 whose NOON numerator
+d * (d + 1) fits a double.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "FixedB",
     "OptimizedB",
     "Weighting",
-    "ProbeSpec",
     "QcrbReport",
     "mean_total_photons",
     "resolve_weights",
@@ -103,15 +104,6 @@ class OptimizedB(_Frozen):
 Weighting = Balanced | FixedB | OptimizedB
 
 
-class ProbeSpec(_Frozen):
-    __slots__ = ("d", "state", "weighting")
-
-    def __init__(self, d: int, state: SingleModeState, weighting: Weighting = Balanced()):
-        object.__setattr__(self, "d", _require_d(d))
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "weighting", weighting)
-
-
 class QcrbReport(_Frozen):
     """Bound value plus all intermediate quantities, for auditing.
 
@@ -154,6 +146,12 @@ def resolve_weights(d: int, m: Moments, weighting: Weighting) -> tuple[float, fl
     the tangency root ``c = -B b/2`` on the boundary.
     """
     d = _require_d(d)
+    if not isinstance(m, Moments):
+        raise TypeError(f"m must be a Moments, got {type(m).__name__} {m!r}")
+    if not isinstance(weighting, Weighting):
+        raise TypeError(
+            f"weighting must be a Weighting, got {type(weighting).__name__} {weighting!r}"
+        )
     p0 = m.vacuum_prob
     if isinstance(weighting, Balanced):
         b2 = 1.0 / ((d + 1) * (1.0 + d * p0))
@@ -165,12 +163,10 @@ def resolve_weights(d: int, m: Moments, weighting: Weighting) -> tuple[float, fl
         b2 = weighting.b2
         if not 0.0 < b2 <= boundary * (1.0 + 1e-9):
             raise ConstraintInfeasible(f"b2={b2} outside (0, {boundary}]")
-    elif isinstance(weighting, OptimizedB):
+    else:  # OptimizedB
         if m.mean_n <= 0.0:
             raise ZeroPhotonState("cannot optimize weights for a zero-photon state")
         b2 = min(m.mean_n2 / m.mean_n**2 / (d + math.sqrt(d)), boundary)
-    else:
-        raise TypeError(f"not a Weighting: {weighting!r}")
     a_coef = d + d * (d - 1) * p0
     b_coef = 2.0 * d * p0
     on_ellipse = min(b2, boundary)
@@ -189,7 +185,9 @@ def mean_total_photons(d: int, state: SingleModeState) -> float:
     return m.mean_n / (1.0 + d * m.vacuum_prob)
 
 
-def qcrb_closed_form(spec: ProbeSpec) -> QcrbReport:
+def qcrb_closed_form(
+    d: int, state: SingleModeState, weighting: Weighting = Balanced()
+) -> QcrbReport:
     """Closed-form lower bound d/(4<n^2>) (1/b^2 + 1/(R - b^2 d)).
 
     The Fisher matrix depends on the weights through b^2 alone, so the bound
@@ -200,11 +198,11 @@ def qcrb_closed_form(spec: ProbeSpec) -> QcrbReport:
     ``resolve_weights``.  A field that comes out infinite or NaN raises
     NonFiniteResult naming it.
     """
-    m = moments(spec.state)
+    d = _require_d(d)
+    m = moments(state)
     if m.mean_n <= 0.0 or m.mean_n2 <= 0.0:
         raise ZeroPhotonState("vacuum constituent: bound undefined")
-    d = spec.d
-    b2, _ = resolve_weights(d, m, spec.weighting)
+    b2, _ = resolve_weights(d, m, weighting)
     big_r = m.mean_n2 / m.mean_n**2
     denom = big_r - b2 * d
     if denom <= 0.0:

@@ -251,7 +251,7 @@ def moments(state: SingleModeState) -> Moments:
         mean = sum(n * abs(c) ** 2 for n, c in enumerate(state.amps))
         mean2 = sum(n * n * abs(c) ** 2 for n, c in enumerate(state.amps))
         return Moments(mean, mean2, abs(state.amps[0]) ** 2)
-    raise TypeError(f"not a SingleModeState: {state!r}")
+    raise TypeError(f"state must be a SingleModeState, got {type(state).__name__} {state!r}")
 
 
 def _coherent_amps(alpha: float, n_max: int) -> list[float]:
@@ -327,7 +327,7 @@ def _build_amps(state: SingleModeState, n_max: int) -> list:
         upto = min(n_max + 1, len(state.amps))
         out[:upto] = state.amps[:upto]
         return out
-    raise TypeError(f"not a SingleModeState: {state!r}")
+    raise TypeError(f"state must be a SingleModeState, got {type(state).__name__} {state!r}")
 
 
 def f_factor(state: SingleModeState) -> float:

@@ -30,7 +30,6 @@ from noonlike import (
     Family,
     Fock,
     FockSuperposition,
-    ProbeSpec,
     SqueezedCoherent,
     SqueezedVacuum,
     balanced_vs_unbalanced_sweep,
@@ -74,7 +73,7 @@ def test_criterion_1_noon_closed_form():
     worst = 0.0
     for d in range(1, 11):
         for n in range(1, 11):
-            got = qcrb_closed_form(ProbeSpec(d, Fock(n), Balanced())).qcrb
+            got = qcrb_closed_form(d, Fock(n), Balanced()).qcrb
             worst = max(worst, abs(got - d * (d + 1) / (2.0 * n * n)))
     ok = worst <= 1e-12
     _report(1, ok, f"number-state closed form over d,N in 1..10, worst |diff| = {worst:.2e}")
@@ -85,9 +84,8 @@ def test_criterion_2_oracle_equivalence():
     count, worst = 0, 0.0
     for d in range(1, 9):
         for state in STATE_POOL:
-            spec = ProbeSpec(d, state, Balanced())
-            cf = qcrb_closed_form(spec).qcrb
-            ti = qcrb_trace_inverse(qfi_matrix(spec))
+            cf = qcrb_closed_form(d, state, Balanced()).qcrb
+            ti = qcrb_trace_inverse(qfi_matrix(d, state, Balanced()))
             worst = max(worst, abs(cf - ti) / cf)
             count += 1
     ok = count >= 200 and worst <= 1e-9
@@ -134,12 +132,8 @@ def test_criterion_4_magnitude_check():
 def test_criterion_5_escs_monotonicity():
     curve = escs_sweep_r_prime(5, 2.0, [0.4, 0.8, 1.2])
     values = [q for _, q, _ in curve.points]
-    ecs = qcrb_closed_form(
-        ProbeSpec(5, solve_param_for_nbar(Family.ECS, 5, 2.0), Balanced())
-    ).qcrb
-    esvs = qcrb_closed_form(
-        ProbeSpec(5, solve_param_for_nbar(Family.ESVS, 5, 2.0), Balanced())
-    ).qcrb
+    ecs = qcrb_closed_form(5, solve_param_for_nbar(Family.ECS, 5, 2.0), Balanced()).qcrb
+    esvs = qcrb_closed_form(5, solve_param_for_nbar(Family.ESVS, 5, 2.0), Balanced()).qcrb
     ok = (
         values[0] > values[1] > values[2]
         and all(esvs < v < ecs for v in values)
@@ -245,7 +239,7 @@ def test_criterion_10_global_invariants():
     reports = []
     for d in (1, 2, 5, 8):
         for state in STATE_POOL:
-            reports.append((d, state, qcrb_closed_form(ProbeSpec(d, state, Balanced()))))
+            reports.append((d, state, qcrb_closed_form(d, state, Balanced())))
     for d, n_bar in ((2, 1.0), (5, 4.0), (10, 8.0)):
         for rep in compare_families_at_nbar(d, n_bar, 1.0):
             reports.append((d, None, rep))

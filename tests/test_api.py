@@ -14,12 +14,14 @@ a command computes or where it writes.
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import noonlike
+from noonlike import Balanced
 
 MODULES = ["noonlike.states", "noonlike.qcrb", "noonlike.oracles", "noonlike.families",
            "noonlike.circuit", "noonlike.cli"]
@@ -56,6 +58,32 @@ def test_package_reexport_resolves(module, name):
 def test_lazy_names_are_all_of_the_oracles():
     lazy = {name for name, module in noonlike._LAZY.items() if module == "oracles"}
     assert lazy == set(importlib.import_module("noonlike.oracles").__all__)
+
+
+def test_bound_functions_take_d_first():
+    # the bound layer takes (d, ...) as plain arguments, like the paper's
+    # functions of d: no argument bundle carries d into it
+    takers, late = [], []
+    for module in ("noonlike.qcrb", "noonlike.oracles"):
+        mod = importlib.import_module(module)
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if not callable(obj):  # the Weighting union
+                continue
+            parameters = list(inspect.signature(obj).parameters)
+            if "d" in parameters:
+                takers.append(name)
+                if parameters[0] != "d":
+                    late.append(f"{name}{inspect.signature(obj)}")
+    assert late == []
+    assert {"qcrb_closed_form", "qfi_matrix", "resolve_weights"} <= set(takers)
+
+
+@pytest.mark.parametrize("name", ["qcrb_closed_form", "qfi_matrix"])
+def test_weighting_defaults_to_balanced(name):
+    parameters = inspect.signature(getattr(noonlike, name)).parameters
+    assert list(parameters) == ["d", "state", "weighting"]
+    assert parameters["weighting"].default == Balanced()
 
 
 def _name(node):

@@ -33,7 +33,15 @@ from noonlike.families import (
     matched_report,
     solve_param_for_nbar,
 )
-from noonlike.qcrb import FixedB, noon_qcrb, qcrb_from_f
+from noonlike.qcrb import (
+    Balanced,
+    FixedB,
+    mean_total_photons,
+    noon_qcrb,
+    qcrb_closed_form,
+    qcrb_from_f,
+    resolve_weights,
+)
 from noonlike.states import (
     Coherent,
     Fock,
@@ -41,6 +49,8 @@ from noonlike.states import (
     SqueezedCoherent,
     SqueezedVacuum,
     _Frozen,
+    f_factor,
+    moments,
 )
 
 EDGES = [
@@ -54,6 +64,8 @@ EDGES = [
     ]
 ]
 
+_MOMENTS = moments(Coherent(1.0))
+
 # case -> (the call with the edge value x, the words a message may name the
 # parameter by).  A squeeze factor's own name is also a word where the
 # message is the CLI's ("squeeze factor must be positive", printed by
@@ -66,6 +78,18 @@ CALLS = {
     "SqueezedCoherent-alpha": (lambda x: SqueezedCoherent(x, 0.5), ["alpha"]),
     "SqueezedCoherent-r": (lambda x: SqueezedCoherent(1.0, x), ["r"]),
     "FockSuperposition-amps": (lambda x: FockSuperposition((x,)), ["amps", "amplitudes"]),
+    "moments-state": (lambda x: moments(x), ["state"]),
+    "f_factor-state": (lambda x: f_factor(x), ["state"]),
+    "mean_total_photons-d": (lambda x: mean_total_photons(x, Coherent(1.0)), ["d"]),
+    "mean_total_photons-state": (lambda x: mean_total_photons(5, x), ["state"]),
+    "resolve_weights-d": (lambda x: resolve_weights(x, _MOMENTS, Balanced()), ["d"]),
+    "resolve_weights-m": (lambda x: resolve_weights(5, x, Balanced()), ["m"]),
+    "resolve_weights-weighting": (lambda x: resolve_weights(5, _MOMENTS, x), ["weighting"]),
+    "qcrb_closed_form-d": (lambda x: qcrb_closed_form(x, Coherent(1.0)), ["d"]),
+    "qcrb_closed_form-state": (lambda x: qcrb_closed_form(5, x), ["state"]),
+    "qcrb_closed_form-weighting": (
+        lambda x: qcrb_closed_form(5, Coherent(1.0), x), ["weighting"]
+    ),
     "noon_qcrb-n": (lambda x: noon_qcrb(5, x), ["n"]),
     "qcrb_from_f-n_bar": (lambda x: qcrb_from_f(5, x, 0.1), ["n_bar"]),
     "qcrb_from_f-f": (lambda x: qcrb_from_f(5, 2.0, x), ["f"]),
@@ -80,7 +104,7 @@ CALLS = {
     ),
     "compare_families_at_nbar-n_bar": (lambda x: compare_families_at_nbar(5, x), ["n_bar"]),
     "compare_families_at_nbar-escs_r_prime": (
-        lambda x: compare_families_at_nbar(5, 4.0, x), ["r_prime", "r"]
+        lambda x: compare_families_at_nbar(5, 4.0, x), ["escs_r_prime", "r_prime", "r"]
     ),
     "escs_sweep_r_prime-n_bar": (lambda x: escs_sweep_r_prime(5, x, [0.4]), ["n_bar"]),
     "escs_sweep_r_prime-r_prime_grid": (
@@ -163,6 +187,9 @@ MESSAGES = {
                           "r_prime must be a real number, got str '1'"),
     "compare-str-n_bar": (lambda: compare_families_at_nbar(5, "3"), TypeError,
                           "n_bar must be a real number, got str '3'"),
+    # at r' = 0 the ESCS probe is the ECS probe: a false OrderingViolation
+    "compare-zero-r_prime": (lambda: compare_families_at_nbar(5, 4.0, 0.0), ValueError,
+                             "escs_r_prime must be positive, got 0.0"),
     "escs_sweep-str": (lambda: escs_sweep_r_prime(5, 3.0, ["0.4"]), TypeError,
                        "r_prime_grid[0] must be a real number, got str '0.4'"),
     "escs_sweep-negative": (lambda: escs_sweep_r_prime(5, 3.0, [-1.0]), ValueError,
@@ -181,6 +208,15 @@ MESSAGES = {
                     "alpha_p must be a real number, got str 'a'"),
     "bracket-1e308": (lambda: escs_ratio_bracket_check(1e308, 0.5, 1.0), ParameterOutOfRange,
                       "alpha_p = 1e+308 is out of range"),
+    "moments-str": (lambda: moments("x"), TypeError,
+                    "state must be a SingleModeState, got str 'x'"),
+    "resolve_weights-str-m": (lambda: resolve_weights(5, "x", Balanced()), TypeError,
+                              "m must be a Moments, got str 'x'"),
+    "resolve_weights-str-weighting": (lambda: resolve_weights(5, _MOMENTS, "balanced"),
+                                      TypeError,
+                                      "weighting must be a Weighting, got str 'balanced'"),
+    "qcrb_closed_form-str-state": (lambda: qcrb_closed_form(5, "x"), TypeError,
+                                   "state must be a SingleModeState, got str 'x'"),
     "bracket-vacuum": (lambda: escs_ratio_bracket_check(0, 0, 1.0), ZeroPhotonState,
                        "vacuum constituent: alpha_p = r_p = 0 carries no excess noise"),
 }

@@ -12,7 +12,6 @@ from noonlike import (
     Family,
     FixedB,
     Fock,
-    ProbeSpec,
     Moments,
     OptimizedB,
     ParameterOutOfRange,
@@ -112,8 +111,8 @@ class TestEscsAtZeroDisplacement:
     @pytest.mark.parametrize("d", [1, 5, 50, 10**6])
     def test_nbar_maps_and_bounds_agree(self, r, d):
         assert nbar_map(Family.ESCS, d, r)(0.0) == nbar_map(Family.ESVS, d)(r)
-        escs = qcrb_closed_form(ProbeSpec(d, SqueezedCoherent(0.0, r))).qcrb
-        esvs = qcrb_closed_form(ProbeSpec(d, SqueezedVacuum(r))).qcrb
+        escs = qcrb_closed_form(d, SqueezedCoherent(0.0, r)).qcrb
+        esvs = qcrb_closed_form(d, SqueezedVacuum(r)).qcrb
         assert escs == pytest.approx(esvs, rel=4e-15, abs=0.0)
 
 
@@ -218,9 +217,7 @@ class TestCompareFamilies:
 class TestEscsSweep:
     def test_zero_squeeze_equals_ecs(self):
         curve = escs_sweep_r_prime(5, 2.0, [0.0])
-        ecs = qcrb_closed_form(
-            ProbeSpec(5, solve_param_for_nbar(Family.ECS, 5, 2.0))
-        )
+        ecs = qcrb_closed_form(5, solve_param_for_nbar(Family.ECS, 5, 2.0))
         assert curve.points[0][1] == pytest.approx(ecs.qcrb, abs=1e-10)
 
     def test_strictly_decreasing(self):
@@ -248,17 +245,15 @@ class TestEscsSweep:
         # the family degenerates to the matched squeezed vacuum as the
         # displacement shrinks to zero
         r_matched = solve_param_for_nbar(Family.ESVS, 5, 2.0).r
-        esvs = qcrb_closed_form(ProbeSpec(5, SqueezedVacuum(r_matched))).qcrb
+        esvs = qcrb_closed_form(5, SqueezedVacuum(r_matched)).qcrb
         curve = escs_sweep_r_prime(5, 2.0, [0.99 * r_matched])
         assert curve.points[0][1] == pytest.approx(esvs, rel=0.02)
         assert curve.points[0][1] > esvs
 
     def test_bounded_by_ecs_and_esvs(self):
         r_matched = solve_param_for_nbar(Family.ESVS, 5, 2.0).r
-        esvs = qcrb_closed_form(ProbeSpec(5, SqueezedVacuum(r_matched))).qcrb
-        ecs = qcrb_closed_form(
-            ProbeSpec(5, solve_param_for_nbar(Family.ECS, 5, 2.0))
-        ).qcrb
+        esvs = qcrb_closed_form(5, SqueezedVacuum(r_matched)).qcrb
+        ecs = qcrb_closed_form(5, solve_param_for_nbar(Family.ECS, 5, 2.0)).qcrb
         curve = escs_sweep_r_prime(5, 2.0, [0.4, 0.8, 1.2])
         for _, q, _ in curve.points:
             assert esvs < q < ecs
@@ -362,11 +357,11 @@ class TestUnbalancedWeights:
         bo = _boundary(d, moments(state).vacuum_prob)
 
         def bound_at(b2):
-            return qcrb_closed_form(ProbeSpec(d, state, FixedB(b2))).qcrb
+            return qcrb_closed_form(d, state, FixedB(b2)).qcrb
 
         oracle = _golden_section_min(bound_at, 1e-6 * bo, bo)
         assert _optimal_b2(d, state) == pytest.approx(oracle, abs=1e-8)
-        report = qcrb_closed_form(ProbeSpec(d, state, OptimizedB()))
+        report = qcrb_closed_form(d, state, OptimizedB())
         assert report.qcrb <= bound_at(oracle) * (1 + 1e-12)
 
     def test_stationary_point_derivative_vanishes(self):
@@ -376,7 +371,7 @@ class TestUnbalancedWeights:
         h = 1e-5
 
         def bound_at(b2):
-            return qcrb_closed_form(ProbeSpec(d, state, FixedB(b2))).qcrb
+            return qcrb_closed_form(d, state, FixedB(b2)).qcrb
 
         deriv = (bound_at(b_star + h) - bound_at(b_star - h)) / (2 * h)
         assert abs(deriv) <= 1e-6
@@ -422,7 +417,7 @@ class TestUnbalancedMeanPhotons:
         state = SqueezedVacuum(1.0)
         bo = _boundary(5, moments(state).vacuum_prob)
         with pytest.raises(ConstraintInfeasible):
-            qcrb_closed_form(ProbeSpec(5, state, FixedB(1.5 * bo)))
+            qcrb_closed_form(5, state, FixedB(1.5 * bo))
 
     def test_unbalanced_sweep_reports_true_photon_number(self):
         # the regression: the unbalanced n_bar is (c^2 + d b^2)<n>, not the
@@ -441,9 +436,9 @@ class TestBalancedVsUnbalanced:
     def test_unbalanced_equals_balanced_formula_at_same_b2(self, sweep):
         # same closed form, same b2 => identical value
         state = SqueezedVacuum(1.0)
-        b2 = qcrb_closed_form(ProbeSpec(5, state)).b2
-        fixed = qcrb_closed_form(ProbeSpec(5, state, FixedB(b2)))
-        balanced = qcrb_closed_form(ProbeSpec(5, state, Balanced()))
+        b2 = qcrb_closed_form(5, state).b2
+        fixed = qcrb_closed_form(5, state, FixedB(b2))
+        balanced = qcrb_closed_form(5, state, Balanced())
         assert fixed.qcrb == balanced.qcrb
 
     def test_balanced_at_or_below_in_low_region(self, sweep):

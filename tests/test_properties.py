@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from noonlike import Balanced, FockSuperposition, ProbeSpec, moments, noon_qcrb, qcrb_closed_form
+from noonlike import Balanced, FockSuperposition, moments, noon_qcrb, qcrb_closed_form
 from noonlike.qcrb import noon_ceiling
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -33,7 +33,7 @@ def test_noon_is_the_worst_of_the_class(parts, d):
     hypothesis.assume(photons > 1e-12 * norm)  # vacuum-dominated states have no bound
     scale = 1.0 / math.sqrt(norm)
     state = FockSuperposition(tuple(complex(x, y) * scale for x, y in parts))
-    report = qcrb_closed_form(ProbeSpec(d, state, Balanced()))
+    report = qcrb_closed_form(d, state, Balanced())
     n_bar = report.n_bar
     assert report.qcrb <= noon_ceiling(d, n_bar)
     m = moments(state)

@@ -22,7 +22,6 @@ from noonlike import (
     OptimizedB,
     OrderingViolation,
     ParameterOutOfRange,
-    ProbeSpec,
     QfiMatrix,
     SingularMatrix,
     SqueezedCoherent,
@@ -89,7 +88,8 @@ class TestUnresolvableWeights:
 
     @pytest.mark.parametrize("weighting", [None, 0.1, "balanced"])
     def test_not_a_weighting(self, weighting):
-        with pytest.raises(TypeError, match=f"^not a Weighting: {re.escape(repr(weighting))}$"):
+        message = f"weighting must be a Weighting, got {type(weighting).__name__} {weighting!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             resolve_weights(5, Moments(1.0, 2.0, 0.5), weighting)
 
 
@@ -110,19 +110,19 @@ class TestMeanTotalPhotons:
 
 class TestQfiMatrix:
     def test_single_phase_single_photon(self):
-        m = qfi_matrix(ProbeSpec(1, Fock(1)))
+        m = qfi_matrix(1, Fock(1))
         assert m.entries.shape == (1, 1)
         assert m.entries[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_two_phase_single_photon(self):
-        m = qfi_matrix(ProbeSpec(2, Fock(1)))
+        m = qfi_matrix(2, Fock(1))
         assert np.allclose(np.diag(m.entries), 8.0 / 9.0)
         assert m.entries[0, 1] == pytest.approx(-4.0 / 9.0, abs=1e-14)
 
     @pytest.mark.parametrize("state", STATE_GRID)
     @pytest.mark.parametrize("d", [1, 3, 6])
     def test_structure(self, state, d):
-        m = qfi_matrix(ProbeSpec(d, state)).entries
+        m = qfi_matrix(d, state).entries
         mom = moments(state)
         b2 = _balanced_b2(d, mom.vacuum_prob)
         a = 4 * b2 * mom.mean_n2
@@ -131,7 +131,10 @@ class TestQfiMatrix:
 
     def test_vacuum_rejected(self):
         with pytest.raises(ZeroPhotonState):
-            qfi_matrix(ProbeSpec(3, Fock(0)))
+            qfi_matrix(3, Fock(0))
+
+    def test_whole_float_d(self):
+        assert np.array_equal(qfi_matrix(3.0, Fock(1)).entries, qfi_matrix(3, Fock(1)).entries)
 
 
 class TestTraceInverse:
@@ -139,7 +142,7 @@ class TestTraceInverse:
         assert qcrb_trace_inverse(QfiMatrix(np.eye(3))) == pytest.approx(3.0)
 
     def test_single_photon(self):
-        m = qfi_matrix(ProbeSpec(1, Fock(1)))
+        m = qfi_matrix(1, Fock(1))
         assert qcrb_trace_inverse(m) == pytest.approx(1.0, abs=1e-14)
 
     def test_ill_conditioned_rejected(self):
@@ -150,42 +153,41 @@ class TestTraceInverse:
     @pytest.mark.parametrize("state", STATE_GRID)
     @pytest.mark.parametrize("d", list(range(1, 9)))
     def test_matches_closed_form(self, state, d):
-        spec = ProbeSpec(d, state)
-        cf = qcrb_closed_form(spec).qcrb
-        ti = qcrb_trace_inverse(qfi_matrix(spec))
+        cf = qcrb_closed_form(d, state).qcrb
+        ti = qcrb_trace_inverse(qfi_matrix(d, state))
         assert abs(cf - ti) / cf <= 1e-9
 
 
 class TestClosedForm:
     def test_noon_five_phases(self):
-        assert qcrb_closed_form(ProbeSpec(5, Fock(2))).qcrb == pytest.approx(3.75, abs=1e-12)
+        assert qcrb_closed_form(5, Fock(2)).qcrb == pytest.approx(3.75, abs=1e-12)
 
     def test_two_mode_single_photon(self):
-        assert qcrb_closed_form(ProbeSpec(1, Fock(1))).qcrb == pytest.approx(1.0, abs=1e-14)
+        assert qcrb_closed_form(1, Fock(1)).qcrb == pytest.approx(1.0, abs=1e-14)
 
     def test_esvs_example(self):
-        rep = qcrb_closed_form(ProbeSpec(5, SqueezedVacuum(1.87)))
+        rep = qcrb_closed_form(5, SqueezedVacuum(1.87))
         assert rep.qcrb == pytest.approx(0.0598, abs=0.0005)
 
     def test_vacuum_rejected(self):
         with pytest.raises(ZeroPhotonState):
-            qcrb_closed_form(ProbeSpec(2, Fock(0)))
+            qcrb_closed_form(2, Fock(0))
 
     def test_degenerate_weight_rejected(self):
         # at the ellipse boundary of a number state the denominator hits zero
         message = r"^b2 = 0\.5 is the boundary weight 1/d of a number state: .* \(c = 0\)"
         with pytest.raises(DenominatorNonPositive, match=message):
-            qcrb_closed_form(ProbeSpec(2, Fock(1), FixedB(0.5)))
+            qcrb_closed_form(2, Fock(1), FixedB(0.5))
 
     def test_non_finite_field_rejected(self):
         # a subnormal weight overflows 1/b^2, so the bound itself is infinite
         with pytest.raises(NonFiniteResult, match="^qcrb = inf is not finite$"):
-            qcrb_closed_form(ProbeSpec(5, SqueezedVacuum(2.0), FixedB(1e-320)))
+            qcrb_closed_form(5, SqueezedVacuum(2.0), FixedB(1e-320))
 
     @pytest.mark.parametrize("state", STATE_GRID)
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_report_invariants(self, state, d):
-        rep = qcrb_closed_form(ProbeSpec(d, state))
+        rep = qcrb_closed_form(d, state)
         assert rep.qcrb > 0
         assert rep.R >= 1.0
         assert 0 < rep.f <= 1.0 / rep.n_bar + 1e-12
@@ -196,7 +198,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("state", STATE_GRID)
     @pytest.mark.parametrize("d", [1, 4])
     def test_balanced_weights_satisfy_ellipse(self, state, d):
-        rep = qcrb_closed_form(ProbeSpec(d, state))
+        rep = qcrb_closed_form(d, state)
         v = moments(state).vacuum_prob
         a_coef = d + d * (d - 1) * v
         b_coef = 2 * d * v
@@ -214,7 +216,7 @@ class TestBoundFromF:
             )
 
     def test_esvs_point(self):
-        rep = qcrb_closed_form(ProbeSpec(5, SqueezedVacuum(1.8696812362638453)))
+        rep = qcrb_closed_form(5, SqueezedVacuum(1.8696812362638453))
         assert qcrb_from_f(5, rep.n_bar, rep.f) == pytest.approx(rep.qcrb, rel=1e-12)
 
     def test_out_of_range(self):
@@ -236,7 +238,7 @@ class TestBoundFromF:
 
     @pytest.mark.parametrize("state", STATE_GRID)
     def test_agrees_with_closed_form(self, state):
-        rep = qcrb_closed_form(ProbeSpec(4, state))
+        rep = qcrb_closed_form(4, state)
         assert qcrb_from_f(4, rep.n_bar, rep.f) == pytest.approx(rep.qcrb, rel=1e-12)
 
 
@@ -281,7 +283,7 @@ class TestNoonBound:
 
     @pytest.mark.parametrize("d,n", [(1, 1), (2, 3), (5, 2), (7, 6)])
     def test_noon_reports_saturate(self, d, n):
-        rep = qcrb_closed_form(ProbeSpec(d, Fock(n)))
+        rep = qcrb_closed_form(d, Fock(n))
         assert abs(rep.qcrb - noon_qcrb(d, rep.n_bar)) <= 1e-12
         _check_below_noon(d, rep.n_bar, [rep.qcrb])
 
@@ -289,7 +291,7 @@ class TestNoonBound:
         "state", [Coherent(1.0), SqueezedVacuum(1.0), SqueezedCoherent(1.0, 0.5)]
     )
     def test_fluctuating_states_strictly_below(self, state):
-        rep = qcrb_closed_form(ProbeSpec(5, state))
+        rep = qcrb_closed_form(5, state)
         assert rep.qcrb < noon_qcrb(5, rep.n_bar) - 1e-6
 
     def test_ceiling_is_the_check_threshold(self):
@@ -309,12 +311,12 @@ class TestNoonBound:
         for _ in range(4000):
             n = 10.0 ** rng.uniform(-4.0, 2.0)
             d = rng.choice((1, 2, 5, 50))
-            assert qcrb_closed_form(ProbeSpec(d, Fock(n))).qcrb <= noon_ceiling(d, n), (d, n)
+            assert qcrb_closed_form(d, Fock(n)).qcrb <= noon_ceiling(d, n), (d, n)
 
 
 # every public function that takes d, called with a valid rest
 D_TAKERS = {
-    "ProbeSpec": lambda d: ProbeSpec(d, Coherent(1.0)),
+    "qcrb_closed_form": lambda d: qcrb_closed_form(d, Coherent(1.0)),
     "resolve_weights": lambda d: resolve_weights(d, moments(Coherent(1.0)), Balanced()),
     "mean_total_photons": lambda d: mean_total_photons(d, Coherent(1.0)),
     "qcrb_from_f": lambda d: qcrb_from_f(d, 1.0, 0.5),
@@ -375,8 +377,14 @@ class TestPhaseCount:
     def test_whole_float_equals_int(self, take):
         assert take(5.0) == take(5)
 
-    def test_probe_spec_stores_an_int(self):
-        assert type(ProbeSpec(np.int64(3), Fock(1)).d) is int
+    def test_numpy_int_equals_int(self):
+        assert qcrb_closed_form(np.int64(3), Fock(1)) == qcrb_closed_form(3, Fock(1))
+
+    @pytest.mark.parametrize("take", [qcrb_closed_form, qfi_matrix])
+    @pytest.mark.parametrize("state", [Fock(0), "x"], ids=["vacuum", "str"])
+    def test_d_checked_before_the_state(self, take, state):
+        with pytest.raises(ValueError, match="^d must be >= 1, got 0$"):
+            take(0, state)
 
 
 class TestOrderingCheck:
@@ -445,8 +453,7 @@ class TestAmplitudeFisherOracle:
             "optimized": OptimizedB(),
             "boundary": FixedB(_ellipse_boundary(d, state)),
         }[weighting]
-        spec = ProbeSpec(d, state, weighting)
-        report = qcrb_closed_form(spec)
+        report = qcrb_closed_form(d, state, weighting)
         b2, c = resolve_weights(d, moments(state), weighting)
         assert b2 == report.b2
 
@@ -469,7 +476,7 @@ class TestAmplitudeFisherOracle:
                 for gj in grads
             ]
         )
-        assert np.allclose(fisher, qfi_matrix(spec).entries, rtol=1e-10, atol=0.0)
+        assert np.allclose(fisher, qfi_matrix(d, state, weighting).entries, rtol=1e-10, atol=0.0)
         assert np.trace(np.linalg.inv(fisher)) == pytest.approx(report.qcrb, rel=1e-10)
 
 
@@ -483,6 +490,6 @@ class TestUnbalancedPhotonNumber:
         mean = (c * c + 5 * b2) * m.mean_n
         assert mean == pytest.approx(10.4101362133664, rel=1e-12)
         assert f"{mean:.12g}" == "10.4101362134"
-        rep = qcrb_closed_form(ProbeSpec(5, state, OptimizedB()))
+        rep = qcrb_closed_form(5, state, OptimizedB())
         assert rep.n_bar == mean_total_photons(5, state)
         assert f"{rep.n_bar:.12g}" == "5.64794052228"

@@ -15,7 +15,7 @@ import pytest
 from noonlike.circuit import BeamSplitter, CircuitConfig, ExperimentResult, PhaseShifter
 from noonlike.families import SweepCurve
 from noonlike.oracles import FockVector, QfiMatrix
-from noonlike.qcrb import Balanced, FixedB, OptimizedB, ProbeSpec, QcrbReport
+from noonlike.qcrb import Balanced, FixedB, OptimizedB, QcrbReport
 from noonlike.states import (
     Coherent,
     Fock,
@@ -57,12 +57,6 @@ CASES = [
     (Balanced, dict(), None, "Balanced()"),
     (FixedB, dict(b2=0.1), dict(b2=0.2), "FixedB(b2=0.1)"),
     (OptimizedB, dict(), None, "OptimizedB()"),
-    (
-        ProbeSpec,
-        dict(d=5, state=Coherent(1.0), weighting=FixedB(0.1)),
-        dict(d=5, state=Coherent(1.0), weighting=Balanced()),
-        "ProbeSpec(d=5, state=Coherent(alpha=1.0), weighting=FixedB(b2=0.1))",
-    ),
     (
         QcrbReport,
         dict(qcrb=1.0, f=0.5, R=2.0, b2=0.1, n_tilde=2.0, n_bar=1.5, family="ecs", parameter=1.25),
@@ -123,7 +117,7 @@ def case(request):
 
 
 def test_every_value_class_is_covered():
-    assert len({c[0] for c in CASES}) == len(CASES) == 18
+    assert len({c[0] for c in CASES}) == len(CASES) == 17
 
 
 def test_equal_fields_give_equal_objects(case):
@@ -190,8 +184,6 @@ def test_keyword_and_positional_construction_agree(case):
 
 
 def test_defaults():
-    state = Coherent(1.0)
-    assert ProbeSpec(5, state).weighting == Balanced()
     report = QcrbReport(1.0, 0.5, 2.0, 0.1, 2.0, 1.5)
     assert (report.family, report.parameter) == ("", None)
     assert BeamSplitter(0, 1) == BeamSplitter(0, 1, transmissivity=0.5, convention="symmetric")
