@@ -8,8 +8,8 @@ budget, optimizes balanced against unbalanced weighting, and simulates a
 heralded linear-optical circuit that generates a two-mode probe of this
 class, exactly on its heralded photon budget.
 
-The circuit simulator and the numeric oracles (``noonlike.oracles``, which
-imports numpy from the ``test`` extra) load on first use, so no command loads numpy.
+The family solver, the circuit simulator and the numeric oracles (``noonlike.oracles``,
+which imports numpy from the ``test`` extra) load on first use, so no command loads numpy.
 """
 
 import importlib
@@ -32,17 +32,6 @@ from .errors import (
     UsageError,
     ZeroPhotonState,
 )
-from .families import (
-    Family,
-    SweepCurve,
-    balanced_vs_unbalanced_sweep,
-    compare_families_at_nbar,
-    compare_sweeps_at_common_nbar,
-    escs_ratio_bracket_check,
-    escs_sweep_r_prime,
-    matched_report,
-    solve_param_for_nbar,
-)
 from .qcrb import (
     Balanced,
     FixedB,
@@ -56,6 +45,7 @@ from .qcrb import (
 )
 from .states import (
     Coherent,
+    Family,
     Fock,
     FockSuperposition,
     Moments,
@@ -70,13 +60,16 @@ __version__ = "0.1.0"
 
 
 # name -> its submodule, imported on first use; a submodule's name gives the submodule
-_LAZY = {"circuit": "circuit"} | dict.fromkeys(
+_LAZY = {"circuit": "circuit", "families": "families"} | dict.fromkeys(
+    ("SweepCurve", "balanced_vs_unbalanced_sweep", "compare_families_at_nbar",
+     "compare_sweeps_at_common_nbar", "escs_ratio_bracket_check", "escs_sweep_r_prime",
+     "matched_report", "solve_param_for_nbar"), "families") | dict.fromkeys(
     ("FockVector", "QfiMatrix", "fock_amplitudes", "moments_from_amplitudes", "qfi_matrix",
      "qcrb_trace_inverse"), "oracles")
 
 
 def __getattr__(name: str):
-    # PEP 562: ``noonlike.circuit`` and ``from noonlike import qfi_matrix``
+    # PEP 562: ``noonlike.circuit`` and ``from noonlike import matched_report``
     # work without importing the submodule first
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

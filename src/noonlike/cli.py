@@ -10,27 +10,19 @@ in its option's domain; the chosen family has the options it requires; no
 option is given that the chosen family or figure does not use; and, once the
 defaults are merged, each grid of several points has its min below its max.
 A failed check is a usage error that names the flag.
+
+An exact argv skips argparse (``noonlike._parser``): ``_exact`` reads it by the
+same table, then the same checks run.  ``--help`` shows the text above only.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from collections.abc import Iterator, Sequence
 
 from .errors import NoonlikeError, UsageError
-from .families import (
-    PARAMETERS,
-    Family,
-    balanced_vs_unbalanced_sweep,
-    compare_families_at_nbar,
-    compare_sweeps_at_common_nbar,
-    constituent,
-    escs_sweep_r_prime,
-    matched_report,
-)
 from .qcrb import (
     Balanced,
     FixedB,
@@ -40,6 +32,7 @@ from .qcrb import (
     _check_ordered,
     qcrb_closed_form,
 )
+from .states import PARAMETERS, Family, constituent
 
 __all__ = ["parse_args", "main"]
 
@@ -114,45 +107,46 @@ def _takes(command: str) -> dict:
     return {key: takes[key] for key in _OPTIONS if key in takes}
 
 
-class _Formatter(argparse.HelpFormatter):
-    """argparse's help layout, with the width found as ``shutil.get_terminal_size`` finds it.
+def _exact(argv: Sequence[str]) -> tuple[str, dict] | None:
+    """(command, params) as argparse gives them for an exact argv; None for any other.
 
-    argparse imports ``shutil``, and with it ``bz2``, ``lzma`` and
-    ``fnmatch``, only to read that width, once per formatter.
+    That is a command, then flags it takes, in full, once each, all it requires and
+    not both ``_EXCLUSIVE`` ones; each value the next token, with no "-" first,
+    converted by its type to one of its choices.
     """
+    if not argv or argv[0] not in _COMMAND_OPTIONS:
+        return None
+    takes = _takes(argv[0])
+    flags, given, tokens = {_FLAG[key]: key for key in takes}, {}, iter(argv[1:])
+    for token in tokens:
+        key = flags.pop(token, None)  # popped: a repeated flag is not found again
+        if key is None:
+            return None
+        kind = _OPTIONS[key][0]
+        if kind is bool:
+            given[key] = True
+            continue
+        value = next(tokens, "-")
+        try:
+            given[key] = (type(kind[0]) if isinstance(kind, tuple) else kind)(value)
+        except ValueError:
+            return None
+        if value.startswith("-") or isinstance(kind, tuple) and given[key] not in kind:
+            return None
+    if given.keys() >= set(_EXCLUSIVE) or any(takes[k] is _REQUIRED for k in flags.values()):
+        return None
+    return argv[0], {key: None if d is _REQUIRED else d for key, d in takes.items()} | given
 
-    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
-        if width is None:
-            try:
-                width = int(os.environ["COLUMNS"])
-            except (KeyError, ValueError):
-                width = 0
-            if width <= 0:
-                try:
-                    width = os.get_terminal_size(sys.__stdout__.fileno()).columns
-                except (AttributeError, ValueError, OSError):  # no stdout, or no terminal
-                    width = 0
-                width = width or 80  # a terminal may report 0 columns
-            width -= 2
-        super().__init__(prog, indent_increment, max_help_position, width)
 
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
-        super().__init__(formatter_class=_Formatter, **kwargs)
-
-    def error(self, message):  # noqa: A003 - argparse API
-        raise UsageError(message)
-
-
-def _build_parser(*commands: str) -> _Parser:
+def _build_parser(*commands: str):
     """Every command as a choice, with the options of ``commands`` only.
 
     argparse reads only the subparser of the command it parses, so
     ``parse_args`` fills that one alone; its usage errors and help texts are
     those of the parser with every command filled.
     """
-    parser = _Parser(prog="noonlike", description=__doc__)
+    from ._parser import _Parser
+    parser = _Parser(prog="noonlike", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _) in _COMMAND_OPTIONS.items():
         p = sub.add_parser(command, help=summary)
@@ -203,35 +197,18 @@ def _validate(params: dict) -> None:
             )
 
 
-def _attach_negative_values(argv: Sequence[str]) -> list[str]:
-    """``--flag -1e5`` as ``--flag=-1e5``, for every value that float() reads.
-
-    argparse takes a separate token that starts with "-" for an option unless
-    it is a plain negative number, so ``-1e5`` or ``-inf`` would lose its flag.
-    """
-    out: list[str] = []
-    for token in argv:
-        if token.startswith("-") and out and out[-1].startswith("--") and "=" not in out[-1]:
-            try:
-                float(token)
-            except ValueError:
-                pass
-            else:
-                out[-1] += "=" + token
-                continue
-        out.append(token)
-    return out
-
-
 def parse_args(argv: Sequence[str]) -> tuple[str, dict]:
     """Validated (command, params); raises UsageError on bad input."""
-    argv = _attach_negative_values(argv)
-    # the top level takes no option with a value, so its first positional is the command
-    command = next((token for token in argv if not token.startswith("-")), "")
-    ns = _build_parser(command).parse_args(argv)
-    params = {k: v for k, v in vars(ns).items() if k != "command"}
-    _validate(params)
-    return ns.command, params
+    parsed = _exact(argv)
+    if parsed is None:  # argparse prints the help or words the usage error
+        from ._parser import _attach_negative_values
+        argv = _attach_negative_values(argv)
+        # the top level takes no option with a value, so its first positional is the command
+        command = next((token for token in argv if not token.startswith("-")), "")
+        ns = _build_parser(command).parse_args(argv)
+        parsed = ns.command, {k: v for k, v in vars(ns).items() if k != "command"}
+    _validate(parsed[1])
+    return parsed
 
 
 def _fmt(value) -> str:
@@ -310,17 +287,20 @@ def _cmd_qcrb(params: dict) -> tuple[list[str], list[list]]:
 
 
 def _cmd_compare(params: dict) -> tuple[list[str], list[list]]:
+    from .families import compare_families_at_nbar  # so that qcrb loads no solver
     reports = compare_families_at_nbar(params["d"], params["n_bar"], params["r_prime"])
     return _REPORT_COLUMNS, [_report_row(r) for r in reports]
 
 
 def _cmd_sweep_escs(params: dict) -> tuple[list[str], list[list]]:
+    from .families import escs_sweep_r_prime
     grid = _linspace(params["r_min"], params["r_max"], params["steps"])
     curve = escs_sweep_r_prime(params["d"], params["n_bar"], grid)
     return ["r_prime", "n_bar", "qcrb"], [[rp, nb, q] for nb, q, rp in curve.points]
 
 
 def _cmd_unbalanced(params: dict) -> tuple[list[str], list[list]]:
+    from .families import balanced_vs_unbalanced_sweep, compare_sweeps_at_common_nbar
     grid = _linspace(params["r_min"], params["r_max"], params["steps"])
     bal, unb = balanced_vs_unbalanced_sweep(params["d"], grid)
     columns = ["r", "n_bar_balanced", "qcrb_balanced", "n_bar_unbalanced", "qcrb_unbalanced"]
@@ -340,7 +320,6 @@ def _cmd_unbalanced(params: dict) -> tuple[list[str], list[list]]:
 
 def _cmd_experiment(params: dict) -> tuple[list[str], list[list]]:
     from .circuit import run_experiment
-
     res = run_experiment(params["r"])
     columns = ["r", "n_bar", "success_prob", "fidelity", "branch_phase"] + [
         f"abs_c{n}" for n in range(len(res.phi_amps))
@@ -351,6 +330,7 @@ def _cmd_experiment(params: dict) -> tuple[list[str], list[list]]:
 
 
 def _figure_2(params: dict) -> tuple[list[str], list[list]]:
+    from .families import compare_families_at_nbar
     d = params["d"]
     rows = []
     for nb in _geomspace(params["n_min"], params["n_max"], params["steps"]):
@@ -361,6 +341,7 @@ def _figure_2(params: dict) -> tuple[list[str], list[list]]:
 
 
 def _figure_3(params: dict) -> tuple[list[str], list[list]]:
+    from .families import escs_sweep_r_prime, matched_report
     d = params["d"]
     r_primes = (0.4, 0.8, 1.2)
     rows = []
@@ -378,7 +359,6 @@ def _figure_3(params: dict) -> tuple[list[str], list[list]]:
 
 def _figure_6(params: dict) -> tuple[list[str], list[list]]:
     from .circuit import experiment_qcrb_comparison
-
     grid = _linspace(params["r_min"], params["r_max"], params["steps"])
     noon_curve, ecs_curve, phi_curve = experiment_qcrb_comparison(grid)
     rows = [

@@ -1,9 +1,10 @@
 """Parameter matching, four-family comparisons, and balanced vs unbalanced sweeps.
 
 Each family is one constituent state with one free parameter: ``PARAMETERS``
-names it, ``constituent`` builds the state from it and ``nbar_map`` gives
-the closed-form mean photon number of its balanced probe.  Families are
-compared at a common mean total photon number of the balanced probe.  The
+names it, ``constituent`` builds the state from it (both from ``states``)
+and ``nbar_map`` gives the closed-form mean photon number of its balanced
+probe.  Families are compared at a common mean total photon number of the
+balanced probe.  The
 NOON column uses the interpolated ("effective") photon number so that all
 four curves share an x-axis; the other three families are matched by
 bisection on their free parameter, which maps monotonically to the mean
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from enum import Enum
 
 from .errors import BracketFailure, ParameterOutOfRange, ZeroPhotonState
 from .qcrb import (
@@ -36,16 +36,15 @@ from .qcrb import (
     resolve_weights,
 )
 from .states import (
-    Coherent,
-    Fock,
-    SingleModeState,
-    SqueezedCoherent,
+    PARAMETERS,
+    Family,
     SqueezedVacuum,
     _ALPHA_RANGE,
     _N_RANGE,
     _R_RANGE,
     _Frozen,
     _require_real,
+    constituent,
     moments,
 )
 
@@ -66,30 +65,6 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-10
 _MAX_DOUBLINGS = 200
-
-
-class Family(str, Enum):
-    NOON = "noon"
-    ECS = "ecs"
-    ESCS = "escs"
-    ESVS = "esvs"
-
-
-# The free parameter of each family's constituent: the constructor argument,
-# the state attribute and the ``qcrb`` command's flag.
-PARAMETERS = {Family.NOON: "n", Family.ECS: "alpha", Family.ESCS: "alpha", Family.ESVS: "r"}
-
-
-def constituent(
-    family: Family, r_prime: float | None = None
-) -> Callable[[float], SingleModeState]:
-    """Constructor of the family's constituent from its free parameter.
-
-    ESCS squeezes by the fixed factor ``r_prime``; the other families ignore it.
-    """
-    if family is Family.ESCS:
-        return lambda alpha: SqueezedCoherent(alpha, r_prime)
-    return {Family.NOON: Fock, Family.ECS: Coherent, Family.ESVS: SqueezedVacuum}[family]
 
 
 def nbar_map(

@@ -4,7 +4,7 @@ Each state is described analytically, by closed-form moments of the photon
 number operator, and by its Fock amplitudes, built as plain lists by
 ``_build_amps``.  The circuit simulator reads those lists directly, and
 ``noonlike.oracles`` turns them into truncated expansions whose moments
-check the closed forms.
+check the closed forms, and ``constituent`` builds each ``Family``'s state.
 
 Conventions
 -----------
@@ -36,10 +36,15 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Callable
+from enum import Enum
 
 from .errors import ParameterOutOfRange, ZeroPhotonState
 
 __all__ = [
+    "Family",
+    "PARAMETERS",
+    "constituent",
     "Fock",
     "Coherent",
     "SqueezedVacuum",
@@ -204,6 +209,30 @@ class FockSuperposition(_Frozen):
 
 
 SingleModeState = Fock | Coherent | SqueezedVacuum | SqueezedCoherent | FockSuperposition
+
+
+class Family(str, Enum):
+    NOON = "noon"
+    ECS = "ecs"
+    ESCS = "escs"
+    ESVS = "esvs"
+
+
+# The free parameter of each family's constituent: the constructor argument,
+# the state attribute and the ``qcrb`` command's flag.
+PARAMETERS = {Family.NOON: "n", Family.ECS: "alpha", Family.ESCS: "alpha", Family.ESVS: "r"}
+
+
+def constituent(
+    family: Family, r_prime: float | None = None
+) -> Callable[[float], SingleModeState]:
+    """Constructor of the family's constituent from its free parameter.
+
+    ESCS squeezes by the fixed factor ``r_prime``; the other families ignore it.
+    """
+    if family is Family.ESCS:
+        return lambda alpha: SqueezedCoherent(alpha, r_prime)
+    return {Family.NOON: Fock, Family.ECS: Coherent, Family.ESVS: SqueezedVacuum}[family]
 
 
 class Moments(_Frozen):

@@ -260,7 +260,7 @@ def test_only_the_help_width_comes_from_the_environment():
     reads = [
         f"{p.stem}:{key}" for p in sorted(package.glob("*.py")) for key in _environment_reads(p)
     ]
-    assert reads == ["cli:COLUMNS"]
+    assert reads == ["_parser:COLUMNS"]
 
 
 def test_environment_gate_sees_every_form(tmp_path):

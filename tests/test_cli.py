@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from noonlike import cli
+from noonlike import cli, families
 from noonlike.cli import main, parse_args
 from noonlike.errors import OrderingViolation, UsageError
 from noonlike.families import PARAMETERS, Family, SweepCurve
@@ -525,7 +525,7 @@ class TestFigures:
         def flat_sweep(d, n_bar, grid):
             return SweepCurve(tuple((n_bar, 1e-9, rp) for rp in grid))
 
-        monkeypatch.setattr(cli, "escs_sweep_r_prime", flat_sweep)
+        monkeypatch.setattr(families, "escs_sweep_r_prime", flat_sweep)
         argv = ["figure", "--id", "3", "--steps", "2"]
         message = r"^ECS > ESCS\(r'\) > ESVS ordering failed at d=5, n_bar=0.75: \["
         with pytest.raises(OrderingViolation, match=message):

@@ -31,6 +31,7 @@ from noonlike.families import (
     escs_ratio_bracket_check,
     escs_sweep_r_prime,
     matched_report,
+    nbar_map,
     solve_param_for_nbar,
 )
 from noonlike.qcrb import (
@@ -49,6 +50,7 @@ from noonlike.states import (
     SqueezedCoherent,
     SqueezedVacuum,
     _Frozen,
+    constituent,
     f_factor,
     moments,
 )
@@ -94,6 +96,12 @@ CALLS = {
     "qcrb_from_f-n_bar": (lambda x: qcrb_from_f(5, x, 0.1), ["n_bar"]),
     "qcrb_from_f-f": (lambda x: qcrb_from_f(5, 2.0, x), ["f"]),
     "FixedB-b2": (lambda x: FixedB(x), ["b2"]),
+    "constituent-r_prime": (lambda x: constituent(Family.ESCS, x)(1.0), ["r_prime", "r"]),
+    "nbar_map-d": (lambda x: nbar_map(Family.ECS, x)(1.0), ["d"]),
+    "nbar_map-r_prime": (lambda x: nbar_map(Family.ESCS, 5, x)(1.0), ["r_prime", "r"]),
+    "nbar_map(ecs)-alpha": (lambda x: nbar_map(Family.ECS, 5)(x), ["alpha"]),
+    "nbar_map(escs)-alpha": (lambda x: nbar_map(Family.ESCS, 5, 0.5)(x), ["alpha"]),
+    "nbar_map(esvs)-r": (lambda x: nbar_map(Family.ESVS, 5)(x), ["r"]),
     "solve_param_for_nbar-n_bar": (lambda x: solve_param_for_nbar(Family.ECS, 5, x), ["n_bar"]),
     "solve_param_for_nbar-r_prime": (
         lambda x: solve_param_for_nbar(Family.ESCS, 5, 3.0, x), ["r_prime", "r"]

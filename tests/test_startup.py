@@ -8,9 +8,12 @@ heralded-source commands, ``experiment`` and ``figure --id 6``, load the
 circuit simulator, which is plain Python too, so they must not load numpy or
 ``dataclasses`` either.  No command, and no ``import noonlike``, loads
 ``noonlike.oracles``, the numpy code that checks the closed forms, and
-none loads ``typing``, ``importlib.resources``, ``pathlib`` or ``shutil``.  Each invocation runs in
-a fresh interpreter, since this one has imported all of them long ago.  The
-gates count modules, never seconds.
+none loads ``typing``, ``importlib.resources``, ``pathlib`` or ``shutil``.  An
+exact argv is parsed without argparse, so no command that succeeds loads
+``argparse``, ``gettext``, ``locale`` or, but for JSON output, ``re``; and
+``qcrb``, which builds its one state from the parameter given, loads no
+family solver.  Each invocation runs in a fresh interpreter, since this one
+has imported all of them long ago.  The gates count modules, never seconds.
 
 The pure-Python stand-ins for ``np.linspace`` and ``np.geomspace`` that make
 this possible are checked against numpy bit for bit.  The geometric grid is
@@ -27,7 +30,8 @@ import struct
 import numpy as np
 import pytest
 
-from noonlike.cli import _CHOICES, _Formatter, _geomspace, _linspace
+from noonlike._parser import _Formatter
+from noonlike.cli import _CHOICES, _geomspace, _linspace
 
 CLOSED_FORM = [
     ["qcrb", "--family", "noon", "--d", "5", "--n", "2"],
@@ -108,6 +112,33 @@ def test_commands_load_neither_typing_nor_resources(cli_in_fresh_interpreter, ar
     assert "typing" not in modules
     assert "importlib.resources" not in modules
     assert "shutil" not in modules  # argparse's help formatter would import it for the width
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM + HERALDED, ids=" ".join)
+def test_commands_load_no_argparse(cli_in_fresh_interpreter, argv):
+    # an exact argv is parsed from the option table; argparse is for help and usage errors
+    code, modules = cli_in_fresh_interpreter(argv, site=False)
+    assert code == 0
+    assert "noonlike.cli" in modules
+    assert not modules & {"argparse", "gettext", "locale", "noonlike._parser"}
+    assert ("re" in modules) == ("json" in argv)  # json's encoder imports re
+
+
+def test_usage_error_loads_argparse(cli_in_fresh_interpreter):
+    # argparse words the error, so the probe above would see it
+    code, modules = cli_in_fresh_interpreter(["qcrb", "--family", "noon", "--d", "5", "--bogus"],
+                                             site=False)
+    assert code == 2
+    assert {"argparse", "gettext", "locale", "re", "noonlike._parser"} <= modules
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM + HERALDED, ids=" ".join)
+def test_only_budget_matching_commands_load_the_solver(cli_in_fresh_interpreter, argv):
+    # qcrb builds its one state from the parameter given; every other command
+    # here matches a budget (experiment and figure 6 through the circuit)
+    code, modules = cli_in_fresh_interpreter(argv, site=False)
+    assert code == 0
+    assert ("noonlike.families" in modules) == (argv[0] != "qcrb")
 
 
 @pytest.mark.parametrize("columns", ["80", "40", "200", None, "0", "-5", "wide"])

@@ -133,6 +133,14 @@ class TestFockAmplitudes:
     def test_zero_parameter_is_the_vacuum(self, state):
         assert _build_amps(state, 4) == [1.0, 0.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_superposition_cut_below_its_length(self, n_max):
+        # an explicit cutoff keeps c_0..c_n_max and leaves the rest as tail mass
+        amps = (0.1, 0.2, 0.3j, 0.4, math.sqrt(0.7))
+        v = fock_amplitudes(FockSuperposition(amps), n_max=n_max, tail_tol=math.inf)
+        assert v.amps.tolist() == list(amps[: n_max + 1])
+        assert v.tail_mass == pytest.approx(sum(abs(c) ** 2 for c in amps[n_max + 1 :]), abs=1e-15)
+
     def test_effective_fock_has_no_expansion(self):
         with pytest.raises(ValueError):
             fock_amplitudes(Fock(1.5), n_max=10)
