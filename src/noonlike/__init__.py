@@ -3,10 +3,10 @@
 The package models entangled probes in which one of d+1 modes carries a
 single-mode constituent state (number, coherent, squeezed) and the rest are
 vacuum, evaluates the multi-phase estimation bound in closed form and via a
-matrix oracle, compares the standard probe families at matched photon
-budget, optimizes balanced against unbalanced weighting, and simulates a
-heralded linear-optical circuit that generates a two-mode probe of this
-class, exactly on its heralded photon budget.
+matrix oracle, compares the paper's four probe families (named by the keys
+of ``FAMILIES``) at matched budget, optimizes balanced against unbalanced
+weighting, and simulates a heralded linear-optical circuit that generates a
+two-mode probe of this class, exactly on its heralded photon budget.
 
 The family solver, the circuit simulator and the numeric oracles (``noonlike.oracles``,
 which imports numpy from the ``test`` extra) load on first use, so no command loads numpy.
@@ -44,8 +44,8 @@ from .qcrb import (
     resolve_weights,
 )
 from .states import (
+    FAMILIES,
     Coherent,
-    Family,
     Fock,
     FockSuperposition,
     Moments,

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Sequence
 
 from .errors import UsageError
 

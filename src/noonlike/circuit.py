@@ -54,13 +54,12 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Sequence
 
 from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError
-from .families import Family, SweepCurve, matched_report
+from .families import SweepCurve, matched_report
 from .qcrb import _check_ordered, noon_qcrb, qcrb_closed_form
 from .states import Coherent, FockSuperposition, SqueezedVacuum
-from .states import _R_RANGE, _build_amps, _Frozen, _require_real
+from .states import _R_RANGE, _Frozen, _require_real
 
 __all__ = [
     "BeamSplitter",
@@ -403,8 +402,8 @@ def run_experiment(
     budget, kept = _compiled(cfg)
     if cutoff is not None and _as_int("cutoff", cutoff) < budget:
         raise ValueError("cutoff below the heralded photon budget")
-    c = _build_amps(Coherent(pump_amplitude(r)), budget)
-    s = _build_amps(SqueezedVacuum(r), budget)
+    c = Coherent(pump_amplitude(r)).amplitudes(budget)
+    s = SqueezedVacuum(r).amplitudes(budget)
     state, success_prob = _heralded_state(kept, c, s, cfg)
     phi, fidelity, beta = _noonlike_decomposition(state)
 
@@ -444,7 +443,7 @@ def experiment_qcrb_comparison(
         q_phi = qcrb_closed_form(1, phi_state).qcrb
         n_bar = result.n_bar
         q_noon = noon_qcrb(1, n_bar)
-        q_ecs = matched_report(Family.ECS, 1, n_bar).qcrb
+        q_ecs = matched_report("ecs", 1, n_bar).qcrb
         _check_ordered([q_ecs, q_phi, q_noon], "ECS < heralded < NOON", f"r={r}", increasing=True)
         noon_pts.append((n_bar, q_noon, r))
         ecs_pts.append((n_bar, q_ecs, r))

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Iterator, Sequence
 
 from .errors import NoonlikeError, UsageError
 from .qcrb import (
@@ -32,7 +31,7 @@ from .qcrb import (
     _check_ordered,
     qcrb_closed_form,
 )
-from .states import PARAMETERS, Family, constituent
+from .states import FAMILIES, constituent
 
 __all__ = ["parse_args", "main"]
 
@@ -45,8 +44,8 @@ _FIGURE_4 = dict(d=5, r_min=0.3, r_max=3.0, steps=60)
 # takes every option of its chooser's choices, but a choice only its own
 _CHOICES = {
     "family": ("--family", {
-        f.value: {PARAMETERS[f]: _REQUIRED} | ({"r_prime": _REQUIRED} if f is Family.ESCS else {})
-        for f in Family
+        name: {row.parameter: _REQUIRED} | ({"r_prime": _REQUIRED} if row.needs_r_prime else {})
+        for name, row in FAMILIES.items()
     }),
     "id": ("figure --id", {
         2: dict(d=5, n_min=0.5, n_max=20.0, steps=40, r_prime=1.0),
@@ -279,10 +278,10 @@ def _cmd_qcrb(params: dict) -> tuple[list[str], list[list]]:
         weighting = FixedB(params["b2"])
     elif params.get("optimized_b"):
         weighting = OptimizedB()
-    family = Family(params["family"])
-    state = constituent(family, params["r_prime"])(params[PARAMETERS[family]])
+    family = params["family"]
+    state = constituent(family, params["r_prime"])(params[FAMILIES[family].parameter])
     rep = qcrb_closed_form(params["d"], state, weighting)
-    labelled = QcrbReport(rep.qcrb, rep.f, rep.R, rep.b2, rep.n_tilde, rep.n_bar, family.value)
+    labelled = QcrbReport(rep.qcrb, rep.f, rep.R, rep.b2, rep.n_tilde, rep.n_bar, family)
     return _REPORT_COLUMNS, [_report_row(labelled)]
 
 
@@ -346,8 +345,8 @@ def _figure_3(params: dict) -> tuple[list[str], list[list]]:
     r_primes = (0.4, 0.8, 1.2)
     rows = []
     for nb in _geomspace(params["n_min"], params["n_max"], params["steps"]):
-        ecs = matched_report(Family.ECS, d, nb).qcrb
-        esvs = matched_report(Family.ESVS, d, nb).qcrb
+        ecs = matched_report("ecs", d, nb).qcrb
+        esvs = matched_report("esvs", d, nb).qcrb
         escs_curve = escs_sweep_r_prime(d, nb, r_primes)
         escs_vals = [q for _, q, _ in escs_curve.points]
         ordered = [ecs] + escs_vals + [esvs]

@@ -1,12 +1,12 @@
 """Parameter matching, four-family comparisons, and balanced vs unbalanced sweeps.
 
-Each family is one constituent state with one free parameter: ``PARAMETERS``
-names it, ``constituent`` builds the state from it (both from ``states``)
-and ``nbar_map`` gives the closed-form mean photon number of its balanced
-probe.  Families are compared at a common mean total photon number of the
-balanced probe.  The
-NOON column uses the interpolated ("effective") photon number so that all
-four curves share an x-axis; the other three families are matched by
+Each family is one constituent state with one free parameter, and one row of
+``states.FAMILIES``, keyed by the family's name: the row names the parameter,
+builds the state from it (``constituent``) and gives the closed-form mean
+photon number of its balanced probe (``nbar_map``).  Families are compared at
+a common mean total photon number of the balanced probe.  The NOON column
+uses the interpolated ("effective") photon number so that all four curves
+share an x-axis; the other three families are matched by
 bisection on their free parameter, which maps monotonically to the mean
 photon number.  The bisection evaluates the family's n_bar map and builds
 no state per step; the solved state goes once through the general
@@ -23,7 +23,6 @@ Grid sweeps are pure and deterministic; points are produced in grid order.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
 
 from .errors import BracketFailure, ParameterOutOfRange, ZeroPhotonState
 from .qcrb import (
@@ -36,21 +35,19 @@ from .qcrb import (
     resolve_weights,
 )
 from .states import (
-    PARAMETERS,
-    Family,
+    FAMILIES,
     SqueezedVacuum,
     _ALPHA_RANGE,
     _N_RANGE,
     _R_RANGE,
     _Frozen,
     _require_real,
+    _row,
     constituent,
     moments,
 )
 
 __all__ = [
-    "Family",
-    "PARAMETERS",
     "constituent",
     "nbar_map",
     "SweepCurve",
@@ -67,9 +64,7 @@ _RESIDUAL_TOL = 1e-10
 _MAX_DOUBLINGS = 200
 
 
-def nbar_map(
-    family: Family, d: int, r_prime: float | None = None
-) -> Callable[[float], float]:
+def nbar_map(family: str, d: int, r_prime: float | None = None) -> Callable[[float], float]:
     """Balanced n_bar of the family's d-phase probe as a function of its free parameter.
 
     ``nbar_map(family, d, r_prime)(p)`` equals
@@ -79,31 +74,11 @@ def nbar_map(
     constructor's message, but builds no state.  NOON has no map; its
     occupation is n_bar itself.
     """
+    row = _row(family)
     d = _require_d(d)
-    if family is Family.ECS:
-
-        def ecs(alpha: float) -> float:
-            a2 = _require_real("alpha", alpha, _ALPHA_RANGE) ** 2
-            return a2 / (1.0 + d * math.exp(-a2))
-
-        return ecs
-    if family is Family.ESVS:
-
-        def esvs(r: float) -> float:
-            r = _require_real("r", r, _R_RANGE)
-            return math.sinh(r) ** 2 / (1.0 + d * (1.0 / math.cosh(r)))
-
-        return esvs
-    if family is Family.ESCS:
-        r = _require_real("r", r_prime, _R_RANGE)
-        sh2, one_minus_t, ch = math.sinh(r) ** 2, 1.0 - math.tanh(r), math.cosh(r)
-
-        def escs(alpha: float) -> float:
-            a2 = _require_real("alpha", alpha, _ALPHA_RANGE) ** 2
-            return (a2 + sh2) / (1.0 + d * (math.exp(-a2 * one_minus_t) / ch))
-
-        return escs
-    raise ValueError(f"family {family.value} has no n_bar map")
+    if row.nbar_map is None:
+        raise ValueError(f"family {family} has no n_bar map")
+    return row.nbar_map(d, r_prime)
 
 
 class SweepCurve(_Frozen):
@@ -156,7 +131,7 @@ def _bisect_increasing(fn: Callable[[float], float], target: float, guess: float
 
 
 def solve_param_for_nbar(
-    family: Family, d: int, n_bar: float, r_prime: float | None = None
+    family: str, d: int, n_bar: float, r_prime: float | None = None
 ) -> SingleModeState:
     """State of the family whose balanced d-phase probe has mean photon number n_bar.
 
@@ -168,33 +143,31 @@ def solve_param_for_nbar(
     squeeze factor) raises BracketFailure, as does a bracket that has to
     leave the parameter's representable range to reach the target.
     """
+    row = _row(family)
     d = _require_d(d)
     n_bar = _require_real("n_bar", n_bar)
     if n_bar <= 0.0:
         raise ValueError(f"n_bar must be positive, got {n_bar}")
     _require_real("n_bar", n_bar, _N_RANGE)  # NOON's n is n_bar
-    if family is Family.ESCS and (r_prime is None or _require_real("r_prime", r_prime) < 0.0):
-        raise ValueError("ESCS needs a nonnegative squeeze factor r_prime")
+    if row.needs_r_prime and (r_prime is None or _require_real("r_prime", r_prime) < 0.0):
+        raise ValueError(f"{family.upper()} needs a nonnegative squeeze factor r_prime")
     build = constituent(family, r_prime)
-    if family is Family.NOON:
+    if row.nbar_map is None:
         return build(n_bar)
 
     nbar_of = nbar_map(family, d, r_prime)
     floor = nbar_of(0.0)  # 0 but for ESCS, whose zero displacement keeps the squeeze
     if floor - n_bar > _RESIDUAL_TOL:
         raise BracketFailure(
-            f"n_bar = {n_bar} is below the floor {floor:.6g} of family {family.value} "
+            f"n_bar = {n_bar} is below the floor {floor:.6g} of family {family} "
             f"at r_prime = {r_prime}"
         )
-    guess = math.sqrt(n_bar)
-    if family is Family.ESVS:
-        guess = math.asinh(math.sqrt(n_bar))
     try:
-        param = _bisect_increasing(nbar_of, n_bar, guess)
+        param = _bisect_increasing(nbar_of, n_bar, row.guess(n_bar))
     except ParameterOutOfRange:
         raise BracketFailure(
-            f"cannot match family {family.value} to the target n_bar = {n_bar}: the bracket "
-            f"on its parameter {PARAMETERS[family]} left the representable range"
+            f"cannot match family {family} to the target n_bar = {n_bar}: the bracket "
+            f"on its parameter {row.parameter} left the representable range"
         ) from None
     state = build(param)
     # the one evaluation through the general moments path, a check on the map
@@ -204,9 +177,7 @@ def solve_param_for_nbar(
     return state
 
 
-def matched_report(
-    family: Family, d: int, n_bar: float, r_prime: float | None = None
-) -> QcrbReport:
+def matched_report(family: str, d: int, n_bar: float, r_prime: float | None = None) -> QcrbReport:
     """Balanced bound of the family matched to n_bar.
 
     The report carries the family and the solved free parameter; ``r_prime``
@@ -214,10 +185,8 @@ def matched_report(
     """
     state = solve_param_for_nbar(family, d, n_bar, r_prime)
     rep = qcrb_closed_form(d, state)
-    parameter = getattr(state, PARAMETERS[family])
-    return QcrbReport(
-        rep.qcrb, rep.f, rep.R, rep.b2, rep.n_tilde, rep.n_bar, family.value, parameter
-    )
+    parameter = getattr(state, FAMILIES[family].parameter)
+    return QcrbReport(rep.qcrb, rep.f, rep.R, rep.b2, rep.n_tilde, rep.n_bar, family, parameter)
 
 
 def compare_families_at_nbar(
@@ -235,7 +204,7 @@ def compare_families_at_nbar(
     escs_r_prime = _require_real("escs_r_prime", escs_r_prime)
     if not escs_r_prime > 0.0:
         raise ValueError(f"escs_r_prime must be positive, got {escs_r_prime}")
-    reports = [matched_report(fam, d, n_bar, escs_r_prime) for fam in Family]
+    reports = [matched_report(fam, d, n_bar, escs_r_prime) for fam in FAMILIES]
     where = f"d={d}, n_bar={n_bar}"
     _check_ordered([r.qcrb for r in reports], "bound", where)
     _check_ordered([r.n_tilde for r in reports], "constituent photon", where, increasing=True)
@@ -259,9 +228,7 @@ def escs_sweep_r_prime(d: int, n_bar: float, r_prime_grid: Iterable[float]) -> S
         raise ValueError(f"r_prime_grid must be nonnegative, got {negative[0]}")
     if any(b <= a for a, b in zip(r_prime_grid, r_prime_grid[1:])):
         raise ValueError("r_prime_grid must be strictly increasing")
-    points = [
-        (n_bar, matched_report(Family.ESCS, d, n_bar, rp).qcrb, rp) for rp in r_prime_grid
-    ]
+    points = [(n_bar, matched_report("escs", d, n_bar, rp).qcrb, rp) for rp in r_prime_grid]
     _check_ordered([q for _, q, _ in points], "squeeze-factor bound", f"d={d}, n_bar={n_bar}")
     return SweepCurve(tuple(points))
 
@@ -335,7 +302,7 @@ def compare_sweeps_at_common_nbar(
     for n_bar, q_unb, _ in unbalanced.points:
         if not lo <= n_bar <= hi:
             continue
-        q_bal = matched_report(Family.ESVS, d, n_bar).qcrb
+        q_bal = matched_report("esvs", d, n_bar).qcrb
         points.append((n_bar, q_bal, q_unb))
         if crossover is None and q_bal > q_unb * (1.0 + 1e-9):
             crossover = n_bar

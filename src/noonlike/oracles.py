@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SingularMatrix, TruncationInsufficient, ZeroPhotonState
 from .qcrb import Balanced, Weighting, _require_d, resolve_weights
-from .states import Moments, SingleModeState, _build_amps, _Frozen, moments
+from .states import Moments, SingleModeState, _Frozen, moments
 
 __all__ = ["FockVector", "QfiMatrix", "fock_amplitudes", "moments_from_amplitudes", "qfi_matrix",
            "qcrb_trace_inverse"]
@@ -62,10 +62,12 @@ def fock_amplitudes(
     ``n_max`` is honored as-is and raises TruncationInsufficient when the
     tail exceeds ``tail_tol``; pass ``tail_tol=math.inf`` to accept any tail.
     """
+    if not isinstance(state, SingleModeState):
+        raise TypeError(f"state must be a SingleModeState, got {type(state).__name__} {state!r}")
     if n_max is not None:
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
-        amps = np.array(_build_amps(state, n_max), dtype=np.complex128)
+        amps = np.array(state.amplitudes(n_max), dtype=np.complex128)
         tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
         if tail > tail_tol:
             raise TruncationInsufficient(
@@ -75,7 +77,7 @@ def fock_amplitudes(
 
     cutoff = _default_start(state)
     for _ in range(8):
-        amps = np.array(_build_amps(state, cutoff), dtype=np.complex128)
+        amps = np.array(state.amplitudes(cutoff), dtype=np.complex128)
         tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
         if tail < tail_tol:
             return FockVector(amps, cutoff, tail)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections.abc import Sequence
 
 from .errors import (
     ConstraintInfeasible,

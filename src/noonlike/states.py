@@ -1,10 +1,11 @@
 """Single-mode constituent states and their photon-number statistics.
 
-Each state is described analytically, by closed-form moments of the photon
-number operator, and by its Fock amplitudes, built as plain lists by
-``_build_amps``.  The circuit simulator reads those lists directly, and
-``noonlike.oracles`` turns them into truncated expansions whose moments
-check the closed forms, and ``constituent`` builds each ``Family``'s state.
+Each state class computes its own closed-form moments of the photon number
+operator and its own Fock amplitudes, as a plain list that the circuit
+simulator reads directly and ``noonlike.oracles`` turns into truncated
+expansions whose moments check the closed forms.  ``FAMILIES`` holds one row
+per probe family of the paper: a family is its name, and ``constituent``
+builds its state.
 
 Conventions
 -----------
@@ -36,14 +37,12 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections.abc import Callable
-from enum import Enum
 
 from .errors import ParameterOutOfRange, ZeroPhotonState
 
 __all__ = [
-    "Family",
-    "PARAMETERS",
+    "FAMILIES",
+    "FamilyRow",
     "constituent",
     "Fock",
     "Coherent",
@@ -142,97 +141,10 @@ class _Frozen:
             object.__setattr__(self, name, value)
 
 
-class Fock(_Frozen):
-    """Number state |n>.
+class SingleModeState(_Frozen):
+    """A constituent state, with its ``moments()`` and its ``amplitudes(n_max)`` c_0..c_n_max."""
 
-    ``n`` is an integer for a physical state; non-integer values are accepted
-    as "effective" interpolation points for comparison curves (they support
-    moments but have no Fock expansion).
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: float):
-        n = _require_real("n", n, _N_RANGE)
-        if n < 0:
-            raise ValueError(f"photon count must be nonnegative, got {n}")
-        object.__setattr__(self, "n", n)
-
-    @property
-    def is_effective(self) -> bool:
-        return not float(self.n).is_integer()
-
-
-class Coherent(_Frozen):
-    __slots__ = ("alpha",)
-
-    def __init__(self, alpha: float):
-        object.__setattr__(self, "alpha", _require_real("alpha", alpha, _ALPHA_RANGE))
-
-
-class SqueezedVacuum(_Frozen):
-    __slots__ = ("r",)
-
-    def __init__(self, r: float):
-        object.__setattr__(self, "r", _require_real("r", r, _R_RANGE))
-
-
-class SqueezedCoherent(_Frozen):
-    __slots__ = ("alpha", "r")
-
-    def __init__(self, alpha: float, r: float):
-        object.__setattr__(self, "alpha", _require_real("alpha", alpha, _ALPHA_RANGE))
-        object.__setattr__(self, "r", _require_real("r", r, _R_RANGE))
-
-
-class FockSuperposition(_Frozen):
-    """Explicit finite superposition sum_n amps[n] |n>, normalized to 1."""
-
-    __slots__ = ("amps",)
-
-    def __init__(self, amps: tuple[complex, ...]):
-        amps = list(amps)
-        for n, a in enumerate(amps):
-            if type(a) is not complex:
-                name = f"amps[{n}]"
-                _require_number(name, a, numbers.Number)
-                # a real too large for a double raises, naming it
-                amps[n] = complex(_require_real(name, a) if isinstance(a, numbers.Real) else a)
-        amps = tuple(amps)
-        if not amps:
-            raise ValueError("amplitude list must be non-empty")
-        # products, not powers: a float power that overflows raises
-        norm_sq = sum(a.real * a.real + a.imag * a.imag for a in amps)
-        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
-            raise ValueError(f"amplitudes not normalized: sum |c_n|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amps", amps)
-
-
-SingleModeState = Fock | Coherent | SqueezedVacuum | SqueezedCoherent | FockSuperposition
-
-
-class Family(str, Enum):
-    NOON = "noon"
-    ECS = "ecs"
-    ESCS = "escs"
-    ESVS = "esvs"
-
-
-# The free parameter of each family's constituent: the constructor argument,
-# the state attribute and the ``qcrb`` command's flag.
-PARAMETERS = {Family.NOON: "n", Family.ECS: "alpha", Family.ESCS: "alpha", Family.ESVS: "r"}
-
-
-def constituent(
-    family: Family, r_prime: float | None = None
-) -> Callable[[float], SingleModeState]:
-    """Constructor of the family's constituent from its free parameter.
-
-    ESCS squeezes by the fixed factor ``r_prime``; the other families ignore it.
-    """
-    if family is Family.ESCS:
-        return lambda alpha: SqueezedCoherent(alpha, r_prime)
-    return {Family.NOON: Fock, Family.ECS: Coherent, Family.ESVS: SqueezedVacuum}[family]
+    __slots__ = ()
 
 
 class Moments(_Frozen):
@@ -256,107 +168,227 @@ class Moments(_Frozen):
         return self.mean_n2 - self.mean_n**2
 
 
-def moments(state: SingleModeState) -> Moments:
-    """Analytic photon-number moments of a constituent state."""
-    if isinstance(state, Fock):
-        n = state.n
+class Fock(SingleModeState):
+    """Number state |n>.
+
+    ``n`` is an integer for a physical state; non-integer values are accepted
+    as "effective" interpolation points for comparison curves (they support
+    moments but have no Fock expansion).
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: float):
+        n = _require_real("n", n, _N_RANGE)
+        if n < 0:
+            raise ValueError(f"photon count must be nonnegative, got {n}")
+        object.__setattr__(self, "n", n)
+
+    def moments(self) -> Moments:
+        n = self.n
         return Moments(n, n * n, 1.0 if n == 0 else 0.0)
-    if isinstance(state, Coherent):
-        a2 = state.alpha**2
+
+    def amplitudes(self, n_max: int) -> list[float]:
+        if not self.n.is_integer():
+            raise ValueError("effective (non-integer) Fock states have no expansion")
+        out = [0.0] * (n_max + 1)
+        if self.n <= n_max:
+            out[int(self.n)] = 1.0
+        return out
+
+
+class Coherent(SingleModeState):
+    __slots__ = ("alpha",)
+
+    def __init__(self, alpha: float):
+        object.__setattr__(self, "alpha", _require_real("alpha", alpha, _ALPHA_RANGE))
+
+    def moments(self) -> Moments:
+        a2 = self.alpha**2
         return Moments(a2, a2 + a2 * a2, math.exp(-a2))
-    if isinstance(state, SqueezedVacuum):
-        sh2 = math.sinh(state.r) ** 2
-        return Moments(sh2, 3 * sh2 * sh2 + 2 * sh2, 1.0 / math.cosh(state.r))
-    if isinstance(state, SqueezedCoherent):
-        a2 = state.alpha**2
-        r = state.r
+
+    def amplitudes(self, n_max: int) -> list[float]:
+        # log-space accumulation keeps n ~ hundreds finite past the 170! overflow
+        if self.alpha == 0.0:
+            return [1.0] + [0.0] * n_max
+        out = [0.0] * (n_max + 1)
+        a = abs(self.alpha)
+        half_a2, log_a = -0.5 * a * a, math.log(a)
+        sign = math.copysign(1.0, self.alpha)
+        for n in range(n_max + 1):
+            log_mag = half_a2 + n * log_a - 0.5 * math.lgamma(n + 1.0)
+            out[n] = sign**n * math.exp(log_mag)
+        return out
+
+
+class SqueezedVacuum(SingleModeState):
+    __slots__ = ("r",)
+
+    def __init__(self, r: float):
+        object.__setattr__(self, "r", _require_real("r", r, _R_RANGE))
+
+    def moments(self) -> Moments:
+        sh2 = math.sinh(self.r) ** 2
+        return Moments(sh2, 3 * sh2 * sh2 + 2 * sh2, 1.0 / math.cosh(self.r))
+
+    def amplitudes(self, n_max: int) -> list[float]:
+        if self.r == 0.0:
+            return [1.0] + [0.0] * n_max
+        out = [0.0] * (n_max + 1)
+        th = math.tanh(self.r)
+        log_ch = math.log(math.cosh(self.r))
+        for m in range(n_max // 2 + 1):
+            log_mag = (
+                -0.5 * log_ch
+                + m * math.log(abs(th))
+                + 0.5 * math.lgamma(2 * m + 1.0)
+                - m * math.log(2.0)
+                - math.lgamma(m + 1.0)
+            )
+            out[2 * m] = (-math.copysign(1.0, th)) ** m * math.exp(log_mag)
+        return out
+
+
+class SqueezedCoherent(SingleModeState):
+    __slots__ = ("alpha", "r")
+
+    def __init__(self, alpha: float, r: float):
+        object.__setattr__(self, "alpha", _require_real("alpha", alpha, _ALPHA_RANGE))
+        object.__setattr__(self, "r", _require_real("r", r, _R_RANGE))
+
+    def moments(self) -> Moments:
+        a2 = self.alpha**2
+        r = self.r
         sh2 = math.sinh(r) ** 2
         ch2 = math.cosh(r) ** 2
         n_tilde = a2 + sh2
         var = a2 * math.exp(2 * r) + 2 * sh2 * ch2
         vac = math.exp(-a2 * (1.0 - math.tanh(r))) / math.cosh(r)
         return Moments(n_tilde, n_tilde**2 + var, vac)
-    if isinstance(state, FockSuperposition):
-        mean = sum(n * abs(c) ** 2 for n, c in enumerate(state.amps))
-        mean2 = sum(n * n * abs(c) ** 2 for n, c in enumerate(state.amps))
-        return Moments(mean, mean2, abs(state.amps[0]) ** 2)
-    raise TypeError(f"state must be a SingleModeState, got {type(state).__name__} {state!r}")
 
-
-def _coherent_amps(alpha: float, n_max: int) -> list[float]:
-    # log-space accumulation keeps n ~ hundreds finite past the 170! overflow
-    out = [0.0] * (n_max + 1)
-    if alpha == 0.0:
-        out[0] = 1.0
-        return out
-    a = abs(alpha)
-    half_a2, log_a = -0.5 * a * a, math.log(a)
-    sign = math.copysign(1.0, alpha)
-    for n in range(n_max + 1):
-        log_mag = half_a2 + n * log_a - 0.5 * math.lgamma(n + 1.0)
-        out[n] = sign**n * math.exp(log_mag)
-    return out
-
-
-def _squeezed_vacuum_amps(r: float, n_max: int) -> list[float]:
-    out = [0.0] * (n_max + 1)
-    if r == 0.0:
-        out[0] = 1.0
-        return out
-    th = math.tanh(r)
-    log_ch = math.log(math.cosh(r))
-    for m in range(n_max // 2 + 1):
-        log_mag = (
-            -0.5 * log_ch
-            + m * math.log(abs(th))
-            + 0.5 * math.lgamma(2 * m + 1.0)
-            - m * math.log(2.0)
-            - math.lgamma(m + 1.0)
-        )
-        out[2 * m] = (-math.copysign(1.0, th)) ** m * math.exp(log_mag)
-    return out
-
-
-def _squeezed_coherent_amps(alpha: float, r: float, n_max: int) -> list[float]:
-    # Stable two-term recurrence from the transformed annihilation relation
-    #   (a cosh r - a^dag sinh r) |psi> = alpha e^{-r} |psi>
-    # valid for the displacement-after-squeeze ordering documented above.
-    out = [0.0] * (n_max + 1)
-    ch = math.cosh(r)
-    sh = math.sinh(r)
-    gamma = alpha * math.exp(-r)
-    out[0] = math.exp(-0.5 * alpha * alpha * (1.0 - math.tanh(r))) / math.sqrt(ch)
-    if n_max >= 1:
-        out[1] = gamma * out[0] / ch
-    for n in range(1, n_max):
-        out[n + 1] = (gamma * out[n] + sh * math.sqrt(n) * out[n - 1]) / (
-            ch * math.sqrt(n + 1)
-        )
-    return out
-
-
-def _build_amps(state: SingleModeState, n_max: int) -> list:
-    """Fock amplitudes c_0..c_n_max of ``state``: floats, or complex for a superposition."""
-    if isinstance(state, Fock):
-        if state.is_effective:
-            raise ValueError("effective (non-integer) Fock states have no expansion")
+    def amplitudes(self, n_max: int) -> list[float]:
+        # Stable two-term recurrence from the transformed annihilation relation
+        #   (a cosh r - a^dag sinh r) |psi> = alpha e^{-r} |psi>
+        # valid for the displacement-after-squeeze ordering documented above.
+        alpha, r = self.alpha, self.r
         out = [0.0] * (n_max + 1)
-        n = int(state.n)
-        if n <= n_max:
-            out[n] = 1.0
+        ch = math.cosh(r)
+        sh = math.sinh(r)
+        gamma = alpha * math.exp(-r)
+        out[0] = math.exp(-0.5 * alpha * alpha * (1.0 - math.tanh(r))) / math.sqrt(ch)
+        if n_max >= 1:
+            out[1] = gamma * out[0] / ch
+        for n in range(1, n_max):
+            out[n + 1] = (gamma * out[n] + sh * math.sqrt(n) * out[n - 1]) / (
+                ch * math.sqrt(n + 1)
+            )
         return out
-    if isinstance(state, Coherent):
-        return _coherent_amps(state.alpha, n_max)
-    if isinstance(state, SqueezedVacuum):
-        return _squeezed_vacuum_amps(state.r, n_max)
-    if isinstance(state, SqueezedCoherent):
-        return _squeezed_coherent_amps(state.alpha, state.r, n_max)
-    if isinstance(state, FockSuperposition):
+
+
+class FockSuperposition(SingleModeState):
+    """Explicit finite superposition sum_n amps[n] |n>, normalized to 1."""
+
+    __slots__ = ("amps",)
+
+    def __init__(self, amps: tuple[complex, ...]):
+        amps = list(amps)
+        for n, a in enumerate(amps):
+            if type(a) is not complex:
+                name = f"amps[{n}]"
+                _require_number(name, a, numbers.Number)
+                # a real too large for a double raises, naming it
+                amps[n] = complex(_require_real(name, a) if isinstance(a, numbers.Real) else a)
+        amps = tuple(amps)
+        if not amps:
+            raise ValueError("amplitude list must be non-empty")
+        # products, not powers: a float power that overflows raises
+        norm_sq = sum(a.real * a.real + a.imag * a.imag for a in amps)
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
+            raise ValueError(f"amplitudes not normalized: sum |c_n|^2 = {norm_sq!r}")
+        object.__setattr__(self, "amps", amps)
+
+    def moments(self) -> Moments:
+        mean = sum(n * abs(c) ** 2 for n, c in enumerate(self.amps))
+        mean2 = sum(n * n * abs(c) ** 2 for n, c in enumerate(self.amps))
+        return Moments(mean, mean2, abs(self.amps[0]) ** 2)
+
+    def amplitudes(self, n_max: int) -> list:
         out = [0.0] * (n_max + 1)
-        upto = min(n_max + 1, len(state.amps))
-        out[:upto] = state.amps[:upto]
+        upto = min(n_max + 1, len(self.amps))
+        out[:upto] = self.amps[:upto]
         return out
-    raise TypeError(f"state must be a SingleModeState, got {type(state).__name__} {state!r}")
+
+
+def moments(state: SingleModeState) -> Moments:
+    """Analytic photon-number moments of a constituent state."""
+    if not isinstance(state, SingleModeState):
+        raise TypeError(f"state must be a SingleModeState, got {type(state).__name__} {state!r}")
+    return state.moments()
+
+
+def _ecs_nbar(d: int, r_prime: float | None) -> Callable[[float], float]:
+    def ecs(alpha: float) -> float:
+        a2 = _require_real("alpha", alpha, _ALPHA_RANGE) ** 2
+        return a2 / (1.0 + d * math.exp(-a2))
+    return ecs
+
+
+def _escs_nbar(d: int, r_prime: float | None) -> Callable[[float], float]:
+    r = _require_real("r", r_prime, _R_RANGE)
+    sh2, one_minus_t, ch = math.sinh(r) ** 2, 1.0 - math.tanh(r), math.cosh(r)
+
+    def escs(alpha: float) -> float:
+        a2 = _require_real("alpha", alpha, _ALPHA_RANGE) ** 2
+        return (a2 + sh2) / (1.0 + d * (math.exp(-a2 * one_minus_t) / ch))
+    return escs
+
+
+def _esvs_nbar(d: int, r_prime: float | None) -> Callable[[float], float]:
+    def esvs(r: float) -> float:
+        r = _require_real("r", r, _R_RANGE)
+        return math.sinh(r) ** 2 / (1.0 + d * (1.0 / math.cosh(r)))
+    return esvs
+
+
+class FamilyRow(_Frozen):
+    """One probe family: ``parameter`` names its free parameter (the argument and
+    attribute of its ``state`` class, and the ``qcrb`` flag); ``needs_r_prime``
+    says whether ``state`` takes the squeeze factor ``r_prime`` second;
+    ``nbar_map(d, r_prime)`` is ``families.nbar_map`` for a checked ``d``, and
+    ``guess(n_bar)`` starts the solve's bracket.  NOON has neither: its n is n_bar."""
+
+    __slots__ = ("parameter", "needs_r_prime", "state", "nbar_map", "guess")
+
+    def __init__(self, parameter: str, needs_r_prime: bool, state: type, nbar_map, guess):
+        self._assign(parameter, needs_r_prime, state, nbar_map, guess)
+
+
+# the paper's four families, in its order, keyed by name
+FAMILIES = {
+    "noon": FamilyRow("n", False, Fock, None, None),
+    "ecs": FamilyRow("alpha", False, Coherent, _ecs_nbar, math.sqrt),
+    "escs": FamilyRow("alpha", True, SqueezedCoherent, _escs_nbar, math.sqrt),
+    "esvs": FamilyRow("r", False, SqueezedVacuum, _esvs_nbar,
+                      lambda n_bar: math.asinh(math.sqrt(n_bar))),
+}
+
+
+def _row(family: str) -> FamilyRow:
+    """The row of ``family``, named by the error unless it is one of ``FAMILIES``."""
+    if not isinstance(family, str):
+        raise TypeError(f"family must be a str, got {type(family).__name__} {family!r}")
+    row = FAMILIES.get(family)
+    if row is None:
+        raise ValueError(f"family must be one of {', '.join(FAMILIES)}, got {family!r}")
+    return row
+
+
+def constituent(family: str, r_prime: float | None = None) -> Callable[[float], SingleModeState]:
+    """Constructor of the family's state from its free parameter; ESCS squeezes by ``r_prime``."""
+    row = _row(family)
+    if row.needs_r_prime:
+        return lambda p: row.state(p, r_prime)
+    return row.state
 
 
 def f_factor(state: SingleModeState) -> float:

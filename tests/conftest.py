@@ -11,13 +11,15 @@ import noonlike
 SRC = Path(noonlike.__file__).resolve().parent.parent
 
 # The child lists sys.modules before it imports json itself, so that a
-# command that loads json shows it and one that does not leaves it out.
+# command that loads json shows it and one that does not leaves it out.  It
+# swaps the streams itself, as contextlib would load functools and collections.
 _CLI_CHILD = """
-import contextlib, io, sys
+import io, sys
 import noonlike.cli
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = noonlike.cli.main(sys.argv[1:])
+sys.stdout = sys.stderr = io.StringIO()
+code = noonlike.cli.main(sys.argv[1:])
 modules = sorted(sys.modules)
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
 import json
 print(json.dumps({"code": code, "modules": modules}))
 """

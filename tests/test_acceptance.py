@@ -27,7 +27,6 @@ from noonlike import (
     Balanced,
     BracketFailure,
     Coherent,
-    Family,
     Fock,
     FockSuperposition,
     SqueezedCoherent,
@@ -132,8 +131,8 @@ def test_criterion_4_magnitude_check():
 def test_criterion_5_escs_monotonicity():
     curve = escs_sweep_r_prime(5, 2.0, [0.4, 0.8, 1.2])
     values = [q for _, q, _ in curve.points]
-    ecs = qcrb_closed_form(5, solve_param_for_nbar(Family.ECS, 5, 2.0), Balanced()).qcrb
-    esvs = qcrb_closed_form(5, solve_param_for_nbar(Family.ESVS, 5, 2.0), Balanced()).qcrb
+    ecs = qcrb_closed_form(5, solve_param_for_nbar("ecs", 5, 2.0), Balanced()).qcrb
+    esvs = qcrb_closed_form(5, solve_param_for_nbar("esvs", 5, 2.0), Balanced()).qcrb
     ok = (
         values[0] > values[1] > values[2]
         and all(esvs < v < ecs for v in values)
@@ -186,7 +185,7 @@ def test_criterion_7_ratio_bracket_grid():
     for alpha_p in np.linspace(0.2, 2.0, 10):
         for r_p in np.linspace(0.2, 2.0, 10):
             n_bar = mean_total_photons(5, SqueezedCoherent(float(alpha_p), float(r_p)))
-            r_matched = solve_param_for_nbar(Family.ESVS, 5, n_bar).r
+            r_matched = solve_param_for_nbar("esvs", 5, n_bar).r
             holds &= escs_ratio_bracket_check(float(alpha_p), float(r_p), r_matched)
             checked += 1
     ok = holds and checked == 100

@@ -22,6 +22,7 @@ import pytest
 
 import noonlike
 from noonlike import Balanced
+from noonlike.states import FAMILIES, SingleModeState
 
 MODULES = ["noonlike.states", "noonlike.qcrb", "noonlike.oracles", "noonlike.families",
            "noonlike.circuit", "noonlike.cli"]
@@ -103,6 +104,72 @@ def test_only_qcrb_raises_ordering_violation():
     package = Path(noonlike.__file__).parent
     raising = [p.name for p in sorted(package.glob("*.py")) if _raises_ordering_violation(p)]
     assert raising == ["qcrb.py"]
+
+
+STATE_CLASSES = {"Fock", "Coherent", "SqueezedVacuum", "SqueezedCoherent", "FockSuperposition"}
+
+
+def _names_family_or_state(node):
+    """Whether ``node`` names a state class or a family: a name, an attribute
+    such as ``Family.ECS``, a family-name literal, or a tuple holding one."""
+    if isinstance(node, ast.Constant):
+        return node.value in FAMILIES
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(_names_family_or_state, node.elts))
+    return _name(node) in STATE_CLASSES or (
+        isinstance(node, ast.Attribute) and node.attr.lower() in FAMILIES
+    )
+
+
+def _family_dispatch(path):
+    """``file:line`` of each ``isinstance`` on a state class and each comparison
+    with a state class or a family outside the state classes and the table."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name in STATE_CLASSES:
+                continue  # a state's own methods
+            if isinstance(child, ast.Assign) and any(_name(t) == "FAMILIES" for t in child.targets):
+                continue  # the table
+            if isinstance(child, ast.Call) and _name(child.func) == "isinstance":
+                dispatch = len(child.args) == 2 and _names_family_or_state(child.args[1])
+            elif isinstance(child, ast.Compare):
+                dispatch = any(map(_names_family_or_state, [child.left, *child.comparators]))
+            else:
+                dispatch = False
+            if dispatch:
+                found.append(f"{path.name}:{child.lineno}")
+            visit(child)
+
+    visit(ast.parse(path.read_text()))
+    return found
+
+
+def test_no_family_dispatch_outside_the_table():
+    # each family's facts live in its row of states.FAMILIES, each state's in
+    # its class; nothing else branches on which family or state it holds
+    assert {cls.__name__ for cls in SingleModeState.__subclasses__()} == STATE_CLASSES
+    package = Path(noonlike.__file__).parent
+    assert [site for p in sorted(package.glob("*.py")) for site in _family_dispatch(p)] == []
+
+
+def test_family_dispatch_gate_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "if isinstance(state, Coherent): pass\n"
+        "if isinstance(state, (Fock, states.SqueezedVacuum)): pass\n"
+        "if family is Family.ESCS: pass\n"
+        "if family == 'ecs': pass\n"
+        "x = 'esvs' != family\n"
+        "if family in ('noon', 'ecs'): pass\n"
+        "if type(state) is FockSuperposition: pass\n"
+        "FAMILIES = {'noon': family == 'noon'}\n"
+        "class Fock:\n"
+        "    def f(self, other): return isinstance(other, Fock)\n"
+        "if isinstance(state, SingleModeState) and family == name: pass\n"
+    )
+    assert _family_dispatch(probe) == [f"probe.py:{n}" for n in range(1, 8)]
 
 
 def _numpy_imports(path):

@@ -30,7 +30,7 @@ from noonlike.circuit import (
     pump_amplitude,
     run_experiment,
 )
-from noonlike.states import _R_RANGE, _build_amps
+from noonlike.states import _R_RANGE
 
 
 def _heralded(cfg, coherent, squeezed):
@@ -39,7 +39,7 @@ def _heralded(cfg, coherent, squeezed):
     Returns ``_heralded_state``'s (state, success_prob).
     """
     budget, kept = circuit._compiled(cfg)
-    amps = (_build_amps(state, budget) for state in (coherent, squeezed))
+    amps = (state.amplitudes(budget) for state in (coherent, squeezed))
     return circuit._heralded_state(kept, *amps, cfg)
 
 
@@ -746,7 +746,7 @@ def _dense_budget_amplitudes(per_mode_states, u, budget, global_phase=0.0, heral
     vec = [0j] * size
     vec[0] = complex(math.cos(global_phase), math.sin(global_phase))
     for j, state in enumerate(per_mode_states):
-        c = _build_amps(state, budget)
+        c = state.amplitudes(budget)
         acc = [c[0] * v for v in vec]
         term = vec
         for n in range(1, max((n for n, cn in enumerate(c) if cn), default=0) + 1):

@@ -9,8 +9,9 @@ import pytest
 from noonlike import cli, families
 from noonlike.cli import main, parse_args
 from noonlike.errors import OrderingViolation, UsageError
-from noonlike.families import PARAMETERS, Family, SweepCurve
+from noonlike.families import SweepCurve
 from noonlike.qcrb import noon_qcrb
+from noonlike.states import FAMILIES
 
 
 def _read_csv(path):
@@ -35,10 +36,10 @@ class TestParseArgs:
             parse_args(["compare", "--d", "5", "--n-bar", "4", "--frobnicate", "1"])
 
     def test_missing_family_parameter(self):
-        for family in Family:
-            flag = "--" + PARAMETERS[family].replace("_", "-")
+        for family in FAMILIES:
+            flag = "--" + FAMILIES[family].parameter.replace("_", "-")
             with pytest.raises(UsageError, match=f"requires {flag}$"):
-                parse_args(["qcrb", "--family", family.value, "--d", "5", "--r-prime", "1"])
+                parse_args(["qcrb", "--family", family, "--d", "5", "--r-prime", "1"])
 
     def test_negative_value_rejected(self):
         with pytest.raises(UsageError):

@@ -25,7 +25,6 @@ from noonlike.circuit import (
 )
 from noonlike.errors import NoonlikeError, ParameterOutOfRange, ZeroPhotonState
 from noonlike.families import (
-    Family,
     balanced_vs_unbalanced_sweep,
     compare_families_at_nbar,
     escs_ratio_bracket_check,
@@ -34,6 +33,7 @@ from noonlike.families import (
     nbar_map,
     solve_param_for_nbar,
 )
+from noonlike.oracles import fock_amplitudes
 from noonlike.qcrb import (
     Balanced,
     FixedB,
@@ -96,19 +96,25 @@ CALLS = {
     "qcrb_from_f-n_bar": (lambda x: qcrb_from_f(5, x, 0.1), ["n_bar"]),
     "qcrb_from_f-f": (lambda x: qcrb_from_f(5, 2.0, x), ["f"]),
     "FixedB-b2": (lambda x: FixedB(x), ["b2"]),
-    "constituent-r_prime": (lambda x: constituent(Family.ESCS, x)(1.0), ["r_prime", "r"]),
-    "nbar_map-d": (lambda x: nbar_map(Family.ECS, x)(1.0), ["d"]),
-    "nbar_map-r_prime": (lambda x: nbar_map(Family.ESCS, 5, x)(1.0), ["r_prime", "r"]),
-    "nbar_map(ecs)-alpha": (lambda x: nbar_map(Family.ECS, 5)(x), ["alpha"]),
-    "nbar_map(escs)-alpha": (lambda x: nbar_map(Family.ESCS, 5, 0.5)(x), ["alpha"]),
-    "nbar_map(esvs)-r": (lambda x: nbar_map(Family.ESVS, 5)(x), ["r"]),
-    "solve_param_for_nbar-n_bar": (lambda x: solve_param_for_nbar(Family.ECS, 5, x), ["n_bar"]),
-    "solve_param_for_nbar-r_prime": (
-        lambda x: solve_param_for_nbar(Family.ESCS, 5, 3.0, x), ["r_prime", "r"]
+    "constituent-family": (lambda x: constituent(x, 1.0)(1.0), ["family"]),
+    "constituent-r_prime": (lambda x: constituent("escs", x)(1.0), ["r_prime", "r"]),
+    "nbar_map-family": (lambda x: nbar_map(x, 5, 1.0)(1.0), ["family"]),
+    "nbar_map-d": (lambda x: nbar_map("ecs", x)(1.0), ["d"]),
+    "nbar_map-r_prime": (lambda x: nbar_map("escs", 5, x)(1.0), ["r_prime", "r"]),
+    "nbar_map(ecs)-alpha": (lambda x: nbar_map("ecs", 5)(x), ["alpha"]),
+    "nbar_map(escs)-alpha": (lambda x: nbar_map("escs", 5, 0.5)(x), ["alpha"]),
+    "nbar_map(esvs)-r": (lambda x: nbar_map("esvs", 5)(x), ["r"]),
+    "solve_param_for_nbar-family": (
+        lambda x: solve_param_for_nbar(x, 5, 3.0, 1.0), ["family"]
     ),
-    "matched_report-n_bar": (lambda x: matched_report(Family.ESVS, 5, x), ["n_bar"]),
+    "solve_param_for_nbar-n_bar": (lambda x: solve_param_for_nbar("ecs", 5, x), ["n_bar"]),
+    "solve_param_for_nbar-r_prime": (
+        lambda x: solve_param_for_nbar("escs", 5, 3.0, x), ["r_prime", "r"]
+    ),
+    "matched_report-family": (lambda x: matched_report(x, 5, 3.0, 1.0), ["family"]),
+    "matched_report-n_bar": (lambda x: matched_report("esvs", 5, x), ["n_bar"]),
     "matched_report-r_prime": (
-        lambda x: matched_report(Family.ESCS, 5, 3.0, x), ["r_prime", "r"]
+        lambda x: matched_report("escs", 5, 3.0, x), ["r_prime", "r"]
     ),
     "compare_families_at_nbar-n_bar": (lambda x: compare_families_at_nbar(5, x), ["n_bar"]),
     "compare_families_at_nbar-escs_r_prime": (
@@ -187,11 +193,22 @@ MESSAGES = {
     "FixedB-inf": (lambda: FixedB(float("inf")), ValueError, "b2 must be finite, got inf"),
     "PhaseShifter-huge": (lambda: PhaseShifter(0, 10**400), ParameterOutOfRange,
                           "const_phase must fit a double, got a 1329-bit const_phase"),
-    "solve-str-n_bar": (lambda: solve_param_for_nbar(Family.ECS, 5, "3"), TypeError,
+    # a family is its lowercase name, and nothing else
+    "constituent-foo": (lambda: constituent("foo"), ValueError,
+                        "family must be one of noon, ecs, escs, esvs, got 'foo'"),
+    "nbar_map-ECS": (lambda: nbar_map("ECS", 5), ValueError,
+                     "family must be one of noon, ecs, escs, esvs, got 'ECS'"),
+    "solve-foo": (lambda: solve_param_for_nbar("foo", 5, 4.0), ValueError,
+                  "family must be one of noon, ecs, escs, esvs, got 'foo'"),
+    "matched_report-ECS": (lambda: matched_report("ECS", 5, 4.0), ValueError,
+                           "family must be one of noon, ecs, escs, esvs, got 'ECS'"),
+    "matched_report-not-str": (lambda: matched_report(None, 5, 4.0), TypeError,
+                               "family must be a str, got NoneType None"),
+    "solve-str-n_bar": (lambda: solve_param_for_nbar("ecs", 5, "3"), TypeError,
                         "n_bar must be a real number, got str '3'"),
-    "solve-huge-n_bar": (lambda: solve_param_for_nbar(Family.ECS, 5, 10**400),
+    "solve-huge-n_bar": (lambda: solve_param_for_nbar("ecs", 5, 10**400),
                          ParameterOutOfRange, "n_bar must fit a double, got a 1329-bit n_bar"),
-    "solve-str-r_prime": (lambda: solve_param_for_nbar(Family.ESCS, 5, 3.0, "1"), TypeError,
+    "solve-str-r_prime": (lambda: solve_param_for_nbar("escs", 5, 3.0, "1"), TypeError,
                           "r_prime must be a real number, got str '1'"),
     "compare-str-n_bar": (lambda: compare_families_at_nbar(5, "3"), TypeError,
                           "n_bar must be a real number, got str '3'"),
@@ -218,6 +235,8 @@ MESSAGES = {
                       "alpha_p = 1e+308 is out of range"),
     "moments-str": (lambda: moments("x"), TypeError,
                     "state must be a SingleModeState, got str 'x'"),
+    "fock_amplitudes-str": (lambda: fock_amplitudes("x", n_max=3), TypeError,
+                            "state must be a SingleModeState, got str 'x'"),
     "resolve_weights-str-m": (lambda: resolve_weights(5, "x", Balanced()), TypeError,
                               "m must be a Moments, got str 'x'"),
     "resolve_weights-str-weighting": (lambda: resolve_weights(5, _MOMENTS, "balanced"),
@@ -235,3 +254,20 @@ def test_message(case):
     call, error, message = MESSAGES[case]
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         call()
+
+
+@pytest.mark.parametrize(
+    "family, parameter, state",
+    [("noon", "n", Fock(1.5)), ("ecs", "alpha", Coherent(1.5)),
+     ("escs", "alpha", SqueezedCoherent(1.5, 0.5)), ("esvs", "r", SqueezedVacuum(1.5))],
+    ids=["noon", "ecs", "escs", "esvs"],
+)
+def test_family_is_its_name(family, parameter, state):
+    # each family function takes the name that the reports and the CLI print
+    assert constituent(family, 0.5)(1.5) == state
+    if family != "noon":  # NOON has no map
+        assert nbar_map(family, 5, 0.5)(1.5) == mean_total_photons(5, state)
+    report = matched_report(family, 5, 4.0, 0.5)
+    assert report.family == family
+    assert report.parameter == getattr(solve_param_for_nbar(family, 5, 4.0, 0.5), parameter)
+    assert report == {r.family: r for r in compare_families_at_nbar(5, 4.0, 0.5)}[family]

@@ -11,7 +11,6 @@ from noonlike import (
     Coherent,
     DegenerateOverlap,
     DenominatorNonPositive,
-    Family,
     FixedB,
     Fock,
     FockSuperposition,
@@ -321,8 +320,8 @@ D_TAKERS = {
     "mean_total_photons": lambda d: mean_total_photons(d, Coherent(1.0)),
     "qcrb_from_f": lambda d: qcrb_from_f(d, 1.0, 0.5),
     "noon_qcrb": lambda d: noon_qcrb(d, 2.0),
-    "solve_param_for_nbar": lambda d: solve_param_for_nbar(Family.ECS, d, 3.0),
-    "nbar_map": lambda d: nbar_map(Family.ECS, d)(1.0),
+    "solve_param_for_nbar": lambda d: solve_param_for_nbar("ecs", d, 3.0),
+    "nbar_map": lambda d: nbar_map("ecs", d)(1.0),
 }
 
 

@@ -20,7 +20,7 @@ from noonlike import (
     moments,
     moments_from_amplitudes,
 )
-from noonlike.states import _ALPHA_RANGE, _N_RANGE, _R_RANGE, _build_amps
+from noonlike.states import _ALPHA_RANGE, _N_RANGE, _R_RANGE
 
 PARAM_GRID = [0.1, 0.35, 0.8, 1.3, 2.0, 2.6, 3.0]
 
@@ -131,7 +131,7 @@ class TestFockAmplitudes:
 
     @pytest.mark.parametrize("state", [Coherent(0.0), SqueezedVacuum(0.0)], ids=repr)
     def test_zero_parameter_is_the_vacuum(self, state):
-        assert _build_amps(state, 4) == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert state.amplitudes(4) == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("n_max", [2, 3])
     def test_superposition_cut_below_its_length(self, n_max):

@@ -18,6 +18,7 @@ from noonlike.oracles import FockVector, QfiMatrix
 from noonlike.qcrb import Balanced, FixedB, OptimizedB, QcrbReport
 from noonlike.states import (
     Coherent,
+    FamilyRow,
     Fock,
     FockSuperposition,
     Moments,
@@ -41,6 +42,13 @@ CASES = [
         dict(amps=(0.6, 0.8)),
         dict(amps=(0.8, 0.6)),
         "FockSuperposition(amps=((0.6+0j), (0.8+0j)))",
+    ),
+    (
+        FamilyRow,
+        dict(parameter="n", needs_r_prime=False, state=Fock, nbar_map=None, guess=None),
+        dict(parameter="n", needs_r_prime=True, state=Fock, nbar_map=None, guess=None),
+        "FamilyRow(parameter='n', needs_r_prime=False, state=<class 'noonlike.states.Fock'>,"
+        " nbar_map=None, guess=None)",
     ),
     (
         Moments,
@@ -117,7 +125,7 @@ def case(request):
 
 
 def test_every_value_class_is_covered():
-    assert len({c[0] for c in CASES}) == len(CASES) == 17
+    assert len({c[0] for c in CASES}) == len(CASES) == 18
 
 
 def test_equal_fields_give_equal_objects(case):

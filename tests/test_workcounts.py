@@ -9,7 +9,7 @@ import pytest
 
 from noonlike import circuit, cli, families
 from noonlike.circuit import experiment_qcrb_comparison, run_experiment
-from noonlike.families import Family, solve_param_for_nbar
+from noonlike.families import solve_param_for_nbar
 
 # the reference circuit's transfer table: its 15 kept sectors, and at most 54
 # nonzero terms over them, one triple product each in a run_experiment call
@@ -75,7 +75,7 @@ def test_parser_fills_only_the_named_command():
     assert filled == {name: len(cli._takes(name)) if name == "qcrb" else 0 for name in choices}
 
 
-@pytest.mark.parametrize("family, r_prime", [(Family.ECS, None), (Family.ESCS, 1.0), (Family.ESVS, None)])
+@pytest.mark.parametrize("family, r_prime", [("ecs", None), ("escs", 1.0), ("esvs", None)])
 @pytest.mark.parametrize("d, n_bar", [(1, 4.0), (5, 4.0), (5, 20.0)])
 def test_solve_nbar_evaluations(monkeypatch, family, r_prime, d, n_bar):
     # the bisection steps evaluate the family's n_bar map; the residual check
