@@ -6,10 +6,10 @@ builds the state from it (``constituent``) and gives the closed-form mean
 photon number of its balanced probe (``nbar_map``).  Families are compared at
 a common mean total photon number of the balanced probe.  The NOON column
 uses the interpolated ("effective") photon number so that all four curves
-share an x-axis; the other three families are matched by
-bisection on their free parameter, which maps monotonically to the mean
-photon number.  The bisection evaluates the family's n_bar map and builds
-no state per step; the solved state goes once through the general
+share an x-axis; the other three are matched by their row's ``inverse`` of
+that map, which is increasing: ESVS in closed form, from a cubic's root,
+ESCS by at most eight Newton steps in alpha^2 and ECS by bisection on its
+map.  Each builds one state, which goes once through the general
 ``moments`` path as a check.  ``solve_param_for_nbar`` does the matching and
 ``matched_report`` adds the balanced bound; every comparison at a fixed
 budget (the four families, the squeeze-factor sweep, figure 3, the
@@ -40,6 +40,7 @@ from .states import (
     _ALPHA_RANGE,
     _N_RANGE,
     _R_RANGE,
+    _RESIDUAL_TOL,
     _Frozen,
     _require_real,
     _row,
@@ -59,10 +60,6 @@ __all__ = [
     "balanced_vs_unbalanced_sweep",
     "compare_sweeps_at_common_nbar",
 ]
-
-_RESIDUAL_TOL = 1e-10
-_MAX_DOUBLINGS = 200
-
 
 def nbar_map(family: str, d: int, r_prime: float | None = None) -> Callable[[float], float]:
     """Balanced n_bar of the family's d-phase probe as a function of its free parameter.
@@ -101,35 +98,6 @@ class SweepCurve(_Frozen):
         return tuple(p[1] for p in self.points)
 
 
-def _bisect_increasing(fn: Callable[[float], float], target: float, guess: float) -> float:
-    """Root of fn(p) = target for a map verified increasing on the bracket; fn(0) <= target."""
-    lo = 0.0
-    hi = max(guess, 1e-6)
-    f_hi = fn(hi) - target
-    doublings = 0
-    while f_hi < 0.0:
-        doublings += 1
-        if doublings > _MAX_DOUBLINGS:
-            raise BracketFailure(f"no bracket after {_MAX_DOUBLINGS} doublings")
-        hi *= 2.0
-        f_hi = fn(hi) - target
-
-    samples = [fn(lo + (hi - lo) * k / 4.0) for k in range(5)]
-    if any(b < a - 1e-9 * max(1.0, abs(a)) for a, b in zip(samples, samples[1:])):
-        raise BracketFailure("map is not increasing on the bracket")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid) - target
-        if abs(f_mid) <= _RESIDUAL_TOL and (hi - lo) <= 1e-12 * max(1.0, mid):
-            return mid
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def solve_param_for_nbar(
     family: str, d: int, n_bar: float, r_prime: float | None = None
 ) -> SingleModeState:
@@ -137,11 +105,11 @@ def solve_param_for_nbar(
 
     ``r_prime`` is the squeeze factor of the ESCS constituent; the other
     families ignore it.  NOON returns an effective number state directly (its
-    mean photon number equals the occupation).  The other families bisect
-    their free parameter on ``nbar_map``; the map is strictly increasing, so
-    a target below the value at parameter 0 (possible for ESCS with a fixed
-    squeeze factor) raises BracketFailure, as does a bracket that has to
-    leave the parameter's representable range to reach the target.
+    mean photon number equals the occupation).  The others invert their
+    strictly increasing ``nbar_map`` by their row's ``inverse``, so a target
+    below the value at parameter 0 (possible for ESCS with a fixed squeeze
+    factor) raises BracketFailure, as does a solve that has to leave the
+    parameter's representable range to reach the target.
     """
     row = _row(family)
     d = _require_d(d)
@@ -155,25 +123,24 @@ def solve_param_for_nbar(
     if row.nbar_map is None:
         return build(n_bar)
 
-    nbar_of = nbar_map(family, d, r_prime)
-    floor = nbar_of(0.0)  # 0 but for ESCS, whose zero displacement keeps the squeeze
+    # 0 but for ESCS, whose zero displacement keeps the squeeze
+    floor = nbar_map(family, d, r_prime)(0.0)
     if floor - n_bar > _RESIDUAL_TOL:
         raise BracketFailure(
             f"n_bar = {n_bar} is below the floor {floor:.6g} of family {family} "
             f"at r_prime = {r_prime}"
         )
     try:
-        param = _bisect_increasing(nbar_of, n_bar, row.guess(n_bar))
+        state = build(row.inverse(d, r_prime, n_bar))
     except ParameterOutOfRange:
         raise BracketFailure(
-            f"cannot match family {family} to the target n_bar = {n_bar}: the bracket "
+            f"cannot match family {family} to the target n_bar = {n_bar}: the solve "
             f"on its parameter {row.parameter} left the representable range"
         ) from None
-    state = build(param)
-    # the one evaluation through the general moments path, a check on the map
+    # the one evaluation through the general moments path, a check on the inverse
     residual = abs(mean_total_photons(d, state) - n_bar)
     if residual > _RESIDUAL_TOL * max(1.0, n_bar):
-        raise BracketFailure(f"bisection residual {residual:.3e} too large")
+        raise BracketFailure(f"solve residual {residual:.3e} too large")
     return state
 
 

@@ -38,7 +38,7 @@ import math
 import numbers
 import sys
 
-from .errors import ParameterOutOfRange, ZeroPhotonState
+from .errors import BracketFailure, ParameterOutOfRange, ZeroPhotonState
 
 __all__ = [
     "FAMILIES",
@@ -326,11 +326,49 @@ def moments(state: SingleModeState) -> Moments:
     return state.moments()
 
 
+_RESIDUAL_TOL = 1e-10
+_MAX_DOUBLINGS = 200
+
+
+def _bisect_increasing(fn: Callable[[float], float], target: float, guess: float) -> float:
+    """Root of fn(p) = target for a map verified increasing on the bracket; fn(0) <= target."""
+    lo = 0.0
+    hi = max(guess, 1e-6)
+    f_hi = fn(hi) - target
+    doublings = 0
+    while f_hi < 0.0:
+        doublings += 1
+        if doublings > _MAX_DOUBLINGS:
+            raise BracketFailure(f"no bracket after {_MAX_DOUBLINGS} doublings")
+        hi *= 2.0
+        f_hi = fn(hi) - target
+
+    samples = [fn(lo + (hi - lo) * k / 4.0) for k in range(5)]
+    if any(b < a - 1e-9 * max(1.0, abs(a)) for a, b in zip(samples, samples[1:])):
+        raise BracketFailure("map is not increasing on the bracket")
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid) - target
+        if abs(f_mid) <= _RESIDUAL_TOL and (hi - lo) <= 1e-12 * max(1.0, mid):
+            return mid
+        if f_mid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _ecs_nbar(d: int, r_prime: float | None) -> Callable[[float], float]:
     def ecs(alpha: float) -> float:
         a2 = _require_real("alpha", alpha, _ALPHA_RANGE) ** 2
         return a2 / (1.0 + d * math.exp(-a2))
     return ecs
+
+
+def _ecs_inverse(d: int, r_prime: float | None, n_bar: float) -> float:
+    # bisected, from a first bracket end at sqrt(n_bar)
+    return _bisect_increasing(_ecs_nbar(d, r_prime), n_bar, math.sqrt(n_bar))
 
 
 def _escs_nbar(d: int, r_prime: float | None) -> Callable[[float], float]:
@@ -343,6 +381,24 @@ def _escs_nbar(d: int, r_prime: float | None) -> Callable[[float], float]:
     return escs
 
 
+def _escs_inverse(d: int, r_prime: float | None, n_bar: float) -> float:
+    # x = alpha^2 = X + W0(k a)/k, X = n_bar - sh2, a = n_bar c e^(-k X), is the root of the
+    # concave, increasing h(x) = x + sh2 - n_bar (1 + c e^(-k x)).  From Winitzki's W0,
+    # within 2 %, Newton's first step lands left of the root, and x then climbs to it
+    r = _require_real("r", r_prime, _R_RANGE)
+    sh2, k, c = math.sinh(r) ** 2, 1.0 - math.tanh(r), d / math.cosh(r)
+    a = n_bar * c * math.exp(-k * (n_bar - sh2))
+    w = math.log1p(k * a)
+    x = max(0.0, n_bar - sh2 + (w * (1.0 - math.log1p(w) / (2.0 + w)) / k if w else a))
+    for step in range(8):  # at most eight Newton steps
+        e = n_bar * c * math.exp(-k * x)
+        dx = (n_bar - sh2 - x + e) / (1.0 + k * e)
+        if step and not x + dx > x:  # converged, or held at 0 by the floor
+            break
+        x = max(0.0, x + dx)
+    return math.sqrt(x)
+
+
 def _esvs_nbar(d: int, r_prime: float | None) -> Callable[[float], float]:
     def esvs(r: float) -> float:
         r = _require_real("r", r, _R_RANGE)
@@ -350,26 +406,39 @@ def _esvs_nbar(d: int, r_prime: float | None) -> Callable[[float], float]:
     return esvs
 
 
+def _esvs_inverse(d: int, r_prime: float | None, n_bar: float) -> float:
+    # cosh r = 1 + w is the largest root u of u^3 - p u - q, p = 1 + n_bar, q = n_bar d: its
+    # trigonometric form if q/2 <= (p/3)^(3/2), else hyperbolic.  u - 1 is off by ~1 ulp of
+    # u, which one Newton step in w squares, so w is right to ~1 ulp at any r
+    s = math.sqrt((1.0 + n_bar) / 3.0)
+    t = 0.5 * n_bar * d / s / s / s
+    w = 2.0 * s * (math.cos(math.acos(t) / 3.0) if t <= 1.0 else math.cosh(math.acosh(t) / 3.0))
+    w -= 1.0
+    f = ((w + 3.0) * w + 2.0 - n_bar) * w - n_bar * (1.0 + d)
+    w -= f / ((3.0 * w + 6.0) * w + 2.0 - n_bar)
+    return 2.0 * math.asinh(math.sqrt(0.5 * w))  # cosh r - 1 = 2 sinh^2(r/2)
+
+
 class FamilyRow(_Frozen):
     """One probe family: ``parameter`` names its free parameter (the argument and
     attribute of its ``state`` class, and the ``qcrb`` flag); ``needs_r_prime``
     says whether ``state`` takes the squeeze factor ``r_prime`` second;
     ``nbar_map(d, r_prime)`` is ``families.nbar_map`` for a checked ``d``, and
-    ``guess(n_bar)`` starts the solve's bracket.  NOON has neither: its n is n_bar."""
+    ``inverse(d, r_prime, n_bar)`` the parameter it maps to n_bar.  NOON has
+    neither: its n is n_bar."""
 
-    __slots__ = ("parameter", "needs_r_prime", "state", "nbar_map", "guess")
+    __slots__ = ("parameter", "needs_r_prime", "state", "nbar_map", "inverse")
 
-    def __init__(self, parameter: str, needs_r_prime: bool, state: type, nbar_map, guess):
-        self._assign(parameter, needs_r_prime, state, nbar_map, guess)
+    def __init__(self, parameter: str, needs_r_prime: bool, state: type, nbar_map, inverse):
+        self._assign(parameter, needs_r_prime, state, nbar_map, inverse)
 
 
 # the paper's four families, in its order, keyed by name
 FAMILIES = {
     "noon": FamilyRow("n", False, Fock, None, None),
-    "ecs": FamilyRow("alpha", False, Coherent, _ecs_nbar, math.sqrt),
-    "escs": FamilyRow("alpha", True, SqueezedCoherent, _escs_nbar, math.sqrt),
-    "esvs": FamilyRow("r", False, SqueezedVacuum, _esvs_nbar,
-                      lambda n_bar: math.asinh(math.sqrt(n_bar))),
+    "ecs": FamilyRow("alpha", False, Coherent, _ecs_nbar, _ecs_inverse),
+    "escs": FamilyRow("alpha", True, SqueezedCoherent, _escs_nbar, _escs_inverse),
+    "esvs": FamilyRow("r", False, SqueezedVacuum, _esvs_nbar, _esvs_inverse),
 }
 
 

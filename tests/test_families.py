@@ -163,6 +163,16 @@ class TestSolve:
         with pytest.raises(ParameterOutOfRange, match=r"^n_bar = .* is out of range"):
             solve_param_for_nbar(family, 5, n_bar, 1.0)
 
+    def test_large_esvs_budgets_solve(self):
+        # r <= 177.1 holds the ESVS solution of every budget up to the top of
+        # n_bar's range, where a bisection's first doubling of its bracket would
+        # leave r's range
+        rng = np.random.default_rng(2016)
+        budgets = np.exp(rng.uniform(np.log(2.05e76), np.log(1.675e153), 2000))
+        for d, n_bar in zip(rng.choice([1, 5, 50, 10**6], 2000), budgets):
+            state = solve_param_for_nbar("esvs", int(d), float(n_bar))
+            assert 0.0 < state.r <= 177.1
+
     @pytest.mark.parametrize("r_prime", [None, -0.5])
     def test_escs_needs_nonnegative_squeeze(self, r_prime):
         with pytest.raises(ValueError, match="nonnegative squeeze factor"):

@@ -49,14 +49,14 @@ _WRONG_LAST_DIGIT = {
 }
 
 
-# the cells of ``compare`` and ``sweep-escs`` that the same bisection leaves
-# with a wrong 12th digit, up to 2.5e-12 relative; from the exact parameter
-# the program prints each correctly rounded.  Among them is the ESVS n_bar,
-# printed 4.00000000001 where the budget is exactly 4
+# the ECS cells of ``compare`` and figures 2 and 3 that the same bisection
+# leaves with a wrong 12th digit; the other families are inverted exactly
+_WRONG_LAST_DIGIT |= {("compare.csv", 1, "qcrb")}
 _WRONG_LAST_DIGIT |= {
-    ("compare.csv", 1, "qcrb"), ("compare.csv", 2, "f"), ("compare.csv", 2, "n_tilde"),
-    ("compare.csv", 3, "qcrb"), ("compare.csv", 3, "b2"), ("compare.csv", 3, "n_bar"),
-    ("sweep_escs.csv", 0, "qcrb"), ("sweep_escs.csv", 2, "qcrb"),
+    ("figure2.csv", row, "ecs") for row in (0, 1, 2, 7, 9, 17, 20, 27, 29, 33, 34)
+}
+_WRONG_LAST_DIGIT |= {
+    ("figure3.csv", row, "ecs") for row in (0, 4, 7, 13, 15, 16, 17, 22, 24, 33, 36, 37)
 }
 
 # the printed columns that may hold no computed cell
@@ -240,6 +240,34 @@ def _sweep_escs(d: int, n_bar: float, r_prime: float) -> dict:
     return {"n_bar": report["n_bar"], "qcrb": report["qcrb"]}
 
 
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """The figures' n_bar grid: 10 ** y over ``np.linspace`` of the exponents, ends exact.
+
+    Python's power, not numpy's, as the program takes it: numpy's own
+    ``geomspace`` may differ in the last bit where it vectorizes the power.
+    """
+    exponents = np.linspace(np.log10(start), np.log10(stop), num)
+    return [start] + [10.0 ** float(y) for y in exponents[1:-1]] + [stop]
+
+
+def _figure_2(d: int, n_bar: float, r_prime: float) -> dict:
+    """Figure 2's row at ``n_bar``: the four families' balanced bounds, matched to it."""
+    qcrbs = {column: row["qcrb"] for column, row in
+             zip(("noon", "ecs", f"escs_r{r_prime:g}", "esvs"), _compare(d, n_bar, r_prime))}
+    return {"n_bar": mpmath.mpf(n_bar)} | qcrbs
+
+
+def _figure_3(d: int, n_bar: float) -> dict:
+    """Figure 3's row at ``n_bar``: ECS, ESCS at r' = 0.4, 0.8 and 1.2, and ESVS, matched to it."""
+    row = {"n_bar": mpmath.mpf(n_bar)}
+    for column, family, r_prime in (("ecs", "ecs", 0.0), ("escs_r0.4", "escs", 0.4),
+                                    ("escs_r0.8", "escs", 0.8), ("escs_r1.2", "escs", 1.2),
+                                    ("esvs", "esvs", 0.0)):
+        x = _matched(family, d, n_bar, r_prime)
+        row[column] = _qcrb(d, _constituent(family, x, r_prime), "balanced")["qcrb"]
+    return row
+
+
 def _read(fixture: str) -> list[dict]:
     with open(GOLDEN / fixture, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -258,6 +286,9 @@ def _cells():
         tables.append(("compare.csv", _compare(5, 4.0, 1.0)))
         tables.append(("sweep_escs.csv",
                        [_sweep_escs(5, 2.0, float(rp)) for rp in np.linspace(0.4, 1.2, 3)]))
+        # `figure --id 2` (d = 5, r' = 1) and `figure --id 3` (d = 5), 40 points each
+        tables.append(("figure2.csv", [_figure_2(5, nb, 1.0) for nb in _geomspace(0.5, 20.0, 40)]))
+        tables.append(("figure3.csv", [_figure_3(5, nb) for nb in _geomspace(0.75, 20.0, 40)]))
     for fixture, references in tables:
         rows = _read(fixture)
         assert len(rows) == len(references)
@@ -302,8 +333,10 @@ CELLS = [
 def test_every_computed_cell_is_covered():
     # 9 computed cells in each experiment fixture, 4 in each of figure 6's 20
     # rows, 6 in each qcrb fixture, 4 in each row of the unbalanced ones, 7
-    # in each of compare's 4 rows and 2 in each of sweep-escs's 3
-    assert len(CELLS) == 3 * 9 + 20 * 4 + 6 * 6 + (60 + 60 + 120) * 4 + 4 * 7 + 3 * 2
+    # in each of compare's 4 rows, 2 in each of sweep-escs's 3, and 5 in each
+    # of figure 2's 40 rows and 6 in each of figure 3's 40
+    assert len(CELLS) == (3 * 9 + 20 * 4 + 6 * 6 + (60 + 60 + 120) * 4 + 4 * 7 + 3 * 2
+                          + 40 * 5 + 40 * 6)
 
 
 @pytest.mark.parametrize("text, exact", CELLS)

@@ -45,10 +45,10 @@ CASES = [
     ),
     (
         FamilyRow,
-        dict(parameter="n", needs_r_prime=False, state=Fock, nbar_map=None, guess=None),
-        dict(parameter="n", needs_r_prime=True, state=Fock, nbar_map=None, guess=None),
+        dict(parameter="n", needs_r_prime=False, state=Fock, nbar_map=None, inverse=None),
+        dict(parameter="n", needs_r_prime=True, state=Fock, nbar_map=None, inverse=None),
         "FamilyRow(parameter='n', needs_r_prime=False, state=<class 'noonlike.states.Fock'>,"
-        " nbar_map=None, guess=None)",
+        " nbar_map=None, inverse=None)",
     ),
     (
         Moments,

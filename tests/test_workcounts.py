@@ -5,9 +5,11 @@ a change that makes a layer do more work fails here even where a timing
 benchmark could not tell it apart from noise.
 """
 
+import math
+
 import pytest
 
-from noonlike import circuit, cli, families
+from noonlike import circuit, cli, families, states
 from noonlike.circuit import experiment_qcrb_comparison, run_experiment
 from noonlike.families import solve_param_for_nbar
 
@@ -16,6 +18,7 @@ from noonlike.families import solve_param_for_nbar
 KEPT_SECTORS = 15
 MAX_TRANSFER_TERMS = 54
 MAX_NBAR_EVALS = 51
+MAX_NEWTON_STEPS = 8
 QCRB_MODULES = {"noonlike.errors", "noonlike.states", "noonlike.qcrb", "noonlike.families", "noonlike.cli"}
 
 
@@ -75,23 +78,34 @@ def test_parser_fills_only_the_named_command():
     assert filled == {name: len(cli._takes(name)) if name == "qcrb" else 0 for name in choices}
 
 
-@pytest.mark.parametrize("family, r_prime", [("ecs", None), ("escs", 1.0), ("esvs", None)])
+@pytest.mark.parametrize(
+    "family, r_prime, bisects", [("ecs", None, True), ("escs", 1.0, False), ("esvs", None, False)]
+)
 @pytest.mark.parametrize("d, n_bar", [(1, 4.0), (5, 4.0), (5, 20.0)])
-def test_solve_nbar_evaluations(monkeypatch, family, r_prime, d, n_bar):
-    # the bisection steps evaluate the family's n_bar map; the residual check
-    # then evaluates the solved state once through the general moments path
-    steps = residuals = 0
-    make_map, general = families.nbar_map, families.mean_total_photons
+def test_solve_nbar_evaluations(monkeypatch, family, r_prime, bisects, d, n_bar):
+    # the solve evaluates the family's n_bar map once, at the floor, and the
+    # solved state once through the general moments path; only the ECS
+    # inverse, a bisection, evaluates the map in between
+    floors = steps = residuals = 0
+    make_map, general, bisect = families.nbar_map, families.mean_total_photons, states._bisect_increasing
 
     def counted_map(*args):
         nbar = make_map(*args)
 
+        def floor(p):
+            nonlocal floors
+            floors += 1
+            return nbar(p)
+
+        return floor
+
+    def counted_bisect(fn, *args):
         def step(p):
             nonlocal steps
             steps += 1
-            return nbar(p)
+            return fn(p)
 
-        return step
+        return bisect(step, *args)
 
     def counted_residual(*args):
         nonlocal residuals
@@ -99,10 +113,35 @@ def test_solve_nbar_evaluations(monkeypatch, family, r_prime, d, n_bar):
         return general(*args)
 
     monkeypatch.setattr(families, "nbar_map", counted_map)
+    monkeypatch.setattr(states, "_bisect_increasing", counted_bisect)
     monkeypatch.setattr(families, "mean_total_photons", counted_residual)
     solve_param_for_nbar(family, d, n_bar, r_prime)
-    assert residuals == 1
-    assert 0 < steps and steps + residuals <= MAX_NBAR_EVALS
+    assert floors == residuals == 1
+    assert (steps > 0) == bisects and floors + steps + residuals <= MAX_NBAR_EVALS
+
+
+class _CountedExp:
+    """``math`` with a count of its ``exp`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.calls += 1
+        return math.exp(x)
+
+
+@pytest.mark.parametrize("r_prime", [0.4, 1.0])
+@pytest.mark.parametrize("d, n_bar", [(1, 4.0), (5, 4.0), (5, 20.0)])
+def test_escs_newton_steps(monkeypatch, r_prime, d, n_bar):
+    # the ESCS inverse takes one exp for its start and one per Newton step
+    counted = _CountedExp()
+    monkeypatch.setattr(states, "math", counted)
+    states.FAMILIES["escs"].inverse(d, r_prime, n_bar)
+    assert 2 <= counted.calls <= 1 + MAX_NEWTON_STEPS
 
 
 @pytest.fixture
