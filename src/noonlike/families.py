@@ -9,13 +9,14 @@ uses the interpolated ("effective") photon number so that all four curves
 share an x-axis; the other three are matched by their row's ``inverse`` of
 that map, which is increasing: ESVS in closed form, from a cubic's root,
 ESCS by at most eight Newton steps in alpha^2 and ECS by bisection on its
-map.  Each builds one state, which goes once through the general
-``moments`` path as a check.  ``solve_param_for_nbar`` does the matching and
-``matched_report`` adds the balanced bound; every comparison at a fixed
-budget (the four families, the squeeze-factor sweep, figure 3, the
-heralded source's coherent reference and the balanced bound set against
-the weight-optimized unbalanced one) goes through ``matched_report``, so
-each compares exactly matched budgets.
+map.  ``solve_param_for_nbar`` and ``matched_report`` share one pass: it
+checks the inputs once, builds one state and takes its ``moments`` once, to
+check the inverse; ``matched_report`` computes the balanced bound and its
+one report from them.  Every comparison at a fixed budget (the four
+families, the squeeze-factor sweep, figure 3, the heralded source's
+coherent reference and the balanced bound set against the weight-optimized
+unbalanced one) goes through ``matched_report``, so each compares exactly
+matched budgets.
 
 Grid sweeps are pure and deterministic; points are produced in grid order.
 """
@@ -28,9 +29,10 @@ from .errors import BracketFailure, ParameterOutOfRange, ZeroPhotonState
 from .qcrb import (
     OptimizedB,
     QcrbReport,
+    _balanced_nbar,
     _check_ordered,
+    _closed_form,
     _require_d,
-    mean_total_photons,
     qcrb_closed_form,
     resolve_weights,
 )
@@ -98,6 +100,37 @@ class SweepCurve(_Frozen):
         return tuple(p[1] for p in self.points)
 
 
+def _match(family: str, d: int, n_bar: float, r_prime: float | None) -> tuple:
+    """(checked d, parameter, state, its moments): the one pass behind the solve and the report.
+
+    The moments, taken once, check the inverse: the balanced n_bar they give,
+    ``mean_total_photons(d, state)`` bit for bit, must meet the target.
+    """
+    row = _row(family)
+    d = _require_d(d)
+    n_bar = _require_real("n_bar", n_bar)
+    if n_bar <= 0.0:
+        raise ValueError(f"n_bar must be positive, got {n_bar}")
+    _require_real("n_bar", n_bar, _N_RANGE)  # NOON's n is n_bar
+    if row.needs_r_prime:
+        if r_prime is None or _require_real("r_prime", r_prime) < 0.0:
+            raise ValueError(f"{family.upper()} needs a nonnegative squeeze factor r_prime")
+        _require_real("r", r_prime, _R_RANGE)  # the constituent's own range, before the solve
+    try:
+        p = n_bar if row.inverse is None else row.inverse(d, r_prime, n_bar)
+        state = row.state(p, r_prime) if row.needs_r_prime else row.state(p)
+    except ParameterOutOfRange:
+        raise BracketFailure(
+            f"cannot match family {family} to the target n_bar = {n_bar}: the solve "
+            f"on its parameter {row.parameter} left the representable range"
+        ) from None
+    m = moments(state)
+    residual = abs(_balanced_nbar(d, m) - n_bar)
+    if residual > _RESIDUAL_TOL * max(1.0, n_bar):
+        raise BracketFailure(f"solve residual {residual:.3e} too large")
+    return d, p, state, m
+
+
 def solve_param_for_nbar(
     family: str, d: int, n_bar: float, r_prime: float | None = None
 ) -> SingleModeState:
@@ -108,52 +141,21 @@ def solve_param_for_nbar(
     mean photon number equals the occupation).  The others invert their
     strictly increasing ``nbar_map`` by their row's ``inverse``, so a target
     below the value at parameter 0 (possible for ESCS with a fixed squeeze
-    factor) raises BracketFailure, as does a solve that has to leave the
-    parameter's representable range to reach the target.
+    factor, whose inverse checks it) raises BracketFailure, as does a solve
+    that has to leave the parameter's representable range to reach the target.
     """
-    row = _row(family)
-    d = _require_d(d)
-    n_bar = _require_real("n_bar", n_bar)
-    if n_bar <= 0.0:
-        raise ValueError(f"n_bar must be positive, got {n_bar}")
-    _require_real("n_bar", n_bar, _N_RANGE)  # NOON's n is n_bar
-    if row.needs_r_prime and (r_prime is None or _require_real("r_prime", r_prime) < 0.0):
-        raise ValueError(f"{family.upper()} needs a nonnegative squeeze factor r_prime")
-    build = constituent(family, r_prime)
-    if row.nbar_map is None:
-        return build(n_bar)
-
-    # 0 but for ESCS, whose zero displacement keeps the squeeze
-    floor = nbar_map(family, d, r_prime)(0.0)
-    if floor - n_bar > _RESIDUAL_TOL:
-        raise BracketFailure(
-            f"n_bar = {n_bar} is below the floor {floor:.6g} of family {family} "
-            f"at r_prime = {r_prime}"
-        )
-    try:
-        state = build(row.inverse(d, r_prime, n_bar))
-    except ParameterOutOfRange:
-        raise BracketFailure(
-            f"cannot match family {family} to the target n_bar = {n_bar}: the solve "
-            f"on its parameter {row.parameter} left the representable range"
-        ) from None
-    # the one evaluation through the general moments path, a check on the inverse
-    residual = abs(mean_total_photons(d, state) - n_bar)
-    if residual > _RESIDUAL_TOL * max(1.0, n_bar):
-        raise BracketFailure(f"solve residual {residual:.3e} too large")
-    return state
+    return _match(family, d, n_bar, r_prime)[2]
 
 
 def matched_report(family: str, d: int, n_bar: float, r_prime: float | None = None) -> QcrbReport:
     """Balanced bound of the family matched to n_bar.
 
     The report carries the family and the solved free parameter; ``r_prime``
-    is as in ``solve_param_for_nbar``.
+    is as in ``solve_param_for_nbar``, whose pass it shares: the moments that
+    check the solve give the bound, equal to ``qcrb_closed_form`` of the state.
     """
-    state = solve_param_for_nbar(family, d, n_bar, r_prime)
-    rep = qcrb_closed_form(d, state)
-    parameter = getattr(state, FAMILIES[family].parameter)
-    return QcrbReport(rep.qcrb, rep.f, rep.R, rep.b2, rep.n_tilde, rep.n_bar, family, parameter)
+    d, p, _, m = _match(family, d, n_bar, r_prime)
+    return _closed_form(d, m, family=family, parameter=p)
 
 
 def compare_families_at_nbar(

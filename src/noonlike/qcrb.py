@@ -177,11 +177,15 @@ def resolve_weights(d: int, m: Moments, weighting: Weighting) -> tuple[float, fl
     return b2, 0.5 * (-b_coef * b + math.sqrt(disc))
 
 
+def _balanced_nbar(d: int, m: Moments) -> float:
+    """``<n>/(1 + d p0)``, the balanced probe's mean total photon number, from ``m``."""
+    return m.mean_n / (1.0 + d * m.vacuum_prob)
+
+
 def mean_total_photons(d: int, state: SingleModeState) -> float:
     """Mean total photon number of the balanced (d+1)-mode probe."""
     d = _require_d(d)
-    m = moments(state)
-    return m.mean_n / (1.0 + d * m.vacuum_prob)
+    return _balanced_nbar(d, moments(state))
 
 
 def qcrb_closed_form(
@@ -195,10 +199,17 @@ def qcrb_closed_form(
     It is the probe's own mean only for ``Balanced``; the mean of an
     unbalanced probe is ``(c^2 + d b^2)<n>`` with the weights of
     ``resolve_weights``.  A field that comes out infinite or NaN raises
-    NonFiniteResult naming it.
+    NonFiniteResult naming it.  ``families.matched_report`` calls its kernel.
     """
     d = _require_d(d)
-    m = moments(state)
+    return _closed_form(d, moments(state), weighting)
+
+
+def _closed_form(
+    d: int, m: Moments, weighting: Weighting = Balanced(), family: str = "", parameter=None
+) -> QcrbReport:
+    """``qcrb_closed_form`` for a checked ``d`` and the constituent's moments ``m``,
+    in a report that carries ``family`` and ``parameter`` as given."""
     if m.mean_n <= 0.0 or m.mean_n2 <= 0.0:
         raise ZeroPhotonState("vacuum constituent: bound undefined")
     b2, _ = resolve_weights(d, m, weighting)
@@ -209,19 +220,14 @@ def qcrb_closed_form(
             f"b2 = {b2} is the boundary weight 1/d of a number state: it leaves the "
             f"reference mode no weight (c = 0), and the bound diverges (R - b^2 d = {denom})"
         )
-    report = QcrbReport(
-        qcrb=d / (4.0 * m.mean_n2) * (1.0 / b2 + 1.0 / denom),
-        f=m.mean_n / m.mean_n2,
-        R=big_r,
-        b2=b2,
-        n_tilde=m.mean_n,
-        n_bar=m.mean_n / (1.0 + d * m.vacuum_prob),
-    )
-    for name in _REPORTED:
-        value = getattr(report, name)
-        if not math.isfinite(value):
-            raise NonFiniteResult(f"{name} = {value} is not finite")
-    return report
+    qcrb = d / (4.0 * m.mean_n2) * (1.0 / b2 + 1.0 / denom)
+    f, n_tilde, n_bar = m.mean_n / m.mean_n2, m.mean_n, _balanced_nbar(d, m)
+    # a non-finite field makes the sum non-finite: one test, and no tuple, when all are finite
+    if not math.isfinite(qcrb + f + big_r + b2 + n_tilde + n_bar):
+        for name, value in zip(_REPORTED, (qcrb, f, big_r, b2, n_tilde, n_bar)):
+            if not math.isfinite(value):
+                raise NonFiniteResult(f"{name} = {value} is not finite")
+    return QcrbReport(qcrb, f, big_r, b2, n_tilde, n_bar, family, parameter)
 
 
 def qcrb_from_f(d: int, n_bar: float, f: float) -> float:

@@ -384,9 +384,15 @@ def _escs_nbar(d: int, r_prime: float | None) -> Callable[[float], float]:
 def _escs_inverse(d: int, r_prime: float | None, n_bar: float) -> float:
     # x = alpha^2 = X + W0(k a)/k, X = n_bar - sh2, a = n_bar c e^(-k X), is the root of the
     # concave, increasing h(x) = x + sh2 - n_bar (1 + c e^(-k x)).  From Winitzki's W0,
-    # within 2 %, Newton's first step lands left of the root, and x then climbs to it
-    r = _require_real("r", r_prime, _R_RANGE)
-    sh2, k, c = math.sinh(r) ** 2, 1.0 - math.tanh(r), d / math.cosh(r)
+    # within 2 %, Newton's first step lands left of the root, and x then climbs to it.
+    # Only ESCS has a floor: its map at alpha = 0, the squeeze's own photons
+    sh2, k, ch = math.sinh(r_prime) ** 2, 1.0 - math.tanh(r_prime), math.cosh(r_prime)
+    floor = sh2 / (1.0 + d * (1.0 / ch))
+    if floor - n_bar > _RESIDUAL_TOL:
+        raise BracketFailure(
+            f"n_bar = {n_bar} is below the floor {floor:.6g} of family escs at r_prime = {r_prime}"
+        )
+    c = d / ch
     a = n_bar * c * math.exp(-k * (n_bar - sh2))
     w = math.log1p(k * a)
     x = max(0.0, n_bar - sh2 + (w * (1.0 - math.log1p(w) / (2.0 + w)) / k if w else a))
@@ -424,8 +430,9 @@ class FamilyRow(_Frozen):
     attribute of its ``state`` class, and the ``qcrb`` flag); ``needs_r_prime``
     says whether ``state`` takes the squeeze factor ``r_prime`` second;
     ``nbar_map(d, r_prime)`` is ``families.nbar_map`` for a checked ``d``, and
-    ``inverse(d, r_prime, n_bar)`` the parameter it maps to n_bar.  NOON has
-    neither: its n is n_bar."""
+    ``inverse(d, r_prime, n_bar)`` the parameter it maps to n_bar, for checked
+    inputs; ESCS's raises BracketFailure below its floor, the map at 0.  NOON
+    has neither: its n is n_bar."""
 
     __slots__ = ("parameter", "needs_r_prime", "state", "nbar_map", "inverse")
 

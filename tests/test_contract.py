@@ -112,6 +112,7 @@ CALLS = {
         lambda x: solve_param_for_nbar("escs", 5, 3.0, x), ["r_prime", "r"]
     ),
     "matched_report-family": (lambda x: matched_report(x, 5, 3.0, 1.0), ["family"]),
+    "matched_report-d": (lambda x: matched_report("escs", x, 3.0, 1.0), ["d"]),
     "matched_report-n_bar": (lambda x: matched_report("esvs", 5, x), ["n_bar"]),
     "matched_report-r_prime": (
         lambda x: matched_report("escs", 5, 3.0, x), ["r_prime", "r"]

@@ -32,6 +32,7 @@ from noonlike import (
     solve_param_for_nbar,
 )
 from noonlike.families import SweepCurve, constituent, nbar_map
+from noonlike.qcrb import _REPORTED
 
 FEASIBLE_GRID = [
     (d, nb)
@@ -189,6 +190,32 @@ class TestMatchedReport:
                 assert getattr(report, field) == getattr(row, field), field
             assert report.family == family
 
+    @pytest.mark.parametrize("r_prime", [0.0, 0.4, 1.2])
+    @pytest.mark.parametrize("d", [1, 5, 50, 10**6])
+    def test_is_the_closed_form_of_the_solved_state(self, d, r_prime):
+        # the one pass gives, bit for bit, what the public path gives from
+        # the solved state; n_bar runs from just above the ESCS floor at the
+        # largest squeeze factor to 1e6
+        floor = nbar_map("escs", d, 1.2)(0.0)
+        n_bars = [floor * (1.0 + 1e-9), *(float(n) for n in np.geomspace(1.01 * floor, 1e6, 12))]
+        for family in FAMILIES:
+            for n_bar in n_bars:
+                state = solve_param_for_nbar(family, d, n_bar, r_prime)
+                bound = qcrb_closed_form(d, state)
+                expected = QcrbReport(*(getattr(bound, k) for k in _REPORTED), family,
+                                      getattr(state, FAMILIES[family].parameter))
+                assert repr(matched_report(family, d, n_bar, r_prime)) == repr(expected)
+
+    @pytest.mark.parametrize("r_prime", [0.4, 1.2])
+    @pytest.mark.parametrize("d", [1, 5, 50, 10**6])
+    def test_below_the_floor_both_paths_raise_alike(self, d, r_prime):
+        n_bar = 0.5 * nbar_map("escs", d, r_prime)(0.0)
+        with pytest.raises(BracketFailure, match="^n_bar = .* is below the floor ") as solved:
+            solve_param_for_nbar("escs", d, n_bar, r_prime)
+        with pytest.raises(BracketFailure) as matched:
+            matched_report("escs", d, n_bar, r_prime)
+        assert str(matched.value) == str(solved.value)
+
     def test_parameter_is_the_solved_one(self):
         report = matched_report("esvs", 5, 4.0)
         assert report.parameter == solve_param_for_nbar("esvs", 5, 4.0).r
@@ -203,6 +230,10 @@ class TestCompareFamilies:
         assert noon.qcrb == pytest.approx(0.9375, abs=1e-12)
         assert esvs.qcrb == pytest.approx(0.0598, abs=0.0005)
         assert noon.qcrb / esvs.qcrb > 10
+
+    def test_default_escs_squeeze_factor_is_one(self):
+        default = compare_families_at_nbar(5, 4.0)
+        assert repr(default) == repr(compare_families_at_nbar(5, 4.0, 1.0))
 
     def test_single_phase(self):
         reports = compare_families_at_nbar(1, 1.0, 1.0)
@@ -512,3 +543,7 @@ class TestBalancedVsUnbalanced:
     def test_curve_validation(self):
         with pytest.raises(ValueError):
             SweepCurve(((2.0, 1.0, 0.1), (1.0, 1.0, 0.2)))
+
+    def test_curve_columns(self):
+        curve = SweepCurve(((1.0, 2.0, 0.1), (3.0, 4.0, 0.2)))
+        assert (curve.n_bars, curve.qcrbs) == ((1.0, 3.0), (2.0, 4.0))

@@ -9,6 +9,7 @@ import pytest
 from noonlike import (
     Balanced,
     Coherent,
+    ConstraintInfeasible,
     DegenerateOverlap,
     DenominatorNonPositive,
     FixedB,
@@ -37,7 +38,13 @@ from noonlike import (
     resolve_weights,
     solve_param_for_nbar,
 )
-from noonlike.families import nbar_map
+from noonlike.families import (
+    balanced_vs_unbalanced_sweep,
+    compare_families_at_nbar,
+    escs_sweep_r_prime,
+    matched_report,
+    nbar_map,
+)
 from noonlike.qcrb import _D_MAX, _check_below_noon, _check_ordered, noon_ceiling
 
 STATE_GRID = [
@@ -178,6 +185,11 @@ class TestClosedForm:
         with pytest.raises(DenominatorNonPositive, match=message):
             qcrb_closed_form(2, Fock(1), FixedB(0.5))
 
+    def test_zero_weight_rejected(self):
+        # the range of b^2 is open at 0, where 1/b^2 would divide by zero
+        with pytest.raises(ConstraintInfeasible, match=r"^b2=0\.0 outside \(0, "):
+            qcrb_closed_form(2, Fock(1), FixedB(0.0))
+
     def test_non_finite_field_rejected(self):
         # a subnormal weight overflows 1/b^2, so the bound itself is infinite
         with pytest.raises(NonFiniteResult, match="^qcrb = inf is not finite$"):
@@ -219,7 +231,7 @@ class TestBoundFromF:
         assert qcrb_from_f(5, rep.n_bar, rep.f) == pytest.approx(rep.qcrb, rel=1e-12)
 
     def test_out_of_range(self):
-        with pytest.raises(FOutOfRange):
+        with pytest.raises(FOutOfRange, match=r"^f=0\.6 outside \(0, 1/n_bar=0\.5\]$"):
             qcrb_from_f(3, 2.0, 0.6)
         with pytest.raises(FOutOfRange):
             qcrb_from_f(3, 2.0, 0.0)
@@ -322,6 +334,10 @@ D_TAKERS = {
     "noon_qcrb": lambda d: noon_qcrb(d, 2.0),
     "solve_param_for_nbar": lambda d: solve_param_for_nbar("ecs", d, 3.0),
     "nbar_map": lambda d: nbar_map("ecs", d)(1.0),
+    "matched_report": lambda d: matched_report("escs", d, 3.0, 1.0),
+    "compare_families_at_nbar": lambda d: compare_families_at_nbar(d, 3.0),
+    "escs_sweep_r_prime": lambda d: escs_sweep_r_prime(d, 3.0, [0.4, 1.2]),
+    "balanced_vs_unbalanced_sweep": lambda d: balanced_vs_unbalanced_sweep(d, [0.5, 1.0]),
 }
 
 

@@ -12,12 +12,14 @@ import pytest
 from noonlike import circuit, cli, families, states
 from noonlike.circuit import experiment_qcrb_comparison, run_experiment
 from noonlike.families import solve_param_for_nbar
+from noonlike.qcrb import QcrbReport
+from noonlike.states import Coherent, Fock, SqueezedCoherent, SqueezedVacuum
 
 # the reference circuit's transfer table: its 15 kept sectors, and at most 54
 # nonzero terms over them, one triple product each in a run_experiment call
 KEPT_SECTORS = 15
 MAX_TRANSFER_TERMS = 54
-MAX_NBAR_EVALS = 51
+MAX_BISECTION_STEPS = 49  # the ECS bisection's map evaluations in one solve
 MAX_NEWTON_STEPS = 8
 QCRB_MODULES = {"noonlike.errors", "noonlike.states", "noonlike.qcrb", "noonlike.families", "noonlike.cli"}
 
@@ -82,22 +84,24 @@ def test_parser_fills_only_the_named_command():
     "family, r_prime, bisects", [("ecs", None, True), ("escs", 1.0, False), ("esvs", None, False)]
 )
 @pytest.mark.parametrize("d, n_bar", [(1, 4.0), (5, 4.0), (5, 20.0)])
-def test_solve_nbar_evaluations(monkeypatch, family, r_prime, bisects, d, n_bar):
-    # the solve evaluates the family's n_bar map once, at the floor, and the
-    # solved state once through the general moments path; only the ECS
-    # inverse, a bisection, evaluates the map in between
-    floors = steps = residuals = 0
-    make_map, general, bisect = families.nbar_map, families.mean_total_photons, states._bisect_increasing
+def test_solve_nbar_evaluations(monkeypatch, bounds, family, r_prime, bisects, d, n_bar):
+    # the solve evaluates no n_bar map outside the ECS inverse's bisection,
+    # and checks the solved state once, through its moments
+    evals = steps = 0
+    bisect = states._bisect_increasing
 
-    def counted_map(*args):
-        nbar = make_map(*args)
+    def counted_factory(factory):
+        def make(*args):
+            nbar = factory(*args)
 
-        def floor(p):
-            nonlocal floors
-            floors += 1
-            return nbar(p)
+            def evaluate(p):
+                nonlocal evals
+                evals += 1
+                return nbar(p)
 
-        return floor
+            return evaluate
+
+        return make
 
     def counted_bisect(fn, *args):
         def step(p):
@@ -107,17 +111,54 @@ def test_solve_nbar_evaluations(monkeypatch, family, r_prime, bisects, d, n_bar)
 
         return bisect(step, *args)
 
-    def counted_residual(*args):
-        nonlocal residuals
-        residuals += 1
-        return general(*args)
-
-    monkeypatch.setattr(families, "nbar_map", counted_map)
+    for name in ("_ecs_nbar", "_escs_nbar", "_esvs_nbar"):
+        monkeypatch.setattr(states, name, counted_factory(getattr(states, name)))
+    for name, row in states.FAMILIES.items():  # the rows hold the factories too
+        if row.nbar_map is not None:
+            counted = counted_factory(row.nbar_map)
+            monkeypatch.setitem(states.FAMILIES, name, states.FamilyRow(
+                row.parameter, row.needs_r_prime, row.state, counted, row.inverse))
+    monkeypatch.setattr(families, "nbar_map", counted_factory(families.nbar_map))
     monkeypatch.setattr(states, "_bisect_increasing", counted_bisect)
-    monkeypatch.setattr(families, "mean_total_photons", counted_residual)
     solve_param_for_nbar(family, d, n_bar, r_prime)
-    assert floors == residuals == 1
-    assert (steps > 0) == bisects and floors + steps + residuals <= MAX_NBAR_EVALS
+    assert evals == steps and (steps > 0) == bisects and steps <= MAX_BISECTION_STEPS
+    assert bounds == {"moments": 1, "reports": 0}
+
+
+@pytest.fixture
+def bounds(monkeypatch):
+    """Counts of the constituent ``moments()`` calls and of the ``QcrbReport``s built."""
+    count = {"moments": 0, "reports": 0}
+
+    def counted(method, key):
+        def call(*args, **kwargs):
+            count[key] += 1
+            return method(*args, **kwargs)
+
+        return call
+
+    for cls in (Fock, Coherent, SqueezedCoherent, SqueezedVacuum):
+        monkeypatch.setattr(cls, "moments", counted(cls.moments, "moments"))
+    monkeypatch.setattr(QcrbReport, "__init__", counted(QcrbReport.__init__, "reports"))
+    return count
+
+
+@pytest.mark.parametrize(
+    "family, r_prime",
+    [("noon", None), ("ecs", None), ("escs", 0.4), ("escs", 1.0), ("esvs", None)],
+)
+@pytest.mark.parametrize("d, n_bar", [(1, 4.0), (5, 4.0), (5, 20.0)])
+def test_matched_bound_takes_moments_and_builds_one_report(bounds, family, r_prime, d, n_bar):
+    # the moments that check the solve give the bound: one moments() call and
+    # one report per matched bound
+    report = families.matched_report(family, d, n_bar, r_prime)
+    assert bounds == {"moments": 1, "reports": 1}
+    assert report.family == family
+
+
+def test_compare_takes_moments_and_builds_a_report_once_per_family(bounds):
+    families.compare_families_at_nbar(5, 4.0)
+    assert bounds == {"moments": 4, "reports": 4}
 
 
 class _CountedExp:
@@ -146,19 +187,20 @@ def test_escs_newton_steps(monkeypatch, r_prime, d, n_bar):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """One-element list counting the calls of ``families.solve_param_for_nbar``.
+    """One-element list counting the passes of ``families._match``.
 
-    Every matched budget in the package is solved through ``families``, so
-    the count sees the calls of ``circuit`` and ``cli`` too.
+    Every matched budget in the package is solved by that one pass, which
+    ``solve_param_for_nbar`` and ``matched_report`` share, so the count sees
+    the calls of ``circuit`` and ``cli`` too.
     """
     count = [0]
-    original = families.solve_param_for_nbar
+    original = families._match
 
     def counted(*args, **kwargs):
         count[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(families, "solve_param_for_nbar", counted)
+    monkeypatch.setattr(families, "_match", counted)
     return count
 
 
