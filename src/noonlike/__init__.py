@@ -52,7 +52,6 @@ from .states import (
     SingleModeState,
     SqueezedCoherent,
     SqueezedVacuum,
-    f_factor,
     moments,
 )
 
@@ -64,8 +63,7 @@ _LAZY = {"circuit": "circuit", "families": "families"} | dict.fromkeys(
     ("SweepCurve", "balanced_vs_unbalanced_sweep", "compare_families_at_nbar",
      "compare_sweeps_at_common_nbar", "escs_ratio_bracket_check", "escs_sweep_r_prime",
      "matched_report", "solve_param_for_nbar"), "families") | dict.fromkeys(
-    ("FockVector", "QfiMatrix", "fock_amplitudes", "moments_from_amplitudes", "qfi_matrix",
-     "qcrb_trace_inverse"), "oracles")
+    ("fock_amplitudes", "moments_from_amplitudes", "qfi_matrix", "qcrb_trace_inverse"), "oracles")
 
 
 def __getattr__(name: str):

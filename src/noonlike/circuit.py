@@ -43,9 +43,9 @@ pair, never a lone coherent photon.  Combining the remaining half of the
 pair with the coherent beam then cancels every mixed term up to four
 photons precisely when the pump condition alpha^2 = 3 tanh(r) / 2 holds.
 The resulting two-mode state is the antisymmetric superposition
-(|phi>|0> - |0>|phi>)/sqrt(2); the relative branch phase is reported and
-fitted by the verifier, since no passive relabeling can turn it into the
-symmetric one.
+(|phi>|0> - |0>|phi>)/sqrt(2); the relative branch phase is fitted by the
+two-branch decomposition (``_noonlike_decomposition``) and reported, since
+no passive relabeling can turn it into the symmetric one.
 """
 
 from __future__ import annotations
@@ -53,13 +53,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 
 from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError
 from .families import SweepCurve, matched_report
 from .qcrb import _check_ordered, noon_qcrb, qcrb_closed_form
 from .states import Coherent, FockSuperposition, SqueezedVacuum
-from .states import _R_RANGE, _Frozen, _require_real
+from .states import _R_RANGE, _Frozen, _as_int, _require_real
 
 __all__ = [
     "BeamSplitter",
@@ -76,15 +75,9 @@ __all__ = [
     "heralded_success_probability",
 ]
 
-
-def _as_int(name: str, value) -> int:
-    """``value`` through ``operator.index``; TypeError naming ``name`` if it is no integer."""
-    try:  # a float would fail only inside a run, naming no field; a bool is no number
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
+# the most modes ``mode_matrix`` composes: its identity alone holds
+# mode_count**2 entries, ~9 MiB of lists at this limit
+_MODE_COUNT_MAX = 1024
 
 
 class BeamSplitter(_Frozen):
@@ -220,7 +213,11 @@ def mode_matrix(
     operator, a_j^dag -> sum_k u[k][j] a_k^dag.  A phase shifter multiplies
     its mode's row by exp(i per_photon_phase); its ``const_phase`` multiplies
     every amplitude alike and is summed into the returned global phase.
+    ``mode_count`` is a whole number from 1 to 1024.
     """
+    mode_count = _as_int("mode_count", mode_count)
+    if not 1 <= mode_count <= _MODE_COUNT_MAX:
+        raise ValueError(f"mode_count must be in 1..{_MODE_COUNT_MAX}, got {mode_count}")
     u = [[1.0 + 0j if k == j else 0j for j in range(mode_count)] for k in range(mode_count)]
     phase = 0.0
     for e in elements:

@@ -262,6 +262,10 @@ def compare_sweeps_at_common_nbar(
     at that n_bar.  The crossover is a grid point, not a root: the curves
     cross at or below it.  Empty curves compare nothing.
     """
+    d = _require_d(d)
+    for name, curve in ("balanced", balanced), ("unbalanced", unbalanced):
+        if not isinstance(curve, SweepCurve):
+            raise TypeError(f"{name} must be a SweepCurve, got {type(curve).__name__} {curve!r}")
     if not balanced.points or not unbalanced.points:
         return [], None
     lo = max(balanced.points[0][0], unbalanced.points[0][0])

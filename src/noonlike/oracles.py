@@ -1,11 +1,14 @@
 """Numeric oracles for the closed forms: the one module that loads numpy on import.
 
-``fock_amplitudes`` and ``moments_from_amplitudes`` recompute the moments of
-``states`` from truncated Fock expansions, and ``qfi_matrix(d, state,
-weighting)`` with ``qcrb_trace_inverse`` recomputes the bound of
-``qcrb_closed_form(d, state, weighting)`` as the trace of a dense matrix
-inverse.  ``noonlike`` serves these names on first use, so neither
-``import noonlike`` nor a command loads this module, or numpy (the ``test`` extra).
+``fock_amplitudes`` gives a state's truncated Fock expansion as a complex
+array with the discarded tail mass, and ``moments_from_amplitudes``
+recomputes the moments of ``states`` from such an array.
+``qfi_matrix(d, state, weighting)`` gives the dense d x d Fisher matrix as a
+float array, and ``qcrb_trace_inverse`` recomputes the bound of
+``qcrb_closed_form(d, state, weighting)`` as the trace of its inverse.  All
+of them are functions over plain numpy arrays.  ``noonlike`` serves these
+names on first use, so neither ``import noonlike`` nor a command loads this
+module, or numpy (the ``test`` extra).
 """
 
 from __future__ import annotations
@@ -14,32 +17,18 @@ import math
 
 import numpy as np
 
-from .errors import SingularMatrix, TruncationInsufficient, ZeroPhotonState
+from .errors import ParameterOutOfRange, SingularMatrix, TruncationInsufficient, ZeroPhotonState
 from .qcrb import Balanced, Weighting, _require_d, resolve_weights
-from .states import Moments, SingleModeState, _Frozen, moments
+from .states import Moments, SingleModeState, _as_int, _require_real, moments
 
-__all__ = ["FockVector", "QfiMatrix", "fock_amplitudes", "moments_from_amplitudes", "qfi_matrix",
-           "qcrb_trace_inverse"]
+__all__ = ["fock_amplitudes", "moments_from_amplitudes", "qfi_matrix", "qcrb_trace_inverse"]
 
 _COND_LIMIT = 1e12
-
-
-class FockVector(_Frozen):
-    """Truncated Fock expansion |0>..|n_max> with the discarded tail mass."""
-
-    __slots__ = ("amps", "n_max", "tail_mass")
-
-    def __init__(self, amps: np.ndarray, n_max: int, tail_mass: float):
-        amps = np.asarray(amps, dtype=np.complex128)
-        if amps.ndim != 1 or len(amps) != n_max + 1:
-            raise ValueError("amps must be a 1-D array of length n_max + 1")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not (1.0 - tail_mass - 1e-9) <= norm_sq <= 1.0 + 1e-9:
-            raise ValueError(f"norm {norm_sq} inconsistent with tail_mass {tail_mass}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "tail_mass", tail_mass)
+# the largest expansion and the largest dense matrix built: 2**20 amplitudes
+# (16 MiB) and 1024 x 1024 entries (8 MiB); a larger d or cutoff would ask
+# for gigabytes, or fail inside numpy or a list naming no parameter
+_CUTOFF_MAX = 2**20
+_DENSE_D_MAX = 1024
 
 
 def _default_start(state: SingleModeState) -> int:
@@ -52,88 +41,90 @@ def fock_amplitudes(
     state: SingleModeState,
     n_max: int | None = None,
     tail_tol: float = 1e-12,
-) -> FockVector:
-    """Truncated Fock expansion of ``state``.
+) -> tuple[np.ndarray, float]:
+    """Truncated Fock expansion of ``state``: (amplitudes c_0..c_n_max, tail mass).
 
     With ``n_max=None`` the cutoff is chosen adaptively: start at
     ``max(20, ceil(<n> + 10 sqrt(var + 1)))`` and double until the tail mass
-    drops below ``tail_tol`` (coherent/squeezed tails decay
+    is at most ``tail_tol`` (coherent/squeezed tails decay
     super-geometrically, so a few doublings always suffice).  An explicit
-    ``n_max`` is honored as-is and raises TruncationInsufficient when the
-    tail exceeds ``tail_tol``; pass ``tail_tol=math.inf`` to accept any tail.
+    ``n_max``, a whole number >= 0, is honored as-is and raises
+    TruncationInsufficient when the tail exceeds ``tail_tol``, a positive
+    real; pass ``tail_tol=math.inf`` to accept any tail.
     """
     if not isinstance(state, SingleModeState):
         raise TypeError(f"state must be a SingleModeState, got {type(state).__name__} {state!r}")
     if n_max is not None:
+        n_max = _as_int("n_max", n_max)
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
-        amps = np.array(state.amplitudes(n_max), dtype=np.complex128)
-        tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-        if tail > tail_tol:
-            raise TruncationInsufficient(
-                f"tail mass {tail:.3e} exceeds tolerance {tail_tol:.3e} at n_max={n_max}"
+    tail_tol = _require_real("tail_tol", tail_tol)
+    if not tail_tol > 0.0:
+        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
+
+    cutoff = _default_start(state) if n_max is None else n_max
+    for _ in range(8 if n_max is None else 1):
+        if cutoff > _CUTOFF_MAX:
+            raise ParameterOutOfRange(
+                f"n_max = {cutoff} exceeds the largest expansion, {_CUTOFF_MAX}"
             )
-        return FockVector(amps, n_max, tail)
-
-    cutoff = _default_start(state)
-    for _ in range(8):
         amps = np.array(state.amplitudes(cutoff), dtype=np.complex128)
-        tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-        if tail < tail_tol:
-            return FockVector(amps, cutoff, tail)
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        tail = max(0.0, 1.0 - norm_sq)
+        if tail <= tail_tol:
+            if not (1.0 - tail - 1e-9) <= norm_sq <= 1.0 + 1e-9:
+                raise ValueError(f"norm {norm_sq} inconsistent with tail_mass {tail}")
+            return amps, tail
         cutoff *= 2
-    raise TruncationInsufficient(f"tail mass still {tail:.3e} at n_max={cutoff // 2}")
+    raise TruncationInsufficient(
+        f"tail mass {tail:.3e} exceeds tolerance {tail_tol:.3e} at n_max={len(amps) - 1}"
+    )
 
 
-def moments_from_amplitudes(v: FockVector) -> Moments:
-    """Numeric moment oracle: direct sums over a truncated expansion."""
-    p = np.abs(v.amps) ** 2
+def moments_from_amplitudes(amps: np.ndarray) -> Moments:
+    """Numeric moment oracle: direct sums over the truncated expansion c_0..c_n_max."""
+    p = np.abs(np.asarray(amps)) ** 2
+    if p.ndim != 1:
+        raise ValueError(f"amps must be a 1-D array, got shape {p.shape}")
     total = float(np.sum(p))
     if total <= 0.0:
         raise ValueError("amplitude vector has zero norm")
-    n = np.arange(v.n_max + 1, dtype=np.float64)
+    n = np.arange(len(p), dtype=np.float64)
     mean = float(np.sum(n * p)) / total
     mean2 = float(np.sum(n * n * p)) / total
     return Moments(mean, mean2, float(p[0]) / total)
 
 
-class QfiMatrix(_Frozen):
-    """Dense d x d Fisher matrix of the form a I - c O."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: np.ndarray):
-        m = np.asarray(entries, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(m))))):
-            raise ValueError("entries must be symmetric")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-
-def qfi_matrix(
-    d: int, state: SingleModeState, weighting: Weighting = Balanced()
-) -> QfiMatrix:
-    """Fisher matrix 4 b^2 <n^2> I - 4 b^4 <n>^2 O for the d phases."""
+def qfi_matrix(d: int, state: SingleModeState, weighting: Weighting = Balanced()) -> np.ndarray:
+    """Fisher matrix 4 b^2 <n^2> I - 4 b^4 <n>^2 O for the d phases, a d x d float array."""
     d = _require_d(d)
+    if d > _DENSE_D_MAX:
+        raise ValueError(f"d must be <= {_DENSE_D_MAX} for a dense matrix, got {d}")
     m = moments(state)
     if m.mean_n2 <= 0.0:
         raise ZeroPhotonState("vacuum constituent has no Fisher information")
     b2, _ = resolve_weights(d, m, weighting)
     a = 4.0 * b2 * m.mean_n2
     c = 4.0 * b2 * b2 * m.mean_n**2
-    entries = a * np.eye(d) - c * np.ones((d, d))
-    return QfiMatrix(entries)
+    return a * np.eye(d) - c * np.ones((d, d))
 
 
-def qcrb_trace_inverse(matrix: QfiMatrix) -> float:
-    """Trace of the dense matrix inverse.
+def qcrb_trace_inverse(matrix: np.ndarray) -> float:
+    """Trace of the dense matrix inverse of ``matrix``, a finite, square, symmetric array.
 
     Deliberately generic (LAPACK LU with pivoting, no use of the rank-one
     structure) so it can serve as an independent oracle for the closed form.
     """
-    m = matrix.entries
+    try:
+        m = np.asarray(matrix, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise TypeError(
+            f"matrix must be an array of real numbers, got {type(matrix).__name__} {matrix!r}"
+        ) from None
+    if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1] or not np.isfinite(m).all():
+        raise ValueError(f"matrix must be a finite square array, got shape {m.shape}")
+    if not np.allclose(m, m.T, rtol=0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(m))))):
+        raise ValueError("matrix must be symmetric")
     if np.linalg.cond(m) > _COND_LIMIT:
         raise SingularMatrix(f"condition number exceeds {_COND_LIMIT:.0e}")
     return float(np.trace(np.linalg.inv(m)))

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 
-from .errors import BracketFailure, ParameterOutOfRange, ZeroPhotonState
+from .errors import BracketFailure, ParameterOutOfRange
 
 __all__ = [
     "FAMILIES",
@@ -52,7 +53,6 @@ __all__ = [
     "SingleModeState",
     "Moments",
     "moments",
-    "f_factor",
 ]
 
 _NORM_TOL = 1e-12
@@ -74,6 +74,16 @@ def _require_number(name: str, value, kind: type = numbers.Real) -> None:
     if isinstance(value, bool) or not isinstance(value, kind):  # complex, str, numpy.bool_, ...
         noun = "a real number" if kind is numbers.Real else "a number"
         raise TypeError(f"{name} must be {noun}, got {type(value).__name__} {value!r}")
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` through ``operator.index``; TypeError naming ``name`` if it is no integer."""
+    try:  # a float would fail only inside a run, naming no field; a bool is no number
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_real(name: str, value, limits: tuple[float, float] | None = None) -> float:
@@ -465,15 +475,3 @@ def constituent(family: str, r_prime: float | None = None) -> Callable[[float], 
     if row.needs_r_prime:
         return lambda p: row.state(p, r_prime)
     return row.state
-
-
-def f_factor(state: SingleModeState) -> float:
-    """Sensitivity factor <n> / <n^2> of the constituent state.
-
-    Equals 1/n for number states and is strictly smaller than 1/<n> whenever
-    the photon number fluctuates.
-    """
-    m = moments(state)
-    if m.mean_n2 <= 0.0:
-        raise ZeroPhotonState("vacuum constituent: <n^2> = 0, probe carries no phase information")
-    return m.mean_n / m.mean_n2

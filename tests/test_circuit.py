@@ -60,8 +60,8 @@ class TestInject:
         alpha, r, budget = 0.9, 0.8, 5
         cfg = CircuitConfig(0, 1, (), 2, 0, budget)
         state, prob = _heralded(cfg, Coherent(alpha), SqueezedVacuum(r))
-        coh = fock_amplitudes(Coherent(alpha), n_max=budget, tail_tol=math.inf).amps
-        sv = fock_amplitudes(SqueezedVacuum(r), n_max=budget, tail_tol=math.inf).amps
+        coh, _ = fock_amplitudes(Coherent(alpha), n_max=budget, tail_tol=math.inf)
+        sv, _ = fock_amplitudes(SqueezedVacuum(r), n_max=budget, tail_tol=math.inf)
         expected = {
             (j, k): coh[j] * sv[k]
             for j in range(budget + 1)
@@ -174,6 +174,24 @@ class TestElements:
         with pytest.raises(ModeOutOfRange):
             mode_matrix([PhaseShifter(-1)], 2)
 
+    def test_mode_count_limit_accepted(self):
+        u, phase = mode_matrix([PhaseShifter(1023, 0.5, 0.25)], 1024)
+        assert (len(u), len(u[1023]), u[1023][1023], phase) == (
+            1024, 1024, complex(math.cos(0.25), math.sin(0.25)), 0.5
+        )
+
+    @pytest.mark.parametrize("mode_count", [0, -1, 1025, 2**70], ids=repr)
+    def test_mode_count_out_of_range(self, mode_count):
+        # -1 and 0 gave ([], 0.0); 2**70 would build its identity row by row
+        with pytest.raises(ValueError, match=f"^mode_count must be in 1..1024, got {mode_count}$"):
+            mode_matrix([], mode_count)
+
+    @pytest.mark.parametrize("mode_count", [True, 2.5, 3.0, "3"], ids=repr)
+    def test_mode_count_is_an_integer(self, mode_count):
+        # True gave a 1 x 1 matrix, and 2.5 an error naming no parameter
+        with pytest.raises(TypeError, match="^mode_count must be an integer, got "):
+            mode_matrix([], mode_count)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["const_phase", "per_photon_phase"])
     def test_non_finite_phase_rejected(self, field, value):
@@ -252,7 +270,7 @@ def _heralded_by_permanents(elements, states, herald_mode, herald_count, output_
         u = _element_matrix(element, m) @ u
     phase = np.exp(1j * sum(e.const_phase for e in elements if isinstance(e, PhaseShifter)))
     budget = herald_count + max_out
-    coeffs = [fock_amplitudes(s, n_max=budget, tail_tol=math.inf).amps for s in states]
+    coeffs = [fock_amplitudes(s, n_max=budget, tail_tol=math.inf)[0] for s in states]
     fact = [math.factorial(k) for k in range(budget + 1)]
     kept = {}
     for out in itertools.product(range(max_out + 1), repeat=len(output_modes)):
@@ -615,7 +633,7 @@ class TestVerifyNoonlikeForm:
         assert beta == pytest.approx(math.pi, abs=1e-12)
 
     def test_product_state_scores_below_one(self):
-        phi = fock_amplitudes(Coherent(0.9), n_max=3, tail_tol=math.inf).amps
+        phi, _ = fock_amplitudes(Coherent(0.9), n_max=3, tail_tol=math.inf)
         phi = phi / math.sqrt(float(np.sum(np.abs(phi) ** 2)))
         state = np.zeros((7, 7), dtype=complex)
         state[:4, :4] = np.outer(phi, phi)

@@ -20,20 +20,23 @@ from noonlike.circuit import (
     BeamSplitter,
     PhaseShifter,
     experiment_qcrb_comparison,
+    mode_matrix,
     pump_amplitude,
     run_experiment,
 )
 from noonlike.errors import NoonlikeError, ParameterOutOfRange, ZeroPhotonState
 from noonlike.families import (
+    SweepCurve,
     balanced_vs_unbalanced_sweep,
     compare_families_at_nbar,
+    compare_sweeps_at_common_nbar,
     escs_ratio_bracket_check,
     escs_sweep_r_prime,
     matched_report,
     nbar_map,
     solve_param_for_nbar,
 )
-from noonlike.oracles import fock_amplitudes
+from noonlike.oracles import fock_amplitudes, qcrb_trace_inverse, qfi_matrix
 from noonlike.qcrb import (
     Balanced,
     FixedB,
@@ -51,7 +54,6 @@ from noonlike.states import (
     SqueezedVacuum,
     _Frozen,
     constituent,
-    f_factor,
     moments,
 )
 
@@ -67,6 +69,7 @@ EDGES = [
 ]
 
 _MOMENTS = moments(Coherent(1.0))
+_CURVE = SweepCurve(((1.0, 2.0, 0.5),))
 
 # case -> (the call with the edge value x, the words a message may name the
 # parameter by).  A squeeze factor's own name is also a word where the
@@ -81,7 +84,6 @@ CALLS = {
     "SqueezedCoherent-r": (lambda x: SqueezedCoherent(1.0, x), ["r"]),
     "FockSuperposition-amps": (lambda x: FockSuperposition((x,)), ["amps", "amplitudes"]),
     "moments-state": (lambda x: moments(x), ["state"]),
-    "f_factor-state": (lambda x: f_factor(x), ["state"]),
     "mean_total_photons-d": (lambda x: mean_total_photons(x, Coherent(1.0)), ["d"]),
     "mean_total_photons-state": (lambda x: mean_total_photons(5, x), ["state"]),
     "resolve_weights-d": (lambda x: resolve_weights(x, _MOMENTS, Balanced()), ["d"]),
@@ -144,6 +146,24 @@ CALLS = {
     "experiment_qcrb_comparison-r_grid": (
         lambda x: experiment_qcrb_comparison([x]), ["r_grid", "r", "squeeze factor"]
     ),
+    "compare_sweeps_at_common_nbar-d": (
+        lambda x: compare_sweeps_at_common_nbar(x, _CURVE, _CURVE), ["d"]
+    ),
+    "compare_sweeps_at_common_nbar-balanced": (
+        lambda x: compare_sweeps_at_common_nbar(5, x, _CURVE), ["balanced"]
+    ),
+    "compare_sweeps_at_common_nbar-unbalanced": (
+        lambda x: compare_sweeps_at_common_nbar(5, _CURVE, x), ["unbalanced"]
+    ),
+    "mode_matrix-mode_count": (lambda x: mode_matrix([], x), ["mode_count"]),
+    "fock_amplitudes-n_max": (lambda x: fock_amplitudes(Coherent(1.0), n_max=x), ["n_max"]),
+    "fock_amplitudes-tail_tol": (
+        lambda x: fock_amplitudes(Coherent(1.0), tail_tol=x), ["tail_tol"]
+    ),
+    "qfi_matrix-d": (lambda x: qfi_matrix(x, Coherent(1.0)), ["d"]),
+    "qfi_matrix-state": (lambda x: qfi_matrix(5, x), ["state"]),
+    "qfi_matrix-weighting": (lambda x: qfi_matrix(5, Coherent(1.0), x), ["weighting"]),
+    "qcrb_trace_inverse-matrix": (lambda x: qcrb_trace_inverse(x), ["matrix"]),
 }
 
 
@@ -151,6 +171,8 @@ def _finite(value) -> bool:
     """Whether every number in ``value``, a value the library returned, is finite."""
     if isinstance(value, _Frozen):
         return _finite(value._values())
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
     if isinstance(value, (tuple, list)):
         return all(map(_finite, value))
     if isinstance(value, numbers.Integral):  # an int is finite however large
@@ -245,6 +267,22 @@ MESSAGES = {
                                       "weighting must be a Weighting, got str 'balanced'"),
     "qcrb_closed_form-str-state": (lambda: qcrb_closed_form(5, "x"), TypeError,
                                    "state must be a SingleModeState, got str 'x'"),
+    "fock_amplitudes-float-n_max": (lambda: fock_amplitudes(Coherent(1.0), n_max=2.5), TypeError,
+                                    "n_max must be an integer, got 2.5"),
+    "fock_amplitudes-nan-tail_tol": (lambda: fock_amplitudes(Coherent(1.0), 3, float("nan")),
+                                     ValueError, "tail_tol must be positive, got nan"),
+    "qcrb_trace_inverse-str": (lambda: qcrb_trace_inverse("x"), TypeError,
+                               "matrix must be an array of real numbers, got str 'x'"),
+    "compare_sweeps-str": (lambda: compare_sweeps_at_common_nbar(5, "a", "b"), TypeError,
+                           "balanced must be a SweepCurve, got str 'a'"),
+    "compare_sweeps-d": (lambda: compare_sweeps_at_common_nbar(0, _CURVE, _CURVE), ValueError,
+                         "d must be >= 1, got 0"),
+    "mode_matrix-bool": (lambda: mode_matrix([], True), TypeError,
+                         "mode_count must be an integer, got True"),
+    "mode_matrix-float": (lambda: mode_matrix([], 2.5), TypeError,
+                          "mode_count must be an integer, got 2.5"),
+    "mode_matrix-negative": (lambda: mode_matrix([], -1), ValueError,
+                             "mode_count must be in 1..1024, got -1"),
     "bracket-vacuum": (lambda: escs_ratio_bracket_check(0, 0, 1.0), ZeroPhotonState,
                        "vacuum constituent: alpha_p = r_p = 0 carries no excess noise"),
 }

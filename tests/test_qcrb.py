@@ -22,7 +22,6 @@ from noonlike import (
     OptimizedB,
     OrderingViolation,
     ParameterOutOfRange,
-    QfiMatrix,
     SingularMatrix,
     SqueezedCoherent,
     SqueezedVacuum,
@@ -39,12 +38,15 @@ from noonlike import (
     solve_param_for_nbar,
 )
 from noonlike.families import (
+    SweepCurve,
     balanced_vs_unbalanced_sweep,
     compare_families_at_nbar,
+    compare_sweeps_at_common_nbar,
     escs_sweep_r_prime,
     matched_report,
     nbar_map,
 )
+from noonlike.oracles import _DENSE_D_MAX
 from noonlike.qcrb import _D_MAX, _check_below_noon, _check_ordered, noon_ceiling
 
 STATE_GRID = [
@@ -114,21 +116,21 @@ class TestMeanTotalPhotons:
         assert mean_total_photons(5, SqueezedVacuum(1.87)) == pytest.approx(4.0, abs=0.01)
 
 
-class TestQfiMatrix:
+class TestFisherMatrix:
     def test_single_phase_single_photon(self):
         m = qfi_matrix(1, Fock(1))
-        assert m.entries.shape == (1, 1)
-        assert m.entries[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert m.shape == (1, 1)
+        assert m[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_two_phase_single_photon(self):
         m = qfi_matrix(2, Fock(1))
-        assert np.allclose(np.diag(m.entries), 8.0 / 9.0)
-        assert m.entries[0, 1] == pytest.approx(-4.0 / 9.0, abs=1e-14)
+        assert np.allclose(np.diag(m), 8.0 / 9.0)
+        assert m[0, 1] == pytest.approx(-4.0 / 9.0, abs=1e-14)
 
     @pytest.mark.parametrize("state", STATE_GRID)
     @pytest.mark.parametrize("d", [1, 3, 6])
     def test_structure(self, state, d):
-        m = qfi_matrix(d, state).entries
+        m = qfi_matrix(d, state)
         mom = moments(state)
         b2 = _balanced_b2(d, mom.vacuum_prob)
         a = 4 * b2 * mom.mean_n2
@@ -139,22 +141,59 @@ class TestQfiMatrix:
         with pytest.raises(ZeroPhotonState):
             qfi_matrix(3, Fock(0))
 
+    def test_faint_state_accepted(self):
+        # <n^2> ~ 1e-10: only the vacuum, <n^2> = 0, has no Fisher information
+        state = Coherent(1e-5)
+        ti = qcrb_trace_inverse(qfi_matrix(3, state))
+        assert ti == pytest.approx(qcrb_closed_form(3, state).qcrb, rel=1e-9)
+
     def test_whole_float_d(self):
-        assert np.array_equal(qfi_matrix(3.0, Fock(1)).entries, qfi_matrix(3, Fock(1)).entries)
+        assert np.array_equal(qfi_matrix(3.0, Fock(1)), qfi_matrix(3, Fock(1)))
+
+    def test_dense_limit_accepted(self):
+        assert qfi_matrix(_DENSE_D_MAX, Fock(1)).shape == (_DENSE_D_MAX, _DENSE_D_MAX)
+
+    @pytest.mark.parametrize("d", [_DENSE_D_MAX + 1, 2**70], ids=["DENSE_D_MAX+1", "2**70"])
+    def test_dense_limit(self, d):
+        # d = 2**70 raised numpy's "Maximum allowed dimension exceeded", naming no d
+        with pytest.raises(ValueError, match=f"^d must be <= {_DENSE_D_MAX} for a dense matrix"):
+            qfi_matrix(d, Fock(1))
 
 
 class TestTraceInverse:
     def test_identity(self):
-        assert qcrb_trace_inverse(QfiMatrix(np.eye(3))) == pytest.approx(3.0)
+        assert qcrb_trace_inverse(np.eye(3)) == pytest.approx(3.0)
 
     def test_single_photon(self):
         m = qfi_matrix(1, Fock(1))
         assert qcrb_trace_inverse(m) == pytest.approx(1.0, abs=1e-14)
 
+    def test_nested_lists_accepted(self):
+        assert qcrb_trace_inverse([[2.0, 0.0], [0.0, 4.0]]) == 0.75
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[1.0, 2.0], [[1.0, 0.0]], np.eye(2)[:0, :0], [[math.nan]], [[math.inf, 0.0], [0.0, 1.0]]],
+        ids=["vector", "wide", "empty", "nan", "inf"],
+    )
+    def test_finite_square_required(self, matrix):
+        with pytest.raises(ValueError, match="^matrix must be a finite square array, got shape"):
+            qcrb_trace_inverse(matrix)
+
+    def test_symmetric_required(self):
+        with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+            qcrb_trace_inverse([[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("matrix", ["x", None, [[1j]], [[10**400]]], ids=repr)
+    def test_real_array_required(self, matrix):
+        # a str raised AttributeError
+        with pytest.raises((TypeError, ValueError), match=r"^matrix must be (an array|a finite)"):
+            qcrb_trace_inverse(matrix)
+
     def test_ill_conditioned_rejected(self):
         entries = np.eye(3) - (1.0 - 1e-13) / 3.0 * np.ones((3, 3))
         with pytest.raises(SingularMatrix):
-            qcrb_trace_inverse(QfiMatrix(entries))
+            qcrb_trace_inverse(entries)
 
     @pytest.mark.parametrize("state", STATE_GRID)
     @pytest.mark.parametrize("d", list(range(1, 9)))
@@ -338,6 +377,12 @@ D_TAKERS = {
     "compare_families_at_nbar": lambda d: compare_families_at_nbar(d, 3.0),
     "escs_sweep_r_prime": lambda d: escs_sweep_r_prime(d, 3.0, [0.4, 1.2]),
     "balanced_vs_unbalanced_sweep": lambda d: balanced_vs_unbalanced_sweep(d, [0.5, 1.0]),
+    # empty curves compared nothing, whatever d was
+    "compare_sweeps_at_common_nbar": lambda d: compare_sweeps_at_common_nbar(
+        d, SweepCurve(()), SweepCurve(())
+    ),
+    # an array is compared as its nested lists
+    "qfi_matrix": lambda d: qfi_matrix(d, Coherent(1.0)).tolist(),
 }
 
 
@@ -424,7 +469,7 @@ def _probe_tensor(d, state, b2, c):
 
     Axis 0 is the reference mode; axes 1..d carry the phases.
     """
-    phi = fock_amplitudes(state).amps
+    phi, _ = fock_amplitudes(state)
     psi = np.zeros((len(phi),) * (d + 1), dtype=np.complex128)
     for mode in range(d + 1):
         index = [0] * (d + 1)
@@ -491,7 +536,7 @@ class TestAmplitudeFisherOracle:
                 for gj in grads
             ]
         )
-        assert np.allclose(fisher, qfi_matrix(d, state, weighting).entries, rtol=1e-10, atol=0.0)
+        assert np.allclose(fisher, qfi_matrix(d, state, weighting), rtol=1e-10, atol=0.0)
         assert np.trace(np.linalg.inv(fisher)) == pytest.approx(report.qcrb, rel=1e-10)
 
 

@@ -186,10 +186,10 @@ def test_package_import_leaves_the_oracles_unloaded(fresh_python):
 
 def test_oracle_names_load_the_oracles(fresh_python):
     proc = fresh_python(
-        "import sys\nfrom noonlike import qfi_matrix, FockVector\n"
+        "import sys\nfrom noonlike import qfi_matrix, fock_amplitudes\n"
         "print('noonlike.oracles' in sys.modules, 'numpy' in sys.modules)\n"
         "import noonlike.oracles as oracles\n"
-        "assert qfi_matrix is oracles.qfi_matrix and FockVector is oracles.FockVector\n"
+        "assert qfi_matrix is oracles.qfi_matrix and fock_amplitudes is oracles.fock_amplitudes\n"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "True"]

@@ -8,18 +8,18 @@ from noonlike import (
     Coherent,
     Fock,
     FockSuperposition,
-    FockVector,
     Moments,
     ParameterOutOfRange,
     SqueezedCoherent,
     SqueezedVacuum,
     TruncationInsufficient,
     ZeroPhotonState,
-    f_factor,
     fock_amplitudes,
     moments,
     moments_from_amplitudes,
+    qcrb_closed_form,
 )
+from noonlike.oracles import _CUTOFF_MAX
 from noonlike.states import _ALPHA_RANGE, _N_RANGE, _R_RANGE
 
 PARAM_GRID = [0.1, 0.35, 0.8, 1.3, 2.0, 2.6, 3.0]
@@ -54,7 +54,7 @@ class TestMoments:
         m = moments(SqueezedVacuum(r))
         sh2 = math.sinh(r) ** 2
         assert m.mean_n2 == pytest.approx(3 * sh2**2 + 2 * sh2, rel=1e-12)
-        assert f_factor(SqueezedVacuum(r)) == pytest.approx(
+        assert qcrb_closed_form(5, SqueezedVacuum(r)).f == pytest.approx(
             1.0 / (sh2 + 2 * math.cosh(r) ** 2), rel=1e-12
         )
 
@@ -100,31 +100,32 @@ class TestVacuumOverlaps:
 
 class TestFockAmplitudes:
     def test_fock_delta(self):
-        v = fock_amplitudes(Fock(2), n_max=4)
-        assert np.allclose(v.amps, [0, 0, 1, 0, 0])
-        assert v.tail_mass == 0.0
+        amps, tail = fock_amplitudes(Fock(2), n_max=4)
+        assert np.allclose(amps, [0, 0, 1, 0, 0])
+        assert tail == 0.0
 
     def test_coherent_vacuum_amplitude(self):
-        v = fock_amplitudes(Coherent(1.0))
-        assert v.amps[0].real == pytest.approx(math.exp(-0.5), rel=1e-14)
+        amps, _ = fock_amplitudes(Coherent(1.0))
+        assert amps[0].real == pytest.approx(math.exp(-0.5), rel=1e-14)
 
     @pytest.mark.parametrize("r", PARAM_GRID)
     def test_squeezed_vacuum_recurrence(self, r):
-        v = fock_amplitudes(SqueezedVacuum(r))
-        ratio = (v.amps[2] / v.amps[0]).real
+        amps, _ = fock_amplitudes(SqueezedVacuum(r))
+        ratio = (amps[2] / amps[0]).real
         assert ratio == pytest.approx(-math.tanh(r) / math.sqrt(2), rel=1e-12)
 
     def test_squeezed_vacuum_odd_terms_vanish(self):
-        v = fock_amplitudes(SqueezedVacuum(1.4))
-        assert np.max(np.abs(v.amps[1::2])) == 0.0
+        amps, _ = fock_amplitudes(SqueezedVacuum(1.4))
+        assert np.max(np.abs(amps[1::2])) == 0.0
 
     def test_explicit_cutoff_too_small(self):
-        with pytest.raises(TruncationInsufficient):
+        # one pass, no doubling: the tail is reported at n_max itself
+        with pytest.raises(TruncationInsufficient, match=r" at n_max=3$"):
             fock_amplitudes(Coherent(2.0), n_max=3)
 
     def test_tail_mass_monotone_in_cutoff(self):
         tails = [
-            fock_amplitudes(Coherent(1.5), n_max=n, tail_tol=math.inf).tail_mass
+            fock_amplitudes(Coherent(1.5), n_max=n, tail_tol=math.inf)[1]
             for n in (4, 8, 16, 32)
         ]
         assert all(a >= b for a, b in zip(tails, tails[1:]))
@@ -137,24 +138,56 @@ class TestFockAmplitudes:
     def test_superposition_cut_below_its_length(self, n_max):
         # an explicit cutoff keeps c_0..c_n_max and leaves the rest as tail mass
         amps = (0.1, 0.2, 0.3j, 0.4, math.sqrt(0.7))
-        v = fock_amplitudes(FockSuperposition(amps), n_max=n_max, tail_tol=math.inf)
-        assert v.amps.tolist() == list(amps[: n_max + 1])
-        assert v.tail_mass == pytest.approx(sum(abs(c) ** 2 for c in amps[n_max + 1 :]), abs=1e-15)
+        kept, tail = fock_amplitudes(FockSuperposition(amps), n_max=n_max, tail_tol=math.inf)
+        assert kept.tolist() == list(amps[: n_max + 1])
+        assert tail == pytest.approx(sum(abs(c) ** 2 for c in amps[n_max + 1 :]), abs=1e-15)
 
     def test_effective_fock_has_no_expansion(self):
         with pytest.raises(ValueError):
             fock_amplitudes(Fock(1.5), n_max=10)
 
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, math.nan, True, np.True_, "3"], ids=repr)
+    def test_cutoff_is_a_whole_number(self, n_max):
+        # a float raised a bare "can't multiply sequence by non-int", and True passed as 1
+        with pytest.raises(TypeError, match="^n_max must be an integer, got "):
+            fock_amplitudes(Coherent(1.0), n_max=n_max)
+
+    def test_largest_expansion_accepted(self):
+        amps, tail = fock_amplitudes(Fock(1), n_max=_CUTOFF_MAX)
+        assert (len(amps), amps[1], tail) == (_CUTOFF_MAX + 1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("n_max", [_CUTOFF_MAX + 1, 2**70, 10**400], ids=repr)
+    def test_cutoff_beyond_the_largest_expansion(self, n_max):
+        with pytest.raises(ParameterOutOfRange, match=f"^n_max = {n_max} exceeds the largest"):
+            fock_amplitudes(Fock(1), n_max=n_max, tail_tol=math.inf)
+
+    @pytest.mark.parametrize("n_max", [None, 3], ids=["adaptive", "explicit"])
+    @pytest.mark.parametrize("tail_tol", [math.nan, 0.0, -1.0, -math.inf], ids=repr)
+    def test_tolerance_is_positive(self, n_max, tail_tol):
+        # an explicit cutoff with NaN accepted any tail; the adaptive one expanded
+        # 2560 amplitudes and then reported "tail mass still 0.000e+00"
+        with pytest.raises(ValueError, match=f"^tail_tol must be positive, got {tail_tol}$"):
+            fock_amplitudes(Coherent(1.0), n_max=n_max, tail_tol=tail_tol)
+
+    @pytest.mark.parametrize("tail_tol", [True, "1e-12", 1j], ids=repr)
+    def test_tolerance_is_a_real_number(self, tail_tol):
+        with pytest.raises(TypeError, match="^tail_tol must be a real number"):
+            fock_amplitudes(Coherent(1.0), n_max=30, tail_tol=tail_tol)
+
 
 class TestMomentOracle:
     def test_vacuum_vector(self):
-        v = FockVector(np.array([1.0 + 0j, 0, 0]), 2, 0.0)
-        m = moments_from_amplitudes(v)
+        m = moments_from_amplitudes(np.array([1.0 + 0j, 0, 0]))
         assert (m.mean_n, m.mean_n2, m.vacuum_prob) == (0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("amps", [np.eye(2), [[1.0, 0.0]], 1.0], ids=["square", "row", "scalar"])
+    def test_one_dimensional(self, amps):
+        with pytest.raises(ValueError, match=r"^amps must be a 1-D array, got shape \("):
+            moments_from_amplitudes(amps)
 
     def test_agrees_with_analytic_coherent(self):
         a = moments(Coherent(1.0))
-        b = moments_from_amplitudes(fock_amplitudes(Coherent(1.0)))
+        b = moments_from_amplitudes(fock_amplitudes(Coherent(1.0))[0])
         assert b.mean_n == pytest.approx(a.mean_n, rel=1e-8)
         assert b.mean_n2 == pytest.approx(a.mean_n2, rel=1e-8)
 
@@ -162,9 +195,8 @@ class TestMomentOracle:
         # amplitudes of the heralded source at unit squeeze factor
         from noonlike.circuit import heralded_target_amplitudes
 
-        amps = heralded_target_amplitudes(1.0)
-        v = FockVector(amps, 4, 0.0)
-        assert moments_from_amplitudes(v).mean_n == pytest.approx(2.2461859078, abs=1e-9)
+        amps = np.array(heralded_target_amplitudes(1.0))
+        assert moments_from_amplitudes(amps).mean_n == pytest.approx(2.2461859078, abs=1e-9)
 
     @pytest.mark.parametrize("param", PARAM_GRID)
     @pytest.mark.parametrize(
@@ -179,27 +211,28 @@ class TestMomentOracle:
     def test_dual_route_consistency(self, build, param):
         state = build(param)
         analytic = moments(state)
-        numeric = moments_from_amplitudes(fock_amplitudes(state))
+        numeric = moments_from_amplitudes(fock_amplitudes(state)[0])
         assert numeric.mean_n == pytest.approx(analytic.mean_n, rel=1e-8)
         assert numeric.mean_n2 == pytest.approx(analytic.mean_n2, rel=1e-8)
         assert numeric.vacuum_prob == pytest.approx(analytic.vacuum_prob, rel=1e-8)
 
 
 class TestFFactor:
+    # the sensitivity factor <n> / <n^2> of the constituent, as the bound reports it
     def test_fock(self):
-        assert f_factor(Fock(4)) == pytest.approx(0.25, abs=1e-15)
+        assert qcrb_closed_form(5, Fock(4)).f == pytest.approx(0.25, abs=1e-15)
 
     def test_coherent(self):
-        assert f_factor(Coherent(1.0)) == pytest.approx(0.5, abs=1e-14)
+        assert qcrb_closed_form(5, Coherent(1.0)).f == pytest.approx(0.5, abs=1e-14)
 
     def test_squeezed_vacuum(self):
-        assert f_factor(SqueezedVacuum(1.0)) == pytest.approx(
+        assert qcrb_closed_form(5, SqueezedVacuum(1.0)).f == pytest.approx(
             0.16277913370704844, rel=1e-12
         )
 
     def test_vacuum_rejected(self):
         with pytest.raises(ZeroPhotonState):
-            f_factor(Fock(0))
+            qcrb_closed_form(5, Fock(0))
 
     @pytest.mark.parametrize("param", PARAM_GRID)
     @pytest.mark.parametrize(
@@ -208,11 +241,11 @@ class TestFFactor:
     def test_bounded_by_inverse_mean(self, build, param):
         state = build(param)
         m = moments(state)
-        assert f_factor(state) <= 1.0 / m.mean_n + 1e-12
+        assert qcrb_closed_form(5, state).f <= 1.0 / m.mean_n + 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_equality_only_for_fock(self, n):
-        assert f_factor(Fock(n)) == pytest.approx(1.0 / n, abs=1e-15)
+        assert qcrb_closed_form(5, Fock(n)).f == pytest.approx(1.0 / n, abs=1e-15)
 
 
 class TestValidation:
