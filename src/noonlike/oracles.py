@@ -50,7 +50,8 @@ def fock_amplitudes(
     super-geometrically, so a few doublings always suffice).  An explicit
     ``n_max``, a whole number >= 0, is honored as-is and raises
     TruncationInsufficient when the tail exceeds ``tail_tol``, a positive
-    real; pass ``tail_tol=math.inf`` to accept any tail.
+    real; pass ``tail_tol=math.inf`` to accept any tail.  A cutoff above
+    2**20, explicit or adaptive, raises ParameterOutOfRange.
     """
     if not isinstance(state, SingleModeState):
         raise TypeError(f"state must be a SingleModeState, got {type(state).__name__} {state!r}")
