@@ -75,11 +75,6 @@ __all__ = [
     "heralded_success_probability",
 ]
 
-# the most modes ``mode_matrix`` composes: its identity alone holds
-# mode_count**2 entries, ~9 MiB of lists at this limit
-_MODE_COUNT_MAX = 1024
-
-
 class BeamSplitter(_Frozen):
     __slots__ = ("mode_a", "mode_b", "transmissivity", "convention")
 
@@ -120,10 +115,19 @@ class PhaseShifter(_Frozen):
 CircuitElement = BeamSplitter | PhaseShifter
 
 
-def _check_element_modes(e: CircuitElement, mode_count: int) -> None:
-    modes = (e.mode_a, e.mode_b) if isinstance(e, BeamSplitter) else (e.mode,)
-    if any(not 0 <= m < mode_count for m in modes):
-        raise ModeOutOfRange(f"element modes {modes} outside 0..{mode_count - 1}")
+def _check_elements(elements: Iterable[CircuitElement]) -> tuple[CircuitElement, ...]:
+    """``elements`` as a tuple, if each is a ``CircuitElement`` on modes 0..2."""
+    try:
+        out = tuple(elements)
+    except TypeError:  # None, a number
+        raise TypeError(f"elements must be iterable, got {elements!r}") from None
+    for e in out:
+        if not isinstance(e, CircuitElement):
+            raise TypeError(f"elements must hold CircuitElements, got {type(e).__name__} {e!r}")
+        modes = (e.mode_a, e.mode_b) if isinstance(e, BeamSplitter) else (e.mode,)
+        if any(not 0 <= m < 3 for m in modes):
+            raise ModeOutOfRange(f"element modes {modes} outside 0..2")
+    return out
 
 
 class ExperimentResult(_Frozen):
@@ -165,11 +169,9 @@ class CircuitConfig(_Frozen):
                                 ("herald_mode", herald_mode), ("herald_count", herald_count),
                                 ("max_output_photons", max_output_photons))
         )
-        elements = tuple(elements)
         if any(not 0 <= m < 3 for m in (coherent_mode, squeezed_mode, herald_mode)):
             raise ModeOutOfRange("config references modes outside 0..2")
-        for e in elements:
-            _check_element_modes(e, 3)
+        elements = _check_elements(elements)
         if coherent_mode == squeezed_mode:
             raise ValueError("coherent and squeezed inputs must enter distinct modes")
         for name, n in ("herald_count", herald_count), ("max_output_photons", max_output_photons):
@@ -204,24 +206,17 @@ def default_circuit_config() -> CircuitConfig:
     return _REFERENCE_CIRCUIT
 
 
-def mode_matrix(
-    elements: Iterable[CircuitElement], mode_count: int
-) -> tuple[list[list[complex]], float]:
-    """Compose passive elements, in order, into a mode matrix and a global phase.
+def mode_matrix(elements: Iterable[CircuitElement]) -> tuple[list[list[complex]], float]:
+    """Compose passive elements, in order, into the 3 x 3 mode matrix and a global phase.
 
     Column j of the nested lists u is the image of input mode j's creation
     operator, a_j^dag -> sum_k u[k][j] a_k^dag.  A phase shifter multiplies
     its mode's row by exp(i per_photon_phase); its ``const_phase`` multiplies
     every amplitude alike and is summed into the returned global phase.
-    ``mode_count`` is a whole number from 1 to 1024.
     """
-    mode_count = _as_int("mode_count", mode_count)
-    if not 1 <= mode_count <= _MODE_COUNT_MAX:
-        raise ValueError(f"mode_count must be in 1..{_MODE_COUNT_MAX}, got {mode_count}")
-    u = [[1.0 + 0j if k == j else 0j for j in range(mode_count)] for k in range(mode_count)]
+    u = [[1.0 + 0j if k == j else 0j for j in range(3)] for k in range(3)]
     phase = 0.0
-    for e in elements:
-        _check_element_modes(e, mode_count)
+    for e in _check_elements(elements):
         if isinstance(e, BeamSplitter):
             tau = math.sqrt(e.transmissivity)
             rho_a, rho_b = e.reflection_amplitudes()
@@ -371,7 +366,7 @@ def _compiled(cfg: CircuitConfig) -> tuple:
     (n_1, n_2).
     """
     budget = cfg.herald_count + cfg.max_output_photons
-    u, phase = mode_matrix(cfg.elements, 3)
+    u, phase = mode_matrix(cfg.elements)
     columns = [[row[j] for row in u] for j in (cfg.coherent_mode, cfg.squeezed_mode)]
     h = cfg.herald_mode
     a, b = (k for k in range(3) if k != h)

@@ -1,22 +1,21 @@
 """Parameter matching, four-family comparisons, and balanced vs unbalanced sweeps.
 
 Each family is one constituent state with one free parameter, and one row of
-``states.FAMILIES``, keyed by the family's name: the row names the parameter,
-builds the state from it (``constituent``) and gives the closed-form mean
-photon number of its balanced probe (``nbar_map``).  Families are compared at
-a common mean total photon number of the balanced probe.  The NOON column
-uses the interpolated ("effective") photon number so that all four curves
-share an x-axis; the other three are matched by their row's ``inverse`` of
-that map, which is increasing: ESVS in closed form, from a cubic's root,
-ESCS by at most eight Newton steps in alpha^2 and ECS by bisection on its
-map.  ``solve_param_for_nbar`` and ``matched_report`` share one pass: it
-checks the inputs once, builds one state and takes its ``moments`` once, to
-check the inverse; ``matched_report`` computes the balanced bound and its
-one report from them.  Every comparison at a fixed budget (the four
-families, the squeeze-factor sweep, figure 3, the heralded source's
-coherent reference and the balanced bound set against the weight-optimized
-unbalanced one) goes through ``matched_report``, so each compares exactly
-matched budgets.
+``states.FAMILIES``, keyed by the family's name: the row names the parameter
+and builds the state from it (``constituent``).  Families are compared at a
+common mean total photon number of the balanced probe, n_bar = <n>/(1 + d
+p_0), ``qcrb.mean_total_photons`` of the state, which increases with the
+parameter.  The NOON column uses the interpolated ("effective") photon number
+so that all four curves share an x-axis; the other three are matched by their
+row's ``inverse`` of n_bar: ESVS in closed form, from a cubic's root, ESCS by
+at most eight Newton steps in alpha^2 and ECS by bisection.
+``solve_param_for_nbar`` and ``matched_report`` share one pass: it checks the
+inputs once, builds one state and takes its ``moments`` once, to check the
+inverse; ``matched_report`` computes the balanced bound and its one report
+from them.  Every comparison at a fixed budget (the four families, the
+squeeze-factor sweep, figure 3, the heralded source's coherent reference and
+the balanced bound set against the weight-optimized unbalanced one) goes
+through ``matched_report``, so each compares exactly matched budgets.
 
 Grid sweeps are pure and deterministic; points are produced in grid order.
 """
@@ -52,7 +51,6 @@ from .states import (
 
 __all__ = [
     "constituent",
-    "nbar_map",
     "SweepCurve",
     "solve_param_for_nbar",
     "matched_report",
@@ -62,22 +60,6 @@ __all__ = [
     "balanced_vs_unbalanced_sweep",
     "compare_sweeps_at_common_nbar",
 ]
-
-def nbar_map(family: str, d: int, r_prime: float | None = None) -> Callable[[float], float]:
-    """Balanced n_bar of the family's d-phase probe as a function of its free parameter.
-
-    ``nbar_map(family, d, r_prime)(p)`` equals
-    ``mean_total_photons(d, constituent(family, r_prime)(p))`` bit for bit: it
-    runs the float operations of ``moments`` and ``mean_total_photons`` in
-    their order, and checks ``p`` against the constructor's range with the
-    constructor's message, but builds no state.  NOON has no map; its
-    occupation is n_bar itself.
-    """
-    row = _row(family)
-    d = _require_d(d)
-    if row.nbar_map is None:
-        raise ValueError(f"family {family} has no n_bar map")
-    return row.nbar_map(d, r_prime)
 
 
 class SweepCurve(_Frozen):
@@ -139,10 +121,10 @@ def solve_param_for_nbar(
     ``r_prime`` is the squeeze factor of the ESCS constituent; the other
     families ignore it.  NOON returns an effective number state directly (its
     mean photon number equals the occupation).  The others invert their
-    strictly increasing ``nbar_map`` by their row's ``inverse``, so a target
-    below the value at parameter 0 (possible for ESCS with a fixed squeeze
-    factor, whose inverse checks it) raises BracketFailure, as does a solve
-    that has to leave the parameter's representable range to reach the target.
+    strictly increasing n_bar by their row's ``inverse``, so a target below
+    the value at parameter 0 (possible for ESCS with a fixed squeeze factor,
+    whose inverse checks it) raises BracketFailure, as does a solve that has
+    to leave the parameter's representable range to reach the target.
     """
     return _match(family, d, n_bar, r_prime)[2]
 

@@ -83,16 +83,23 @@ def fock_amplitudes(
 
 
 def moments_from_amplitudes(amps: np.ndarray) -> Moments:
-    """Numeric moment oracle: direct sums over the truncated expansion c_0..c_n_max."""
-    p = np.abs(np.asarray(amps)) ** 2
-    if p.ndim != 1:
-        raise ValueError(f"amps must be a 1-D array, got shape {p.shape}")
-    total = float(np.sum(p))
-    if total <= 0.0:
-        raise ValueError("amplitude vector has zero norm")
-    n = np.arange(len(p), dtype=np.float64)
+    """Numeric moment oracle: direct sums over ``amps``, a 1-D array c_0..c_n_max of numbers."""
+    try:  # no bool or string is a number; an object array holds ints beyond int64, or None
+        a = None if np.asarray(amps).dtype.kind in "bSU" else np.asarray(amps, np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None:
+        raise TypeError(f"amps must be an array of numbers, got {type(amps).__name__} {amps!r}")
+    if a.ndim != 1:
+        raise ValueError(f"amps must be a 1-D array, got shape {a.shape}")
+    n = np.arange(len(a), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the overflow
+        p = np.abs(a) ** 2
+        total = float(np.sum(p))
+        mean2 = float(np.sum(n * n * p)) / total if total > 0.0 else math.nan
+    if not math.isfinite(mean2):  # a zero norm, a NaN or an inf, or a sum beyond the doubles
+        raise ValueError(f"amps need a nonzero norm and finite moments, got sum |c_n|^2 {total!r}")
     mean = float(np.sum(n * p)) / total
-    mean2 = float(np.sum(n * n * p)) / total
     return Moments(mean, mean2, float(p[0]) / total)
 
 

@@ -369,33 +369,19 @@ def _bisect_increasing(fn: Callable[[float], float], target: float, guess: float
     return 0.5 * (lo + hi)
 
 
-def _ecs_nbar(d: int, r_prime: float | None) -> Callable[[float], float]:
+def _ecs_inverse(d: int, r_prime: float | None, n_bar: float) -> float:
+    # bisected on n_bar, mean_total_photons(d, Coherent(alpha)) bit for bit, from sqrt(n_bar)
     def ecs(alpha: float) -> float:
         a2 = _require_real("alpha", alpha, _ALPHA_RANGE) ** 2
         return a2 / (1.0 + d * math.exp(-a2))
-    return ecs
-
-
-def _ecs_inverse(d: int, r_prime: float | None, n_bar: float) -> float:
-    # bisected, from a first bracket end at sqrt(n_bar)
-    return _bisect_increasing(_ecs_nbar(d, r_prime), n_bar, math.sqrt(n_bar))
-
-
-def _escs_nbar(d: int, r_prime: float | None) -> Callable[[float], float]:
-    r = _require_real("r", r_prime, _R_RANGE)
-    sh2, one_minus_t, ch = math.sinh(r) ** 2, 1.0 - math.tanh(r), math.cosh(r)
-
-    def escs(alpha: float) -> float:
-        a2 = _require_real("alpha", alpha, _ALPHA_RANGE) ** 2
-        return (a2 + sh2) / (1.0 + d * (math.exp(-a2 * one_minus_t) / ch))
-    return escs
+    return _bisect_increasing(ecs, n_bar, math.sqrt(n_bar))
 
 
 def _escs_inverse(d: int, r_prime: float | None, n_bar: float) -> float:
     # x = alpha^2 = X + W0(k a)/k, X = n_bar - sh2, a = n_bar c e^(-k X), is the root of the
     # concave, increasing h(x) = x + sh2 - n_bar (1 + c e^(-k x)).  From Winitzki's W0,
     # within 2 %, Newton's first step lands left of the root, and x then climbs to it.
-    # Only ESCS has a floor: its map at alpha = 0, the squeeze's own photons
+    # Only ESCS has a floor: its n_bar at alpha = 0, the squeeze's own photons
     sh2, k, ch = math.sinh(r_prime) ** 2, 1.0 - math.tanh(r_prime), math.cosh(r_prime)
     floor = sh2 / (1.0 + d * (1.0 / ch))
     if floor - n_bar > _RESIDUAL_TOL:
@@ -415,13 +401,6 @@ def _escs_inverse(d: int, r_prime: float | None, n_bar: float) -> float:
     return math.sqrt(x)
 
 
-def _esvs_nbar(d: int, r_prime: float | None) -> Callable[[float], float]:
-    def esvs(r: float) -> float:
-        r = _require_real("r", r, _R_RANGE)
-        return math.sinh(r) ** 2 / (1.0 + d * (1.0 / math.cosh(r)))
-    return esvs
-
-
 def _esvs_inverse(d: int, r_prime: float | None, n_bar: float) -> float:
     # cosh r = 1 + w is the largest root u of u^3 - p u - q, p = 1 + n_bar, q = n_bar d: its
     # trigonometric form if q/2 <= (p/3)^(3/2), else hyperbolic.  u - 1 is off by ~1 ulp of
@@ -438,24 +417,24 @@ def _esvs_inverse(d: int, r_prime: float | None, n_bar: float) -> float:
 class FamilyRow(_Frozen):
     """One probe family: ``parameter`` names its free parameter (the argument and
     attribute of its ``state`` class, and the ``qcrb`` flag); ``needs_r_prime``
-    says whether ``state`` takes the squeeze factor ``r_prime`` second;
-    ``nbar_map(d, r_prime)`` is ``families.nbar_map`` for a checked ``d``, and
-    ``inverse(d, r_prime, n_bar)`` the parameter it maps to n_bar, for checked
-    inputs; ESCS's raises BracketFailure below its floor, the map at 0.  NOON
-    has neither: its n is n_bar."""
+    says whether ``state`` takes the squeeze factor ``r_prime`` second; and
+    ``inverse(d, r_prime, n_bar)``, for checked inputs, is the parameter whose
+    balanced probe carries n_bar, ``qcrb.mean_total_photons`` of its state.
+    ESCS's raises BracketFailure below its floor, its n_bar at alpha = 0.  NOON
+    has no inverse: its n is n_bar."""
 
-    __slots__ = ("parameter", "needs_r_prime", "state", "nbar_map", "inverse")
+    __slots__ = ("parameter", "needs_r_prime", "state", "inverse")
 
-    def __init__(self, parameter: str, needs_r_prime: bool, state: type, nbar_map, inverse):
-        self._assign(parameter, needs_r_prime, state, nbar_map, inverse)
+    def __init__(self, parameter: str, needs_r_prime: bool, state: type, inverse):
+        self._assign(parameter, needs_r_prime, state, inverse)
 
 
 # the paper's four families, in its order, keyed by name
 FAMILIES = {
-    "noon": FamilyRow("n", False, Fock, None, None),
-    "ecs": FamilyRow("alpha", False, Coherent, _ecs_nbar, _ecs_inverse),
-    "escs": FamilyRow("alpha", True, SqueezedCoherent, _escs_nbar, _escs_inverse),
-    "esvs": FamilyRow("r", False, SqueezedVacuum, _esvs_nbar, _esvs_inverse),
+    "noon": FamilyRow("n", False, Fock, None),
+    "ecs": FamilyRow("alpha", False, Coherent, _ecs_inverse),
+    "escs": FamilyRow("alpha", True, SqueezedCoherent, _escs_inverse),
+    "esvs": FamilyRow("r", False, SqueezedVacuum, _esvs_inverse),
 }
 
 

@@ -4,13 +4,13 @@ Also pins where the proven orderings are checked: only ``qcrb`` raises
 OrderingViolation, so the rule for ties and rounding has one home.  Only
 ``families.matched_report`` reaches the budget solve, a pass it shares with
 ``solve_param_for_nbar``, so every fixed-budget comparison takes its
-balanced bound from one path.  ``circuit`` holds one
-cache, ``_compiled``, read only by ``run_experiment``, runs its kernel on
-that one path alone, and reads every ``CircuitConfig`` field, so none is
-inert.  numpy is imported only by ``oracles``, at its top, and is no
-runtime dependency of the package.  And the package reads one environment
-variable, ``COLUMNS``, for the help text's width: no variable changes what
-a command computes or where it writes.
+balanced bound from one path.  ``circuit`` holds one cache, ``_compiled``,
+read only by ``run_experiment``, and runs its kernel on that one path alone.
+The package reads every field of ``CircuitConfig`` and of the family table's
+``FamilyRow``, so none is inert.  numpy is imported only by ``oracles``, at
+its top, and is no runtime dependency of the package.  And the package reads
+one environment variable, ``COLUMNS``, for the help text's width: no variable
+changes what a command computes or where it writes.
 """
 
 import ast
@@ -278,21 +278,26 @@ def test_circuit_has_one_simulator_path():
     assert _callers(path, "_heralded_state") == ["run_experiment"]
 
 
-def test_circuit_reads_every_config_field():
-    # a field read only where the config is built changes no run: it is no choice
-    from noonlike.circuit import CircuitConfig
-
-    tree = ast.parse((Path(noonlike.__file__).parent / "circuit.py").read_text())
-    config = next(n for n in tree.body if getattr(n, "name", None) == "CircuitConfig")
-    init = next(n for n in config.body if getattr(n, "name", None) == "__init__")
-    in_init = {id(node) for node in ast.walk(init)}
-    read = {
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-        and node.value.id == "cfg" and id(node) not in in_init
-    }
-    assert set(CircuitConfig.__slots__) <= read
+@pytest.mark.parametrize(
+    "module, cls, variable",
+    [("circuit", "CircuitConfig", "cfg"), ("states", "FamilyRow", "row")],
+)
+def test_every_field_is_read(module, cls, variable):
+    # a field read only where its value is built changes no run: it is no
+    # choice; each is read as ``variable.<field>`` somewhere outside its class
+    read = set()
+    for path in sorted(Path(noonlike.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for top in tree.body if getattr(top, "name", None) == cls
+                  for node in ast.walk(top)}
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == variable and id(node) not in inside
+        }
+    fields = getattr(importlib.import_module(f"noonlike.{module}"), cls).__slots__
+    assert set(fields) <= read
 
 
 _ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")

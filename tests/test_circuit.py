@@ -110,19 +110,20 @@ class TestElements:
             assert abs(amps[(0, 0)]) == pytest.approx(1.0, abs=1e-14)
 
     def test_single_photon_symmetric_split(self):
-        u, phase = mode_matrix([BeamSplitter(0, 1)], 2)
+        u, phase = mode_matrix([BeamSplitter(0, 1)])
         assert phase == 0.0
         column = [row[0] for row in u]
-        assert column == pytest.approx([1 / math.sqrt(2), 1j / math.sqrt(2)], rel=1e-12)
+        assert column == pytest.approx([1 / math.sqrt(2), 1j / math.sqrt(2), 0.0], rel=1e-12)
+        assert [row[2] for row in u] == [0j, 0j, 1.0 + 0j]  # mode 2 untouched
         state, _ = _heralded(_no_herald([BeamSplitter(0, 1)], 2), Fock(1), Fock(0))
         assert state[1][0] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert state[0][1] == pytest.approx(1j / math.sqrt(2), rel=1e-12)
 
     def test_single_photon_real_split(self):
         splitter = BeamSplitter(0, 1, convention="real")
-        u, _ = mode_matrix([splitter], 2)
+        u, _ = mode_matrix([splitter])
         column = [row[0] for row in u]
-        assert column == pytest.approx([1 / math.sqrt(2), -1 / math.sqrt(2)], rel=1e-12)
+        assert column == pytest.approx([1 / math.sqrt(2), -1 / math.sqrt(2), 0.0], rel=1e-12)
         state, _ = _heralded(_no_herald([splitter], 2), Fock(1), Fock(0))
         assert state[1][0] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert state[0][1] == pytest.approx(-1 / math.sqrt(2), rel=1e-12)
@@ -130,8 +131,9 @@ class TestElements:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
     def test_phase_shifter_number_dependence(self, n):
         shifter = PhaseShifter(0, math.pi, -math.pi / 2)
-        u, phase = mode_matrix([shifter], 1)
+        u, phase = mode_matrix([shifter])
         assert phase == math.pi
+        assert np.abs(np.array(u) - np.diag([-1j, 1.0, 1.0])).max() <= 1e-15  # modes 1, 2 untouched
         expected = -1.0 * (-1j) ** n
         state, _ = _heralded(_no_herald([shifter], 6), Fock(n), Fock(0))
         assert _nonzero(state) == {(n, 0): pytest.approx(expected, rel=1e-12)}
@@ -143,7 +145,7 @@ class TestElements:
             PhaseShifter(1, 0.3, -1.1),
             BeamSplitter(1, 2, transmissivity=0.3, convention=convention),
         )
-        u, phase = mode_matrix(elements, 3)
+        u, phase = mode_matrix(elements)
         assert phase == 0.3
         u = np.array(u)
         assert np.abs(u @ u.conj().T - np.eye(3)).max() <= 1e-14
@@ -160,37 +162,24 @@ class TestElements:
     @pytest.mark.parametrize("convention", ["symmetric", "real"])
     def test_double_beam_splitter_is_mode_swap(self, convention):
         bs = BeamSplitter(0, 1, convention=convention)
-        u, phase = mode_matrix([bs, bs], 2)
+        u, phase = mode_matrix([bs, bs])
         assert phase == 0.0
-        assert np.abs(np.abs(np.array(u)) - np.array([[0.0, 1.0], [1.0, 0.0]])).max() <= 1e-15
+        swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.abs(np.abs(np.array(u)) - swap).max() <= 1e-15
         state, _ = _heralded(_no_herald([bs, bs], 3), Fock(2), Fock(1))
         amps = _nonzero(state)
         assert abs(amps[(1, 2)]) == pytest.approx(1.0, abs=1e-14)
         assert all(abs(a) <= 1e-14 for occ, a in amps.items() if occ != (1, 2))
 
     def test_mode_out_of_range(self):
-        with pytest.raises(ModeOutOfRange):
-            mode_matrix([BeamSplitter(0, 2)], 2)
-        with pytest.raises(ModeOutOfRange):
-            mode_matrix([PhaseShifter(-1)], 2)
+        with pytest.raises(ModeOutOfRange, match=r"^element modes \(0, 3\) outside 0..2$"):
+            mode_matrix([BeamSplitter(0, 3)])
+        with pytest.raises(ModeOutOfRange, match=r"^element modes \(-1,\) outside 0..2$"):
+            mode_matrix([PhaseShifter(-1)])
 
-    def test_mode_count_limit_accepted(self):
-        u, phase = mode_matrix([PhaseShifter(1023, 0.5, 0.25)], 1024)
-        assert (len(u), len(u[1023]), u[1023][1023], phase) == (
-            1024, 1024, complex(math.cos(0.25), math.sin(0.25)), 0.5
-        )
-
-    @pytest.mark.parametrize("mode_count", [0, -1, 1025, 2**70], ids=repr)
-    def test_mode_count_out_of_range(self, mode_count):
-        # -1 and 0 gave ([], 0.0); 2**70 would build its identity row by row
-        with pytest.raises(ValueError, match=f"^mode_count must be in 1..1024, got {mode_count}$"):
-            mode_matrix([], mode_count)
-
-    @pytest.mark.parametrize("mode_count", [True, 2.5, 3.0, "3"], ids=repr)
-    def test_mode_count_is_an_integer(self, mode_count):
-        # True gave a 1 x 1 matrix, and 2.5 an error naming no parameter
-        with pytest.raises(TypeError, match="^mode_count must be an integer, got "):
-            mode_matrix([], mode_count)
+    def test_no_elements_is_the_identity(self):
+        assert mode_matrix(()) == ([[1.0 + 0j if k == j else 0j for j in range(3)]
+                                    for k in range(3)], 0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["const_phase", "per_photon_phase"])
@@ -374,7 +363,7 @@ class TestPermanentOracle:
             want = np.eye(3, dtype=complex)
             for element in elements:
                 want = _element_matrix(element, 3) @ want
-            u = np.array(mode_matrix(elements, 3)[0])
+            u = np.array(mode_matrix(elements)[0])
             assert np.abs(u - want).max() <= 1e-14
             assert np.abs(u @ u.conj().T - np.eye(3)).max() <= 1e-13
 
@@ -814,7 +803,7 @@ def _dense_post_select(occs, amps, herald_mode, herald_count, output_modes, max_
 
 def _dense_run(r, cfg):
     """Reference: ``run_experiment`` through the dense references above."""
-    u, phase = mode_matrix(cfg.elements, 3)
+    u, phase = mode_matrix(cfg.elements)
     herald = (cfg.herald_mode, cfg.herald_count)
     budget = cfg.herald_count + cfg.max_output_photons
     occs, amps = _dense_budget_amplitudes(_inputs(cfg, r), u, budget, phase, herald)
@@ -895,7 +884,7 @@ class TestCompiledCircuit:
     @classmethod
     def _assert_same(cls, cfg, r):
         states = _inputs(cfg, r)
-        u, phase = mode_matrix(cfg.elements, 3)
+        u, phase = mode_matrix(cfg.elements)
         budget = cfg.herald_count + cfg.max_output_photons
         selection = (cfg.herald_mode, cfg.herald_count, _output_modes(cfg), cfg.max_output_photons)
         got = _outcome(_heralded, cfg, states[cfg.coherent_mode], states[cfg.squeezed_mode])

@@ -18,6 +18,7 @@ import pytest
 
 from noonlike.circuit import (
     BeamSplitter,
+    CircuitConfig,
     PhaseShifter,
     experiment_qcrb_comparison,
     mode_matrix,
@@ -33,10 +34,14 @@ from noonlike.families import (
     escs_ratio_bracket_check,
     escs_sweep_r_prime,
     matched_report,
-    nbar_map,
     solve_param_for_nbar,
 )
-from noonlike.oracles import fock_amplitudes, qcrb_trace_inverse, qfi_matrix
+from noonlike.oracles import (
+    fock_amplitudes,
+    moments_from_amplitudes,
+    qcrb_trace_inverse,
+    qfi_matrix,
+)
 from noonlike.qcrb import (
     Balanced,
     FixedB,
@@ -47,6 +52,7 @@ from noonlike.qcrb import (
     resolve_weights,
 )
 from noonlike.states import (
+    FAMILIES,
     Coherent,
     Fock,
     FockSuperposition,
@@ -100,12 +106,6 @@ CALLS = {
     "FixedB-b2": (lambda x: FixedB(x), ["b2"]),
     "constituent-family": (lambda x: constituent(x, 1.0)(1.0), ["family"]),
     "constituent-r_prime": (lambda x: constituent("escs", x)(1.0), ["r_prime", "r"]),
-    "nbar_map-family": (lambda x: nbar_map(x, 5, 1.0)(1.0), ["family"]),
-    "nbar_map-d": (lambda x: nbar_map("ecs", x)(1.0), ["d"]),
-    "nbar_map-r_prime": (lambda x: nbar_map("escs", 5, x)(1.0), ["r_prime", "r"]),
-    "nbar_map(ecs)-alpha": (lambda x: nbar_map("ecs", 5)(x), ["alpha"]),
-    "nbar_map(escs)-alpha": (lambda x: nbar_map("escs", 5, 0.5)(x), ["alpha"]),
-    "nbar_map(esvs)-r": (lambda x: nbar_map("esvs", 5)(x), ["r"]),
     "solve_param_for_nbar-family": (
         lambda x: solve_param_for_nbar(x, 5, 3.0, 1.0), ["family"]
     ),
@@ -155,11 +155,16 @@ CALLS = {
     "compare_sweeps_at_common_nbar-unbalanced": (
         lambda x: compare_sweeps_at_common_nbar(5, _CURVE, x), ["unbalanced"]
     ),
-    "mode_matrix-mode_count": (lambda x: mode_matrix([], x), ["mode_count"]),
+    "mode_matrix-elements": (lambda x: mode_matrix(x), ["elements"]),
+    "mode_matrix-elements[0]": (lambda x: mode_matrix([x]), ["elements"]),
+    "CircuitConfig-elements": (lambda x: CircuitConfig(0, 1, x, 2, 1, 4), ["elements"]),
+    "CircuitConfig-elements[0]": (lambda x: CircuitConfig(0, 1, [x], 2, 1, 4), ["elements"]),
     "fock_amplitudes-n_max": (lambda x: fock_amplitudes(Coherent(1.0), n_max=x), ["n_max"]),
     "fock_amplitudes-tail_tol": (
         lambda x: fock_amplitudes(Coherent(1.0), tail_tol=x), ["tail_tol"]
     ),
+    "moments_from_amplitudes-amps": (lambda x: moments_from_amplitudes(x), ["amps"]),
+    "moments_from_amplitudes-amps[0]": (lambda x: moments_from_amplitudes([x]), ["amps"]),
     "qfi_matrix-d": (lambda x: qfi_matrix(x, Coherent(1.0)), ["d"]),
     "qfi_matrix-state": (lambda x: qfi_matrix(5, x), ["state"]),
     "qfi_matrix-weighting": (lambda x: qfi_matrix(5, Coherent(1.0), x), ["weighting"]),
@@ -219,8 +224,6 @@ MESSAGES = {
     # a family is its lowercase name, and nothing else
     "constituent-foo": (lambda: constituent("foo"), ValueError,
                         "family must be one of noon, ecs, escs, esvs, got 'foo'"),
-    "nbar_map-ECS": (lambda: nbar_map("ECS", 5), ValueError,
-                     "family must be one of noon, ecs, escs, esvs, got 'ECS'"),
     "solve-foo": (lambda: solve_param_for_nbar("foo", 5, 4.0), ValueError,
                   "family must be one of noon, ecs, escs, esvs, got 'foo'"),
     "matched_report-ECS": (lambda: matched_report("ECS", 5, 4.0), ValueError,
@@ -277,12 +280,24 @@ MESSAGES = {
                            "balanced must be a SweepCurve, got str 'a'"),
     "compare_sweeps-d": (lambda: compare_sweeps_at_common_nbar(0, _CURVE, _CURVE), ValueError,
                          "d must be >= 1, got 0"),
-    "mode_matrix-bool": (lambda: mode_matrix([], True), TypeError,
-                         "mode_count must be an integer, got True"),
-    "mode_matrix-float": (lambda: mode_matrix([], 2.5), TypeError,
-                          "mode_count must be an integer, got 2.5"),
-    "mode_matrix-negative": (lambda: mode_matrix([], -1), ValueError,
-                             "mode_count must be in 1..1024, got -1"),
+    # an element that is none, or elements that are no iterable, gave an
+    # AttributeError or a bare "'NoneType' object is not iterable"
+    "mode_matrix-str-element": (lambda: mode_matrix(["x"]), TypeError,
+                                "elements must hold CircuitElements, got str 'x'"),
+    "CircuitConfig-str-element": (lambda: CircuitConfig(0, 1, ("x",), 2, 1, 4), TypeError,
+                                  "elements must hold CircuitElements, got str 'x'"),
+    "mode_matrix-None": (lambda: mode_matrix(None), TypeError,
+                         "elements must be iterable, got None"),
+    "moments_from_amplitudes-str": (lambda: moments_from_amplitudes("1"), TypeError,
+                                    "amps must be an array of numbers, got str '1'"),
+    "moments_from_amplitudes-huge": (lambda: moments_from_amplitudes(10**400), TypeError,
+                                     "amps must be an array of numbers, got int "),
+    "moments_from_amplitudes-zero": (lambda: moments_from_amplitudes([0.0]), ValueError,
+                                     "amps need a nonzero norm and finite moments,"
+                                     " got sum |c_n|^2 0.0"),
+    "moments_from_amplitudes-1e308": (lambda: moments_from_amplitudes([1e308]), ValueError,
+                                      "amps need a nonzero norm and finite moments,"
+                                      " got sum |c_n|^2 inf"),
     "bracket-vacuum": (lambda: escs_ratio_bracket_check(0, 0, 1.0), ZeroPhotonState,
                        "vacuum constituent: alpha_p = r_p = 0 carries no excess noise"),
 }
@@ -304,8 +319,7 @@ def test_message(case):
 def test_family_is_its_name(family, parameter, state):
     # each family function takes the name that the reports and the CLI print
     assert constituent(family, 0.5)(1.5) == state
-    if family != "noon":  # NOON has no map
-        assert nbar_map(family, 5, 0.5)(1.5) == mean_total_photons(5, state)
+    assert FAMILIES[family].parameter == parameter
     report = matched_report(family, 5, 4.0, 0.5)
     assert report.family == family
     assert report.parameter == getattr(solve_param_for_nbar(family, 5, 4.0, 0.5), parameter)

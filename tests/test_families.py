@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from noonlike import (
     resolve_weights,
     solve_param_for_nbar,
 )
-from noonlike.families import SweepCurve, constituent, nbar_map
+from noonlike.families import SweepCurve, constituent
 from noonlike.qcrb import _REPORTED
 
 FEASIBLE_GRID = [
@@ -66,36 +65,6 @@ class TestFamilyTable:
     def test_constituent_carries_its_parameter(self, family, p):
         assert getattr(constituent(family, 0.7)(p), FAMILIES[family].parameter) == p
 
-    # 0, the smallest and largest representable parameters (alpha, then r),
-    # and quarter decades in between, where d * (1 / cosh r) and d / cosh r
-    # round apart; ESVS skips the alphas above its range
-    MAP_GRID = (
-        [0.0, 1.2214e-77, 1e-9]
-        + [10 ** (k / 4) for k in range(-12, 9)]
-        + [177.09, 1e20, 4.0938e76]
-    )
-
-    @pytest.mark.parametrize("family", ["ecs", "escs", "esvs"])
-    @pytest.mark.parametrize("d", [1, 2, 5, 50, 10**6])
-    @pytest.mark.parametrize("r_prime", [0.05, 0.4, 1.0, 2.0])
-    def test_nbar_map_is_the_general_path_bit_for_bit(self, family, d, r_prime):
-        nbar = nbar_map(family, d, r_prime)
-        build = constituent(family, r_prime)
-        grid = [p for p in self.MAP_GRID if family != "esvs" or p <= 177.09]
-        for p in grid:
-            assert nbar(p) == mean_total_photons(d, build(p)), p
-
-    @pytest.mark.parametrize(
-        "family, p",
-        [(fam, p) for fam in ("ecs", "escs", "esvs") for p in (1e-80, 5e76)]
-        + [("esvs", 177.2), ("esvs", -177.2)],
-    )
-    def test_nbar_map_rejects_what_the_constructor_rejects(self, family, p):
-        with pytest.raises(ParameterOutOfRange) as built:
-            constituent(family, 1.0)(p)
-        with pytest.raises(ParameterOutOfRange, match=f"^{re.escape(str(built.value))}$"):
-            nbar_map(family, 5, 1.0)(p)
-
 
 class TestEscsAtZeroDisplacement:
     """ESCS at zero displacement is the ESVS probe of the same squeeze factor."""
@@ -110,8 +79,10 @@ class TestEscsAtZeroDisplacement:
 
     @pytest.mark.parametrize("r", R_GRID)
     @pytest.mark.parametrize("d", [1, 5, 50, 10**6])
-    def test_nbar_maps_and_bounds_agree(self, r, d):
-        assert nbar_map("escs", d, r)(0.0) == nbar_map("esvs", d)(r)
+    def test_nbar_and_bounds_agree(self, r, d):
+        assert mean_total_photons(d, SqueezedCoherent(0.0, r)) == mean_total_photons(
+            d, SqueezedVacuum(r)
+        )
         escs = qcrb_closed_form(d, SqueezedCoherent(0.0, r)).qcrb
         esvs = qcrb_closed_form(d, SqueezedVacuum(r)).qcrb
         assert escs == pytest.approx(esvs, rel=4e-15, abs=0.0)
@@ -196,7 +167,7 @@ class TestMatchedReport:
         # the one pass gives, bit for bit, what the public path gives from
         # the solved state; n_bar runs from just above the ESCS floor at the
         # largest squeeze factor to 1e6
-        floor = nbar_map("escs", d, 1.2)(0.0)
+        floor = mean_total_photons(d, SqueezedCoherent(0.0, 1.2))
         n_bars = [floor * (1.0 + 1e-9), *(float(n) for n in np.geomspace(1.01 * floor, 1e6, 12))]
         for family in FAMILIES:
             for n_bar in n_bars:
@@ -209,7 +180,7 @@ class TestMatchedReport:
     @pytest.mark.parametrize("r_prime", [0.4, 1.2])
     @pytest.mark.parametrize("d", [1, 5, 50, 10**6])
     def test_below_the_floor_both_paths_raise_alike(self, d, r_prime):
-        n_bar = 0.5 * nbar_map("escs", d, r_prime)(0.0)
+        n_bar = 0.5 * mean_total_photons(d, SqueezedCoherent(0.0, r_prime))
         with pytest.raises(BracketFailure, match="^n_bar = .* is below the floor ") as solved:
             solve_param_for_nbar("escs", d, n_bar, r_prime)
         with pytest.raises(BracketFailure) as matched:
@@ -507,6 +478,21 @@ class TestBalancedVsUnbalanced:
         # the crossover is the first compared point past the 1e-9 margin
         past = [nb for nb, q_bal, q_unb in points if q_bal > q_unb * (1.0 + 1e-9)]
         assert crossover == (past[0] if past else None)
+
+    def test_overlap_ends_are_compared(self):
+        # an unbalanced point exactly at either end of the curves' overlap is compared
+        bal = SweepCurve(((1.0, 1.0, 0.1), (4.0, 1.0, 0.2)))
+        unb = SweepCurve(((1.0, 9.0, 0.1), (2.0, 9.0, 0.15), (4.0, 9.0, 0.2), (5.0, 9.0, 0.3)))
+        points, _ = compare_sweeps_at_common_nbar(5, bal, unb)
+        assert [n_bar for n_bar, _, _ in points] == [1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("excess, crossed", [(0.5e-9, False), (2e-9, True)])
+    def test_crossover_margin_is_1e_9_relative(self, excess, crossed):
+        # the balanced bound must exceed the unbalanced one by more than 1e-9 relative
+        q_bal = matched_report("esvs", 5, 2.0).qcrb
+        bal = SweepCurve(((1.0, 1.0, 0.1), (3.0, 1.0, 0.2)))
+        unb = SweepCurve(((2.0, q_bal / (1.0 + excess), 0.5),))
+        assert compare_sweeps_at_common_nbar(5, bal, unb)[1] == (2.0 if crossed else None)
 
     def test_empty_grid_compares_nothing(self):
         bal, unb = balanced_vs_unbalanced_sweep(5, [])

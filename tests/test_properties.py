@@ -6,9 +6,10 @@ f = <n>/<n^2>.  By Jensen f <= 1/<n>, and n_bar = <n>/(1 + d p0) <= <n>,
 so f <= 1/n_bar = f_NOON, with equality only for a number state, where
 Var(n) = 0 and p0 = 0.
 
-The squeezed families' inverses of their n_bar maps, which match a probe
-to a budget, are drawn the same way: each round trip lands within a few
-ulp of the budget, and a budget below the ESCS floor stays unreachable.
+The squeezed families' inverses, which match a probe to a budget n_bar,
+``mean_total_photons`` of its state, are drawn the same way: each round
+trip lands within a few ulp of the budget, and a budget below the ESCS
+floor stays unreachable.
 """
 
 import math
@@ -20,12 +21,14 @@ from noonlike import (
     Balanced,
     BracketFailure,
     FockSuperposition,
+    SqueezedCoherent,
+    mean_total_photons,
     moments,
     noon_qcrb,
     qcrb_closed_form,
     solve_param_for_nbar,
 )
-from noonlike.families import nbar_map
+from noonlike.families import constituent
 from noonlike.qcrb import noon_ceiling
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -72,8 +75,12 @@ def _slope(nbar, p):
 )
 def test_inverse_round_trip(family, d, decade, r_prime):
     # the inverse hits the budget to a few ulp of its parameter, which the
-    # map's condition number carries into n_bar
-    nbar = nbar_map(family, d, r_prime)
+    # condition number of n_bar(p) carries into n_bar
+    build = constituent(family, r_prime)
+
+    def nbar(p):
+        return mean_total_photons(d, build(p))
+
     n_bar = 10.0**decade
     hypothesis.assume(n_bar >= nbar(0.0))
     p = FAMILIES[family].inverse(d, r_prime, n_bar)
@@ -87,7 +94,7 @@ def test_inverse_round_trip(family, d, decade, r_prime):
     share=st.floats(0.0, 1.0, exclude_max=True),
 )
 def test_below_the_escs_floor_raises(d, r_prime, share):
-    floor = nbar_map("escs", d, r_prime)(0.0)
+    floor = mean_total_photons(d, SqueezedCoherent(0.0, r_prime))
     n_bar = share * floor
     hypothesis.assume(n_bar > 1e-150 and floor - n_bar > 1e-10)
     with pytest.raises(BracketFailure, match="is below the floor"):

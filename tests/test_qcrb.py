@@ -44,7 +44,6 @@ from noonlike.families import (
     compare_sweeps_at_common_nbar,
     escs_sweep_r_prime,
     matched_report,
-    nbar_map,
 )
 from noonlike.oracles import _DENSE_D_MAX
 from noonlike.qcrb import _D_MAX, _check_below_noon, _check_ordered, noon_ceiling
@@ -372,7 +371,6 @@ D_TAKERS = {
     "qcrb_from_f": lambda d: qcrb_from_f(d, 1.0, 0.5),
     "noon_qcrb": lambda d: noon_qcrb(d, 2.0),
     "solve_param_for_nbar": lambda d: solve_param_for_nbar("ecs", d, 3.0),
-    "nbar_map": lambda d: nbar_map("ecs", d)(1.0),
     "matched_report": lambda d: matched_report("escs", d, 3.0, 1.0),
     "compare_families_at_nbar": lambda d: compare_families_at_nbar(d, 3.0),
     "escs_sweep_r_prime": lambda d: escs_sweep_r_prime(d, 3.0, [0.4, 1.2]),

@@ -75,6 +75,11 @@ class TestMoments:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             Moments(*args)
 
+    def test_negative_variance_message_gives_the_floor(self):
+        floor = r"^mean_n2 must be at least mean_n\^2 = 4.0, got 3.0$"
+        with pytest.raises(ValueError, match=floor):
+            Moments(2.0, 3.0, 0.5)
+
 
 class TestVacuumOverlaps:
     @pytest.mark.parametrize("alpha", PARAM_GRID)
@@ -338,6 +343,11 @@ class TestParameterRange:
     def test_edges_representable(self, name, build, limits):
         for value in _accepted_magnitudes(limits):
             self._check_representable(build(value))
+
+    def test_largest_parameters(self):
+        # the fourth powers alpha^4 and sinh(r)^4 reach 1/64 of the largest double
+        assert _accepted_magnitudes(_ALPHA_RANGE)[1] == pytest.approx(4.093868575373206e76, 1e-12)
+        assert _accepted_magnitudes(_R_RANGE)[1] == pytest.approx(177.09910463306602, 1e-12)
 
     def test_squeezed_coherent_corners_representable(self):
         alphas, rs = _accepted_magnitudes(_ALPHA_RANGE), _accepted_magnitudes(_R_RANGE)
