@@ -106,6 +106,16 @@ CALLS = {
     "FixedB-b2": (lambda x: FixedB(x), ["b2"]),
     "constituent-family": (lambda x: constituent(x, 1.0)(1.0), ["family"]),
     "constituent-r_prime": (lambda x: constituent("escs", x)(1.0), ["r_prime", "r"]),
+    # the balanced budget of a family's constituent, the path every inverse inverts
+    "mean_total_photons(ecs)-alpha": (
+        lambda x: mean_total_photons(5, constituent("ecs")(x)), ["alpha"]
+    ),
+    "mean_total_photons(escs)-alpha": (
+        lambda x: mean_total_photons(5, constituent("escs", 0.5)(x)), ["alpha"]
+    ),
+    "mean_total_photons(esvs)-r": (
+        lambda x: mean_total_photons(5, constituent("esvs")(x)), ["r"]
+    ),
     "solve_param_for_nbar-family": (
         lambda x: solve_param_for_nbar(x, 5, 3.0, 1.0), ["family"]
     ),

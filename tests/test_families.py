@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,36 @@ class TestFamilyTable:
     def test_constituent_carries_its_parameter(self, family, p):
         assert getattr(constituent(family, 0.7)(p), FAMILIES[family].parameter) == p
 
+    # 0, the smallest and largest representable parameters (alpha, then r),
+    # and quarter decades in between; ESVS skips the alphas above its range
+    PARAMETER_GRID = (
+        [0.0, 1.2214e-77, 1e-9]
+        + [10 ** (k / 4) for k in range(-12, 9)]
+        + [177.09, 1e20, 4.0938e76]
+    )
+
+    @pytest.mark.parametrize("family", ["ecs", "escs", "esvs"])
+    @pytest.mark.parametrize("d", [1, 2, 5, 50, 10**6])
+    @pytest.mark.parametrize("r_prime", [0.05, 0.4, 1.0, 2.0])
+    def test_budget_is_finite_and_rising_over_the_parameter_range(self, family, d, r_prime):
+        # the inverses search this range of mean_total_photons(d, constituent(...)(p))
+        build = constituent(family, r_prime)
+        grid = [p for p in self.PARAMETER_GRID if family != "esvs" or p <= 177.09]
+        budgets = [mean_total_photons(d, build(p)) for p in grid]
+        assert all(0.0 <= n_bar < math.inf for n_bar in budgets), budgets
+        assert budgets == sorted(budgets)
+        assert budgets[0] < budgets[-1]
+
+    @pytest.mark.parametrize(
+        "family, p",
+        [(fam, p) for fam in ("ecs", "escs", "esvs") for p in (1e-80, 5e76)]
+        + [("esvs", 177.2), ("esvs", -177.2)],
+    )
+    def test_budget_rejects_what_the_constructor_rejects(self, family, p):
+        message = f"^{FAMILIES[family].parameter} = {re.escape(str(p))} is out of range: "
+        with pytest.raises(ParameterOutOfRange, match=message):
+            mean_total_photons(5, constituent(family, 1.0)(p))
+
 
 class TestEscsAtZeroDisplacement:
     """ESCS at zero displacement is the ESVS probe of the same squeeze factor."""
@@ -79,7 +110,7 @@ class TestEscsAtZeroDisplacement:
 
     @pytest.mark.parametrize("r", R_GRID)
     @pytest.mark.parametrize("d", [1, 5, 50, 10**6])
-    def test_nbar_and_bounds_agree(self, r, d):
+    def test_nbar_maps_and_bounds_agree(self, r, d):
         assert mean_total_photons(d, SqueezedCoherent(0.0, r)) == mean_total_photons(
             d, SqueezedVacuum(r)
         )

@@ -370,6 +370,7 @@ D_TAKERS = {
     "mean_total_photons": lambda d: mean_total_photons(d, Coherent(1.0)),
     "qcrb_from_f": lambda d: qcrb_from_f(d, 1.0, 0.5),
     "noon_qcrb": lambda d: noon_qcrb(d, 2.0),
+    "noon_ceiling": lambda d: noon_ceiling(d, 2.0),
     "solve_param_for_nbar": lambda d: solve_param_for_nbar("ecs", d, 3.0),
     "matched_report": lambda d: matched_report("escs", d, 3.0, 1.0),
     "compare_families_at_nbar": lambda d: compare_families_at_nbar(d, 3.0),
