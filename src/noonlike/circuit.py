@@ -15,14 +15,14 @@ carry photons, so each kept output amplitude, with exactly
 ``max_output_photons`` in the two others, is a fixed bilinear form
 sum_{m,k} T[m, k] c_m s_k in the Fock amplitudes c_m of the coherent input
 and s_k of the squeezed one, with m + k the sector's photon number.  T
-depends on the config alone, so ``_compiled``, the module's one cache,
-keyed on the ``CircuitConfig``, builds it in closed form on a config's
-first run: its nonzero terms, 54 over the 15 kept sectors of the
-reference circuit.  ``run_experiment`` then expands the two inputs up to
-the photon budget and takes one short sum per kept sector.  Nothing above
-the budget feeds a kept sector, so nothing is truncated: the ``cutoff``
-keyword is inert.  The state is plain Python throughout, nested lists and
-tuples.
+depends on the config alone, so ``_compiled`` builds it in closed form on a
+config's first run, 54 nonzero terms over the 15 kept sectors of the
+reference circuit, into the module's one cache, a dict keyed on the
+config's identity: a warm run hashes nothing.  ``run_experiment`` then
+expands the two inputs up to the photon budget, at most 32 photons, and
+takes one short loop per kept sector.  Nothing above the budget feeds a
+kept sector, so nothing is truncated: the ``cutoff`` keyword is inert.
+The state is plain Python throughout, nested lists and tuples.
 
 Mode indexing is 0-based throughout.  ``default_circuit_config()`` returns
 the reference wiring; another wiring of the three modes is another
@@ -50,7 +50,6 @@ no passive relabeling can turn it into the symmetric one.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -113,6 +112,10 @@ class PhaseShifter(_Frozen):
 
 
 CircuitElement = BeamSplitter | PhaseShifter
+
+# the largest herald_count + max_output_photons: a build walks O(budget^5)
+# products, ~0.4 s at 32 on one Xeon core, and past 170 overflows a double
+_MAX_BUDGET = 32
 
 
 def _check_elements(elements: Iterable[CircuitElement]) -> tuple[CircuitElement, ...]:
@@ -177,6 +180,9 @@ class CircuitConfig(_Frozen):
         for name, n in ("herald_count", herald_count), ("max_output_photons", max_output_photons):
             if n < 0:
                 raise ValueError(f"{name} must be >= 0, got {n}")
+        if herald_count + max_output_photons > _MAX_BUDGET:
+            raise ValueError(f"herald_count + max_output_photons must be <= {_MAX_BUDGET},"
+                             f" got {herald_count + max_output_photons}")
         self._assign(
             coherent_mode, squeezed_mode, elements, herald_mode, herald_count, max_output_photons
         )
@@ -268,18 +274,21 @@ def _heralded_state(
     output modes, and success_prob is that mass, an absolute probability.
     """
     side = cfg.max_output_photons + 1
-    amps = [
-        (n1, n2, sum((t * (c[m] * s[k]) for m, k, t in terms), 0j)) for n1, n2, terms in kept
-    ]
-    mass = sum(abs(a) ** 2 for _, _, a in amps)
+    state = [[0j] * side for _ in range(side)]
+    mass = 0.0
+    for n1, n2, terms in kept:
+        a = 0j
+        for m, k, t in terms:
+            a += t * (c[m] * s[k])
+        state[n1][n2] = a
+        mass += abs(a) ** 2
     if not mass > 0.0:  # NaN fails too
         raise EmptyPostSelection(
             f"herald {cfg.herald_count} photon(s) in mode {cfg.herald_mode} kept no mass"
         )
-    state = [[0j] * side for _ in range(side)]
     scale = 1.0 / math.sqrt(mass)
-    for n1, n2, amp in amps:
-        state[n1][n2] = amp * scale
+    for n1, n2, _ in kept:
+        state[n1][n2] *= scale
     return state, mass
 
 
@@ -302,17 +311,19 @@ def _noonlike_decomposition(state: list[list[complex]]) -> tuple[list[complex], 
     overlap = sum(a.conjugate() * (root2 * b) for a, b in zip(phi[1:], state[0][1:]))
     beta = math.atan2(overlap.imag, overlap.real) if abs(overlap) > 1e-300 else 0.0
 
-    # (reconstruction, state) amplitude pairs at (n, 0) and (0, n) for n >= 1,
-    # then at the vacuum
+    # the reconstruction's overlap with the state and its norm, over its
+    # amplitudes at (n, 0) and (0, n) for n >= 1, then at the vacuum
     phase = complex(math.cos(beta), math.sin(beta))
-    pairs = []
+    dot, norm_r = 0j, 0.0
     for n in range(1, size):
-        pairs += [(phi[n] / root2, state[n][0]), (phase * phi[n] / root2, state[0][n])]
+        a, b = phi[n] / root2, phase * phi[n] / root2
+        dot += a.conjugate() * state[n][0]
+        dot += b.conjugate() * state[0][n]
+        norm_r += abs(a) ** 2
+        norm_r += abs(b) ** 2
     vac = state[0][0]
-    pairs.append((vac, vac))
-
-    dot = sum(a.conjugate() * b for a, b in pairs)
-    norm_r = sum(abs(a) ** 2 for a, _ in pairs)
+    dot += vac.conjugate() * vac
+    norm_r += abs(vac) ** 2
     norm_s = sum(abs(a) ** 2 for row in state for a in row)
     fidelity = abs(dot) ** 2 / (norm_r * norm_s) if norm_r > 0 else 0.0
     return phi, fidelity, beta
@@ -356,15 +367,23 @@ def heralded_success_probability(r: float) -> float:
     return t * t * g2 * math.exp(-1.5 * t) / (32.0 * math.cosh(r))
 
 
-@functools.lru_cache
+# id(cfg) -> (cfg, _compiled(cfg)); holding cfg keeps its id from passing on
+_COMPILED: dict[int, tuple] = {}
+
+
 def _compiled(cfg: CircuitConfig) -> tuple:
-    """(budget, transfer table) of ``cfg``.
+    """(budget, transfer table) of ``cfg``, built on its first run.
 
     The table holds, for each kept output, with exactly ``herald_count``
     photons in the herald mode and n_1 + n_2 <= ``max_output_photons`` in
     the two output modes, (n_1, n_2, ``_transfer_terms``) in the order of
-    (n_1, n_2).
+    (n_1, n_2).  Past 128 configs, the cache starts over.
     """
+    entry = _COMPILED.get(id(cfg))
+    if entry is not None and entry[0] is cfg:
+        return entry[1]
+    if not isinstance(cfg, CircuitConfig):
+        raise TypeError(f"config must be a CircuitConfig, got {type(cfg).__name__} {cfg!r}")
     budget = cfg.herald_count + cfg.max_output_photons
     u, phase = mode_matrix(cfg.elements)
     columns = [[row[j] for row in u] for j in (cfg.coherent_mode, cfg.squeezed_mode)]
@@ -376,7 +395,11 @@ def _compiled(cfg: CircuitConfig) -> tuple:
             occ = [0] * 3
             occ[h], occ[a], occ[b] = cfg.herald_count, n1, n2
             kept.append((n1, n2, _transfer_terms(tuple(occ), *columns, phase)))
-    return budget, tuple(kept)
+    if len(_COMPILED) >= 128:
+        _COMPILED.clear()
+    compiled = budget, tuple(kept)
+    _COMPILED[id(cfg)] = cfg, compiled
+    return compiled
 
 
 def run_experiment(

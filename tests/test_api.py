@@ -4,8 +4,9 @@ Also pins where the proven orderings are checked: only ``qcrb`` raises
 OrderingViolation, so the rule for ties and rounding has one home.  Only
 ``families.matched_report`` reaches the budget solve, a pass it shares with
 ``solve_param_for_nbar``, so every fixed-budget comparison takes its
-balanced bound from one path.  ``circuit`` holds one cache, ``_compiled``,
-read only by ``run_experiment``, and runs its kernel on that one path alone.
+balanced bound from one path.  ``circuit`` holds one cache, a module dict
+that only ``_compiled`` reads and writes, and no ``functools`` cache; only
+``run_experiment`` calls ``_compiled``, and the kernel runs on that one path.
 The package reads every field of ``CircuitConfig`` and of the family table's
 ``FamilyRow``, so none is inert.  numpy is imported only by ``oracles``, at
 its top, and is no runtime dependency of the package.  And the package reads
@@ -222,8 +223,8 @@ def test_numpy_import_gate_sees_every_form(tmp_path):
     assert _numpy_imports(probe) == ["probe:<module>", "probe:<module>", "probe:f", "probe:C"]
 
 
-def _callers(path, callee):
-    """Names of the functions in ``path`` (``<module>`` at top level) that call ``callee``."""
+def _scopes(path, hit):
+    """Where ``hit`` takes a node of ``path``: its top-level function's name, or ``<module>``."""
     found = []
 
     def visit(node, scope):
@@ -231,12 +232,17 @@ def _callers(path, callee):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name if scope == "<module>" else scope)
                 continue
-            if isinstance(child, ast.Call) and _name(child.func) == callee:
+            if hit(child):
                 found.append(scope)
             visit(child, scope)
 
     visit(ast.parse(path.read_text()), "<module>")
     return found
+
+
+def _callers(path, callee):
+    """Names of the functions in ``path`` (``<module>`` at top level) that call ``callee``."""
+    return _scopes(path, lambda node: isinstance(node, ast.Call) and _name(node.func) == callee)
 
 
 def test_only_matched_report_solves_a_budget():
@@ -253,21 +259,30 @@ def test_only_matched_report_solves_a_budget():
 
 
 def test_circuit_compiles_behind_one_cache():
-    # what depends on the config alone is built behind one cache keyed on the
-    # config; any other cache would hash its own key on every run
+    # what depends on the config alone is built behind one cache, a module
+    # dict that only _compiled reads and writes; a functools cache would hash
+    # the config on every run
     path = Path(noonlike.__file__).parent / "circuit.py"
     tree = ast.parse(path.read_text())
-    uses = [node for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
-            and _name(node) in ("cache", "lru_cache", "cached_property")]
-    cached = [
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for d in node.decorator_list
-        if (d.func if isinstance(d, ast.Call) else d) in uses
+    dicts = [
+        _name(target)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and (isinstance(node.value, ast.Dict)
+             or isinstance(node.value, ast.Call) and _name(node.value.func) == "dict")
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
     ]
-    assert cached == ["_compiled"] and len(uses) == 1
+    assert dicts == ["_COMPILED"]
+    uses = _scopes(path, lambda node: _name(node) == "_COMPILED")
+    assert uses.count("<module>") == 1 and set(uses) == {"<module>", "_compiled"}
     assert _callers(path, "_compiled") == ["run_experiment"]
+    names = {_name(node) for node in ast.walk(tree)} | {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None)] + [alias.name for alias in node.names]
+    }
+    assert not names & {"functools", "cache", "lru_cache", "cached_property"}
 
 
 def test_circuit_has_one_simulator_path():

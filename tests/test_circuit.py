@@ -461,6 +461,24 @@ class TestConfigFields:
         with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
             CircuitConfig(**fields | {field: value})
 
+    @pytest.mark.parametrize(
+        "herald_count, max_output_photons", [(33, 0), (0, 33), (1, 32), (171, 0)]
+    )
+    def test_budget_over_the_cap_rejected(self, herald_count, max_output_photons):
+        # a budget bounds the build, which walks O(budget^5) products, and
+        # 171 photons overflow the factorials of a double
+        with pytest.raises(
+            ValueError, match=r"^herald_count \+ max_output_photons must be <= 32, got \d+$"
+        ):
+            CircuitConfig(0, 1, (), 2, herald_count, max_output_photons)
+
+    def test_budget_at_the_cap_runs(self):
+        # one photon heralded behind 31 others: a single-photon branch state
+        cfg = CircuitConfig(0, 1, default_circuit_config().elements, 2, 31, 1)
+        res = run_experiment(1.0, config=cfg)
+        assert res.n_bar == 1.0 and res.fidelity_to_noonlike == pytest.approx(1.0)
+        assert 0.0 < res.success_prob < 1e-12
+
     def test_integer_like_fields_stored_as_ints(self):
         ints = [np.int64(k) for k in (0, 1, 2, 1, 4)]
         cfg = CircuitConfig(*ints[:2], default_circuit_config().elements, *ints[2:])
@@ -939,6 +957,11 @@ class TestQcrbComparison:
         with pytest.raises(ValueError, match="^r_grid must be non-decreasing$"):
             experiment_qcrb_comparison([1.0, 2.0, 1.5])
         assert runs == []
+
+    def test_repeated_squeeze_factor_accepted(self):
+        # non-decreasing, not increasing: a repeated r gives the same point twice
+        noon, ecs, phi = experiment_qcrb_comparison([1.0, 1.0])
+        assert all(c.points[0] == c.points[1] for c in (noon, ecs, phi))
 
     def test_curves_smooth_and_monotone(self, curves):
         _, _, phi = curves

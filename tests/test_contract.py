@@ -21,6 +21,8 @@ from noonlike.circuit import (
     CircuitConfig,
     PhaseShifter,
     experiment_qcrb_comparison,
+    heralded_success_probability,
+    heralded_target_amplitudes,
     mode_matrix,
     pump_amplitude,
     run_experiment,
@@ -153,6 +155,13 @@ CALLS = {
     "pump_amplitude-r": (lambda x: pump_amplitude(x), ["r", "squeeze factor"]),
     "run_experiment-r": (lambda x: run_experiment(x), ["r", "squeeze factor"]),
     "run_experiment-cutoff": (lambda x: run_experiment(1.0, cutoff=x), ["cutoff"]),
+    "run_experiment-config": (lambda x: run_experiment(1.0, config=x), ["config"]),
+    "heralded_target_amplitudes-r": (
+        lambda x: heralded_target_amplitudes(x), ["r", "squeeze factor"]
+    ),
+    "heralded_success_probability-r": (
+        lambda x: heralded_success_probability(x), ["r", "squeeze factor"]
+    ),
     "experiment_qcrb_comparison-r_grid": (
         lambda x: experiment_qcrb_comparison([x]), ["r_grid", "r", "squeeze factor"]
     ),
@@ -169,6 +178,13 @@ CALLS = {
     "mode_matrix-elements[0]": (lambda x: mode_matrix([x]), ["elements"]),
     "CircuitConfig-elements": (lambda x: CircuitConfig(0, 1, x, 2, 1, 4), ["elements"]),
     "CircuitConfig-elements[0]": (lambda x: CircuitConfig(0, 1, [x], 2, 1, 4), ["elements"]),
+    "CircuitConfig-coherent_mode": (lambda x: CircuitConfig(x, 1, (), 2, 1, 4), ["coherent_mode"]),
+    "CircuitConfig-squeezed_mode": (lambda x: CircuitConfig(0, x, (), 2, 1, 4), ["squeezed_mode"]),
+    "CircuitConfig-herald_mode": (lambda x: CircuitConfig(0, 1, (), x, 1, 4), ["herald_mode"]),
+    "CircuitConfig-herald_count": (lambda x: CircuitConfig(0, 1, (), 2, x, 4), ["herald_count"]),
+    "CircuitConfig-max_output_photons": (
+        lambda x: CircuitConfig(0, 1, (), 2, 1, x), ["max_output_photons"]
+    ),
     "fock_amplitudes-n_max": (lambda x: fock_amplitudes(Coherent(1.0), n_max=x), ["n_max"]),
     "fock_amplitudes-tail_tol": (
         lambda x: fock_amplitudes(Coherent(1.0), tail_tol=x), ["tail_tol"]
@@ -261,6 +277,22 @@ MESSAGES = {
                          "transmissivity must be a real number, got str '0.5'"),
     "run_experiment-str-cutoff": (lambda: run_experiment(1.0, cutoff="1"), TypeError,
                                   "cutoff must be an integer, got '1'"),
+    # a config that is no CircuitConfig gave an AttributeError naming
+    # herald_count, or, for a list, "unhashable type: 'list'"
+    "run_experiment-str-config": (lambda: run_experiment(1.0, config="x"), TypeError,
+                                  "config must be a CircuitConfig, got str 'x'"),
+    "run_experiment-int-config": (lambda: run_experiment(1.0, config=5), TypeError,
+                                  "config must be a CircuitConfig, got int 5"),
+    "run_experiment-list-config": (lambda: run_experiment(1.0, config=[1]), TypeError,
+                                   "config must be a CircuitConfig, got list [1]"),
+    # a budget whose build would never end, or whose factorials overflow a
+    # double inside run_experiment, was accepted
+    "CircuitConfig-huge-budget": (lambda: CircuitConfig(0, 1, (), 2, 1, 10**6), ValueError,
+                                  "herald_count + max_output_photons must be <= 32,"
+                                  " got 1000001"),
+    "CircuitConfig-overflowing-herald": (lambda: CircuitConfig(0, 1, (), 2, 171, 0), ValueError,
+                                         "herald_count + max_output_photons must be <= 32,"
+                                         " got 171"),
     "pump_amplitude-huge": (lambda: pump_amplitude(10**400), ParameterOutOfRange,
                             "r must fit a double, got a 1329-bit r"),
     "experiment_qcrb_comparison-str": (lambda: experiment_qcrb_comparison([1.0, "1"]),

@@ -11,11 +11,11 @@ circuit simulator, which is plain Python too, so they must not load numpy or
 none loads ``typing``, ``importlib.resources``, ``pathlib`` or ``shutil``.  An
 exact argv is parsed without argparse, so no command that succeeds loads
 ``argparse``, ``gettext``, ``locale`` or, but for JSON output, ``re``; no
-closed-form command with CSV output loads ``enum``, ``functools`` or
-``collections``; and
-``qcrb``, which builds its one state from the parameter given, loads no
-family solver.  Each invocation runs in a fresh interpreter, since this one
-has imported all of them long ago.  The gates count modules, never seconds.
+command with CSV output, closed-form or heralded, loads ``enum``,
+``functools`` or ``collections``; and ``qcrb``, which builds its one state
+from the parameter given, loads no family solver.  Each invocation runs in
+a fresh interpreter, since this one has imported all of them long ago.  The
+gates count modules, never seconds.
 
 The pure-Python stand-ins for ``np.linspace`` and ``np.geomspace`` that make
 this possible are checked against numpy bit for bit.  The geometric grid is
@@ -116,10 +116,13 @@ def test_commands_load_neither_typing_nor_resources(cli_in_fresh_interpreter, ar
     assert "shutil" not in modules  # argparse's help formatter would import it for the width
 
 
-@pytest.mark.parametrize("argv", [a for a in CLOSED_FORM if "json" not in a], ids=" ".join)
-def test_closed_form_commands_load_neither_enum_nor_collections(cli_in_fresh_interpreter, argv):
-    # a family is its name, and annotations stay strings; JSON output is exempt,
-    # since json imports re, which imports enum
+@pytest.mark.parametrize(
+    "argv", [a for a in CLOSED_FORM + HERALDED if "json" not in a], ids=" ".join
+)
+def test_csv_commands_load_neither_enum_nor_collections(cli_in_fresh_interpreter, argv):
+    # a family is its name, annotations stay strings, and the circuit caches
+    # in a plain dict; JSON output is exempt, since json imports re, which
+    # imports enum
     code, modules = cli_in_fresh_interpreter(argv, site=False)
     assert code == 0
     assert "noonlike.cli" in modules

@@ -10,7 +10,7 @@ import math
 import pytest
 
 from noonlike import circuit, cli, families, states
-from noonlike.circuit import experiment_qcrb_comparison, run_experiment
+from noonlike.circuit import CircuitConfig, experiment_qcrb_comparison, run_experiment
 from noonlike.families import solve_param_for_nbar
 from noonlike.qcrb import QcrbReport
 from noonlike.states import Coherent, Fock, SqueezedCoherent, SqueezedVacuum
@@ -24,15 +24,29 @@ MAX_NEWTON_STEPS = 8
 QCRB_MODULES = {"noonlike.errors", "noonlike.states", "noonlike.qcrb", "noonlike.families", "noonlike.cli"}
 
 
+def _count_builds(monkeypatch) -> list[int]:
+    """Empty ``circuit``'s cache for the test, and count its sector builds in [0]."""
+    builds = [0]
+    transfer_terms = circuit._transfer_terms
+
+    def counted(*args):
+        builds[0] += 1
+        return transfer_terms(*args)
+
+    monkeypatch.setattr(circuit, "_transfer_terms", counted)
+    monkeypatch.setattr(circuit, "_COMPILED", {})
+    return builds
+
+
 @pytest.fixture
 def table(monkeypatch):
     """The reference circuit's transfer table, and the terms that runs read from it.
 
-    Returns (kept, read): kept is what ``_compiled`` gives, compiled afresh,
-    and read[0] counts the (m, k, T) terms read from its rows, one triple
-    product each.  ``_compiled`` is cleared before, so that a warm cache
-    cannot hide the build, and after, so that no counting table outlives
-    the test.
+    Returns (kept, read): kept is what ``_compiled`` gives, compiled afresh
+    in an empty cache, one build per kept sector, and read[0] counts the
+    (m, k, T) terms read from its rows, one triple product each.  The
+    counting table is served in place of ``_compiled``, so it enters no
+    cache, and the module's own cache is back as it was after the test.
     """
     read = [0]
 
@@ -41,13 +55,12 @@ def table(monkeypatch):
             read[0] += len(self)
             return super().__iter__()
 
-    compiled = circuit._compiled
-    compiled.cache_clear()
-    budget, kept = compiled(circuit.default_circuit_config())
+    builds = _count_builds(monkeypatch)
+    budget, kept = circuit._compiled(circuit.default_circuit_config())
+    assert builds == [KEPT_SECTORS]
     counted = tuple((n1, n2, Terms(terms)) for n1, n2, terms in kept)
     monkeypatch.setattr(circuit, "_compiled", lambda cfg: (budget, counted))
-    yield kept, read
-    compiled.cache_clear()
+    return kept, read
 
 
 def test_reference_circuit_transfer_table(table):
@@ -62,13 +75,44 @@ def test_reference_circuit_products(table):
     assert 0 < read[0] <= MAX_TRANSFER_TERMS
 
 
-def test_figure_6_builds_the_circuit_once(capsys):
+def test_figure_6_builds_the_circuit_once(monkeypatch, capsys):
     # the transfer table depends on the config alone, so a grid of r
-    # compiles the circuit once
-    circuit._compiled.cache_clear()
+    # compiles the circuit once: one build per kept sector for 20 points
+    builds = _count_builds(monkeypatch)
     assert cli.main(["figure", "--id", "6", "--steps", "20"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 20
-    assert circuit._compiled.cache_info()[:2] == (19, 1)  # (hits, misses)
+    assert builds == [KEPT_SECTORS]
+
+
+def test_cache_starts_over_past_128_configs(monkeypatch):
+    # keyed on identity, each new config compiles once; the cache holds at
+    # most 128, the bound of the functools cache it replaced
+    builds = _count_builds(monkeypatch)
+    configs = [CircuitConfig(0, 1, (), 2, 0, 0) for _ in range(129)]
+    for cfg in configs[:128]:
+        circuit._compiled(cfg)
+    assert builds == [128] and len(circuit._COMPILED) == 128
+    circuit._compiled(configs[0])
+    assert builds == [128]
+    circuit._compiled(configs[128])
+    assert builds == [129] and len(circuit._COMPILED) == 1
+
+
+def test_warm_run_hashes_no_config(monkeypatch):
+    # the cache is keyed on the config's identity: a warm run hashes nothing
+    hashes = [0]
+    config_hash = CircuitConfig.__hash__
+
+    def counted(cfg):
+        hashes[0] += 1
+        return config_hash(cfg)
+
+    run_experiment(1.0)
+    monkeypatch.setattr(CircuitConfig, "__hash__", counted)
+    run_experiment(1.0)
+    assert hashes == [0]
+    hash(circuit.default_circuit_config())
+    assert hashes == [1]  # the count sees a hash
 
 
 def test_parser_fills_only_the_named_command():
