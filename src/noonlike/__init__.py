@@ -21,7 +21,6 @@ from .errors import (
     DenominatorNonPositive,
     EmptyPostSelection,
     FOutOfRange,
-    ModeOutOfRange,
     NonFiniteResult,
     NonPositivePhotonNumber,
     NoonlikeError,

@@ -2,47 +2,39 @@
 
 The paper proposes one source: a coherent beam, a squeezed vacuum and a
 vacuum mode meet in passive optics on three modes, and a photon count in
-one of them heralds a two-mode state in the other two.  A
-``CircuitConfig`` is one wiring of that source, and ``run_experiment``
-simulates it at a squeeze factor r.
+one of them heralds a two-mode state in the other two.  ``run_experiment``
+simulates that source at a squeeze factor r.
+
+The wiring, with 0-based modes: the coherent beam enters mode 0, the
+squeezed vacuum mode 1 and the vacuum mode 2.  A 50:50 beam splitter mixes
+modes 1 and 2, a phase shifter on mode 1 adds a constant phase pi and a
+per-photon phase -pi/2, a second 50:50 splitter mixes modes 0 and 1, and a
+last per-photon phase pi on mode 1 fixes the output-arm reference phase, so
+that the two branches differ by a single overall phase instead of a
+photon-number-dependent one.  Each splitter transmits sqrt(1/2) and
+reflects -sqrt(1/2) from its first mode and +sqrt(1/2) from its second.
+One photon in mode 2 heralds; modes 0 and 1 keep at most four.
 
 Every element is passive and conserves total photon number, so the whole
-circuit is one 3 x 3 mode matrix U plus a global phase: input creation
-operators map as a_j^dag -> sum_k U[k][j] a_k^dag, and the constant phase
-of each phase shifter only multiplies the whole state.  Only two inputs
-carry photons, so each kept output amplitude, with exactly
-``herald_count`` photons in the herald mode and at most
-``max_output_photons`` in the two others, is a fixed bilinear form
+circuit is one 3 x 3 mode matrix U plus the global phase pi: input creation
+operators map as a_j^dag -> sum_k U[k][j] a_k^dag.  Only two inputs carry
+photons, so each kept output amplitude is a fixed bilinear form
 sum_{m,k} T[m, k] c_m s_k in the Fock amplitudes c_m of the coherent input
-and s_k of the squeezed one, with m + k the sector's photon number.  T
-depends on the config alone, so ``_compiled`` builds it in closed form on a
-config's first run, 54 nonzero terms over the 15 kept sectors of the
-reference circuit, into the module's one cache, a dict keyed on the
-config's identity: a warm run hashes nothing.  ``run_experiment`` then
-expands the two inputs up to the photon budget, at most 32 photons, and
+and s_k of the squeezed one, with m + k the sector's photon number.
+``_transfer_table`` builds T in closed form on the first run, 54 nonzero
+terms over the 15 kept sectors, into one module global.  ``run_experiment``
+then expands the two inputs up to the photon budget, five photons, and
 takes one short loop per kept sector.  Nothing above the budget feeds a
 kept sector, so nothing is truncated: the ``cutoff`` keyword is inert.
 The state is plain Python throughout, nested lists and tuples.
 
-Mode indexing is 0-based throughout.  ``default_circuit_config()`` returns
-the reference wiring; another wiring of the three modes is another
-``CircuitConfig``, passed to ``run_experiment`` as ``config``.  Its outputs
-are the two modes other than the herald mode, in ascending order: the other
-order is the same wiring with those two modes relabelled.
-
-Beam splitter conventions (transmitted amplitude sqrt(T) on both ports):
-
-* ``symmetric`` - reflection picks up a phase i from either side.
-* ``real``      - reflection amplitudes -sqrt(1-T) from the first port and
-  +sqrt(1-T) from the second.
-
-The reference topology splits the squeezed-vacuum input first and
-heralds on one photon in the trigger mode, which guarantees a vacuum-free
-output: the trigger can only fire by consuming one photon of a squeezed
-pair, never a lone coherent photon.  Combining the remaining half of the
-pair with the coherent beam then cancels every mixed term up to four
-photons precisely when the pump condition alpha^2 = 3 tanh(r) / 2 holds.
-The resulting two-mode state is the antisymmetric superposition
+This topology splits the squeezed-vacuum input first and heralds on one
+photon in the trigger mode, which guarantees a vacuum-free output: the
+trigger can only fire by consuming one photon of a squeezed pair, never a
+lone coherent photon.  Combining the remaining half of the pair with the
+coherent beam then cancels every mixed term up to four photons precisely
+when the pump condition alpha^2 = 3 tanh(r) / 2 holds.  The resulting
+two-mode state is the antisymmetric superposition
 (|phi>|0> - |0>|phi>)/sqrt(2); the relative branch phase is fitted by the
 two-branch decomposition (``_noonlike_decomposition``) and reported, since
 no passive relabeling can turn it into the symmetric one.
@@ -53,19 +45,14 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import EmptyPostSelection, ModeOutOfRange, NoonlikeError
+from .errors import EmptyPostSelection, NoonlikeError
 from .families import SweepCurve, matched_report
 from .qcrb import _check_ordered, noon_qcrb, qcrb_closed_form
 from .states import Coherent, FockSuperposition, SqueezedVacuum
 from .states import _R_RANGE, _Frozen, _as_int, _require_real
 
 __all__ = [
-    "BeamSplitter",
-    "PhaseShifter",
-    "CircuitElement",
-    "CircuitConfig",
     "ExperimentResult",
-    "mode_matrix",
     "run_experiment",
     "experiment_qcrb_comparison",
     "default_circuit_config",
@@ -74,63 +61,11 @@ __all__ = [
     "heralded_success_probability",
 ]
 
-class BeamSplitter(_Frozen):
-    __slots__ = ("mode_a", "mode_b", "transmissivity", "convention")
-
-    def __init__(
-        self, mode_a: int, mode_b: int, transmissivity: float = 0.5, convention: str = "symmetric"
-    ):
-        mode_a, mode_b = _as_int("mode_a", mode_a), _as_int("mode_b", mode_b)
-        if mode_a == mode_b:
-            raise ValueError("beam splitter needs two distinct modes")
-        transmissivity = _require_real("transmissivity", transmissivity)
-        if not 0.0 < transmissivity < 1.0:
-            raise ValueError(f"transmissivity must be in (0, 1), got {transmissivity}")
-        if convention not in ("symmetric", "real"):
-            raise ValueError(f"unknown convention {convention!r}")
-        self._assign(mode_a, mode_b, transmissivity, convention)
-
-    def reflection_amplitudes(self) -> tuple[complex, complex]:
-        """(from mode_a, from mode_b) reflection amplitudes."""
-        rho = math.sqrt(1.0 - self.transmissivity)
-        if self.convention == "symmetric":
-            return 1j * rho, 1j * rho
-        return -rho, rho
-
-
-class PhaseShifter(_Frozen):
-    __slots__ = ("mode", "const_phase", "per_photon_phase")
-
-    def __init__(self, mode: int, const_phase: float = 0.0, per_photon_phase: float = 0.0):
-        mode = _as_int("mode", mode)
-        phases = dict(const_phase=const_phase, per_photon_phase=per_photon_phase)
-        for name, phase in phases.items():
-            phases[name] = phase = _require_real(name, phase)
-            if not math.isfinite(phase):
-                raise ValueError(f"{name} must be finite, got {phase}")
-        self._assign(mode, *phases.values())
-
-
-CircuitElement = BeamSplitter | PhaseShifter
-
-# the largest herald_count + max_output_photons: a build walks O(budget^5)
-# products, ~0.4 s at 32 on one Xeon core, and past 170 overflows a double
-_MAX_BUDGET = 32
-
-
-def _check_elements(elements: Iterable[CircuitElement]) -> tuple[CircuitElement, ...]:
-    """``elements`` as a tuple, if each is a ``CircuitElement`` on modes 0..2."""
-    try:
-        out = tuple(elements)
-    except TypeError:  # None, a number
-        raise TypeError(f"elements must be iterable, got {elements!r}") from None
-    for e in out:
-        if not isinstance(e, CircuitElement):
-            raise TypeError(f"elements must hold CircuitElements, got {type(e).__name__} {e!r}")
-        modes = (e.mode_a, e.mode_b) if isinstance(e, BeamSplitter) else (e.mode,)
-        if any(not 0 <= m < 3 for m in modes):
-            raise ModeOutOfRange(f"element modes {modes} outside 0..2")
-    return out
+# the herald's mode and photon count, the most photons kept in the two output
+# modes 0 and 1, and the modes of the coherent and squeezed inputs
+_HERALD_MODE, _HERALD_COUNT, _MAX_OUTPUT_PHOTONS = 2, 1, 4
+_COHERENT_MODE, _SQUEEZED_MODE = 0, 1
+_BUDGET = _HERALD_COUNT + _MAX_OUTPUT_PHOTONS
 
 
 class ExperimentResult(_Frozen):
@@ -138,7 +73,10 @@ class ExperimentResult(_Frozen):
 
     ``phi_amps`` holds the single-branch amplitudes c_0..c_4; the two-mode
     state is (|phi>|0> + e^{i branch_phase} |0>|phi>)/sqrt(2) up to the
-    reported fidelity.
+    reported fidelity.  ``fidelity_to_noonlike`` is the reference state's
+    check value, at least 1 - 1e-8 on every tested r: a state far from the
+    two-branch form fails ``run_experiment``'s norm check instead, so only
+    a direct caller of ``_noonlike_decomposition`` sees a low fidelity.
     """
 
     __slots__ = ("phi_amps", "fidelity_to_noonlike", "n_bar", "success_prob", "branch_phase")
@@ -154,86 +92,29 @@ class ExperimentResult(_Frozen):
         self._assign(phi_amps, fidelity_to_noonlike, n_bar, success_prob, branch_phase)
 
 
-class CircuitConfig(_Frozen):
-    """A wiring of the heralded source on modes 0, 1 and 2 (see the module docstring)."""
+def _reference_wiring() -> tuple[list[list[complex]], float]:
+    """The circuit's 3 x 3 mode matrix U, as nested lists, and its global phase pi.
 
-    __slots__ = (
-        "coherent_mode", "squeezed_mode", "elements", "herald_mode", "herald_count",
-        "max_output_photons",
-    )
-
-    def __init__(
-        self, coherent_mode: int, squeezed_mode: int, elements: tuple[CircuitElement, ...],
-        herald_mode: int, herald_count: int, max_output_photons: int,
-    ):
-        coherent_mode, squeezed_mode, herald_mode, herald_count, max_output_photons = (
-            _as_int(name, value)
-            for name, value in (("coherent_mode", coherent_mode), ("squeezed_mode", squeezed_mode),
-                                ("herald_mode", herald_mode), ("herald_count", herald_count),
-                                ("max_output_photons", max_output_photons))
-        )
-        if any(not 0 <= m < 3 for m in (coherent_mode, squeezed_mode, herald_mode)):
-            raise ModeOutOfRange("config references modes outside 0..2")
-        elements = _check_elements(elements)
-        if coherent_mode == squeezed_mode:
-            raise ValueError("coherent and squeezed inputs must enter distinct modes")
-        for name, n in ("herald_count", herald_count), ("max_output_photons", max_output_photons):
-            if n < 0:
-                raise ValueError(f"{name} must be >= 0, got {n}")
-        if herald_count + max_output_photons > _MAX_BUDGET:
-            raise ValueError(f"herald_count + max_output_photons must be <= {_MAX_BUDGET},"
-                             f" got {herald_count + max_output_photons}")
-        self._assign(
-            coherent_mode, squeezed_mode, elements, herald_mode, herald_count, max_output_photons
-        )
-
-
-# The reference topology (see the module docstring): coherent -> mode 0,
-# squeezed vacuum -> mode 1, vacuum -> mode 2, the herald.  The trailing phase
-# shifter fixes the output-arm reference phase so the two branches differ by a
-# single overall phase instead of a photon-number-dependent one.
-_REFERENCE_CIRCUIT = CircuitConfig(
-    coherent_mode=0,
-    squeezed_mode=1,
-    elements=(
-        BeamSplitter(1, 2, 0.5, "real"),
-        PhaseShifter(1, math.pi, -math.pi / 2),
-        BeamSplitter(0, 1, 0.5, "real"),
-        PhaseShifter(1, 0.0, math.pi),
-    ),
-    herald_mode=2,
-    herald_count=1,
-    max_output_photons=4,
-)
-
-
-def default_circuit_config() -> CircuitConfig:
-    """The reference topology (see the module docstring); the config is frozen."""
-    return _REFERENCE_CIRCUIT
-
-
-def mode_matrix(elements: Iterable[CircuitElement]) -> tuple[list[list[complex]], float]:
-    """Compose passive elements, in order, into the 3 x 3 mode matrix and a global phase.
-
-    Column j of the nested lists u is the image of input mode j's creation
-    operator, a_j^dag -> sum_k u[k][j] a_k^dag.  A phase shifter multiplies
-    its mode's row by exp(i per_photon_phase); its ``const_phase`` multiplies
-    every amplitude alike and is summed into the returned global phase.
+    Column j of U is the image of input mode j's creation operator.  Each
+    stage is a 50:50 splitter on modes a and b, then a per-photon phase on
+    mode 1, which multiplies that row by exp(i phase); the first shifter's
+    constant phase pi multiplies every amplitude alike.
     """
     u = [[1.0 + 0j if k == j else 0j for j in range(3)] for k in range(3)]
-    phase = 0.0
-    for e in _check_elements(elements):
-        if isinstance(e, BeamSplitter):
-            tau = math.sqrt(e.transmissivity)
-            rho_a, rho_b = e.reflection_amplitudes()
-            row_a, row_b = u[e.mode_a], u[e.mode_b]
-            u[e.mode_a] = [tau * x + rho_b * y for x, y in zip(row_a, row_b)]
-            u[e.mode_b] = [rho_a * x + tau * y for x, y in zip(row_a, row_b)]
-        else:
-            turn = complex(math.cos(e.per_photon_phase), math.sin(e.per_photon_phase))
-            u[e.mode] = [turn * x for x in u[e.mode]]
-            phase += e.const_phase
-    return u, phase
+    tau = rho = math.sqrt(0.5)
+    for a, b, per_photon_phase in (1, 2, -math.pi / 2), (0, 1, math.pi):
+        row_a, row_b = u[a], u[b]
+        u[a] = [tau * x + rho * y for x, y in zip(row_a, row_b)]
+        u[b] = [-rho * x + tau * y for x, y in zip(row_a, row_b)]
+        turn = complex(math.cos(per_photon_phase), math.sin(per_photon_phase))
+        u[1] = [turn * x for x in u[1]]
+    return u, math.pi
+
+
+def default_circuit_config() -> tuple[tuple[tuple[complex, ...], ...], float]:
+    """The circuit's mode matrix U, as nested tuples, and its global phase; builds no table."""
+    u, phase = _reference_wiring()
+    return tuple(map(tuple, u)), phase
 
 
 def _transfer_terms(
@@ -263,17 +144,18 @@ def _transfer_terms(
 
 
 def _heralded_state(
-    kept: Sequence[tuple], c: Sequence[complex], s: Sequence[complex], cfg: CircuitConfig
+    kept: Sequence[tuple], c: Sequence[complex], s: Sequence[complex]
 ) -> tuple[list[list[complex]], float]:
-    """``cfg``'s heralded state from its transfer table and the two inputs' amplitudes.
+    """The heralded state from the transfer table and the two inputs' amplitudes.
 
-    ``kept`` holds ``_compiled``'s (n_1, n_2, terms) and ``c`` and ``s`` the
-    Fock amplitudes of the coherent and squeezed inputs up to the budget.
-    Returns (state, success_prob): state[n_1][n_2] is the amplitude,
-    renormalized over the kept mass, of n_1 and n_2 photons in the two
-    output modes, and success_prob is that mass, an absolute probability.
+    ``kept`` holds ``_transfer_table``'s (n_1, n_2, terms) and ``c`` and
+    ``s`` the Fock amplitudes of the coherent and squeezed inputs up to the
+    budget.  Returns (state, success_prob): state[n_1][n_2] is the
+    amplitude, renormalized over the kept mass, of n_1 and n_2 photons in
+    the two output modes, and success_prob is that mass, an absolute
+    probability.
     """
-    side = cfg.max_output_photons + 1
+    side = _MAX_OUTPUT_PHOTONS + 1
     state = [[0j] * side for _ in range(side)]
     mass = 0.0
     for n1, n2, terms in kept:
@@ -284,7 +166,7 @@ def _heralded_state(
         mass += abs(a) ** 2
     if not mass > 0.0:  # NaN fails too
         raise EmptyPostSelection(
-            f"herald {cfg.herald_count} photon(s) in mode {cfg.herald_mode} kept no mass"
+            f"herald {_HERALD_COUNT} photon(s) in mode {_HERALD_MODE} kept no mass"
         )
     scale = 1.0 / math.sqrt(mass)
     for n1, n2, _ in kept:
@@ -367,59 +249,41 @@ def heralded_success_probability(r: float) -> float:
     return t * t * g2 * math.exp(-1.5 * t) / (32.0 * math.cosh(r))
 
 
-# id(cfg) -> (cfg, _compiled(cfg)); holding cfg keeps its id from passing on
-_COMPILED: dict[int, tuple] = {}
+_TABLE = None  # the transfer table, built by _transfer_table on the first run
 
 
-def _compiled(cfg: CircuitConfig) -> tuple:
-    """(budget, transfer table) of ``cfg``, built on its first run.
+def _transfer_table() -> tuple:
+    """The circuit's transfer table, built into ``_TABLE``.
 
-    The table holds, for each kept output, with exactly ``herald_count``
-    photons in the herald mode and n_1 + n_2 <= ``max_output_photons`` in
-    the two output modes, (n_1, n_2, ``_transfer_terms``) in the order of
-    (n_1, n_2).  Past 128 configs, the cache starts over.
+    It holds, for each kept output, with the heralded photon in mode 2 and
+    n_1 + n_2 <= 4 in the output modes 0 and 1, (n_1, n_2,
+    ``_transfer_terms``) in the order of (n_1, n_2).
     """
-    entry = _COMPILED.get(id(cfg))
-    if entry is not None and entry[0] is cfg:
-        return entry[1]
-    if not isinstance(cfg, CircuitConfig):
-        raise TypeError(f"config must be a CircuitConfig, got {type(cfg).__name__} {cfg!r}")
-    budget = cfg.herald_count + cfg.max_output_photons
-    u, phase = mode_matrix(cfg.elements)
-    columns = [[row[j] for row in u] for j in (cfg.coherent_mode, cfg.squeezed_mode)]
-    h = cfg.herald_mode
-    a, b = (k for k in range(3) if k != h)
-    kept = []
-    for n1 in range(cfg.max_output_photons + 1):
-        for n2 in range(cfg.max_output_photons + 1 - n1):
-            occ = [0] * 3
-            occ[h], occ[a], occ[b] = cfg.herald_count, n1, n2
-            kept.append((n1, n2, _transfer_terms(tuple(occ), *columns, phase)))
-    if len(_COMPILED) >= 128:
-        _COMPILED.clear()
-    compiled = budget, tuple(kept)
-    _COMPILED[id(cfg)] = cfg, compiled
-    return compiled
+    global _TABLE
+    u, phase = _reference_wiring()
+    columns = [[row[j] for row in u] for j in (_COHERENT_MODE, _SQUEEZED_MODE)]
+    _TABLE = table = tuple(
+        (n1, n2, _transfer_terms((n1, n2, _HERALD_COUNT), *columns, phase))
+        for n1 in range(_MAX_OUTPUT_PHOTONS + 1) for n2 in range(_MAX_OUTPUT_PHOTONS + 1 - n1)
+    )
+    return table
 
 
-def run_experiment(
-    r: float, config: CircuitConfig | None = None, cutoff: int | None = None
-) -> ExperimentResult:
+def run_experiment(r: float, cutoff: int | None = None) -> ExperimentResult:
     """Simulate the heralded source at squeeze factor ``r``.
 
     The coherent amplitude is set by the pump condition.  Every kept
     amplitude is evaluated exactly from the inputs' Fock amplitudes up to
-    the photon budget ``herald_count + max_output_photons`` (see the module
-    docstring), so the result does not depend on ``cutoff``; a cutoff below
-    the budget is still rejected.
+    the photon budget, five photons (see the module docstring), so the
+    result does not depend on ``cutoff``; a cutoff below the budget is
+    still rejected.
     """
-    cfg = config if config is not None else default_circuit_config()
-    budget, kept = _compiled(cfg)
-    if cutoff is not None and _as_int("cutoff", cutoff) < budget:
+    kept = _TABLE or _transfer_table()
+    if cutoff is not None and _as_int("cutoff", cutoff) < _BUDGET:
         raise ValueError("cutoff below the heralded photon budget")
-    c = Coherent(pump_amplitude(r)).amplitudes(budget)
-    s = SqueezedVacuum(r).amplitudes(budget)
-    state, success_prob = _heralded_state(kept, c, s, cfg)
+    c = Coherent(pump_amplitude(r)).amplitudes(_BUDGET)
+    s = SqueezedVacuum(r).amplitudes(_BUDGET)
+    state, success_prob = _heralded_state(kept, c, s)
     phi, fidelity, beta = _noonlike_decomposition(state)
 
     probs = [abs(c) ** 2 for c in phi]

@@ -280,9 +280,9 @@ def _cmd_qcrb(params: dict) -> tuple[list[str], list[list]]:
         weighting = OptimizedB()
     family = params["family"]
     state = constituent(family, params["r_prime"])(params[FAMILIES[family].parameter])
-    rep = qcrb_closed_form(params["d"], state, weighting)
-    labelled = QcrbReport(rep.qcrb, rep.f, rep.R, rep.b2, rep.n_tilde, rep.n_bar, family)
-    return _REPORT_COLUMNS, [_report_row(labelled)]
+    row = _report_row(qcrb_closed_form(params["d"], state, weighting))
+    row[0] = family  # the closed form labels no family
+    return _REPORT_COLUMNS, [row]
 
 
 def _cmd_compare(params: dict) -> tuple[list[str], list[list]]:

@@ -57,10 +57,6 @@ class EmptyPostSelection(NoonlikeError):
     """Heralding kept no probability mass."""
 
 
-class ModeOutOfRange(NoonlikeError):
-    """A circuit element referenced a mode outside the state."""
-
-
 class ParameterOutOfRange(NoonlikeError):
     """A nonzero parameter too large or too small for its moments to be representable."""
 

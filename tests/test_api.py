@@ -4,10 +4,10 @@ Also pins where the proven orderings are checked: only ``qcrb`` raises
 OrderingViolation, so the rule for ties and rounding has one home.  Only
 ``families.matched_report`` reaches the budget solve, a pass it shares with
 ``solve_param_for_nbar``, so every fixed-budget comparison takes its
-balanced bound from one path.  ``circuit`` holds one cache, a module dict
-that only ``_compiled`` reads and writes, and no ``functools`` cache; only
-``run_experiment`` calls ``_compiled``, and the kernel runs on that one path.
-The package reads every field of ``CircuitConfig`` and of the family table's
+balanced bound from one path.  ``circuit`` builds its transfer table into one
+module global, which only the builder writes and only ``run_experiment``
+reads, and holds no module dict or ``functools`` cache; the kernel runs on
+that one path.  The package reads every field of the family table's
 ``FamilyRow``, so none is inert.  numpy is imported only by ``oracles``, at
 its top, and is no runtime dependency of the package.  And the package reads
 one environment variable, ``COLUMNS``, for the help text's width: no variable
@@ -258,10 +258,10 @@ def test_only_matched_report_solves_a_budget():
     assert callers("solve_param_for_nbar") == []
 
 
-def test_circuit_compiles_behind_one_cache():
-    # what depends on the config alone is built behind one cache, a module
-    # dict that only _compiled reads and writes; a functools cache would hash
-    # the config on every run
+def test_circuit_builds_its_table_into_one_global():
+    # the transfer table depends on nothing but the circuit: one module
+    # global, written only by its builder and read only by run_experiment,
+    # and no dict or functools cache beside it
     path = Path(noonlike.__file__).parent / "circuit.py"
     tree = ast.parse(path.read_text())
     dicts = [
@@ -272,10 +272,15 @@ def test_circuit_compiles_behind_one_cache():
              or isinstance(node.value, ast.Call) and _name(node.value.func) == "dict")
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
     ]
-    assert dicts == ["_COMPILED"]
-    uses = _scopes(path, lambda node: _name(node) == "_COMPILED")
-    assert uses.count("<module>") == 1 and set(uses) == {"<module>", "_compiled"}
-    assert _callers(path, "_compiled") == ["run_experiment"]
+    assert dicts == []
+
+    def uses(ctx):
+        return _scopes(path, lambda node: isinstance(node, ast.Name) and node.id == "_TABLE"
+                       and isinstance(node.ctx, ctx))
+
+    assert uses(ast.Store) == ["<module>", "_transfer_table"]
+    assert uses(ast.Load) == ["run_experiment"]
+    assert _scopes(path, lambda node: isinstance(node, ast.Global)) == ["_transfer_table"]
     names = {_name(node) for node in ast.walk(tree)} | {
         name
         for node in ast.walk(tree)
@@ -286,17 +291,15 @@ def test_circuit_compiles_behind_one_cache():
 
 
 def test_circuit_has_one_simulator_path():
-    # the transfer table is built only behind the cache, and run only by
+    # the transfer table is built only by its builder, and run only by
     # run_experiment: a second simulator path beside it would call the kernel too
     path = Path(noonlike.__file__).parent / "circuit.py"
-    assert _callers(path, "_transfer_terms") == ["_compiled"]
+    assert _callers(path, "_transfer_terms") == ["_transfer_table"]
+    assert _callers(path, "_transfer_table") == ["run_experiment"]
     assert _callers(path, "_heralded_state") == ["run_experiment"]
 
 
-@pytest.mark.parametrize(
-    "module, cls, variable",
-    [("circuit", "CircuitConfig", "cfg"), ("states", "FamilyRow", "row")],
-)
+@pytest.mark.parametrize("module, cls, variable", [("states", "FamilyRow", "row")])
 def test_every_field_is_read(module, cls, variable):
     # a field read only where its value is built changes no run: it is no
     # choice; each is read as ``variable.<field>`` somewhere outside its class

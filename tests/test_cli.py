@@ -124,7 +124,7 @@ class TestParseArgs:
         "argv", [["experiment", "--r", "1"], ["figure", "--id", "6"]], ids=" ".join
     )
     def test_circuit_option_unrecognized(self, capsys, argv):
-        # the reference wiring is fixed; another one is a CircuitConfig in Python
+        # the heralded source has one wiring, the reference one
         assert main(argv + ["--circuit", "x.cfg"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

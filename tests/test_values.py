@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from noonlike.circuit import BeamSplitter, CircuitConfig, ExperimentResult, PhaseShifter
+from noonlike.circuit import ExperimentResult
 from noonlike.families import SweepCurve
 from noonlike.qcrb import Balanced, FixedB, OptimizedB, QcrbReport
 from noonlike.states import (
@@ -72,18 +72,6 @@ CASES = [
         "SweepCurve(points=((1.0, 0.5, 0.3),))",
     ),
     (
-        BeamSplitter,
-        dict(mode_a=0, mode_b=1, transmissivity=0.3, convention="real"),
-        dict(mode_a=0, mode_b=1, transmissivity=0.4, convention="real"),
-        "BeamSplitter(mode_a=0, mode_b=1, transmissivity=0.3, convention='real')",
-    ),
-    (
-        PhaseShifter,
-        dict(mode=1, const_phase=0.5, per_photon_phase=-1.5),
-        dict(mode=1, const_phase=0.5, per_photon_phase=1.5),
-        "PhaseShifter(mode=1, const_phase=0.5, per_photon_phase=-1.5)",
-    ),
-    (
         ExperimentResult,
         dict(phi_amps=(0j, 0.6, 0.8j), fidelity_to_noonlike=1.0, n_bar=1.64, success_prob=0.1,
              branch_phase=3.0),
@@ -91,16 +79,6 @@ CASES = [
              branch_phase=3.0),
         "ExperimentResult(phi_amps=(0j, 0.6, 0.8j), fidelity_to_noonlike=1.0, n_bar=1.64,"
         " success_prob=0.1, branch_phase=3.0)",
-    ),
-    (
-        CircuitConfig,
-        dict(coherent_mode=0, squeezed_mode=1, elements=(BeamSplitter(0, 1),), herald_mode=2,
-             herald_count=1, max_output_photons=2),
-        dict(coherent_mode=0, squeezed_mode=1, elements=(BeamSplitter(0, 1),), herald_mode=2,
-             herald_count=1, max_output_photons=3),
-        "CircuitConfig(coherent_mode=0, squeezed_mode=1, elements=(BeamSplitter("
-        "mode_a=0, mode_b=1, transmissivity=0.5, convention='symmetric'),), herald_mode=2,"
-        " herald_count=1, max_output_photons=2)",
     ),
 ]
 
@@ -115,7 +93,7 @@ def case(request):
 
 
 def test_every_value_class_is_covered():
-    assert len({c[0] for c in CASES}) == len(CASES) == 16
+    assert len({c[0] for c in CASES}) == len(CASES) == 13
 
 
 def test_equal_fields_give_equal_objects(case):
@@ -143,7 +121,6 @@ def test_changed_field_gives_unequal_object(case):
         (Balanced(), ()),
         (Coherent(1.0), (1.0,)),
         (Moments(1.0, 2.0, 0.5), (1.0, 2.0, 0.5)),
-        (BeamSplitter(0, 1), PhaseShifter(0)),
     ],
     ids=lambda v: type(v).__name__,
 )
@@ -180,8 +157,6 @@ def test_keyword_and_positional_construction_agree(case):
 def test_defaults():
     report = QcrbReport(1.0, 0.5, 2.0, 0.1, 2.0, 1.5)
     assert (report.family, report.parameter) == ("", None)
-    assert BeamSplitter(0, 1) == BeamSplitter(0, 1, transmissivity=0.5, convention="symmetric")
-    assert PhaseShifter(2) == PhaseShifter(2, const_phase=0.0, per_photon_phase=0.0)
 
 
 def test_copy_and_pickle_give_equal_objects(case):

@@ -10,7 +10,7 @@ import math
 import pytest
 
 from noonlike import circuit, cli, families, states
-from noonlike.circuit import CircuitConfig, experiment_qcrb_comparison, run_experiment
+from noonlike.circuit import experiment_qcrb_comparison, run_experiment
 from noonlike.families import solve_param_for_nbar
 from noonlike.qcrb import QcrbReport
 from noonlike.states import Coherent, Fock, SqueezedCoherent, SqueezedVacuum
@@ -25,7 +25,7 @@ QCRB_MODULES = {"noonlike.errors", "noonlike.states", "noonlike.qcrb", "noonlike
 
 
 def _count_builds(monkeypatch) -> list[int]:
-    """Empty ``circuit``'s cache for the test, and count its sector builds in [0]."""
+    """Empty ``circuit``'s table for the test, and count its sector builds in [0]."""
     builds = [0]
     transfer_terms = circuit._transfer_terms
 
@@ -34,7 +34,7 @@ def _count_builds(monkeypatch) -> list[int]:
         return transfer_terms(*args)
 
     monkeypatch.setattr(circuit, "_transfer_terms", counted)
-    monkeypatch.setattr(circuit, "_COMPILED", {})
+    monkeypatch.setattr(circuit, "_TABLE", None)
     return builds
 
 
@@ -42,11 +42,10 @@ def _count_builds(monkeypatch) -> list[int]:
 def table(monkeypatch):
     """The reference circuit's transfer table, and the terms that runs read from it.
 
-    Returns (kept, read): kept is what ``_compiled`` gives, compiled afresh
-    in an empty cache, one build per kept sector, and read[0] counts the
-    (m, k, T) terms read from its rows, one triple product each.  The
-    counting table is served in place of ``_compiled``, so it enters no
-    cache, and the module's own cache is back as it was after the test.
+    Returns (kept, read): kept is what ``_transfer_table`` gives, built
+    afresh, one build per kept sector, and read[0] counts the (m, k, T)
+    terms read from its rows, one triple product each.  The counting table
+    is served as the module's table, which is back as it was after the test.
     """
     read = [0]
 
@@ -56,10 +55,10 @@ def table(monkeypatch):
             return super().__iter__()
 
     builds = _count_builds(monkeypatch)
-    budget, kept = circuit._compiled(circuit.default_circuit_config())
+    kept = circuit._transfer_table()
     assert builds == [KEPT_SECTORS]
     counted = tuple((n1, n2, Terms(terms)) for n1, n2, terms in kept)
-    monkeypatch.setattr(circuit, "_compiled", lambda cfg: (budget, counted))
+    monkeypatch.setattr(circuit, "_TABLE", counted)
     return kept, read
 
 
@@ -76,43 +75,32 @@ def test_reference_circuit_products(table):
 
 
 def test_figure_6_builds_the_circuit_once(monkeypatch, capsys):
-    # the transfer table depends on the config alone, so a grid of r
-    # compiles the circuit once: one build per kept sector for 20 points
+    # the transfer table depends on the circuit alone, so a grid of r builds
+    # it once: one build per kept sector for 20 points
     builds = _count_builds(monkeypatch)
     assert cli.main(["figure", "--id", "6", "--steps", "20"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 20
     assert builds == [KEPT_SECTORS]
 
 
-def test_cache_starts_over_past_128_configs(monkeypatch):
-    # keyed on identity, each new config compiles once; the cache holds at
-    # most 128, the bound of the functools cache it replaced
+def test_reference_wiring_builds_no_table(monkeypatch):
     builds = _count_builds(monkeypatch)
-    configs = [CircuitConfig(0, 1, (), 2, 0, 0) for _ in range(129)]
-    for cfg in configs[:128]:
-        circuit._compiled(cfg)
-    assert builds == [128] and len(circuit._COMPILED) == 128
-    circuit._compiled(configs[0])
-    assert builds == [128]
-    circuit._compiled(configs[128])
-    assert builds == [129] and len(circuit._COMPILED) == 1
+    u, phase = circuit.default_circuit_config()
+    assert builds == [0] and circuit._TABLE is None
+    assert len(u) == 3 and phase == math.pi
 
 
-def test_warm_run_hashes_no_config(monkeypatch):
-    # the cache is keyed on the config's identity: a warm run hashes nothing
-    hashes = [0]
-    config_hash = CircuitConfig.__hash__
-
-    def counted(cfg):
-        hashes[0] += 1
-        return config_hash(cfg)
-
-    run_experiment(1.0)
-    monkeypatch.setattr(CircuitConfig, "__hash__", counted)
-    run_experiment(1.0)
-    assert hashes == [0]
-    hash(circuit.default_circuit_config())
-    assert hashes == [1]  # the count sees a hash
+def test_import_builds_no_table(fresh_python):
+    proc = fresh_python(
+        "import noonlike.circuit as circuit\n"
+        "assert circuit._TABLE is None\n"
+        "circuit.default_circuit_config()\n"
+        "assert circuit._TABLE is None\n"
+        "circuit.run_experiment(1.0)\n"
+        "print(len(circuit._TABLE))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(KEPT_SECTORS)]
 
 
 def test_parser_fills_only_the_named_command():
