@@ -45,18 +45,20 @@ REFERENCE_PHASE = math.pi
 def _element_matrix(element):
     """One element's 3 x 3 mode matrix, column j the image of input mode j.
 
-    A splitter transmits sqrt(1/2); it reflects i sqrt(1/2) from both modes
-    in the ``symmetric`` convention, and -sqrt(1/2) from its first mode and
-    +sqrt(1/2) from its second in the ``real`` one.
+    A splitter's optional fourth field is its transmissivity t, 1/2 if
+    absent.  It transmits sqrt(t); it reflects i sqrt(1 - t) from both modes
+    in the ``symmetric`` convention, and -sqrt(1 - t) from its first mode
+    and +sqrt(1 - t) from its second in the ``real`` one.
     """
-    kind, modes, value = element
+    kind, modes, value, *transmissivity = element
     e = np.eye(3, dtype=complex)
     if kind == "shifter":
         (mode,) = modes
         e[mode, mode] = np.exp(1j * value)
         return e
     a, b = modes
-    tau = rho = math.sqrt(0.5)
+    t = transmissivity[0] if transmissivity else 0.5
+    tau, rho = math.sqrt(t), math.sqrt(1.0 - t)
     from_a, from_b = (1j * rho, 1j * rho) if value == "symmetric" else (-rho, rho)
     e[a, a], e[b, a], e[a, b], e[b, b] = tau, from_a, from_b, tau
     return e
@@ -79,8 +81,66 @@ def _heralded(coherent, squeezed):
     return circuit._heralded_state(circuit._transfer_table(), *amps)
 
 
+def _kernel(u, coherent, squeezed, phase=0.0, modes=(0, 1), herald=(2, 1), max_out=4):
+    """The kernel on any wiring ``u``, with the third input mode in vacuum.
+
+    ``_transfer_terms`` gives each kept sector's terms from the columns of
+    the coherent and squeezed input ``modes``, and ``_heralded_state``
+    evaluates them, as ``run_experiment`` does for the reference wiring.
+    ``herald`` is (mode, count); the other two modes, in order, are the
+    outputs and keep at most ``max_out`` <= 4 photons.  Returns
+    ``_heralded_state``'s (state, success_prob).
+    """
+    herald_mode, herald_count = herald
+    outputs = [k for k in range(3) if k != herald_mode]
+    columns = [[complex(x) for x in np.asarray(u)[:, j]] for j in modes]
+    kept = []
+    for n1 in range(max_out + 1):
+        for n2 in range(max_out + 1 - n1):
+            occ = [0] * 3
+            occ[herald_mode], occ[outputs[0]], occ[outputs[1]] = herald_count, n1, n2
+            kept.append((n1, n2, circuit._transfer_terms(tuple(occ), *columns, phase)))
+    amps = (state.amplitudes(herald_count + max_out) for state in (coherent, squeezed))
+    return circuit._heralded_state(kept, *amps)
+
+
+def _nonzero(state):
+    """The nonzero amplitudes of a two-mode state, keyed by (n_1, n_2)."""
+    return {(n1, n2): a for n1, row in enumerate(state) for n2, a in enumerate(row) if a != 0}
+
+
+IDENTITY = np.eye(3, dtype=complex)
+
+
 class TestInject:
     """How the two inputs' Fock amplitudes enter the kept sectors."""
+
+    def test_all_vacuum(self):
+        state, prob = _kernel(IDENTITY, Fock(0), Fock(0), herald=(2, 0))
+        assert prob == 1.0 and _nonzero(state) == {(0, 0): 1.0}
+
+    def test_product_amplitudes(self):
+        # no elements and no herald photon keep every product c_j s_k within the cap
+        alpha, r, cap = 0.9, 0.8, 4
+        state, prob = _kernel(IDENTITY, Coherent(alpha), SqueezedVacuum(r), herald=(2, 0))
+        coh, _ = fock_amplitudes(Coherent(alpha), n_max=cap, tail_tol=math.inf)
+        sv, _ = fock_amplitudes(SqueezedVacuum(r), n_max=cap, tail_tol=math.inf)
+        expected = {
+            (j, k): coh[j] * sv[k]
+            for j in range(cap + 1)
+            for k in range(cap + 1 - j)
+            if coh[j] * sv[k] != 0
+        }
+        assert prob == pytest.approx(sum(abs(a) ** 2 for a in expected.values()), rel=1e-12)
+        amps = _nonzero(state)
+        assert set(amps) == set(expected)
+        for occ, amp in amps.items():
+            assert amp * math.sqrt(prob) == pytest.approx(expected[occ], rel=1e-12)
+
+    def test_zero_budget_keeps_the_vacuum(self):
+        state, prob = _kernel(IDENTITY, Coherent(0.5), Fock(0), herald=(2, 0), max_out=0)
+        assert prob == pytest.approx(math.exp(-0.25), rel=1e-15)
+        assert _nonzero(state) == {(0, 0): pytest.approx(1.0, rel=1e-15)}
 
     def test_transfer_table_layout(self):
         # one entry per kept output, in (n_1, n_2) order; each term reads the
@@ -93,6 +153,65 @@ class TestInject:
             assert terms and all(m + k == 1 + n1 + n2 and t != 0 for m, k, t in terms)
 
 
+class TestElements:
+    """The kernel on one or two elements, whose outputs are known in closed form."""
+
+    def test_vacuum_unchanged(self):
+        # vacuum survives any element (a constant phase is global)
+        for element, phase in ((("splitter", (0, 1), "symmetric"), 0.0),
+                               (("shifter", (0,), 2.0), 1.0)):
+            u = _mode_matrix([element])
+            state, prob = _kernel(u, Fock(0), Fock(0), phase, herald=(2, 0))
+            amps = _nonzero(state)
+            assert set(amps) == {(0, 0)} and prob == pytest.approx(1.0, abs=1e-14)
+            assert abs(amps[(0, 0)]) == pytest.approx(1.0, abs=1e-14)
+
+    def test_single_photon_symmetric_split(self):
+        u = _mode_matrix([("splitter", (0, 1), "symmetric")])
+        state, _ = _kernel(u, Fock(1), Fock(0), herald=(2, 0), max_out=2)
+        assert state[1][0] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+        assert state[0][1] == pytest.approx(1j / math.sqrt(2), rel=1e-12)
+
+    def test_single_photon_real_split(self):
+        u = _mode_matrix([("splitter", (0, 1), "real")])
+        state, _ = _kernel(u, Fock(1), Fock(0), herald=(2, 0), max_out=2)
+        assert state[1][0] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+        assert state[0][1] == pytest.approx(-1 / math.sqrt(2), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_phase_shifter_number_dependence(self, n):
+        # constant phase pi, per-photon phase -pi/2 on the occupied mode
+        u = _mode_matrix([("shifter", (0,), -math.pi / 2)])
+        expected = -1.0 * (-1j) ** n
+        state, _ = _kernel(u, Fock(n), Fock(0), math.pi, herald=(2, 0))
+        assert _nonzero(state) == {(n, 0): pytest.approx(expected, rel=1e-12)}
+
+    @pytest.mark.parametrize("convention", ["symmetric", "real"])
+    def test_norm_preserved(self, convention):
+        u = _mode_matrix([
+            ("splitter", (0, 1), convention),
+            ("shifter", (1,), -1.1),
+            ("splitter", (1, 2), convention, 0.3),
+        ])
+        # number states within the budget keep their whole mass, spread over
+        # the photon counts in mode 2
+        total = 0.0
+        for count in range(4):
+            state, prob = _kernel(u, Fock(1), Fock(2), 0.3, herald=(2, count), max_out=3 - count)
+            assert all(n1 + n2 + count == 3 for n1, n2 in _nonzero(state))
+            total += prob
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("convention", ["symmetric", "real"])
+    def test_double_beam_splitter_is_mode_swap(self, convention):
+        splitter = ("splitter", (0, 1), convention)
+        u = _mode_matrix([splitter, splitter])
+        state, _ = _kernel(u, Fock(2), Fock(1), herald=(2, 0), max_out=3)
+        amps = _nonzero(state)
+        assert abs(amps[(1, 2)]) == pytest.approx(1.0, abs=1e-14)
+        assert all(abs(a) <= 1e-14 for occ, a in amps.items() if occ != (1, 2))
+
+
 def _permanent(m: np.ndarray) -> complex:
     """Ryser's formula."""
     n = m.shape[0]
@@ -103,24 +222,29 @@ def _permanent(m: np.ndarray) -> complex:
     return total if n else 1.0 + 0j
 
 
-def _heralded_by_permanents(u, states, phase=0.0):
+def _heralded_by_permanents(u, states, phase=0.0, herald=(2, 1), max_out=4):
     """Post-selected output amplitudes and success probability, sector by sector.
 
     ``u`` is a 3 x 3 mode matrix and ``states`` the inputs of modes 0, 1 and
-    2; one photon is heralded in mode 2 and at most four kept in modes 0
-    and 1.  The amplitude of output occupation o is exp(i phase) times the
-    sum over input occupations n with the same photon number of prod_j
-    c_j[n_j] perm(U[o, n]) / sqrt(o! n!), where U[o, n] repeats row k o_k
-    times and column j n_j times.  Returns ({(n_1, n_2): amplitude},
-    success_prob), the amplitudes renormalized over the kept mass.
+    2.  ``herald`` is (mode, count); the other two modes, in order, are the
+    outputs and keep at most ``max_out`` photons.  The amplitude of output
+    occupation o is exp(i phase) times the sum over input occupations n
+    with the same photon number of prod_j c_j[n_j] perm(U[o, n]) /
+    sqrt(o! n!), where U[o, n] repeats row k o_k times and column j n_j
+    times.  Returns ({(n_1, n_2): amplitude}, success_prob), the amplitudes
+    renormalized over the kept mass.
     """
-    coeffs = [fock_amplitudes(s, n_max=BUDGET, tail_tol=math.inf)[0] for s in states]
-    fact = [math.factorial(k) for k in range(BUDGET + 1)]
+    herald_mode, herald_count = herald
+    outputs = [k for k in range(3) if k != herald_mode]
+    budget = herald_count + max_out
+    coeffs = [fock_amplitudes(s, n_max=budget, tail_tol=math.inf)[0] for s in states]
+    fact = [math.factorial(k) for k in range(budget + 1)]
     kept = {}
-    for out in itertools.product(range(BUDGET), repeat=2):
-        if sum(out) >= BUDGET:
+    for out in itertools.product(range(max_out + 1), repeat=2):
+        if sum(out) > max_out:
             continue
-        occ = [*out, 1]
+        occ = [0] * 3
+        occ[herald_mode], occ[outputs[0]], occ[outputs[1]] = herald_count, *out
         total = sum(occ)
         rows = [k for k in range(3) for _ in range(occ[k])]
         amp = 0j
@@ -138,8 +262,69 @@ def _heralded_by_permanents(u, states, phase=0.0):
     return {k: a / math.sqrt(prob) for k, a in kept.items()}, prob
 
 
+def _random_case(seed):
+    """A random three-mode wiring and its inputs; herald count ``seed % 3``.
+
+    Returns (u, phase, modes, herald, max_out, states).  The wiring is a
+    chain of splitters through every mode, then random splitters and phase
+    shifters, whose constant phases sum to ``phase``.  The coherent and
+    squeezed inputs take random amplitudes in the two ``modes``; the third
+    mode holds the vacuum.
+    """
+    rng = np.random.default_rng(seed)
+
+    def splitter(a, b):
+        transmissivity = float(rng.uniform(0.05, 0.95))
+        return ("splitter", (int(a), int(b)), str(rng.choice(["symmetric", "real"])),
+                transmissivity)
+
+    order = rng.permutation(3)
+    elements = [splitter(a, b) for a, b in zip(order, order[1:])]
+    phase = 0.0
+    for _ in range(int(rng.integers(2, 6))):
+        if rng.random() < 0.5:
+            elements.append(splitter(*rng.choice(3, size=2, replace=False)))
+        else:
+            mode = int(rng.integers(3))
+            phase += float(rng.uniform(-math.pi, math.pi))
+            elements.append(("shifter", (mode,), float(rng.uniform(-math.pi, math.pi))))
+    coherent, squeezed, third = (int(k) for k in rng.permutation(3))
+    states = [Fock(0)] * 3
+    states[coherent] = Coherent(float(rng.uniform(0.3, 1.2)))
+    states[squeezed] = SqueezedVacuum(float(rng.uniform(0.3, 1.2)))
+    herald = (int(rng.integers(3)), seed % 3)
+    max_out = int(rng.integers(1, 5))
+    return elements, phase, (coherent, squeezed), herald, max_out, states
+
+
 class TestPermanentOracle:
-    """``run_experiment``'s kernel against sector-by-sector permanents of the reference U."""
+    """``run_experiment``'s kernel against sector-by-sector permanents."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_passive_circuit(self, seed):
+        # the kernel takes any passive wiring, herald and pair of input modes
+        elements, phase, modes, herald, max_out, states = _random_case(seed)
+        u = _mode_matrix(elements)
+        want, want_prob = _heralded_by_permanents(u, states, phase, herald, max_out)
+        coherent, squeezed = (states[j] for j in modes)
+        state, prob = _kernel(u, coherent, squeezed, phase, modes, herald, max_out)
+        assert set(_nonzero(state)) <= set(want)
+        assert prob == pytest.approx(want_prob, rel=1e-12)
+        for (n1, n2), amp in want.items():
+            assert abs(state[n1][n2] - amp) <= 1e-12
+
+    def test_cases_cover_the_space(self):
+        cases = [_random_case(seed) for seed in range(24)]
+        assert {herald for _, _, _, herald, _, _ in cases} == {
+            (mode, count) for mode in range(3) for count in range(3)
+        }
+        assert {modes for _, _, modes, _, _, _ in cases} == {
+            (a, b) for a in range(3) for b in range(3) if a != b
+        }
+        assert {max_out for *_, max_out, _ in cases} == {1, 2, 3, 4}
+        conventions = {e[2] for elements, *_ in cases for e in elements if e[0] == "splitter"}
+        assert conventions == {"symmetric", "real"}
+        assert any(e[0] == "shifter" for elements, *_ in cases for e in elements)
 
     @pytest.mark.parametrize(
         "coherent, squeezed",
@@ -172,6 +357,14 @@ class TestPermanentOracle:
 
 
 class TestPostSelect:
+    def test_single_branch_heralds_with_certainty(self):
+        # herald one photon in mode 0, the coherent input's; the outputs are modes 1 and 2
+        state, prob = _kernel(IDENTITY, Fock(1), Fock(2), herald=(0, 1))
+        assert prob == pytest.approx(1.0, abs=1e-12)
+        want = [[0j] * 5 for _ in range(5)]
+        want[2][0] = pytest.approx(1.0)
+        assert state == want
+
     def test_empty_selection(self):
         zeros = [0j] * (BUDGET + 1)
         with pytest.raises(EmptyPostSelection, match="^herald 1 photon.s. in mode 2 kept no mass$"):

@@ -10,6 +10,7 @@ on which modules pytest collected.
 """
 
 import cmath
+import fractions
 import numbers
 import re
 
@@ -44,6 +45,7 @@ from noonlike.qcrb import (
     Balanced,
     FixedB,
     mean_total_photons,
+    noon_ceiling,
     noon_qcrb,
     qcrb_closed_form,
     qcrb_from_f,
@@ -68,7 +70,8 @@ EDGES = [
         ("inf", float("inf")), ("-inf", float("-inf")), ("nan", float("nan")),
         ("10**400", 10**400), ("-10**400", -(10**400)), ("2**70", 2**70), ("True", True),
         ("np.True_", np.True_), ("np.nan", np.float64("nan")), ("np.int64", np.int64(5)),
-        ("str", "1"), ("None", None), ("complex", 1 + 0j),
+        ("str", "1"), ("None", None), ("complex", 1 + 0j), ("-1", -1),
+        ("Fraction", fractions.Fraction(1, 3)), ("list", [1.0]),
     ]
 ]
 
@@ -80,8 +83,10 @@ _CURVE = SweepCurve(((1.0, 2.0, 0.5),))
 # message is the CLI's ("squeeze factor must be positive", printed by
 # `figure --id 6 --r-min 0`), or where the constituent state names it: the
 # squeeze factor r_prime of the squeezed-coherent family is that state's r.
+# A Fock state's n is its photon count, and the NOON ceiling at n_bar is the
+# NOON bound at n = n_bar.
 CALLS = {
-    "Fock-n": (lambda x: Fock(x), ["n"]),
+    "Fock-n": (lambda x: Fock(x), ["n", "photon count"]),
     "Coherent-alpha": (lambda x: Coherent(x), ["alpha"]),
     "SqueezedVacuum-r": (lambda x: SqueezedVacuum(x), ["r"]),
     "SqueezedCoherent-alpha": (lambda x: SqueezedCoherent(x, 0.5), ["alpha"]),
@@ -98,7 +103,11 @@ CALLS = {
     "qcrb_closed_form-weighting": (
         lambda x: qcrb_closed_form(5, Coherent(1.0), x), ["weighting"]
     ),
+    "noon_qcrb-d": (lambda x: noon_qcrb(x, 2.0), ["d"]),
     "noon_qcrb-n": (lambda x: noon_qcrb(5, x), ["n"]),
+    "noon_ceiling-d": (lambda x: noon_ceiling(x, 2.0), ["d"]),
+    "noon_ceiling-n_bar": (lambda x: noon_ceiling(5, x), ["n_bar", "n"]),
+    "qcrb_from_f-d": (lambda x: qcrb_from_f(x, 2.0, 0.1), ["d"]),
     "qcrb_from_f-n_bar": (lambda x: qcrb_from_f(5, x, 0.1), ["n_bar"]),
     "qcrb_from_f-f": (lambda x: qcrb_from_f(5, 2.0, x), ["f"]),
     "FixedB-b2": (lambda x: FixedB(x), ["b2"]),
@@ -117,6 +126,7 @@ CALLS = {
     "solve_param_for_nbar-family": (
         lambda x: solve_param_for_nbar(x, 5, 3.0, 1.0), ["family"]
     ),
+    "solve_param_for_nbar-d": (lambda x: solve_param_for_nbar("ecs", x, 3.0), ["d"]),
     "solve_param_for_nbar-n_bar": (lambda x: solve_param_for_nbar("ecs", 5, x), ["n_bar"]),
     "solve_param_for_nbar-r_prime": (
         lambda x: solve_param_for_nbar("escs", 5, 3.0, x), ["r_prime", "r"]
@@ -127,14 +137,17 @@ CALLS = {
     "matched_report-r_prime": (
         lambda x: matched_report("escs", 5, 3.0, x), ["r_prime", "r"]
     ),
+    "compare_families_at_nbar-d": (lambda x: compare_families_at_nbar(x, 4.0), ["d"]),
     "compare_families_at_nbar-n_bar": (lambda x: compare_families_at_nbar(5, x), ["n_bar"]),
     "compare_families_at_nbar-escs_r_prime": (
         lambda x: compare_families_at_nbar(5, 4.0, x), ["escs_r_prime", "r_prime", "r"]
     ),
+    "escs_sweep_r_prime-d": (lambda x: escs_sweep_r_prime(x, 3.0, [0.4]), ["d"]),
     "escs_sweep_r_prime-n_bar": (lambda x: escs_sweep_r_prime(5, x, [0.4]), ["n_bar"]),
     "escs_sweep_r_prime-r_prime_grid": (
         lambda x: escs_sweep_r_prime(5, 3.0, [x]), ["r_prime_grid", "r"]
     ),
+    "balanced_vs_unbalanced_sweep-d": (lambda x: balanced_vs_unbalanced_sweep(x, [1.0]), ["d"]),
     "balanced_vs_unbalanced_sweep-r_grid": (
         lambda x: balanced_vs_unbalanced_sweep(5, [x]), ["r_grid", "r"]
     ),
@@ -157,6 +170,9 @@ CALLS = {
     "experiment_qcrb_comparison-r_grid": (
         lambda x: experiment_qcrb_comparison([x]), ["r_grid", "r", "squeeze factor"]
     ),
+    "experiment_qcrb_comparison-cutoff": (
+        lambda x: experiment_qcrb_comparison([1.0], x), ["cutoff"]
+    ),
     "compare_sweeps_at_common_nbar-d": (
         lambda x: compare_sweeps_at_common_nbar(x, _CURVE, _CURVE), ["d"]
     ),
@@ -166,6 +182,7 @@ CALLS = {
     "compare_sweeps_at_common_nbar-unbalanced": (
         lambda x: compare_sweeps_at_common_nbar(5, _CURVE, x), ["unbalanced"]
     ),
+    "fock_amplitudes-state": (lambda x: fock_amplitudes(x, n_max=3), ["state"]),
     "fock_amplitudes-n_max": (lambda x: fock_amplitudes(Coherent(1.0), n_max=x), ["n_max"]),
     "fock_amplitudes-tail_tol": (
         lambda x: fock_amplitudes(Coherent(1.0), tail_tol=x), ["tail_tol"]
