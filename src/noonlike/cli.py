@@ -11,8 +11,9 @@ option is given that the chosen family or figure does not use; and, once the
 defaults are merged, each grid of several points has its min below its max.
 A failed check is a usage error that names the flag.
 
-An exact argv skips argparse (``noonlike._parser``): ``_exact`` reads it by the
-same table, then the same checks run.  ``--help`` shows the text above only.
+An exact argv skips argparse: ``_exact`` reads it by the same table, then the
+same checks run.  argparse is imported only for help, a usage error or another
+form of argv.  ``--help`` shows the text above only.
 """
 
 from __future__ import annotations
@@ -57,25 +58,28 @@ _CHOICES = {
     }),
 }
 
-_DOMAINS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
+_STEPS_MAX = 10**5  # a grid is a list of floats, built after the checks
 
-# option -> (type, or the tuple of its choices; domain; help), in the order
-# every command lists them
+_DOMAINS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+            f"at most {_STEPS_MAX}": lambda v: v <= _STEPS_MAX}
+
+# option -> (type, or the tuple of its choices; the domains it must be in, in
+# the order they are checked; help), in the order every command lists them
 _OPTIONS = {
     "family": (tuple(_CHOICES["family"][1]), None, "probe family"),
     "id": (tuple(_CHOICES["id"][1]), None, "figure number"),
-    "d": (int, ">= 1", "number of phases"),
-    "n": (float, "positive", "photon number (noon)"),
+    "d": (int, (">= 1",), "number of phases"),
+    "n": (float, ("positive",), "photon number (noon)"),
     "alpha": (float, None, "displacement (ecs, escs)"),
-    "r": (float, "positive", "squeeze factor (esvs; the heralded source)"),
-    "n_bar": (float, "positive", "mean total photon number"),
-    "n_min": (float, "positive", "first n_bar of the grid"),
-    "n_max": (float, "positive", "last n_bar of the grid"),
-    "r_min": (float, "nonnegative", "first squeeze factor of the grid"),
-    "r_max": (float, "nonnegative", "last squeeze factor of the grid"),
-    "steps": (int, "positive", "grid points"),
-    "r_prime": (float, "positive", "squeeze factor (escs)"),
-    "b2": (float, "positive", "fixed probing weight b^2 (unbalanced)"),
+    "r": (float, ("positive",), "squeeze factor (esvs; the heralded source)"),
+    "n_bar": (float, ("positive",), "mean total photon number"),
+    "n_min": (float, ("positive",), "first n_bar of the grid"),
+    "n_max": (float, ("positive",), "last n_bar of the grid"),
+    "r_min": (float, ("nonnegative",), "first squeeze factor of the grid"),
+    "r_max": (float, ("nonnegative",), "last squeeze factor of the grid"),
+    "steps": (int, ("positive", f"at most {_STEPS_MAX}"), "grid points"),
+    "r_prime": (float, ("positive",), "squeeze factor (escs)"),
+    "b2": (float, ("positive",), "fixed probing weight b^2 (unbalanced)"),
     "optimized_b": (bool, None, "optimize b^2"),
     "out": (str, None, "output file (default: stdout)"),
     "format": (("csv", "json"), None, "output format"),
@@ -137,20 +141,20 @@ def _exact(argv: Sequence[str]) -> tuple[str, dict] | None:
     return argv[0], {key: None if d is _REQUIRED else d for key, d in takes.items()} | given
 
 
-def _build_parser(*commands: str):
-    """Every command as a choice, with the options of ``commands`` only.
+def _usage_error(message: str):
+    raise UsageError(message)
 
-    argparse reads only the subparser of the command it parses, so
-    ``parse_args`` fills that one alone; its usage errors and help texts are
-    those of the parser with every command filled.
-    """
-    from ._parser import _Parser
-    parser = _Parser(prog="noonlike", description=__doc__.rsplit("\n\n", 1)[0])
+
+def _build_parser():
+    """The argparse parser of every command and its options, with usage errors as UsageError."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="noonlike", description=__doc__.rsplit("\n\n", 1)[0])
+    parser.error = _usage_error
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _) in _COMMAND_OPTIONS.items():
         p = sub.add_parser(command, help=summary)
-        if command not in commands:
-            continue
+        p.error = _usage_error
         exclusive = None
         for key, default in _takes(command).items():
             kind, _, help_text = _OPTIONS[key]
@@ -167,15 +171,35 @@ def _build_parser(*commands: str):
     return parser
 
 
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """``--flag -1e5`` as ``--flag=-1e5``, for every value that float() reads.
+
+    argparse takes a separate token that starts with "-" for an option unless
+    it is a plain negative number, so ``-1e5`` or ``-inf`` would lose its flag.
+    """
+    out: list[str] = []
+    for token in argv:
+        if token.startswith("-") and out and out[-1].startswith("--") and "=" not in out[-1]:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def _validate(params: dict) -> None:
     """UsageError naming the first fault; merges the chosen family's or figure's defaults."""
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"{_FLAG[key]} must be finite, got {value}")
     for key, value in params.items():
-        domain = _OPTIONS[key][1]
-        if domain and value is not None and not _DOMAINS[domain](value):
-            raise UsageError(f"{_FLAG[key]} must be {domain}, got {value}")
+        for domain in _OPTIONS[key][1] or ():
+            if value is not None and not _DOMAINS[domain](value):
+                raise UsageError(f"{_FLAG[key]} must be {domain}, got {value}")
     for chooser in params.keys() & _CHOICES.keys():
         label, choices = _CHOICES[chooser]
         label, chosen = f"{label} {params[chooser]}", choices[params[chooser]]
@@ -200,11 +224,7 @@ def parse_args(argv: Sequence[str]) -> tuple[str, dict]:
     """Validated (command, params); raises UsageError on bad input."""
     parsed = _exact(argv)
     if parsed is None:  # argparse prints the help or words the usage error
-        from ._parser import _attach_negative_values
-        argv = _attach_negative_values(argv)
-        # the top level takes no option with a value, so its first positional is the command
-        command = next((token for token in argv if not token.startswith("-")), "")
-        ns = _build_parser(command).parse_args(argv)
+        ns = _build_parser().parse_args(_attach_negative_values(argv))
         parsed = ns.command, {k: v for k, v in vars(ns).items() if k != "command"}
     _validate(parsed[1])
     return parsed

@@ -43,6 +43,7 @@ from .states import (
     _R_RANGE,
     _RESIDUAL_TOL,
     _Frozen,
+    _require_number,
     _require_real,
     _row,
     constituent,
@@ -68,9 +69,28 @@ class SweepCurve(_Frozen):
     __slots__ = ("points",)
 
     def __init__(self, points: tuple[tuple[float, float, float], ...]):
-        nbars = [p[0] for p in points]
-        if any(b < a - 1e-12 for a, b in zip(nbars, nbars[1:])):
-            raise ValueError("n_bar must be non-decreasing along the curve")
+        if not isinstance(points, (tuple, list)):
+            raise TypeError(
+                f"points must be a sequence of (n_bar, qcrb, parameter) triples,"
+                f" got {type(points).__name__} {points!r}"
+            )
+        last = -math.inf
+        for k, point in enumerate(points):
+            if not (type(point) is tuple and len(point) == 3
+                    and type(point[0]) is type(point[1]) is type(point[2]) is float):
+                if not isinstance(point, (tuple, list)) or len(point) != 3:
+                    raise TypeError(
+                        f"points[{k}] must be an (n_bar, qcrb, parameter) triple, got {point!r}"
+                    )
+                for value in point[1:]:
+                    _require_number(f"points[{k}]", value)
+                _require_real(f"points[{k}]", point[0])  # so that isfinite cannot overflow
+            n_bar = point[0]
+            if not math.isfinite(n_bar):
+                raise ValueError(f"points[{k}] must have a finite n_bar, got {n_bar}")
+            if n_bar < last - 1e-12:
+                raise ValueError("n_bar must be non-decreasing along the curve")
+            last = n_bar
         object.__setattr__(self, "points", points)
 
     @property

@@ -163,10 +163,17 @@ class Moments(_Frozen):
     __slots__ = ("mean_n", "mean_n2", "vacuum_prob")
 
     def __init__(self, mean_n: float, mean_n2: float, vacuum_prob: float):
-        if not mean_n >= 0:  # NaN fails too
-            raise ValueError(f"mean_n must be nonnegative, got {mean_n}")
-        if not mean_n2 >= mean_n**2 - 1e-9 * max(1.0, mean_n2):
-            raise ValueError(f"mean_n2 must be at least mean_n^2 = {mean_n**2}, got {mean_n2}")
+        if not type(mean_n) is type(mean_n2) is type(vacuum_prob) is float:  # the states pass floats
+            mean_n = _require_real("mean_n", mean_n)
+            mean_n2 = _require_real("mean_n2", mean_n2)
+            vacuum_prob = _require_real("vacuum_prob", vacuum_prob)
+        if not 0 <= mean_n < math.inf:  # NaN fails too
+            raise ValueError(f"mean_n must be finite and nonnegative, got {mean_n}")
+        square = mean_n * mean_n  # inf, not OverflowError, past the largest double
+        if not square - 1e-9 * (mean_n2 if mean_n2 > 1.0 else 1.0) <= mean_n2 < math.inf:
+            if mean_n2 == math.inf:
+                raise ValueError(f"mean_n2 must be finite, got {mean_n2}")
+            raise ValueError(f"mean_n2 must be at least mean_n^2 = {square}, got {mean_n2}")
         if not -1e-12 <= vacuum_prob <= 1 + 1e-12:
             raise ValueError(f"vacuum_prob outside [0, 1]: {vacuum_prob}")
         object.__setattr__(self, "mean_n", mean_n)
@@ -175,7 +182,7 @@ class Moments(_Frozen):
 
     @property
     def variance(self) -> float:
-        return self.mean_n2 - self.mean_n**2
+        return self.mean_n2 - self.mean_n * self.mean_n
 
 
 class Fock(SingleModeState):

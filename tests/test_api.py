@@ -10,8 +10,8 @@ reads, and holds no module dict or ``functools`` cache; the kernel runs on
 that one path.  The package reads every field of the family table's
 ``FamilyRow``, so none is inert.  numpy is imported only by ``oracles``, at
 its top, and is no runtime dependency of the package.  And the package reads
-one environment variable, ``COLUMNS``, for the help text's width: no variable
-changes what a command computes or where it writes.
+no environment variable, so none changes what a command computes or where it
+writes; argparse alone takes the help text's width from ``COLUMNS``.
 """
 
 import ast
@@ -354,7 +354,7 @@ def test_only_the_help_width_comes_from_the_environment():
     reads = [
         f"{p.stem}:{key}" for p in sorted(package.glob("*.py")) for key in _environment_reads(p)
     ]
-    assert reads == ["_parser:COLUMNS"]
+    assert reads == []
 
 
 def test_environment_gate_sees_every_form(tmp_path):

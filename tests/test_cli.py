@@ -77,6 +77,7 @@ class TestParseArgs:
         [
             ["qcrb", "--family", "esvs", "--d", "5", "--r", "2", "--b2", "-inf"],
             ["qcrb", "--family", "ecs", "--d", "5", "--alpha", "-1e5"],
+            ["qcrb", "--family", "ecs", "--d=5", "--alpha", "-1e5"],  # after a joined flag
             ["qcrb", "--family", "ecs", "--d", "5", "--alpha", "-1.5"],
             ["qcrb", "--family", "noon", "--d", "5", "--n", "-NaN"],
             ["compare", "--d", "5", "--n-bar", "-1E-3"],
@@ -191,6 +192,28 @@ class TestParseArgs:
         assert captured.out == ""
         assert captured.err == f"usage error: {flag} must be nonnegative, got {value}\n"
 
+    GRID_COMMANDS = [["sweep-escs", "--d", "5", "--n-bar", "4"], ["unbalanced", "--d", "5"],
+                     ["figure", "--id", "2"], ["figure", "--id", "6"]]
+
+    @pytest.mark.parametrize("steps", [["--steps", "100001"], ["--steps", str(10**30)],
+                                       [f"--steps={10**30}"]], ids=" ".join)
+    @pytest.mark.parametrize("command", GRID_COMMANDS, ids=" ".join)
+    def test_steps_above_the_cap_rejected(self, capsys, command, steps):
+        # a grid is a list of --steps floats, so the checks, which run before
+        # any grid is built, bound it
+        argv = command + steps
+        with pytest.raises(UsageError, match="^--steps must be at most 100000, got "):
+            parse_args(argv)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        value = steps[-1].rpartition("=")[2]
+        assert captured.err == f"usage error: --steps must be at most 100000, got {value}\n"
+
+    @pytest.mark.parametrize("command", GRID_COMMANDS, ids=" ".join)
+    def test_steps_at_the_cap_accepted(self, command):
+        assert parse_args(command + ["--steps", "100000"])[1]["steps"] == cli._STEPS_MAX == 10**5
+
     def test_zero_squeeze_sweep(self, capsys):
         assert main(["sweep-escs", "--d", "5", "--n-bar", "4", "--r-min", "0", "--r-max", "1"]) == 0
         assert capsys.readouterr().out == (
@@ -284,6 +307,14 @@ class TestCommands:
         assert row[header.index("n_bar")] == pytest.approx(2.2462, abs=1e-3)
         assert row[header.index("abs_c1")] == pytest.approx(0.5338068, abs=1e-6)
         assert row[header.index("abs_c0")] == 0.0
+
+    def test_argv_defaults_to_the_command_line(self, capsys, monkeypatch):
+        argv = ["qcrb", "--family", "noon", "--d", "5", "--n", "2"]
+        assert main(argv) == 0
+        given = capsys.readouterr()
+        monkeypatch.setattr("sys.argv", ["noonlike"] + argv)
+        assert main() == 0
+        assert capsys.readouterr() == given
 
     def test_computation_error_exit_code(self, capsys):
         # below the squeezed-coherent reachability floor at unit squeeze
@@ -478,8 +509,8 @@ class TestHelp:
         ids=lambda argv: " ".join(argv) or "no command",
     )
     def test_same_text_as_the_parser_of_every_command(self, capsys, argv):
-        # parse_args fills only the subparser named in argv; each error and
-        # help text must match the parser that fills them all
+        # parse_args reads an exact argv itself; each error and help text must
+        # be the parser's own
         def outcome(parse):
             try:
                 parse(argv)
@@ -488,7 +519,7 @@ class TestHelp:
             except UsageError as exc:
                 return str(exc), capsys.readouterr()
 
-        assert outcome(parse_args) == outcome(cli._build_parser(*cli._COMMAND_OPTIONS).parse_args)
+        assert outcome(parse_args) == outcome(cli._build_parser().parse_args)
 
     def test_command_errors(self, capsys):
         assert main([]) == 2

@@ -56,6 +56,7 @@ from noonlike.states import (
     Coherent,
     Fock,
     FockSuperposition,
+    Moments,
     SqueezedCoherent,
     SqueezedVacuum,
     _Frozen,
@@ -93,6 +94,9 @@ CALLS = {
     "SqueezedCoherent-r": (lambda x: SqueezedCoherent(1.0, x), ["r"]),
     "FockSuperposition-amps": (lambda x: FockSuperposition((x,)), ["amps", "amplitudes"]),
     "moments-state": (lambda x: moments(x), ["state"]),
+    "Moments-mean_n": (lambda x: Moments(x, 4.0, 0.1), ["mean_n"]),
+    "Moments-mean_n2": (lambda x: Moments(1.0, x, 0.1), ["mean_n2"]),
+    "Moments-vacuum_prob": (lambda x: Moments(1.0, 2.0, x), ["vacuum_prob"]),
     "mean_total_photons-d": (lambda x: mean_total_photons(x, Coherent(1.0)), ["d"]),
     "mean_total_photons-state": (lambda x: mean_total_photons(5, x), ["state"]),
     "resolve_weights-d": (lambda x: resolve_weights(x, _MOMENTS, Balanced()), ["d"]),
@@ -173,6 +177,8 @@ CALLS = {
     "experiment_qcrb_comparison-cutoff": (
         lambda x: experiment_qcrb_comparison([1.0], x), ["cutoff"]
     ),
+    "SweepCurve-points": (lambda x: SweepCurve(x), ["points"]),
+    "SweepCurve-points[0][0]": (lambda x: SweepCurve(((x, 2.0, 0.5),)), ["points"]),
     "compare_sweeps_at_common_nbar-d": (
         lambda x: compare_sweeps_at_common_nbar(x, _CURVE, _CURVE), ["d"]
     ),
@@ -310,6 +316,21 @@ MESSAGES = {
     "moments_from_amplitudes-1e308": (lambda: moments_from_amplitudes([1e308]), ValueError,
                                       "amps need a nonzero norm and finite moments,"
                                       " got sum |c_n|^2 inf"),
+    "Moments-str": (lambda: Moments("1", 4.0, 0.1), TypeError,
+                    "mean_n must be a real number, got str '1'"),
+    "Moments-bool": (lambda: Moments(True, 2.0, 0.5), TypeError,
+                     "mean_n must be a real number, got bool True"),
+    "Moments-1e308": (lambda: Moments(1e308, 4.0, 0.1), ValueError,
+                      "mean_n2 must be at least mean_n^2 = inf, got 4.0"),
+    "Moments-inf": (lambda: Moments(1.0, float("inf"), 0.1), ValueError,
+                    "mean_n2 must be finite, got inf"),
+    "SweepCurve-inf": (lambda: SweepCurve(((float("inf"), 2.0, 0.5),)), ValueError,
+                       "points[0] must have a finite n_bar, got inf"),
+    "SweepCurve-pair": (lambda: SweepCurve(((1.0, 2.0),)), TypeError,
+                        "points[0] must be an (n_bar, qcrb, parameter) triple, got (1.0, 2.0)"),
+    "SweepCurve-float": (lambda: SweepCurve(1.0), TypeError,
+                         "points must be a sequence of (n_bar, qcrb, parameter) triples,"
+                         " got float 1.0"),
     "bracket-vacuum": (lambda: escs_ratio_bracket_check(0, 0, 1.0), ZeroPhotonState,
                        "vacuum constituent: alpha_p = r_p = 0 carries no excess noise"),
 }

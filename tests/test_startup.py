@@ -32,7 +32,6 @@ import struct
 import numpy as np
 import pytest
 
-from noonlike._parser import _Formatter
 from noonlike.cli import _CHOICES, _geomspace, _linspace
 
 CLOSED_FORM = [
@@ -113,7 +112,7 @@ def test_commands_load_neither_typing_nor_resources(cli_in_fresh_interpreter, ar
     assert "noonlike.cli" in modules  # the probe sees the package's modules
     assert "typing" not in modules
     assert "importlib.resources" not in modules
-    assert "shutil" not in modules  # argparse's help formatter would import it for the width
+    assert "shutil" not in modules  # argparse's help formatter imports it for the width
 
 
 @pytest.mark.parametrize(
@@ -135,16 +134,17 @@ def test_commands_load_no_argparse(cli_in_fresh_interpreter, argv):
     code, modules = cli_in_fresh_interpreter(argv, site=False)
     assert code == 0
     assert "noonlike.cli" in modules
-    assert not modules & {"argparse", "gettext", "locale", "noonlike._parser"}
+    assert not modules & {"argparse", "gettext", "locale"}
     assert ("re" in modules) == ("json" in argv)  # json's encoder imports re
 
 
 def test_usage_error_loads_argparse(cli_in_fresh_interpreter):
-    # argparse words the error, so the probe above would see it
+    # argparse words the error, so the probes above would see it, and its
+    # formatter's width from shutil
     code, modules = cli_in_fresh_interpreter(["qcrb", "--family", "noon", "--d", "5", "--bogus"],
                                              site=False)
     assert code == 2
-    assert {"argparse", "gettext", "locale", "re", "noonlike._parser"} <= modules
+    assert {"argparse", "gettext", "locale", "re", "shutil"} <= modules
 
 
 @pytest.mark.parametrize("argv", CLOSED_FORM + HERALDED, ids=" ".join)
@@ -154,17 +154,6 @@ def test_only_budget_matching_commands_load_the_solver(cli_in_fresh_interpreter,
     code, modules = cli_in_fresh_interpreter(argv, site=False)
     assert code == 0
     assert ("noonlike.families" in modules) == (argv[0] != "qcrb")
-
-
-@pytest.mark.parametrize("columns", ["80", "40", "200", None, "0", "-5", "wide"])
-def test_help_width_is_shutils(monkeypatch, columns):
-    # the width argparse would take from shutil.get_terminal_size, without importing it
-    shutil = pytest.importorskip("shutil")
-    if columns is None:
-        monkeypatch.delenv("COLUMNS", raising=False)
-    else:
-        monkeypatch.setenv("COLUMNS", columns)
-    assert _Formatter("noonlike")._width == shutil.get_terminal_size().columns - 2
 
 
 @pytest.mark.parametrize("argv", CLOSED_FORM + HERALDED, ids=" ".join)

@@ -103,15 +103,6 @@ def test_import_builds_no_table(fresh_python):
     assert proc.stdout.split() == [str(KEPT_SECTORS)]
 
 
-def test_parser_fills_only_the_named_command():
-    # parse_args adds the options of the command in argv alone; the other
-    # commands stay choices without options
-    parser = cli._build_parser("qcrb")
-    [choices] = [a.choices for a in parser._actions if a.dest == "command"]
-    filled = {name: len(p._actions) - 1 for name, p in choices.items()}  # less each -h
-    assert filled == {name: len(cli._takes(name)) if name == "qcrb" else 0 for name in choices}
-
-
 @pytest.mark.parametrize(
     "family, r_prime, bisects", [("ecs", None, True), ("escs", 1.0, False), ("esvs", None, False)]
 )
